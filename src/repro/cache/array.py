@@ -532,8 +532,7 @@ class CacheArrayObj(CacheArrayBase):
 
     Kept byte-for-byte faithful to the pre-coded implementation: it is the
     reference half of the lockstep differential fuzzer and the escape
-    hatch for debugging the coded kernel, exactly as ``HeapQueue`` backs
-    the calendar queue (DESIGN.md §9).
+    hatch for debugging the coded kernel (DESIGN.md §10).
     """
 
     __slots__ = ("_sets",)

@@ -21,7 +21,7 @@ the object-facing views and victim tuples.
 ``REPRO_STATE`` selects the state-kernel implementation machine-wide:
 ``coded`` (default; bitmask directories + struct-of-arrays cache sets) or
 ``obj`` (the original per-object model, kept byte-for-byte as a
-differential-debugging escape hatch, like ``REPRO_ENGINE=heap``).
+differential-debugging escape hatch).
 """
 
 from __future__ import annotations

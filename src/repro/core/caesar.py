@@ -1,12 +1,8 @@
 """CAESAR: the CAche Embedded Switch ARchitecture engine.
 
 One :class:`CaesarEngine` lives inside each switch of a switch-cache
-interconnect.  The fabric calls exactly three hooks as worm headers arrive.
-Each hook takes the header-arrival cycle as an explicit ``now`` argument
-(defaulting to the simulator clock): the fabric's express transit
-(DESIGN.md §12) processes several hops inside one event, so the hooks
-must time their port grants off the worm's *logical* arrival cycle, not
-off whenever the fused event happens to be executing.  The three hooks:
+interconnect.  The fabric calls exactly three hooks as worm headers arrive,
+each timed off the simulator clock (the header-arrival cycle):
 
 * :meth:`snoop` — an INV worm passes: purge a matching block (second tag
   port, never skipped, never delays the worm).
@@ -88,14 +84,13 @@ class CaesarEngine:
     # ------------------------------------------------------------------
     # fabric hooks
     # ------------------------------------------------------------------
-    def snoop(self, msg: Message, now: int = -1) -> None:
+    def snoop(self, msg: Message) -> None:
         """INV passing through: purge a matching block.  Never skipped."""
         self.snoops += 1
         # inlined SwitchCacheSRAM.snoop_invalidate (same grants, stats)
         port = self._snoop_port
         tag_cycles = self._tag_cycles
-        if now < 0:
-            now = self.sim.now
+        now = self.sim.now
         start = port._free_at
         if start < now:
             start = now
@@ -117,13 +112,12 @@ class CaesarEngine:
                     self.trace_track, "sc_purge", now, {"addr": msg.addr}
                 )
 
-    def try_deposit(self, msg: Message, now: int = -1) -> bool:
+    def try_deposit(self, msg: Message) -> bool:
         """DATA_S passing through: capture the block unless the bank is busy."""
         if not self._enabled:
             return False
         addr = msg.addr
-        if now < 0:
-            now = self.sim.now
+        now = self.sim.now
         port = self._data_ports[(addr // self._block_size) & self._bank_mask]
         # policy.should_deposit(data_backlog) with the max(0, ...) folded in
         if port._free_at - now > self._deposit_threshold:
@@ -162,14 +156,11 @@ class CaesarEngine:
                 )
         return True
 
-    def try_intercept(
-        self, msg: Message, now: int = -1
-    ) -> Optional[Tuple[int, int]]:
+    def try_intercept(self, msg: Message) -> Optional[Tuple[int, int]]:
         """READ arriving: probe; return (data, reply_ready_time) on a hit."""
         if not self._enabled:
             return None
-        if now < 0:
-            now = self.sim.now
+        now = self.sim.now
         tag_port = self._tag_port
         # policy.should_check(tag_backlog) with the max(0, ...) folded in
         if tag_port._free_at - now > self._bypass_threshold:

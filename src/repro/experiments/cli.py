@@ -9,8 +9,6 @@ Examples::
     repro-experiments run --exp E5 --profile   # wall-clock + cProfile top-N
     repro-experiments cache                    # on-disk cache inventory
     repro-experiments cache --prune            # drop stale/tmp cache files
-    repro-experiments bench                    # refresh BENCH_engine.json
-    repro-experiments bench --check            # CI perf-smoke comparison
 
 Completed simulations are persisted in the on-disk run cache
 (``results/.runcache/``) and reused across invocations; with ``--jobs``
@@ -86,34 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile the (serial) experiment loop with cProfile and "
              "print the top functions by cumulative time",
     )
-    bench_p = sub.add_parser(
-        "bench",
-        help="engine perf benchmark: pinned workloads on both event "
-             "engines, written to BENCH_engine.json",
-    )
-    bench_p.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="where to write the fresh results (default: the baseline "
-             "path, i.e. BENCH_engine.json at the current directory)",
-    )
-    bench_p.add_argument(
-        "--baseline", default="BENCH_engine.json", metavar="PATH",
-        help="committed baseline to compare against with --check",
-    )
-    bench_p.add_argument(
-        "--check", action="store_true",
-        help="compare against the committed baseline (exit 1 on timing "
-             "drift or >threshold speedup regression) instead of just "
-             "refreshing it",
-    )
-    bench_p.add_argument(
-        "--repeat", type=int, default=2, metavar="N",
-        help="runs per (workload, engine); best wall-clock wins (default 2)",
-    )
-    bench_p.add_argument(
-        "--threshold", type=float, default=0.25, metavar="F",
-        help="allowed relative speedup regression for --check (default 0.25)",
-    )
     cache_p = sub.add_parser(
         "cache", help="inspect or clean the on-disk run cache"
     )
@@ -173,16 +143,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "cache":
         return _cache_command(args)
-    if args.command == "bench":
-        from .bench import bench_command
-
-        return bench_command(
-            output=args.output if args.output else args.baseline,
-            baseline=args.baseline,
-            check=args.check,
-            repeat=args.repeat,
-            threshold=args.threshold,
-        )
     if args.clear_cache:
         removed = runcache.clear()
         print(f"run cache cleared ({removed} entries)")

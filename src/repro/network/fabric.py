@@ -21,37 +21,14 @@ fabric invokes the embedded CAESAR engine —
   fabric fabricates a ``DATA_S`` reply that retraces the request's path,
   and the request itself shrinks to a 1-flit ``DIR_UPDATE`` that continues
   to the home node so the full-map directory stays exact.
-
-Express transit (DESIGN.md §12)
--------------------------------
-With the paper's in-order blocking processors the fabric is quiescent
-most of the time: often exactly one worm is in flight, yet the scheduled
-per-hop chain pops, dispatches, and re-pushes one event per BMIN stage
-for no observer.  ``_arrive`` therefore fuses hops: after processing hop
-*k* it compares the next header-arrival cycle against the event queue's
-O(1) ``head_bound`` lookahead (a maintained attribute, read without a
-call) — if no queued event can fire strictly before the header reaches
-the next switch, that hop is processed inline (same grant arithmetic,
-same engine hooks, same stats, with the worm's logical clock threaded
-as an explicit ``now``) instead of being scheduled.  When the quiescent
-window also covers the tail's arrival at the destination, even the
-final delivery runs inline: the clock warps to the delivery cycle
-(nothing can fire in between, so this is observationally identical to
-popping the would-be delivery event).  The bound is exact, not
-heuristic: a queued event at or before the next hop's (or delivery's)
-time forces a bailout to the classic one-event-per-hop path, so fused
-and unfused runs are bit-identical.  ``REPRO_EXPRESS=off`` disables
-fusion machine-wide (the differential escape hatch, like
-``REPRO_ENGINE`` and ``REPRO_STATE``).
 """
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from ..errors import ConfigError, NetworkError
+from ..errors import NetworkError
 from ..sim.engine import Simulator
 from .link import Link
 from .message import Message, MessagePool, MsgKind
@@ -79,23 +56,6 @@ _FLOW_REPLIES = frozenset(
 _INV = MsgKind.INV            # snoops_switch_caches
 _DATA_S = MsgKind.DATA_S      # switch_cacheable
 _READ = MsgKind.READ          # interceptable
-
-#: environment variable selecting the transit mode ("on" | "off")
-EXPRESS_ENV = "REPRO_EXPRESS"
-
-#: valid values for REPRO_EXPRESS
-EXPRESS_MODES = ("on", "off")
-
-
-def express_enabled() -> bool:
-    """Whether quiescent-window event fusion is on (default: yes)."""
-    mode = os.environ.get(EXPRESS_ENV, "on")
-    if mode not in EXPRESS_MODES:
-        raise ConfigError(
-            f"unknown {EXPRESS_ENV}={mode!r}; expected one of {EXPRESS_MODES}"
-        )
-    return mode == "on"
-
 
 class FabricStats:
     """Aggregate network statistics."""
@@ -128,8 +88,7 @@ class Fabric:
     __slots__ = (
         "sim", "topo", "switch_delay", "cycles_per_flit", "stats",
         "switches", "_inject_links", "_handlers", "_tracer", "_route_objs",
-        "_route_lists", "_reply_routes", "pool", "_express", "_equeue",
-        "_record_route",
+        "_route_lists", "_reply_routes", "pool", "_record_route",
     )
 
     def __init__(
@@ -144,14 +103,6 @@ class Fabric:
         # captured once: Machine installs the tracer on the simulator
         # before any component is built, and never swaps it mid-run
         self._tracer = sim.tracer
-        # express transit: fuse quiescent-window hops inline (§12).  The
-        # queue object never changes after Simulator construction, so it
-        # is captured once and its head_bound read as a plain attribute
-        # on the hot path.  A horizon's beyond-the-edge event drops need
-        # per-hop event granularity, and the horizon is likewise fixed
-        # at construction, so it folds into the flag here.
-        self._express = express_enabled() and sim.horizon is None
-        self._equeue = sim._queue
         # the per-hop route trace costs one list append per hop on the
         # hottest path; it only feeds the tracer's hop attribution and
         # test introspection, so it is recorded only when tracing (or,
@@ -264,106 +215,64 @@ class Fabric:
     # per-hop processing
     # ------------------------------------------------------------------
     def _arrive(self, msg: Message, hop: int) -> None:
-        # hot path: one call per worm per *quiescent window* (§12); route
-        # pre-resolved.  Every switch and link shares the fabric-wide
-        # switch_delay and cycles_per_flit (see _build), so those load
-        # from self — one bound attribute each — instead of per-switch/
-        # per-link fields.  The loop body is the former single-hop path
-        # verbatim, with the worm's logical clock carried in ``now``:
-        # one iteration per fused hop, exiting by scheduling either the
-        # next _arrive (bailout: a queued event could interleave) or the
-        # final delivery.
+        # hot path: one event per worm per hop; route pre-resolved.  Every
+        # switch and link shares the fabric-wide switch_delay and
+        # cycles_per_flit (see _build), so those load from self — one
+        # bound attribute each — instead of per-switch/per-link fields.
         sim = self.sim
         now = sim.now
         hops = msg.hops
-        nhops = len(hops)
-        switch_delay = self.switch_delay
-        cycles_per_flit = self.cycles_per_flit
-        tracer = self._tracer
-        record_route = self._record_route
-        # express lookahead: a lower bound on the earliest queued event
-        # (FAR_FUTURE when the queue is empty).  Constant across the
-        # loop — nothing is popped or pushed while fusing.  With express
-        # off the bound is 0, which every strict comparison below fails,
-        # so the classic one-event-per-hop path falls out with no extra
-        # branches.
-        bound = self._equeue.head_bound if self._express else 0
-        # constant across the loop: a worm's kind and size only change in
-        # _serve_from_switch, which exits the loop (the DIR_UPDATE
-        # continuation re-enters the fabric through _forward)
+        switch, link = hops[hop]
         kind = msg.kind
-        flits = msg.flits
-        duration = flits * cycles_per_flit
-        while True:
-            switch, link = hops[hop]
-            if record_route:
-                msg.trace.append(switch.id)
-            if tracer is not None:
-                tracer.instant(
-                    switch.trace_track, "hop", now,
-                    {"msg": msg.id, "kind": kind.value, "addr": msg.addr},
-                )
-            engine = switch.cache_engine
-            if engine is not None:
-                # identity checks against the hoisted members, not the
-                # MsgKind convenience properties: once per worm per switch
-                if kind is _INV:
-                    engine.snoop(msg, now)
-                elif kind is _DATA_S:
-                    engine.try_deposit(msg, now)
-                elif kind is _READ:
-                    served = engine.try_intercept(msg, now)
-                    if served is not None:
-                        data, ready_at = served
-                        self._serve_from_switch(
-                            msg, switch, hop, data, ready_at, now
-                        )
-                        return
-            # _forward inlined for the header-just-arrived case (the
-            # grant arithmetic must stay in lockstep with Link.reserve):
-            # this body runs once per worm per hop and the call levels
-            # measurably show up.  Worms that enter the fabric here were
-            # all registered at inject, so SanitizedFabric's _forward
-            # ledger hook — needed only for fabricated switch replies —
-            # is not required on this path.
-            timeline = link.timeline
-            request_at = now + switch_delay
-            grant = timeline._free_at
-            if grant < request_at:
-                grant = request_at
-            timeline._free_at = grant + duration
-            timeline.busy_cycles += duration
-            timeline.reservations += 1
-            timeline.queued_cycles += grant - request_at
-            link.msgs += 1
-            link.flits += flits
-            switch.msgs_routed += 1
-            switch.flits_routed += flits
-            hop += 1
-            if hop == nhops:
-                tail_done = grant + duration
-                # delivery fusion: if no queued event can fire strictly
-                # before the tail crosses the ejection link, warp the
-                # clock to the delivery cycle and deliver inline — with
-                # the window empty this is observationally identical to
-                # popping the would-be delivery event (its time would be
-                # tail_done, and nothing outranks it)
-                if tail_done < bound:
-                    sim.now = tail_done
-                    self._deliver(msg)
+        if self._record_route:
+            msg.trace.append(switch.id)
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.instant(
+                switch.trace_track, "hop", now,
+                {"msg": msg.id, "kind": kind.value, "addr": msg.addr},
+            )
+        engine = switch.cache_engine
+        if engine is not None:
+            # identity checks against the hoisted members, not the
+            # MsgKind convenience properties: once per worm per switch
+            if kind is _INV:
+                engine.snoop(msg)
+            elif kind is _DATA_S:
+                engine.try_deposit(msg)
+            elif kind is _READ:
+                served = engine.try_intercept(msg)
+                if served is not None:
+                    data, ready_at = served
+                    self._serve_from_switch(msg, switch, hop, data, ready_at)
                     return
-                sim.call_at(tail_done, self._deliver, msg)
-                return
-            header_next = grant + cycles_per_flit
-            # express transit: fuse the next hop inline iff no queued
-            # event can fire at or before the header's arrival there (a
-            # same-cycle event would outrank the hop's would-be event on
-            # seq, so the comparison is strict)
-            if header_next < bound:
-                now = header_next
-                continue
-            sim.call_at(header_next, self._arrive, msg, hop)
-            return
+        # _forward inlined for the header-just-arrived case (the grant
+        # arithmetic must stay in lockstep with Link.reserve): this body
+        # runs once per worm per hop and the call levels measurably show
+        # up.  Worms that enter the fabric here were all registered at
+        # inject, so SanitizedFabric's _forward ledger hook — needed only
+        # for fabricated switch replies — is not required on this path.
+        flits = msg.flits
+        cycles_per_flit = self.cycles_per_flit
+        duration = flits * cycles_per_flit
+        timeline = link.timeline
+        request_at = now + self.switch_delay
+        grant = timeline._free_at
+        if grant < request_at:
+            grant = request_at
+        timeline._free_at = grant + duration
+        timeline.busy_cycles += duration
+        timeline.reservations += 1
+        timeline.queued_cycles += grant - request_at
+        link.msgs += 1
+        link.flits += flits
+        switch.msgs_routed += 1
+        switch.flits_routed += flits
+        hop += 1
+        if hop == len(hops):
+            sim.call_at(grant + duration, self._deliver, msg)
+        else:
+            sim.call_at(grant + cycles_per_flit, self._arrive, msg, hop)
 
     def _forward(self, msg: Message, hop: int, header_at: int) -> None:
         """Grant the hop's output link and move the worm one stage on.
@@ -437,14 +346,9 @@ class Fabric:
         hop: int,
         data: int,
         ready_at: int,
-        now: int,
     ) -> None:
-        """A READ hit in ``switch``'s cache: reply + directory update.
-
-        ``now`` is the worm's logical header-arrival cycle — equal to
-        ``sim.now`` on the classic path, but earlier than the executing
-        event's time when the express loop (§12) intercepts mid-fusion.
-        """
+        """A READ hit in ``switch``'s cache: reply + directory update."""
+        now = self.sim.now
         stage = switch.stage
         self.stats.record_switch_hit(stage)
         tracer = self._tracer

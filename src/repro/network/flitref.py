@@ -301,16 +301,15 @@ class FlitNetwork:
         msg = worm.msg
         kind = msg.kind
         # the pump drives the clock one cycle at a time, so the header's
-        # logical arrival is exactly ``now``; pass it explicitly, as the
-        # message-granularity fabric's express loop does
+        # arrival is exactly the simulator clock the hooks read
         if kind.snoops_switch_caches:
-            engine.snoop(msg, now)
+            engine.snoop(msg)
             return False
         if kind.switch_cacheable:
-            engine.try_deposit(msg, now)
+            engine.try_deposit(msg)
             return False
         if kind.interceptable:
-            served = engine.try_intercept(msg, now)
+            served = engine.try_intercept(msg)
             if served is None:
                 return False
             data, ready_at = served

@@ -11,12 +11,10 @@ global step.  Two properties matter for a reproduction study:
   processor models fast-forward through long runs of cache hits without
   touching the queue (see :mod:`repro.node.processor`).
 
-Two interchangeable event queues implement the ``(time, seq)`` total
-order (see DESIGN.md §9): the default :class:`~repro.sim.calqueue.
-CalendarQueue` (O(1) amortized, exploits the machine's small constant
-delays) and the reference :class:`HeapQueue` binary heap.  Set
-``REPRO_ENGINE=heap`` (or pass ``engine="heap"``) to force the reference
-implementation; both produce bit-identical simulations.
+Pending events live in one binary heap of ``(time, seq, event)`` tuples
+owned by the :class:`Simulator` (see DESIGN.md §9).  Ordering is a C-level
+tuple comparison; ``seq`` is unique, so the event object itself is never
+compared.
 
 Scheduling is closure-free: ``sim.call(delay, fn, *args)`` stores the
 function and its arguments on the :class:`Event` instead of requiring a
@@ -31,13 +29,11 @@ count).
 
 from __future__ import annotations
 
-import os
 import sys
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
-from .calqueue import FAR_FUTURE, CalendarQueue
 
 Callback = Callable[..., Any]
 
@@ -92,84 +88,13 @@ class Event:
             if sim is not None:
                 sim._cancelled_queued += 1
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time} seq={self.seq}{state}>"
 
 
-class HeapQueue:
-    """Reference event queue: a plain binary heap of events.
-
-    Kept byte-for-byte faithful to the original engine's behaviour so
-    ``REPRO_ENGINE=heap`` is a true escape hatch for differential
-    debugging of the calendar queue.
-    """
-
-    __slots__ = ("_heap", "peak", "head_bound")
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-        self.peak: int = 0  # high-water queue depth (incl. cancelled)
-        # lookahead bound for the fabric's express transit: exact for a
-        # heap (the head is _heap[0]); FAR_FUTURE when empty, so the
-        # express comparison needs no None check
-        self.head_bound: int = FAR_FUTURE
-
-    def push(self, event: Event) -> None:
-        heappush(self._heap, event)
-        if event.time < self.head_bound:
-            self.head_bound = event.time
-        if len(self._heap) > self.peak:
-            self.peak = len(self._heap)
-
-    def pop(self) -> Optional[Event]:
-        heap = self._heap
-        if not heap:
-            return None
-        event = heappop(heap)
-        self.head_bound = heap[0].time if heap else FAR_FUTURE
-        return event
-
-    def peek(self) -> Optional[Event]:
-        return self._heap[0] if self._heap else None
-
-    def next_time(self) -> Optional[int]:
-        """O(1) bound on the head event's time (None when empty).
-
-        The protocol view of :attr:`head_bound` (which the fabric's
-        express transit reads directly as an attribute).  Exact for a
-        heap — the head is ``heap[0]`` — so the reference engine gives
-        the tightest possible lookahead.  The calendar queue maintains a
-        conservative bound instead (see
-        :meth:`~repro.sim.calqueue.CalendarQueue.next_time`); both honor
-        the same contract: never later than the true head time.
-        """
-        return self._heap[0].time if self._heap else None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self._heap)
-
-
-EventQueue = Union[HeapQueue, CalendarQueue]
-
-#: environment variable selecting the event queue ("calendar" | "heap")
-ENGINE_ENV = "REPRO_ENGINE"
-
-
-def _make_queue(engine: str) -> EventQueue:
-    if engine == "calendar":
-        return CalendarQueue()
-    if engine == "heap":
-        return HeapQueue()
-    raise SimulationError(
-        f"unknown event engine {engine!r} (expected 'calendar' or 'heap')"
-    )
+#: one heap entry: compared as a C-level tuple, never reaching the event
+Entry = Tuple[int, int, Event]
 
 
 class Simulator:
@@ -186,24 +111,15 @@ class Simulator:
     """
 
     __slots__ = (
-        "now", "_seq", "_queue", "_events_fired", "_cancelled_queued",
-        "horizon", "tracer", "engine", "_free", "_stop", "_cal",
+        "now", "_seq", "_heap", "_peak", "_events_fired",
+        "_cancelled_queued", "horizon", "tracer", "_free", "_stop",
     )
 
-    def __init__(
-        self, horizon: Optional[int] = None, engine: Optional[str] = None
-    ) -> None:
+    def __init__(self, horizon: Optional[int] = None) -> None:
         self.now: int = 0
         self._seq: int = 0
-        if engine is None:
-            engine = os.environ.get(ENGINE_ENV, "calendar")
-        self.engine: str = engine
-        self._queue: EventQueue = _make_queue(engine)
-        # the default queue, downcast once: call_at inlines its push
-        queue = self._queue
-        self._cal: Optional[CalendarQueue] = (
-            queue if isinstance(queue, CalendarQueue) else None
-        )
+        self._heap: List[Entry] = []
+        self._peak: int = 0  # high-water heap size (incl. cancelled)
         self._events_fired: int = 0
         self._cancelled_queued: int = 0  # cancelled events still queued
         self._stop: bool = False  # set by request_stop(), read per event
@@ -252,27 +168,10 @@ class Simulator:
             event._sim = self
         else:
             event = Event(time, seq, fn, self, args)
-        cal = self._cal
-        if cal is None:
-            self._queue.push(event)
-        else:
-            # inlined CalendarQueue.push — kept in lockstep with
-            # repro.sim.calqueue.  Scheduling is one queue call per
-            # event; collapsing the engine's hottest call edge is worth
-            # the coupling to the bucket layout.
-            heappush(
-                cal._buckets[(time // cal._width) & cal._mask],
-                (time, seq, event),
-            )
-            size = cal._size = cal._size + 1
-            if size > cal.peak:
-                cal.peak = size
-            if time < cal.head_bound:
-                cal.head_bound = time
-            if time < cal._rewind_below:
-                cal._position(time)
-            if size > cal._grow_above:
-                cal._resize(cal._nbuckets * 2)
+        heap = self._heap
+        heappush(heap, (time, seq, event))
+        if len(heap) > self._peak:
+            self._peak = len(heap)
         return event
 
     def _recycle(self, event: Event) -> None:
@@ -298,11 +197,9 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Fire the next pending event.  Returns False if the queue is empty."""
-        queue = self._queue
-        while True:
-            event = queue.pop()
-            if event is None:
-                return False
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[2]
             event._sim = None
             if event.cancelled:
                 self._cancelled_queued -= 1
@@ -317,23 +214,19 @@ class Simulator:
             self._recycle(event)
             callback(*args)
             return True
+        return False
 
     def run(self, until: Optional[int] = None) -> int:
         """Run until the queue drains (or ``until`` cycles).  Returns now.
 
-        Each event is popped exactly once: an event beyond ``until`` is
-        pushed back and the loop stops, instead of the old peek-then-step
-        double scan over cancelled heads.
+        Events after ``until`` stay queued.
         """
-        queue = self._queue
-        pop = queue.pop
+        heap = self._heap
         recycle = self._recycle
         horizon = self.horizon
         if until is None:
-            while True:
-                event = pop()
-                if event is None:
-                    break
+            while heap:
+                event = heappop(heap)[2]
                 event._sim = None
                 if event.cancelled:
                     self._cancelled_queued -= 1
@@ -348,20 +241,13 @@ class Simulator:
                 recycle(event)
                 callback(*args)
         else:
-            push = queue.push
-            while True:
-                event = pop()
-                if event is None:
-                    break
+            while heap and heap[0][0] <= until:
+                event = heappop(heap)[2]
+                event._sim = None
                 if event.cancelled:
-                    event._sim = None
                     self._cancelled_queued -= 1
                     recycle(event)
                     continue
-                if event.time > until:
-                    push(event)  # not ours to fire; put it back
-                    break
-                event._sim = None
                 if horizon is not None and event.time > horizon:
                     recycle(event)
                     continue  # beyond the horizon: drop, as step() does
@@ -374,75 +260,23 @@ class Simulator:
             self.now = max(self.now, until)
         return self.now
 
-    def run_while(self, predicate: Callable[[], bool]) -> int:
-        """Run events while ``predicate()`` holds and events remain.
-
-        This is the machine's main loop; the free-list recycle of
-        :meth:`_recycle` is inlined (the refcount threshold is 2 here,
-        not 3, because there is no extra callee frame holding the event).
-        """
-        queue = self._queue
-        pop = queue.pop
-        recycle = self._recycle
-        free = self._free
-        grc = _getrefcount
-        horizon = self.horizon
-        fired = 0
-        try:
-            while predicate():
-                while True:
-                    event = pop()
-                    if event is None:
-                        return self.now
-                    event._sim = None
-                    if not event.cancelled:
-                        break
-                    # discarding a cancelled event cannot change the
-                    # predicate, so looping here matches firing semantics
-                    self._cancelled_queued -= 1
-                    recycle(event)
-                if horizon is not None and event.time > horizon:
-                    return self.now  # beyond the horizon: drop, as step()
-                self.now = event.time
-                fired += 1
-                callback = event.callback
-                args = event.args
-                if (
-                    len(free) < _FREE_MAX
-                    and grc is not None
-                    and grc(event) == 2
-                ):
-                    event.callback = _no_callback
-                    event.args = ()
-                    free.append(event)
-                callback(*args)
-            return self.now
-        finally:
-            # counted locally in the loop; published even on an exception
-            self._events_fired += fired
-
     def request_stop(self) -> None:
         """Ask the running :meth:`run_until_stop` loop to exit.
 
-        Takes effect before the next event fires, exactly where a
-        ``run_while`` predicate turning false would have stopped.
+        Takes effect before the next event fires.
         """
         self._stop = True
 
     def run_until_stop(self) -> int:
         """Run events until :meth:`request_stop` (or the queue drains).
 
-        Equivalent to ``run_while(lambda: not stopped)``, but the
-        per-event predicate call collapses to one attribute load — this
-        is the main loop of a :class:`~repro.system.machine.Machine`,
-        whose only stop condition is "every processor finished".  On the
-        default engine the calendar pop is inlined (the mirror of
-        :meth:`call_at`'s inlined push, same lockstep-with-calqueue
-        deal): one pop per event is the loop's hottest call edge.
+        This is the main loop of a :class:`~repro.system.machine.Machine`,
+        whose only stop condition is "every processor finished", so the
+        per-event check is one attribute load.  The free-list recycle of
+        :meth:`_recycle` is inlined (the refcount threshold is 2 here,
+        not 3, because there is no extra callee frame holding the event).
         """
-        queue = self._queue
-        pop = queue.pop
-        cal = self._cal
+        heap = self._heap
         recycle = self._recycle
         free = self._free
         grc = _getrefcount
@@ -451,31 +285,9 @@ class Simulator:
         try:
             while not self._stop:
                 while True:
-                    if cal is None:
-                        event = pop()
-                        if event is None:
-                            return self.now
-                    else:
-                        # inlined CalendarQueue.pop — kept in lockstep
-                        # with repro.sim.calqueue
-                        size = cal._size
-                        if size == 0:
-                            return self.now
-                        bucket = cal._buckets[cal._cur]
-                        top = cal._top
-                        if not (bucket and bucket[0][0] < top):
-                            bucket = cal._min_bucket()
-                            top = cal._top
-                        cal._size = size = size - 1
-                        event = heappop(bucket)[2]
-                        if bucket and bucket[0][0] < top:
-                            cal.head_bound = bucket[0][0]
-                        elif size:
-                            cal.head_bound = top
-                        else:
-                            cal.head_bound = FAR_FUTURE
-                        if size and size < cal._shrink_below:
-                            cal._resize(cal._nbuckets // 2)
+                    if not heap:
+                        return self.now
+                    event = heappop(heap)[2]
                     event._sim = None
                     if not event.cancelled:
                         break
@@ -505,41 +317,39 @@ class Simulator:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def _peek(self) -> Optional[Event]:
-        queue = self._queue
-        while True:
-            head = queue.peek()
-            if head is None or not head.cancelled:
-                return head
-            queue.pop()
-            head._sim = None
-            self._cancelled_queued -= 1
-            self._recycle(head)
-
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.
 
-        O(1): maintained as queue length minus the count of cancelled
-        events that have not been lazily removed yet.
+        O(1): maintained as heap size minus the count of cancelled events
+        that have not been lazily removed yet.
         """
-        return len(self._queue) - self._cancelled_queued
+        return len(self._heap) - self._cancelled_queued
 
     @property
     def peak_pending(self) -> int:
         """High-water queue depth (including cancelled-but-queued events)."""
-        return self._queue.peak
+        return self._peak
 
     @property
     def events_fired(self) -> int:
         return self._events_fired
 
     def next_event_time(self) -> Optional[int]:
-        head = self._peek()
-        return head.time if head is not None else None
+        """Time of the next live event (None when none is queued).
+
+        Cancelled heads are discarded on the way, as a pop would.
+        """
+        heap = self._heap
+        while heap:
+            event = heap[0][2]
+            if not event.cancelled:
+                return event.time
+            heappop(heap)
+            event._sim = None
+            self._cancelled_queued -= 1
+            self._recycle(event)
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Simulator now={self.now} pending={self.pending} "
-            f"engine={self.engine}>"
-        )
+        return f"<Simulator now={self.now} pending={self.pending}>"

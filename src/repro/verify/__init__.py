@@ -28,9 +28,9 @@ model-check smoke, aggregated exit code).  The individual analyzers:
   simulation plus flit conservation, event-time monotonicity, and
   write-buffer drain-before-release ordering.
 
-* :mod:`repro.verify.lint_determinism` — the legacy single-file
-  determinism lint.  Its rules now run inside flowcheck; the old
-  ``python -m repro.verify.lint`` entry point is deprecated.
+* :mod:`repro.verify.lint_determinism` — the single-file determinism
+  lint.  Its rules run inside flowcheck; standalone, run it as
+  ``python -m repro.verify.lint_determinism``.
 """
 
 from .framework import (

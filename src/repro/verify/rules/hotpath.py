@@ -1,11 +1,8 @@
 """Hot-path purity rules: keep the inlined hot regions allocation-free.
 
-PRs 4 and 6 hand-inlined the event engine, the calendar queue, the
-fabric's per-hop path, the coded cache kernels, and the CAESAR hooks for
-a ~1.6x combined speedup; the express-transit PR fused the per-hop path
-into a quiescent-window loop (DESIGN.md §12) and added the queues'
-``head_bound``/``next_time`` lookahead to the same tier.  Nothing at
-runtime stops a refactor from
+The perf passes hand-inlined the event engine, the fabric's per-hop
+path, the coded cache kernels, the CAESAR hooks, and the processor front
+end.  Nothing at runtime stops a refactor from
 quietly reintroducing a dict display, a closure, or an attribute-chain
 re-lookup into those regions — benchmarks only catch it after the fact.
 These rules are the static gate, scoped to the exact (module, function)
@@ -26,6 +23,10 @@ regions listed in :data:`HOT_REGIONS`.
 * **P-NOSLOTS** — instantiating a class that does not declare
   ``__slots__`` inside a hot region (enums, exceptions, and dataclasses
   are exempt, mirroring the determinism lint's H rule).
+* **P-STALE** — a :data:`HOT_REGIONS` entry whose module or function
+  does not exist, so a rename cannot silently drop a region from the
+  gate.  Checked only on a whole package (an ``__init__.py`` at the
+  scanned root); fixture trees are fragments.
 """
 
 from __future__ import annotations
@@ -39,13 +40,7 @@ from ..framework import AnalysisContext, Finding, Rule, dotted_name, register
 HOT_REGIONS: Dict[str, FrozenSet[str]] = {
     "sim/engine.py": frozenset({
         "Simulator.call_at", "Simulator.step", "Simulator.run",
-        "Simulator.run_while", "Simulator.run_until_stop",
-        "Simulator._recycle", "HeapQueue.push", "HeapQueue.pop",
-        "HeapQueue.next_time",
-    }),
-    "sim/calqueue.py": frozenset({
-        "CalendarQueue.push", "CalendarQueue.pop", "CalendarQueue.peek",
-        "CalendarQueue._min_bucket", "CalendarQueue.next_time",
+        "Simulator.run_until_stop", "Simulator._recycle",
     }),
     "network/fabric.py": frozenset({
         "Fabric.inject", "Fabric._arrive", "Fabric._forward",
@@ -334,7 +329,35 @@ class HotNoSlotsRule(Rule):
         return findings
 
 
+class HotStaleRule(Rule):
+    id = "P-STALE"
+    title = "every configured hot region exists"
+
+    def run(self, ctx: AnalysisContext) -> List[Finding]:
+        if ctx.module("__init__.py") is None:
+            return []  # a fragment, not the package: nothing to miss
+        found = {(rel, qual) for rel, qual, _ in _iter_hot_functions(ctx)}
+        findings: List[Finding] = []
+        for rel_path in sorted(HOT_REGIONS):
+            if ctx.module(rel_path) is None:
+                findings.append(Finding(
+                    "P-STALE", rel_path, 0,
+                    f"hot-region module {rel_path} does not exist — "
+                    f"update or drop its HOT_REGIONS entry",
+                ))
+                continue
+            for qualname in sorted(HOT_REGIONS[rel_path]):
+                if (rel_path, qualname) not in found:
+                    findings.append(Finding(
+                        "P-STALE", rel_path, 0,
+                        f"hot region {qualname} not found — update or "
+                        f"drop its HOT_REGIONS entry",
+                    ))
+        return findings
+
+
 register(HotAllocRule())
 register(HotClosureRule())
 register(HotAttrRule())
 register(HotNoSlotsRule())
+register(HotStaleRule())

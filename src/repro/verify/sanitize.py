@@ -34,7 +34,8 @@ the coherence, engine, and sync checks only.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from heapq import heappop
+from typing import Dict, List, Optional
 
 from ..errors import SanitizerError
 from ..network.fabric import Fabric
@@ -205,7 +206,8 @@ class SanitizedSimulator(Simulator):
     trades that for a check per event, preserving the exact pop/drop
     semantics of :meth:`Simulator.run` (``until=None`` stops at a
     beyond-horizon head, ``until=X`` drops beyond-horizon events and
-    pushes back the first event beyond ``until``).
+    leaves events after ``until`` queued) and of
+    :meth:`Simulator.run_until_stop`, the machine's main loop.
     """
 
     def __init__(self, sanitizer: Sanitizer,
@@ -236,7 +238,7 @@ class SanitizedSimulator(Simulator):
             self._san.violation("engine", drift)
 
     def counter_drift(self) -> Optional[str]:
-        live = sum(1 for event in self._queue if not event.cancelled)
+        live = sum(1 for _, _, event in self._heap if not event.cancelled)
         if live != self.pending:
             return (
                 f"live-event counter drift: pending={self.pending} "
@@ -245,18 +247,13 @@ class SanitizedSimulator(Simulator):
         return None
 
     # -- run loops (same external semantics as the base class) ----------
-    # These go through the engine-agnostic queue interface (push/pop/
-    # iterate), so the sanitizer works identically over the calendar
-    # queue and the reference heap.  Events are deliberately never
-    # recycled here: a stale free-list reuse would be exactly the kind
-    # of bug SCSan exists to catch, so the sanitized engine keeps every
-    # fired event distinct.
+    # Events are deliberately never recycled here: a stale free-list
+    # reuse would be exactly the kind of bug SCSan exists to catch, so
+    # the sanitized engine keeps every fired event distinct.
     def step(self) -> bool:
-        queue = self._queue
-        while True:
-            event = queue.pop()
-            if event is None:
-                return False
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[2]
             event._sim = None
             if event.cancelled:
                 self._cancelled_queued -= 1
@@ -265,35 +262,33 @@ class SanitizedSimulator(Simulator):
                 return False
             self._fire(event)
             return True
+        return False
 
     def run(self, until: Optional[int] = None) -> int:
         if until is None:
             while self.step():
                 pass
             return self.now
-        queue = self._queue
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
+        heap = self._heap
+        while heap and heap[0][0] <= until:
+            event = heappop(heap)[2]
+            event._sim = None
             if event.cancelled:
-                event._sim = None
                 self._cancelled_queued -= 1
                 continue
-            if event.time > until:
-                queue.push(event)  # not ours to fire
-                break
-            event._sim = None
             if self.horizon is not None and event.time > self.horizon:
                 continue  # beyond the horizon: drop, as the base run() does
             self._fire(event)
         self.now = max(self.now, until)
         return self.now
 
-    def run_while(self, predicate: Callable[[], bool]) -> int:
-        while predicate() and self.step():
-            pass
-        return self.now
+    def run_until_stop(self) -> int:
+        try:
+            while not self._stop and self.step():
+                pass
+            return self.now
+        finally:
+            self._stop = False
 
 
 class SanitizedFabric(Fabric):

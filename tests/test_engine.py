@@ -131,17 +131,22 @@ def test_run_until_stops_before_later_events():
     assert fired == [5, 50]
 
 
-def test_run_while_predicate():
+def test_run_until_stop_exits_on_request():
     sim = Simulator()
     count = []
 
     def tick():
         count.append(sim.now)
+        if len(count) % 5 == 0:
+            sim.request_stop()
         sim.schedule(1, tick)
 
     sim.schedule(0, tick)
-    sim.run_while(lambda: len(count) < 5)
+    assert sim.run_until_stop() == 4
     assert len(count) == 5
+    assert sim.pending == 1  # the next tick stays queued
+    assert sim.run_until_stop() == 9  # the request was consumed: runs on
+    assert len(count) == 10
 
 
 def test_horizon_stops_run():
@@ -251,3 +256,44 @@ def test_run_until_event_pushed_back_survives_cancel():
     assert sim.pending == 0
     sim.run()
     assert fired == []
+
+
+def test_call_passes_arguments():
+    sim = Simulator()
+    seen = []
+    sim.call(3, seen.append, "a")
+    sim.call_at(5, lambda x, y: seen.append((x, y)), 1, 2)
+    sim.run()
+    assert seen == ["a", (1, 2)]
+    assert sim.now == 5
+
+
+def test_peak_pending_high_water():
+    sim = Simulator()
+    for t in (4, 1, 9, 2):
+        sim.call_at(t, lambda: None)
+    sim.run()
+    assert sim.peak_pending == 4
+    assert sim.pending == 0
+
+
+def test_free_list_recycles_unreferenced_events():
+    sim = Simulator()
+    for _ in range(50):
+        sim.call(1, int)  # handle dropped immediately -> recyclable
+        sim.run()
+    assert len(sim._free) >= 1
+    before = len(sim._free)
+    sim.call(1, int)
+    assert len(sim._free) == before - 1  # scheduling reuses the pool
+
+
+def test_kept_handle_is_never_recycled():
+    sim = Simulator()
+    kept = sim.call(1, int)
+    sim.run()
+    assert kept not in sim._free  # a held reference blocks recycling
+    kept.cancel()  # stale handle stays inert (event already fired)
+    sim.call(1, int)
+    sim.run()
+    assert sim.events_fired == 2

@@ -209,5 +209,5 @@ class TestFramework:
         assert ids[7:] == [
             "F-UNHANDLED", "F-ORPHAN", "F-DEAD", "F-NOELSE",
             "C-NOLANE", "C-SAMELANE", "C-BACKWARD", "C-CYCLE",
-            "P-ALLOC", "P-CLOSURE", "P-ATTR", "P-NOSLOTS",
+            "P-ALLOC", "P-CLOSURE", "P-ATTR", "P-NOSLOTS", "P-STALE",
         ]

@@ -16,7 +16,6 @@ Derivation of the components (default parameters):
 
 import pytest
 
-from repro.network.fabric import EXPRESS_ENV, EXPRESS_MODES
 from repro.system.config import SystemConfig
 from repro.system.machine import Machine
 
@@ -29,37 +28,37 @@ GOLDEN = {
     "far_remote": 216,        # seven switches each way (turn at stage 3)
 }
 
-# the golden pins hold bit-for-bit whether worm hops go through the event
-# queue or the express fused loop (DESIGN.md §12)
-express_modes = pytest.mark.parametrize("express", EXPRESS_MODES)
+# the golden pins hold bit-for-bit with the SCSan overlay off or on: the
+# sanitized main loop fires the same events in the same order, and it
+# checks every one of them
+sanitize_modes = pytest.mark.parametrize("sanitize", ("off", "on"))
 
 
-def one_read(reader, home, sc_size=0):
+def one_read(reader, home, sc_size=0, sanitize="off"):
     config = SystemConfig(num_nodes=16, switch_cache_size=sc_size)
-    machine = Machine(config)
+    machine = Machine(config, sanitize=sanitize == "on")
     app = ScriptedApp({reader: [("r", ("blk", 0))]}, blocks=1, home=home)
     stats = machine.run(app)
+    if machine.sanitizer is not None:
+        assert machine.sanitizer.events_checked == machine.sim.events_fired
     return stats
 
 
-@express_modes
-def test_local_read_latency_pinned(express, monkeypatch):
-    monkeypatch.setenv(EXPRESS_ENV, express)
-    stats = one_read(0, 0)
+@sanitize_modes
+def test_local_read_latency_pinned(sanitize):
+    stats = one_read(0, 0, sanitize=sanitize)
     assert stats.read_latency["local_mem"] == GOLDEN["local"]
 
 
-@express_modes
-def test_adjacent_remote_read_latency_pinned(express, monkeypatch):
-    monkeypatch.setenv(EXPRESS_ENV, express)
-    stats = one_read(1, 0)
+@sanitize_modes
+def test_adjacent_remote_read_latency_pinned(sanitize):
+    stats = one_read(1, 0, sanitize=sanitize)
     assert stats.read_latency["remote_mem"] == GOLDEN["adjacent_remote"]
 
 
-@express_modes
-def test_far_remote_read_latency_pinned(express, monkeypatch):
-    monkeypatch.setenv(EXPRESS_ENV, express)
-    stats = one_read(15, 0)
+@sanitize_modes
+def test_far_remote_read_latency_pinned(sanitize):
+    stats = one_read(15, 0, sanitize=sanitize)
     assert stats.read_latency["remote_mem"] == GOLDEN["far_remote"]
 
 

@@ -109,16 +109,16 @@ class TestSwitch:
 
 
 class TestGrantLockstep:
-    """Grant arithmetic lives in hand-inlined copies besides Link.reserve.
+    """Grant arithmetic lives in a hand-inlined copy besides Link.reserve.
 
-    ``Fabric._arrive`` inlines the reservation once for the evented hop
-    path and reuses the same block for the express fused loop (fabric.py
-    keeps them literally identical; DESIGN.md §12).  These property
-    tests drive fuzzed (flits, earliest, free_at) streams through a real
-    fabric route and through reference ``Link.reserve`` calls with the
-    same tuples, asserting identical (grant, tail_done) timing and
-    identical timeline counters — so the copies cannot drift apart
-    silently.
+    ``Fabric._arrive`` inlines the reservation for the per-hop path.
+    These property tests drive fuzzed (flits, earliest, free_at) streams
+    through a real fabric route and through reference ``Link.reserve``
+    calls with the same tuples, asserting identical (grant, tail_done)
+    timing and identical timeline counters — so the copy cannot drift
+    apart silently.  Each stream also runs through the SCSan overlay
+    (``SanitizedSimulator`` + ``SanitizedFabric``), whose ``_forward`` and
+    ``_deliver`` overrides must leave the grant timing untouched.
     """
 
     SWITCH_DELAY = 4
@@ -154,15 +154,24 @@ class TestGrantLockstep:
             link.msgs, link.flits,
         )
 
-    def _fabric_run(self, worms, mode, monkeypatch, eject_busy_until=0):
+    def _fabric_run(self, worms, sanitize="off", eject_busy_until=0):
         """The same stream through a real single-switch fabric route."""
         from repro.network.fabric import Fabric
         from repro.network.message import Message, MsgKind
         from repro.network.topology import BminTopology
+        from repro.verify.sanitize import (
+            SanitizedFabric,
+            SanitizedSimulator,
+            Sanitizer,
+        )
 
-        monkeypatch.setenv("REPRO_EXPRESS", mode)
-        sim = Simulator()
-        fabric = Fabric(sim, BminTopology(4))
+        if sanitize == "on":
+            san = Sanitizer()
+            sim = SanitizedSimulator(san)
+            fabric = SanitizedFabric(san, sim, BminTopology(4))
+        else:
+            sim = Simulator()
+            fabric = Fabric(sim, BminTopology(4))
         for node in range(4):
             fabric.attach_node(node, lambda m: None)
         eject = fabric._route_objs[(0, 1)][-1][1]
@@ -173,6 +182,8 @@ class TestGrantLockstep:
             msgs.append(msg)
             sim.call_at(inject_at, fabric.inject, msg)
         sim.run()
+        if sanitize == "on":
+            assert not fabric.in_flight()
         inj = fabric._inject_links[0]
         return (
             [(m.injected_at, m.delivered_at - m.flits * self.CYCLES_PER_FLIT,
@@ -182,8 +193,8 @@ class TestGrantLockstep:
         )
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("mode", ("off", "on"))
-    def test_fabric_inline_matches_link_reserve(self, seed, mode, monkeypatch):
+    @pytest.mark.parametrize("sanitize", ("off", "on"))
+    def test_fabric_inline_matches_link_reserve(self, seed, sanitize):
         rng = random.Random(seed)
         when = 0
         worms = []
@@ -195,17 +206,15 @@ class TestGrantLockstep:
             worms.append((rng.randrange(1, 12), when))
         busy = rng.randrange(0, 64)  # planted initial occupancy
         want_timing, want_inj, want_ej = self._reference(worms, busy)
-        got_timing, got_inj, got_ej = self._fabric_run(
-            worms, mode, monkeypatch, busy
-        )
+        got_timing, got_inj, got_ej = self._fabric_run(worms, sanitize, busy)
         assert got_timing == want_timing
         assert got_inj == want_inj
         assert got_ej == want_ej
 
-    def test_back_to_back_worms_chain_identically(self, monkeypatch):
+    def test_back_to_back_worms_chain_identically(self):
         # all injected at cycle 0: the inject link serializes them and the
         # ejection link sees strictly ordered, contended requests
         worms = [(f, 0) for f in (1, 9, 2, 9, 1, 5)]
         want = self._reference(worms)
-        for mode in ("off", "on"):
-            assert self._fabric_run(worms, mode, monkeypatch) == want
+        for sanitize in ("off", "on"):
+            assert self._fabric_run(worms, sanitize) == want

@@ -7,9 +7,8 @@ These tests run every paper kernel under both front ends across the
 protocol / switch-cache matrix and compare complete run fingerprints.
 
 The small app scales here are chosen so the whole matrix stays in
-tier-1 time; the full quick/full-scale sweep runs in the bench harness
-(``repro-experiments bench``), whose ops section asserts the same
-identity on every CI run.
+tier-1 time; at full scale, ``perfbench/pins.json`` pins the default
+(compiled) path's statistics on every CI run.
 """
 
 import pytest
@@ -92,14 +91,6 @@ def test_object_state_kernels_bit_identical(monkeypatch):
 
     monkeypatch.setenv(STATE_ENV, "obj")
     assert_identical(_config("msi", "on"), lambda: _small_app("GE"),
-                     monkeypatch)
-
-
-def test_heap_engine_bit_identical(monkeypatch):
-    from repro.sim.engine import ENGINE_ENV
-
-    monkeypatch.setenv(ENGINE_ENV, "heap")
-    assert_identical(_config("mesi", "on"), lambda: _small_app("FWA"),
                      monkeypatch)
 
 

@@ -111,6 +111,17 @@ class TestSanitizerCleanRun:
         )
         assert plain.exec_time == sane.exec_time
 
+    def test_main_loop_checks_every_event(self):
+        # Machine.run drives Simulator.run_until_stop; every event it
+        # fires must pass through the sanitizer's checked step
+        from repro.apps import GaussianElimination
+        from repro.system.presets import switch_cache_config
+
+        machine = Machine(switch_cache_config(4), sanitize=True)
+        machine.run(GaussianElimination(n=16))
+        assert machine.sim.events_fired > 0
+        assert machine.sanitizer.events_checked == machine.sim.events_fired
+
     def test_env_opt_in(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         assert Machine(tiny_config()).sanitizer is not None
