@@ -101,8 +101,8 @@ class HomeController:
         self._send = send
         self.block_size = block_size
         self.protocol = protocol
-        # shared machine-wide pool (id stream + worm free list); private
-        # when the controller is built standalone in unit tests
+        # shared machine-wide pool (one id stream); private when the
+        # controller is built standalone in unit tests
         self._pool = pool if pool is not None else MessagePool(block_size)
         self._active: Dict[int, HomeTxn] = {}
         self._pending: Dict[int, Deque[Message]] = {}

@@ -54,8 +54,8 @@ class NodeController:
         self.ni = ni
         self.home_of = home_of
         self.block_size = block_size
-        # the machine shares one pool (one id stream, one worm free list);
-        # standalone controllers in unit tests get a private pool
+        # the machine shares one pool (one id stream); standalone
+        # controllers in unit tests get a private pool
         self._pool = pool if pool is not None else MessagePool(block_size)
         self.netcache = netcache
         self.proc_id = proc_id

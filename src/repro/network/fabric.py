@@ -255,19 +255,14 @@ class Fabric:
         flits = msg.flits
         cycles_per_flit = self.cycles_per_flit
         duration = flits * cycles_per_flit
-        timeline = link.timeline
         request_at = now + self.switch_delay
-        grant = timeline._free_at
+        grant = link._free_at
         if grant < request_at:
             grant = request_at
-        timeline._free_at = grant + duration
-        timeline.busy_cycles += duration
-        timeline.reservations += 1
-        timeline.queued_cycles += grant - request_at
+        link._free_at = grant + duration
+        link.queued_cycles += grant - request_at
         link.msgs += 1
         link.flits += flits
-        switch.msgs_routed += 1
-        switch.flits_routed += flits
         hop += 1
         if hop == len(hops):
             sim.call_at(grant + duration, self._deliver, msg)
@@ -284,10 +279,9 @@ class Fabric:
         """
         hops = msg.hops
         switch, link = hops[hop]
-        flits = msg.flits
-        grant, tail_done = link.reserve(flits, header_at + switch.switch_delay)
-        switch.msgs_routed += 1
-        switch.flits_routed += flits
+        grant, tail_done = link.reserve(
+            msg.flits, header_at + switch.switch_delay
+        )
         next_hop = hop + 1
         call_at = self.sim.call_at
         if next_hop == len(hops):
@@ -307,11 +301,6 @@ class Fabric:
         if handler is None:
             raise NetworkError(f"no NI handler attached for node {msg.dst}")
         handler(msg)
-        # worm recycling: after the handler returns, a message nothing
-        # retained (acks, invalidations, writebacks) goes back to the
-        # pool; the refcount guard in release vetoes anything still held
-        # by a transaction, a home slot, or the sanitizer
-        self.pool.release(msg)
 
     def _trace_delivery(self, msg: Message, tracer: Tracer) -> None:
         """Record the delivered worm's leg span and its flow linkage."""

@@ -107,9 +107,7 @@ class FlitNetwork:
     ) -> None:
         self.sim = sim
         self.topo = topology
-        # id source for switch-fabricated worms; the reference model never
-        # recycles (its _Worm wrappers outlive delivery), it only needs the
-        # machine's id stream
+        # id source for switch-fabricated worms: the machine's id stream
         self.pool = pool if pool is not None else MessagePool()
         self.vc_count = vc_count
         self.vc_depth = vc_depth

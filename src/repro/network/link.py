@@ -16,18 +16,29 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..sim.engine import Simulator
-from ..sim.resource import Timeline
 
 
 class Link:
-    """One directed channel between two network elements."""
+    """One directed channel between two network elements.
 
-    __slots__ = ("timeline", "name", "cycles_per_flit", "msgs", "flits")
+    The link owns its grant state: ``_free_at`` (when the wire is next
+    free) and ``queued_cycles`` (total time worms waited for it), next to
+    the ``msgs``/``flits`` it has carried.  Busy time is ``flits *
+    cycles_per_flit`` and the reservation count is ``msgs``, so
+    utilization and mean queueing delay derive from these four fields.
+    """
+
+    __slots__ = (
+        "sim", "name", "cycles_per_flit", "_free_at", "queued_cycles",
+        "msgs", "flits",
+    )
 
     def __init__(self, sim: Simulator, name: str, cycles_per_flit: int = 4) -> None:
-        self.timeline = Timeline(sim, name)
+        self.sim = sim
         self.name = name
         self.cycles_per_flit = cycles_per_flit
+        self._free_at = 0
+        self.queued_cycles = 0
         self.msgs = 0
         self.flits = 0
 
@@ -35,32 +46,32 @@ class Link:
         """Reserve the link for a worm of ``flits`` flits.
 
         Returns ``(grant, tail_done)``: the cycle the header starts crossing
-        and the cycle the tail has fully crossed.
-
-        The grant arithmetic of :meth:`Timeline.reserve` is inlined on the
-        link's own (never shared) timeline: this runs once per worm per
-        hop, and the extra call level measurably shows up there.
+        and the cycle the tail has fully crossed.  Grants are FIFO in
+        request order, as :meth:`~repro.sim.resource.Timeline.reserve`.
         """
         duration = flits * self.cycles_per_flit
-        timeline = self.timeline
-        now = timeline.sim.now
+        now = self.sim.now
         request_at = earliest if earliest > now else now
-        grant = timeline._free_at
+        grant = self._free_at
         if grant < request_at:
             grant = request_at
-        timeline._free_at = grant + duration
-        timeline.busy_cycles += duration
-        timeline.reservations += 1
-        timeline.queued_cycles += grant - request_at
+        self._free_at = grant + duration
+        self.queued_cycles += grant - request_at
         self.msgs += 1
         self.flits += flits
         return grant, grant + duration
 
     def utilization(self) -> float:
-        return self.timeline.utilization()
+        """Busy fraction of elapsed simulated time (0 if time has not advanced)."""
+        now = self.sim.now
+        if now == 0:
+            return 0.0
+        return min(1.0, self.flits * self.cycles_per_flit / now)
 
     def mean_queueing_delay(self) -> float:
-        return self.timeline.mean_queueing_delay()
+        if self.msgs == 0:
+            return 0.0
+        return self.queued_cycles / self.msgs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Link {self.name} msgs={self.msgs}>"

@@ -11,24 +11,19 @@ it enters a switch.
 The simulator moves whole messages between components but preserves
 flit-level *timing*: per-hop serialization is ``flits * cycles_per_flit``.
 
-Integer-coded kinds and the worm pool (DESIGN.md §10)
------------------------------------------------------
+Integer-coded kinds and the message pool (DESIGN.md §10)
+--------------------------------------------------------
 Every :class:`MsgKind` member carries a small-int ``code`` (its header
 type field), and the kind predicates — ``carries_data``,
 ``switch_cacheable``, ``interceptable``, ``snoops_switch_caches`` — are
 precomputed index-by-code tuples, so hot sites pay one tuple subscript
 instead of an enum property call.
 
-:class:`MessagePool` owns message identity and reuse for one fabric:
-
-* ids come from a per-pool counter, so two machines in one process
-  (differential tests, the model checker) get independent, reproducible
-  id streams;
-* delivered worms are recycled through a refcount-guarded free list that
-  mirrors the PR 4 event pool (``sim/engine.py``): a worm returns to the
-  pool only when the delivery plumbing holds the last references, so any
-  message retained by a transaction, a home-controller slot, or the
-  sanitizer's ledger simply escapes reuse.
+:class:`MessagePool` owns message identity for one machine: ids come
+from a per-pool counter, so two machines in one process (differential
+tests, the model checker) get independent, reproducible id streams.
+Every worm is a fresh :class:`Message`; a delivered one is simply
+dropped.
 
 Bare ``Message(...)`` construction (tests, micro-benchmarks, the flit
 reference model's callers) still works and draws ids from a module-level
@@ -39,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from sys import getrefcount as _getrefcount
 from typing import Any, Dict, List, Optional, Tuple
 
 
@@ -203,33 +197,18 @@ class Message:
         )
 
 
-#: free-list bound — enough for the in-flight ack/inv churn of a large
-#: machine without pinning memory (same sizing rationale as the event pool)
-_FREE_MAX = 512
-
-#: refcount of a worm whose only holders are the delivery plumbing when
-#: ``release`` inspects it: the scheduler's args tuple + the fabric's
-#: ``_deliver`` local + ``release``'s parameter + getrefcount's argument.
-#: Anything else still pointing at the message (a Transaction's
-#: ``req_msg``/``reply_msg``, a HomeTxn slot, the sanitizer ledger, a
-#: SanitizedFabric stack frame) raises the count and vetoes reuse.
-_RELEASE_REFS = 4
-
-
 class MessagePool:
-    """Per-fabric message identity + a refcount-guarded worm free list.
+    """Per-machine message identity: one private, reproducible id stream.
 
-    One pool serves one machine: every protocol message drawn from it gets
-    the next id in that machine's private stream, and worms the fabric has
-    fully delivered are reset and reused instead of reallocated.
+    Every protocol message drawn from one pool gets the next id in that
+    machine's stream, and its default flit count from its kind.
     """
 
-    __slots__ = ("block_size", "_free", "_next_id", "_data_flits")
+    __slots__ = ("block_size", "_next_id", "_data_flits")
 
     def __init__(self, block_size: int = 64, start_id: int = 0) -> None:
         self.block_size = block_size
         self._data_flits = 1 + block_size // FLIT_BYTES
-        self._free: List[Message] = []
         self._next_id = start_id
 
     def make(
@@ -243,43 +222,12 @@ class MessagePool:
         transaction: Optional[object] = None,
         flits: int = -1,
     ) -> Message:
-        """A fresh-looking worm: recycled when possible, else allocated."""
+        """A new worm with the next id in this pool's stream."""
         if flits < 0:
             flits = self._data_flits if CARRIES_DATA[kind.code] else 1
         msg_id = self._next_id
         self._next_id = msg_id + 1
-        free = self._free
-        if free:
-            msg = free.pop()
-            msg.id = msg_id
-            msg.kind = kind
-            msg.src = src
-            msg.dst = dst
-            msg.addr = addr
-            msg.flits = flits
-            msg.data = data
-            if payload is None:
-                msg.payload.clear()  # reuse the dict
-            else:
-                msg.payload = payload
-            msg.created_at = -1
-            msg.injected_at = -1
-            msg.delivered_at = -1
-            msg.trace.clear()  # reuse the list
-            msg.route = None
-            msg.hops = None
-            msg.transaction = transaction
-            return msg
         return Message(
             kind, src, dst, addr, flits, data, payload, transaction,
             msg_id=msg_id,
         )
-
-    def release(self, msg: Message) -> None:
-        """Return a delivered worm to the free list if nothing holds it."""
-        if len(self._free) < _FREE_MAX and _getrefcount(msg) == _RELEASE_REFS:
-            # break reference cycles / drop payloads before pooling
-            msg.transaction = None
-            msg.data = None
-            msg.hops = None
-            self._free.append(msg)

@@ -4,7 +4,7 @@ The base switch is a 4x4 bidirectional crossbar: two left-side links
 (toward the nodes) and two right-side links (toward higher stages), each
 bidirectional.  Internally it arbitrates among 8 virtual-channel candidates
 with the Spider age technique [10]; at message granularity this is FIFO
-grant order on each output link, which :class:`~repro.sim.resource.Timeline`
+grant order on each output link, which :class:`~repro.network.link.Link`
 provides.  Crossing the switch — arbitration plus traversal to the link
 transmitter — costs ``switch_delay`` cycles (4 in the paper).
 
@@ -26,11 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 
 class Switch:
-    """One BMIN switching element with per-output-link grant timelines."""
+    """One BMIN switching element with per-output-link grant state."""
 
     __slots__ = (
         "sim", "id", "stage", "switch_delay", "cycles_per_flit", "_out",
-        "cache_engine", "msgs_routed", "flits_routed", "trace_track",
+        "cache_engine", "trace_track",
     )
 
     def __init__(
@@ -48,9 +48,6 @@ class Switch:
         # outgoing links keyed by neighbor: a SwitchId tuple or an int node id
         self._out: Dict[Hashable, Link] = {}
         self.cache_engine: Optional["CaesarEngine"] = None
-        # statistics
-        self.msgs_routed = 0
-        self.flits_routed = 0
         # precomputed tracer track name (avoids per-hop formatting)
         self.trace_track = f"switch{self.stage}.{switch_id[1]}"
 
@@ -99,12 +96,20 @@ class Switch:
         disappears from the hot path.
         """
         grant, tail_done = link.reserve(flits, earliest=header_at + self.switch_delay)
-        self.msgs_routed += 1
-        self.flits_routed += flits
         return grant, grant + self.cycles_per_flit, tail_done
 
     def outputs(self) -> Dict[Hashable, Link]:
         return dict(self._out)
+
+    # every worm this switch routes is carried by exactly one of its
+    # output links, so the routing statistics are the links' own counts
+    @property
+    def msgs_routed(self) -> int:
+        return sum(link.msgs for link in self._out.values())
+
+    @property
+    def flits_routed(self) -> int:
+        return sum(link.flits for link in self._out.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Switch {self.id} outs={list(self._out)}>"

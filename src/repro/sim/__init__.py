@@ -1,6 +1,6 @@
 """Discrete-event simulation core (engine, clocked resources)."""
 
-from .engine import Event, Simulator
+from .engine import Simulator
 from .resource import FifoServer, Timeline
 
-__all__ = ["Event", "Simulator", "FifoServer", "Timeline"]
+__all__ = ["Simulator", "FifoServer", "Timeline"]

@@ -11,15 +11,15 @@ global step.  Two properties matter for a reproduction study:
   processor models fast-forward through long runs of cache hits without
   touching the queue (see :mod:`repro.node.processor`).
 
-Pending events live in one binary heap of ``(time, seq, event)`` tuples
-owned by the :class:`Simulator` (see DESIGN.md §9).  Ordering is a C-level
-tuple comparison; ``seq`` is unique, so the event object itself is never
-compared.
+Pending events live in one binary heap of ``(time, seq, fn, args)``
+tuples owned by the :class:`Simulator` (see DESIGN.md §9).  Ordering is a
+C-level tuple comparison; ``seq`` is unique, so the callback is never
+compared.  An event is plain data: there is no event object, no handle
+and no cancellation, so scheduling returns nothing.
 
-Scheduling is closure-free: ``sim.call(delay, fn, *args)`` stores the
-function and its arguments on the :class:`Event` instead of requiring a
-per-event lambda, and popped events are recycled through a small free
-list, so steady-state simulation allocates (almost) nothing per event.
+Scheduling is closure-free: ``sim.call(delay, fn, *args)`` queues the
+function and its argument tuple directly instead of requiring a
+per-event lambda.
 
 Time is measured in integer *cycles* of the system clock (the paper's
 switches, links and processors all run at 200 MHz, so a single clock domain
@@ -29,7 +29,6 @@ count).
 
 from __future__ import annotations
 
-import sys
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -37,64 +36,8 @@ from ..errors import SimulationError
 
 Callback = Callable[..., Any]
 
-#: ``sys.getrefcount`` is CPython-specific; without it the free list is
-#: simply never fed (correct, just no recycling)
-_getrefcount: Optional[Callable[[object], int]] = getattr(
-    sys, "getrefcount", None
-)
-
-#: recycled events point here so the dead callback (and anything its cell
-#: captured) is released immediately
-def _no_callback() -> None:  # pragma: no cover - never scheduled
-    raise SimulationError("recycled event fired")
-
-
-#: free-list bound: enough to absorb the pop/push churn of a busy machine
-#: without pinning an unbounded pile of dead objects
-_FREE_MAX = 512
-
-
-class Event:
-    """A scheduled callback (plus its arguments).
-
-    Holding on to the returned event allows cancellation; cancelled events
-    stay queued but are skipped when popped (lazy deletion).
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
-
-    def __init__(
-        self,
-        time: int,
-        seq: int,
-        callback: Callback,
-        sim: Optional["Simulator"] = None,
-        args: Tuple[Any, ...] = (),
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        if not self.cancelled:
-            self.cancelled = True
-            # keep the owning simulator's live-event counter exact while
-            # the event is still queued (cleared to None once popped)
-            sim = self._sim
-            if sim is not None:
-                sim._cancelled_queued += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time} seq={self.seq}{state}>"
-
-
-#: one heap entry: compared as a C-level tuple, never reaching the event
-Entry = Tuple[int, int, Event]
+#: one heap entry: ``(time, seq, fn, args)``, compared as a C-level tuple
+Entry = Tuple[int, int, Callback, Tuple[Any, ...]]
 
 
 class Simulator:
@@ -106,24 +49,22 @@ class Simulator:
         sim.call_at(sim.now + latency, self._finish, txn)
 
     (``schedule``/``at`` remain as zero-argument conveniences.)  The
-    engine never advances past ``horizon`` (if set), which the tests use
-    to bound runaway models.
+    engine never advances past ``horizon`` (if set): events beyond it
+    stay queued, and the run loops return instead of firing them.
     """
 
     __slots__ = (
-        "now", "_seq", "_heap", "_peak", "_events_fired",
-        "_cancelled_queued", "horizon", "tracer", "_free", "_stop",
+        "now", "_seq", "_heap", "_peak", "_events_fired", "horizon",
+        "tracer", "_stop",
     )
 
     def __init__(self, horizon: Optional[int] = None) -> None:
         self.now: int = 0
         self._seq: int = 0
         self._heap: List[Entry] = []
-        self._peak: int = 0  # high-water heap size (incl. cancelled)
+        self._peak: int = 0  # high-water heap size
         self._events_fired: int = 0
-        self._cancelled_queued: int = 0  # cancelled events still queued
         self._stop: bool = False  # set by request_stop(), read per event
-        self._free: List[Event] = []
         self.horizon = horizon
         # observability hook: components reach the run's Tracer through
         # the simulator they already hold (None = tracing disabled; every
@@ -134,131 +75,82 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: int, callback: Callback) -> Event:
+    def schedule(self, delay: int, callback: Callback) -> None:
         """Schedule ``callback`` to fire ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self.now + delay, callback)
+        self.call_at(self.now + delay, callback)
 
-    def at(self, time: int, callback: Callback) -> Event:
+    def at(self, time: int, callback: Callback) -> None:
         """Schedule ``callback`` at absolute cycle ``time`` (>= now)."""
-        return self.call_at(time, callback)
+        self.call_at(time, callback)
 
-    def call(self, delay: int, fn: Callback, *args: Any) -> Event:
+    def call(self, delay: int, fn: Callback, *args: Any) -> None:
         """Schedule ``fn(*args)`` ``delay`` cycles from now, closure-free."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self.now + delay, fn, *args)
+        self.call_at(self.now + delay, fn, *args)
 
-    def call_at(self, time: int, fn: Callback, *args: Any) -> Event:
+    def call_at(self, time: int, fn: Callback, *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute cycle ``time`` (>= now)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event in the past: {time} < now {self.now}"
             )
         self._seq = seq = self._seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = fn
-            event.args = args
-            event.cancelled = False
-            event._sim = self
-        else:
-            event = Event(time, seq, fn, self, args)
         heap = self._heap
-        heappush(heap, (time, seq, event))
+        heappush(heap, (time, seq, fn, args))
         if len(heap) > self._peak:
             self._peak = len(heap)
-        return event
-
-    def _recycle(self, event: Event) -> None:
-        """Return a popped event to the free list if nobody else holds it.
-
-        The refcount guard (local + argument + getrefcount's own temporary
-        = 3) means an event whose handle a component kept — e.g. to cancel
-        it later — is never recycled, so stale handles stay inert forever
-        rather than cancelling an unrelated reused event.
-        """
-        free = self._free
-        if (
-            len(free) < _FREE_MAX
-            and _getrefcount is not None
-            and _getrefcount(event) == 3
-        ):
-            event.callback = _no_callback
-            event.args = ()
-            free.append(event)
 
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
+    def _limit(self, until: Optional[int]) -> Optional[int]:
+        """The last cycle a run may fire: ``until`` capped by the horizon."""
+        horizon = self.horizon
+        if until is None or (horizon is not None and horizon < until):
+            return horizon
+        return until
+
     def step(self) -> bool:
-        """Fire the next pending event.  Returns False if the queue is empty."""
+        """Fire the next pending event.  Returns False if none may fire."""
         heap = self._heap
-        while heap:
-            event = heappop(heap)[2]
-            event._sim = None
-            if event.cancelled:
-                self._cancelled_queued -= 1
-                self._recycle(event)
-                continue
-            if self.horizon is not None and event.time > self.horizon:
-                return False
-            self.now = event.time
-            self._events_fired += 1
-            callback = event.callback
-            args = event.args
-            self._recycle(event)
-            callback(*args)
-            return True
-        return False
+        if not heap or (self.horizon is not None and heap[0][0] > self.horizon):
+            return False
+        time, _, fn, args = heappop(heap)
+        self.now = time
+        self._events_fired += 1
+        fn(*args)
+        return True
 
     def run(self, until: Optional[int] = None) -> int:
         """Run until the queue drains (or ``until`` cycles).  Returns now.
 
-        Events after ``until`` stay queued.
+        Events after ``until`` (or the horizon) stay queued; with
+        ``until`` the clock then advances to it, capped by the horizon.
         """
         heap = self._heap
-        recycle = self._recycle
-        horizon = self.horizon
-        if until is None:
-            while heap:
-                event = heappop(heap)[2]
-                event._sim = None
-                if event.cancelled:
-                    self._cancelled_queued -= 1
-                    recycle(event)
-                    continue
-                if horizon is not None and event.time > horizon:
-                    break  # beyond the horizon: drop, as step() does
-                self.now = event.time
-                self._events_fired += 1
-                callback = event.callback
-                args = event.args
-                recycle(event)
-                callback(*args)
-        else:
-            while heap and heap[0][0] <= until:
-                event = heappop(heap)[2]
-                event._sim = None
-                if event.cancelled:
-                    self._cancelled_queued -= 1
-                    recycle(event)
-                    continue
-                if horizon is not None and event.time > horizon:
-                    recycle(event)
-                    continue  # beyond the horizon: drop, as step() does
-                self.now = event.time
-                self._events_fired += 1
-                callback = event.callback
-                args = event.args
-                recycle(event)
-                callback(*args)
-            self.now = max(self.now, until)
-        return self.now
+        limit = self._limit(until)
+        fired = 0
+        try:
+            if limit is None:
+                while heap:
+                    time, _, fn, args = heappop(heap)
+                    self.now = time
+                    fired += 1
+                    fn(*args)
+            else:
+                while heap and heap[0][0] <= limit:
+                    time, _, fn, args = heappop(heap)
+                    self.now = time
+                    fired += 1
+                    fn(*args)
+                if until is not None and limit > self.now:
+                    self.now = limit
+            return self.now
+        finally:
+            self._events_fired += fired
 
     def request_stop(self) -> None:
         """Ask the running :meth:`run_until_stop` loop to exit.
@@ -268,46 +160,28 @@ class Simulator:
         self._stop = True
 
     def run_until_stop(self) -> int:
-        """Run events until :meth:`request_stop` (or the queue drains).
+        """Run events until :meth:`request_stop`, the horizon, or a drain.
 
         This is the main loop of a :class:`~repro.system.machine.Machine`,
         whose only stop condition is "every processor finished", so the
-        per-event check is one attribute load.  The free-list recycle of
-        :meth:`_recycle` is inlined (the refcount threshold is 2 here,
-        not 3, because there is no extra callee frame holding the event).
+        per-event check is one attribute load.  An event beyond the
+        horizon is pushed back, so the caller can tell a bounded run
+        (``pending > 0``) from a drained queue.
         """
         heap = self._heap
-        recycle = self._recycle
-        free = self._free
-        grc = _getrefcount
         horizon = self.horizon
         fired = 0
         try:
             while not self._stop:
-                while True:
-                    if not heap:
-                        return self.now
-                    event = heappop(heap)[2]
-                    event._sim = None
-                    if not event.cancelled:
-                        break
-                    self._cancelled_queued -= 1
-                    recycle(event)
-                if horizon is not None and event.time > horizon:
-                    return self.now  # beyond the horizon: drop, as step()
-                self.now = event.time
+                if not heap:
+                    return self.now
+                time, seq, fn, args = heappop(heap)
+                if horizon is not None and time > horizon:
+                    heappush(heap, (time, seq, fn, args))
+                    return self.now
+                self.now = time
                 fired += 1
-                callback = event.callback
-                args = event.args
-                if (
-                    len(free) < _FREE_MAX
-                    and grc is not None
-                    and grc(event) == 2
-                ):
-                    event.callback = _no_callback
-                    event.args = ()
-                    free.append(event)
-                callback(*args)
+                fn(*args)
             return self.now
         finally:
             self._stop = False
@@ -319,16 +193,12 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued.
-
-        O(1): maintained as heap size minus the count of cancelled events
-        that have not been lazily removed yet.
-        """
-        return len(self._heap) - self._cancelled_queued
+        """Number of events still queued."""
+        return len(self._heap)
 
     @property
     def peak_pending(self) -> int:
-        """High-water queue depth (including cancelled-but-queued events)."""
+        """High-water queue depth."""
         return self._peak
 
     @property
@@ -336,20 +206,9 @@ class Simulator:
         return self._events_fired
 
     def next_event_time(self) -> Optional[int]:
-        """Time of the next live event (None when none is queued).
-
-        Cancelled heads are discarded on the way, as a pop would.
-        """
+        """Time of the next queued event (None when none is queued)."""
         heap = self._heap
-        while heap:
-            event = heap[0][2]
-            if not event.cancelled:
-                return event.time
-            heappop(heap)
-            event._sim = None
-            self._cancelled_queued -= 1
-            self._recycle(event)
-        return None
+        return heap[0][0] if heap else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self.now} pending={self.pending}>"

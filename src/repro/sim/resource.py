@@ -2,7 +2,7 @@
 
 Two abstractions cover every contended resource in the machine:
 
-* :class:`Timeline` — a serially-reusable resource (a link wire, a memory
+* :class:`Timeline` — a serially-reusable resource (a bus wire, a memory
   bank, a cache data array).  Callers *reserve* an occupancy interval and
   are told when their turn starts.  Reservations are granted in request
   order (FIFO), which matches the age-based arbitration of the Spider-style

@@ -15,10 +15,10 @@ directory, and directory ownership must be exact.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..apps.opstream import compile_stream, ops_mode
-from ..cache.states import DirState, LineState
+from ..cache.states import DirState
 from ..core.caesar import CaesarEngine
 from ..core.policy import CachingPolicy
 from ..core.switchcache import SwitchCacheGeometry
@@ -67,8 +67,8 @@ class Machine:
             self.sim = Simulator()
         # installed before any component is built, so every hook sees it
         self.sim.tracer = tracer
-        # one worm pool per machine: a single message-id stream and one
-        # free list shared by the fabric and every controller
+        # one message pool per machine: a single message-id stream shared
+        # by the fabric and every controller
         self.pool = MessagePool(config.block_size)
         self.topology = BminTopology(config.num_nodes)
         if config.network_model == "flit":
@@ -167,10 +167,6 @@ class Machine:
         if self._done_count >= self._num_procs:
             self.sim.request_stop()
 
-    def _procs_remaining(self) -> bool:
-        """Main-loop predicate: processors still running (called per event)."""
-        return self._done_count < self._num_procs
-
     def _sample_metrics(self) -> None:
         """Periodic sampler: occupancy/hit-rate and memory backlogs.
 
@@ -232,7 +228,12 @@ class Machine:
     # running
     # ------------------------------------------------------------------
     def run(self, app, max_cycles: Optional[int] = None) -> MachineStats:
-        """Execute ``app`` on all processors until completion."""
+        """Execute ``app`` on all processors until completion.
+
+        ``max_cycles`` bounds the whole run (it becomes the simulator's
+        horizon): processors still running when it is reached raise
+        :class:`~repro.errors.DeadlockError`.
+        """
         app.setup(self)
         compiled = ops_mode() == "compiled"
         for stack in self.stacks():
@@ -245,10 +246,16 @@ class Machine:
         metrics = self.metrics
         if metrics is not None and metrics.sample_interval:
             self.sim.schedule(metrics.sample_interval, self._sample_metrics)
+        self.sim.horizon = max_cycles
         if self._done_count < self._num_procs:
             self.sim.run_until_stop()
         if self._done_count < self.num_procs:
             stuck = [s.proc_id for s in self.stacks() if not s.processor.done]
+            if self.sim.pending:  # stopped at the horizon, not drained
+                raise DeadlockError(
+                    f"max_cycles={max_cycles} reached with processors "
+                    f"{stuck} unfinished at cycle {self.sim.now}"
+                )
             raise DeadlockError(
                 f"event queue drained with processors {stuck} unfinished "
                 f"at cycle {self.sim.now}"

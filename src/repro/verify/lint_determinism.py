@@ -18,9 +18,9 @@ Four structural rules ride along:
   declare ``__slots__``; attribute-dict lookups there dominate the
   simulator's profile (see PR 1).
 * **L (lambda scheduling)** — scheduling a ``lambda`` through
-  ``sim.schedule``/``at``/``call``/``call_at`` allocates a closure cell
-  per event and defeats the engine's event free list (recycled events
-  store ``fn`` + ``args`` directly; see DESIGN.md §9).  Kernel code must
+  ``sim.schedule``/``at``/``call``/``call_at`` allocates a function
+  object and closure cells per event, where the engine queues ``fn`` +
+  ``args`` directly (see DESIGN.md §9).  Kernel code must
   pass the bound method and its arguments instead:
   ``sim.call(delay, self._finish, txn)``.
 * **B (bitmask sharers)** — coherence modules must not declare public

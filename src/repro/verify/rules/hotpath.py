@@ -15,7 +15,8 @@ regions listed in :data:`HOT_REGIONS`.
   definition) and inside a tracer guard (``if tracer is not None:`` —
   tracing is off in measured runs).
 * **P-CLOSURE** — ``lambda`` or nested ``def`` inside a hot region:
-  closure cells defeat the engine's event free list.
+  each one allocates a function object (plus closure cells) per call,
+  where the engine takes a bound method and an argument tuple as-is.
 * **P-ATTR** — the same ≥2-hop attribute chain (``self.sim.now``) loaded
   more than once in a hot function: each re-lookup is two dict probes
   that a local hoist removes (the idiom every inlined region already
@@ -40,15 +41,13 @@ from ..framework import AnalysisContext, Finding, Rule, dotted_name, register
 HOT_REGIONS: Dict[str, FrozenSet[str]] = {
     "sim/engine.py": frozenset({
         "Simulator.call_at", "Simulator.step", "Simulator.run",
-        "Simulator.run_until_stop", "Simulator._recycle",
+        "Simulator.run_until_stop",
     }),
     "network/fabric.py": frozenset({
         "Fabric.inject", "Fabric._arrive", "Fabric._forward",
         "Fabric._deliver",
     }),
-    "network/message.py": frozenset({
-        "MessagePool.make", "MessagePool.release",
-    }),
+    "network/message.py": frozenset({"MessagePool.make"}),
     "cache/array.py": frozenset({
         "CacheArray.probe_data", "CacheArray.probe_state",
         "CacheArray.lookup_data", "CacheArray.lookup_state",

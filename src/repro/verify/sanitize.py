@@ -11,9 +11,7 @@ plus the kernel-level properties the abstraction cannot see:
 * **Flit conservation** — every worm injected into (or fabricated
   inside) the fabric is delivered exactly once; nothing is dropped or
   duplicated.  Checked with a ledger keyed on message identity.
-* **Engine integrity** — event times never move the clock backwards and
-  the O(1) live-event counter (``Simulator.pending``) periodically
-  agrees with an O(n) recount of the queue.
+* **Engine integrity** — event times never move the clock backwards.
 * **Drain-before-release** — a processor arriving at a barrier or
   releasing a lock must have an empty write buffer (the fence semantics
   :mod:`repro.node.processor` promises).
@@ -35,15 +33,12 @@ the coherence, engine, and sync checks only.
 from __future__ import annotations
 
 from heapq import heappop
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import SanitizerError
 from ..network.fabric import Fabric
 from ..network.message import Message
-from ..sim.engine import Event, Simulator
-
-#: fired events between O(n) engine queue audits
-AUDIT_PERIOD = 2048
+from ..sim.engine import Callback, Simulator
 
 
 class Sanitizer:
@@ -168,7 +163,7 @@ class Sanitizer:
     # end-of-run audit
     # ------------------------------------------------------------------
     def final_check(self, machine) -> None:
-        """Ledger, write-buffer, engine, and coherence audit at quiescence."""
+        """Ledger, write-buffer, and coherence audit at quiescence."""
         problems: List[str] = []
         fabric = machine.fabric
         if isinstance(fabric, SanitizedFabric):
@@ -183,11 +178,6 @@ class Sanitizer:
                     f"[sync] proc {stack.proc_id} finished with a non-empty "
                     f"write buffer"
                 )
-        sim = machine.sim
-        if isinstance(sim, SanitizedSimulator):
-            drift = sim.counter_drift()
-            if drift is not None:
-                problems.append(f"[engine] {drift}")
         problems.extend(
             f"[coherence] {problem}" for problem in machine.check_coherence()
         )
@@ -199,15 +189,14 @@ class Sanitizer:
 
 
 class SanitizedSimulator(Simulator):
-    """Engine overlay: monotonic clock + periodic live-counter audits.
+    """Engine overlay: a monotonic-clock check on every fired event.
 
     Re-implements the run loops in terms of a checked single step.  The
     base class inlines these loops for speed; the sanitized variant
-    trades that for a check per event, preserving the exact pop/drop
-    semantics of :meth:`Simulator.run` (``until=None`` stops at a
-    beyond-horizon head, ``until=X`` drops beyond-horizon events and
-    leaves events after ``until`` queued) and of
-    :meth:`Simulator.run_until_stop`, the machine's main loop.
+    trades that for a check per event, preserving the exact semantics
+    of :meth:`Simulator.run` and :meth:`Simulator.run_until_stop` (the
+    machine's main loop): events after ``until`` or the horizon stay
+    queued.
     """
 
     def __init__(self, sanitizer: Sanitizer,
@@ -216,70 +205,37 @@ class SanitizedSimulator(Simulator):
         self._san = sanitizer
 
     # -- checked firing -------------------------------------------------
-    def _fire(self, event: Event) -> None:
+    def _fire(self, time: int, fn: Callback, args: Tuple[Any, ...]) -> None:
         san = self._san
-        if event.time < self.now:
+        if time < self.now:
             san.violation(
                 "engine",
-                f"event t={event.time} would move the clock backwards "
+                f"event t={time} would move the clock backwards "
                 f"from {self.now}",
             )
-        self.now = event.time
+        self.now = time
         self._events_fired += 1
         san.events_checked += 1
-        if san.events_checked % AUDIT_PERIOD == 0:
-            self.audit()
-        event.callback(*event.args)
+        fn(*args)
 
-    def audit(self) -> None:
-        """O(n) recount of live events vs the O(1) ``pending`` counter."""
-        drift = self.counter_drift()
-        if drift is not None:
-            self._san.violation("engine", drift)
-
-    def counter_drift(self) -> Optional[str]:
-        live = sum(1 for _, _, event in self._heap if not event.cancelled)
-        if live != self.pending:
-            return (
-                f"live-event counter drift: pending={self.pending} "
-                f"but {live} live events queued"
-            )
-        return None
+    def _step(self, limit: Optional[int]) -> bool:
+        heap = self._heap
+        if not heap or (limit is not None and heap[0][0] > limit):
+            return False
+        time, _, fn, args = heappop(heap)
+        self._fire(time, fn, args)
+        return True
 
     # -- run loops (same external semantics as the base class) ----------
-    # Events are deliberately never recycled here: a stale free-list
-    # reuse would be exactly the kind of bug SCSan exists to catch, so
-    # the sanitized engine keeps every fired event distinct.
     def step(self) -> bool:
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[2]
-            event._sim = None
-            if event.cancelled:
-                self._cancelled_queued -= 1
-                continue
-            if self.horizon is not None and event.time > self.horizon:
-                return False
-            self._fire(event)
-            return True
-        return False
+        return self._step(self.horizon)
 
     def run(self, until: Optional[int] = None) -> int:
-        if until is None:
-            while self.step():
-                pass
-            return self.now
-        heap = self._heap
-        while heap and heap[0][0] <= until:
-            event = heappop(heap)[2]
-            event._sim = None
-            if event.cancelled:
-                self._cancelled_queued -= 1
-                continue
-            if self.horizon is not None and event.time > self.horizon:
-                continue  # beyond the horizon: drop, as the base run() does
-            self._fire(event)
-        self.now = max(self.now, until)
+        limit = self._limit(until)
+        while self._step(limit):
+            pass
+        if until is not None and limit is not None and limit > self.now:
+            self.now = limit
         return self.now
 
     def run_until_stop(self) -> int:

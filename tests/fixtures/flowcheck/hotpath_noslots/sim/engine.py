@@ -6,5 +6,5 @@ from sim.types import Event
 class Simulator:
     __slots__ = ()
 
-    def _recycle(self):
+    def call_at(self):
         return Event()

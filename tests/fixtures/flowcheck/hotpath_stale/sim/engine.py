@@ -19,6 +19,3 @@ class Simulator:
 
     def run_while(self):
         return self.now
-
-    def _recycle(self, event):
-        return event

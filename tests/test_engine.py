@@ -63,35 +63,6 @@ def test_negative_delay_raises():
         sim.schedule(-1, lambda: None)
 
 
-def test_cancelled_event_does_not_fire():
-    sim = Simulator()
-    fired = []
-    event = sim.schedule(10, lambda: fired.append("no"))
-    event.cancel()
-    sim.run()
-    assert fired == []
-    assert sim.events_fired == 0
-
-
-def test_cancel_is_idempotent():
-    sim = Simulator()
-    event = sim.schedule(10, lambda: None)
-    event.cancel()
-    event.cancel()
-    sim.run()
-
-
-def test_cancel_one_of_several():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1, lambda: fired.append(1))
-    e2 = sim.schedule(2, lambda: fired.append(2))
-    sim.schedule(3, lambda: fired.append(3))
-    e2.cancel()
-    sim.run()
-    assert fired == [1, 3]
-
-
 def test_nested_scheduling_from_callback():
     sim = Simulator()
     trail = []
@@ -161,8 +132,9 @@ def test_horizon_stops_run():
 def test_pending_counts_live_events_only():
     sim = Simulator()
     sim.schedule(1, lambda: None)
-    e = sim.schedule(2, lambda: None)
-    e.cancel()
+    sim.schedule(2, lambda: None)
+    assert sim.pending == 2
+    sim.step()  # a fired event is no longer pending
     assert sim.pending == 1
 
 
@@ -171,14 +143,6 @@ def test_next_event_time():
     assert sim.next_event_time() is None
     sim.schedule(7, lambda: None)
     assert sim.next_event_time() == 7
-
-
-def test_next_event_time_skips_cancelled():
-    sim = Simulator()
-    e = sim.schedule(3, lambda: None)
-    sim.schedule(9, lambda: None)
-    e.cancel()
-    assert sim.next_event_time() == 9
 
 
 def test_events_fired_counter():
@@ -224,40 +188,6 @@ def test_callback_exception_propagates():
         sim.run()
 
 
-def test_pending_exact_through_cancellation_storm():
-    """The O(1) live-event counter stays exact across every path a
-    cancelled event can take: cancelled-then-popped, double-cancelled,
-    cancelled after firing, and events pushed back by run(until)."""
-    sim = Simulator()
-    events = [sim.schedule(t, lambda: None) for t in range(1, 11)]
-    assert sim.pending == 10
-    for e in events[::2]:
-        e.cancel()
-        e.cancel()  # idempotent: must not double-count
-    assert sim.pending == 5
-    sim.run(until=6)  # fires 2,4,6; discards cancelled 1,3,5
-    assert sim.pending == 2  # 8 and 10 still live (7, 9 cancelled)
-    fired = events[1]
-    fired.cancel()  # cancelling an already-fired event is a no-op
-    assert sim.pending == 2
-    sim.run()
-    assert sim.pending == 0
-
-
-def test_run_until_event_pushed_back_survives_cancel():
-    """An event beyond `until` is reinserted; cancelling it afterwards
-    must still be honoured (and keep the pending count exact)."""
-    sim = Simulator()
-    fired = []
-    late = sim.schedule(100, lambda: fired.append("late"))
-    sim.run(until=50)
-    assert sim.now == 50 and sim.pending == 1
-    late.cancel()
-    assert sim.pending == 0
-    sim.run()
-    assert fired == []
-
-
 def test_call_passes_arguments():
     sim = Simulator()
     seen = []
@@ -277,23 +207,45 @@ def test_peak_pending_high_water():
     assert sim.pending == 0
 
 
-def test_free_list_recycles_unreferenced_events():
-    sim = Simulator()
-    for _ in range(50):
-        sim.call(1, int)  # handle dropped immediately -> recyclable
-        sim.run()
-    assert len(sim._free) >= 1
-    before = len(sim._free)
-    sim.call(1, int)
-    assert len(sim._free) == before - 1  # scheduling reuses the pool
+def _sanitized():
+    from repro.verify.sanitize import SanitizedSimulator, Sanitizer
+
+    return SanitizedSimulator(Sanitizer(), horizon=100)
 
 
-def test_kept_handle_is_never_recycled():
+engines = pytest.mark.parametrize(
+    "make", [lambda: Simulator(horizon=100), _sanitized],
+    ids=["base", "sanitized"],
+)
+
+
+@engines
+@pytest.mark.parametrize("loop", ["run", "run_until_stop"])
+def test_horizon_leaves_later_events_queued(make, loop):
+    sim = make()
+    fired = []
+    sim.schedule(50, lambda: fired.append(50))
+    sim.schedule(150, lambda: fired.append(150))
+    assert getattr(sim, loop)() == 50
+    assert fired == [50]
+    assert sim.pending == 1 and sim.next_event_time() == 150
+    assert sim.step() is False  # the horizon holds for single steps too
+    assert sim.events_fired == 1
+
+
+@engines
+def test_run_until_is_capped_by_horizon(make):
+    sim = make()
+    fired = []
+    sim.schedule(150, lambda: fired.append(150))
+    assert sim.run(until=200) == 100  # the clock never passes the horizon
+    assert fired == [] and sim.pending == 1
+
+
+def test_scheduling_returns_no_handle():
     sim = Simulator()
-    kept = sim.call(1, int)
-    sim.run()
-    assert kept not in sim._free  # a held reference blocks recycling
-    kept.cancel()  # stale handle stays inert (event already fired)
-    sim.call(1, int)
-    sim.run()
-    assert sim.events_fired == 2
+    assert sim.call(1, int) is None
+    assert sim.call_at(2, int) is None
+    assert sim.schedule(3, int) is None
+    assert sim.at(4, int) is None
+    assert sim.pending == 4

@@ -115,7 +115,7 @@ class TestGrantLockstep:
     These property tests drive fuzzed (flits, earliest, free_at) streams
     through a real fabric route and through reference ``Link.reserve``
     calls with the same tuples, asserting identical (grant, tail_done)
-    timing and identical timeline counters — so the copy cannot drift
+    timing and identical link counters — so the copy cannot drift
     apart silently.  Each stream also runs through the SCSan overlay
     (``SanitizedSimulator`` + ``SanitizedFabric``), whose ``_forward`` and
     ``_deliver`` overrides must leave the grant timing untouched.
@@ -135,7 +135,7 @@ class TestGrantLockstep:
         sim = Simulator()
         inj = Link(sim, "ref-inj", cycles_per_flit=self.CYCLES_PER_FLIT)
         ej = Link(sim, "ref-ej", cycles_per_flit=self.CYCLES_PER_FLIT)
-        ej.timeline._free_at = eject_busy_until
+        ej._free_at = eject_busy_until
         timings = []
         for flits, inject_at in worms:
             g_inj, _ = inj.reserve(flits, earliest=inject_at)
@@ -148,10 +148,9 @@ class TestGrantLockstep:
 
     @staticmethod
     def _counters(link):
-        tl = link.timeline
         return (
-            tl._free_at, tl.busy_cycles, tl.reservations, tl.queued_cycles,
-            link.msgs, link.flits,
+            link._free_at, link.queued_cycles, link.msgs, link.flits,
+            link.mean_queueing_delay(),
         )
 
     def _fabric_run(self, worms, sanitize="off", eject_busy_until=0):
@@ -175,7 +174,7 @@ class TestGrantLockstep:
         for node in range(4):
             fabric.attach_node(node, lambda m: None)
         eject = fabric._route_objs[(0, 1)][-1][1]
-        eject.timeline._free_at = eject_busy_until
+        eject._free_at = eject_busy_until
         msgs = []
         for flits, inject_at in worms:
             msg = Message(MsgKind.READ, 0, 1, 0x40, flits)

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.cache.states import LineState
+from repro.apps import GaussianElimination
 from repro.errors import DeadlockError
 from repro.system.machine import Machine
+from repro.system.presets import switch_cache_config
 
 from conftest import ScriptedApp, run_scripted, tiny_config
 
@@ -46,8 +48,27 @@ class TestRunLoop:
             {0: [("barrier", 1)], 1: [], 2: [], 3: []}, blocks=1
         )
         machine = Machine(tiny_config())
-        with pytest.raises(DeadlockError):
+        with pytest.raises(DeadlockError, match="event queue drained"):
             machine.run(app)
+
+    @pytest.mark.parametrize("sanitize", (False, True))
+    def test_max_cycles_bounds_the_run(self, sanitize):
+        machine = Machine(switch_cache_config(4), sanitize=sanitize)
+        with pytest.raises(
+            DeadlockError,
+            match=r"max_cycles=100 reached with processors \[0, 1, 2, 3\]",
+        ):
+            machine.run(GaussianElimination(n=16), max_cycles=100)
+        assert machine.sim.now <= 100
+        assert machine.sim.pending > 0  # bounded, not drained
+
+    def test_generous_max_cycles_changes_nothing(self):
+        unbounded = Machine(switch_cache_config(4))
+        free = unbounded.run(GaussianElimination(n=16))
+        bounded = Machine(switch_cache_config(4))
+        capped = bounded.run(GaussianElimination(n=16), max_cycles=10**6)
+        assert capped.exec_time == free.exec_time == 11382
+        assert bounded.sim.events_fired == unbounded.sim.events_fired
 
     def test_quiesce_after_completion(self):
         machine, _stats = run_scripted(
@@ -118,3 +139,48 @@ class TestCoherenceAudit:
         # block is still MODIFIED at node 1; the home version is the
         # pre-write one (0) until a writeback happens
         assert machine.memory_version(block_addr) == 0
+
+
+class TestNetworkReports:
+    """The fabric's link reports on one fixed small switch-cache run.
+
+    The values are pinned, so a change to how links keep their grant
+    state or how switches count routed worms cannot move them silently.
+    The run includes switch-cache hits, so fabricated replies and
+    DIR_UPDATE continuations are counted too.
+    """
+
+    @pytest.fixture(scope="class")
+    def fabric(self):
+        machine = Machine(switch_cache_config(4))
+        machine.run(GaussianElimination(n=16))
+        assert machine.sim.now == 11382
+        assert machine.fabric.stats.switch_hits == 28
+        return machine.fabric
+
+    def test_utilization_by_stage(self, fabric):
+        assert fabric.utilization_by_stage() == {
+            0: 0.10661570901423299, 1: 0.08144438587243015,
+        }
+
+    def test_hottest_links(self, fabric):
+        assert fabric.hottest_links() == [
+            ((0, 1), (1, 0), 95, 3.2842105263157895),
+            ((0, 0), (1, 0), 96, 1.71875),
+            ((0, 0), 0, 117, 0.2564102564102564),
+            ((1, 0), (0, 1), 96, 0.0),
+            ((1, 0), (0, 0), 95, 0.0),
+        ]
+
+    def test_injection_queue_delay(self, fabric):
+        assert fabric.injection_queue_delay() == 3.0744591133147043
+
+    def test_switch_routing_counts(self, fabric):
+        routed = {
+            sid: (switch.msgs_routed, switch.flits_routed)
+            for sid, switch in fabric.switches.items()
+        }
+        assert routed == {
+            (0, 0): (275, 1363), (0, 1): (216, 1064),
+            (1, 0): (191, 927), (1, 1): (0, 0),
+        }

@@ -324,33 +324,6 @@ def test_pool_default_flits_by_kind():
     assert pool.make(MsgKind.DATA_S, 1, 0, 0x40, flits=3).flits == 3
 
 
-def test_pool_recycles_unreferenced_worms():
-    pool = MessagePool(64)
-    holder = [pool.make(MsgKind.INV, 0, 1, 0x40, payload={"x": 1})]
-    msg = holder[0]
-    msg.trace.append((0, 0))
-    # refs here: `msg` + `holder[0]` + release's parameter + getrefcount
-    pool.release(msg)
-    assert len(pool._free) == 1
-    reused = pool.make(MsgKind.INV_ACK, 1, 0, 0x80)
-    assert reused is msg  # the worm was recycled...
-    assert reused.id == 1 and reused.kind is MsgKind.INV_ACK
-    assert reused.payload == {} and reused.trace == []  # ...fully reset
-    assert reused.route is None and reused.hops is None
-    assert reused.created_at == -1 and reused.delivered_at == -1
-
-
-def test_pool_release_vetoed_by_retained_reference():
-    pool = MessagePool(64)
-    msg = pool.make(MsgKind.DATA_S, 0, 1, 0x40, data=9)
-    retainer = {"reply_msg": msg}  # e.g. a Transaction keeps the reply
-    holder = [msg]
-    pool.release(msg)
-    assert pool._free == []  # the extra reference vetoes reuse
-    assert retainer["reply_msg"].data == 9  # retained worm untouched
-    del holder
-
-
 def test_bare_message_uses_global_fallback_ids():
     first = Message(MsgKind.READ, 0, 1, 0x40, flits=1)
     second = Message(MsgKind.READ, 0, 1, 0x40, flits=1)
