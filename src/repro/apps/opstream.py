@@ -23,7 +23,7 @@ expands arithmetically:
     ``count`` adjacent ``('work', cycles)`` ops of equal cost.  Only
     equal-cost neighbors fuse: the processor re-expands the count
     arithmetically, so per-op quantum yields — and therefore the event
-    sequence — stay bit-identical to the generator path.
+    sequence — stay bit-identical to executing the ops one by one.
 
 Applications describe their streams through :meth:`Application.macro_ops`
 (plain ops plus ``('rr', base, stride, count)`` / ``('wr', ...)`` /
@@ -33,40 +33,19 @@ the elementary stream.  Compilation is streaming — chunks are emitted as
 the source generator is consumed, so peak memory stays flat regardless
 of stream length.
 
-``REPRO_OPS=gen`` is the escape hatch that keeps the original
-generator-driven front end (compiled is the default); the two paths are
-bit-identical — same stats, same timing, same value traces — which the
-lockstep differential suites in tests/test_opstream_differential.py pin.
+Every fused stream is bit-identical to its *elementary* encoding (one
+instruction per op, so no bulk-retirement path can fire) — same stats,
+same timing, same value traces — which the differential suite in
+tests/test_opstream_differential.py pins against frozen digests.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, List, Tuple
 
 from ..errors import ConfigError, SimulationError
 
 Op = Tuple
-
-# ---------------------------------------------------------------------------
-# mode selection (same escape-hatch idiom as REPRO_STATE)
-# ---------------------------------------------------------------------------
-
-OPS_ENV = "REPRO_OPS"
-
-#: valid values for REPRO_OPS
-OPS_MODES = ("compiled", "gen")
-
-
-def ops_mode() -> str:
-    """The configured front-end mode (``compiled`` unless overridden)."""
-    mode = os.environ.get(OPS_ENV, "compiled")
-    if mode not in OPS_MODES:
-        raise ConfigError(
-            f"unknown {OPS_ENV}={mode!r}; expected one of {OPS_MODES}"
-        )
-    return mode
-
 
 # ---------------------------------------------------------------------------
 # instruction encoding
@@ -130,8 +109,8 @@ def elems_in_block(addr: int, stride: int, block_size: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# macro expansion (the generator path is derived from the macro form,
-# so gen and compiled modes execute the same stream by construction)
+# macro expansion (Application.ops derives the elementary stream from the
+# macro form, so both describe the same stream by construction)
 # ---------------------------------------------------------------------------
 
 def expand_macro(macro_iter: Iterable[Op]) -> Iterator[Op]:
@@ -277,7 +256,6 @@ def compile_chunks(
             else:
                 opcode = _SYNC_OPCODE.get(code)
                 if opcode is None:
-                    # same error the generator loop raises at execution
                     raise SimulationError(f"unknown op {op!r}")
                 append(opcode)
                 append(op[1])

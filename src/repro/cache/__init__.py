@@ -1,30 +1,17 @@
 """SRAM cache substrate: arrays, MSI states, hierarchy, write buffer."""
 
-from .array import (
-    CacheArray,
-    CacheArrayBase,
-    CacheArrayObj,
-    CacheLine,
-    LineView,
-    make_cache_array,
-)
+from .array import CacheArray, LineView
 from .hierarchy import CacheHierarchy, ReadResult, WriteResult
-from .states import STATE_ENV, DirState, LineState, state_model
+from .states import DirState, LineState
 from .writebuffer import WriteBuffer
 
 __all__ = [
     "CacheArray",
-    "CacheArrayBase",
-    "CacheArrayObj",
-    "CacheLine",
     "LineView",
-    "make_cache_array",
     "CacheHierarchy",
     "ReadResult",
     "WriteResult",
     "DirState",
     "LineState",
-    "STATE_ENV",
-    "state_model",
     "WriteBuffer",
 ]

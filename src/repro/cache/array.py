@@ -10,39 +10,33 @@ Lines carry a ``data`` payload.  Throughout the simulator the payload is a
 test suite check coherence end-to-end: a read must never observe a version
 older than the last write that completed before it.
 
-Two implementations share one API (DESIGN.md §10):
+:class:`CacheArray` is a *coded* kernel (DESIGN.md §10).  Each set is a
+slice of four flat parallel int lists (``tag``/``state``/``data``/``lru``),
+states are the small-int codes from :mod:`repro.cache.states`, and the
+occupied slots of a set are kept sorted by tag so the seeded random victim
+is a direct index (no per-victim sort).  ``probe``/``lookup`` return a
+:class:`LineView` over the slot; the allocation-free ``*_data``/``*_state``
+variants are what the simulation hot paths use.
 
-* :class:`CacheArray` — the default *coded* kernel.  Each set is a slice
-  of four flat parallel int lists (``tag``/``state``/``data``/``lru``),
-  states are the small-int codes from :mod:`repro.cache.states`, and the
-  occupied slots of a set are kept sorted by tag so the seeded random
-  victim is a direct index (no per-victim sort).  ``probe``/``lookup``
-  return a :class:`LineView` over the slot; the allocation-free
-  ``*_data``/``*_state`` variants are what the simulation hot paths use.
-* :class:`CacheArrayObj` — the original dict-of-:class:`CacheLine` model,
-  kept byte-for-byte as the ``REPRO_STATE=obj`` escape hatch and as the
-  reference half of the differential fuzzer.
-
-Both must be observationally identical — same hits/misses/evictions, same
-victims, same seeded-random victim choices — which the lockstep fuzzer in
-``tests/test_state_differential.py`` enforces op by op.
+The original dict-of-lines model survives as a test oracle
+(``tests/reference_models.py``): the lockstep fuzzer in
+``tests/test_state_differential.py`` holds the two observationally
+identical op by op — same hits/misses/evictions, same victims, same
+seeded-random victim choices.
 """
 
 from __future__ import annotations
 
 import random as _random
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigError
-from .states import LINE_STATE_BY_CODE, LineState, state_model
+from .states import LINE_STATE_BY_CODE, LineState
 
 
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
-
-#: hoisted enum member: ``line.state is _INVALID`` in the probe hot path
-_INVALID = LineState.INVALID
 
 #: hoisted decode table and codes (module-level lookups in hot methods)
 _DECODE = LINE_STATE_BY_CODE
@@ -51,29 +45,13 @@ _CODE_MODIFIED = LineState.MODIFIED.code
 _CODE_EXCLUSIVE = LineState.EXCLUSIVE.code
 
 
-class CacheLine:
-    """One cache line: tag, MSI state, payload, and LRU timestamp."""
-
-    __slots__ = ("tag", "state", "data", "lru")
-
-    def __init__(self, tag: int, state: LineState, data: int, lru: int) -> None:
-        self.tag = tag
-        self.state = state
-        self.data = data
-        self.lru = lru
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Line tag={self.tag:#x} {self.state.value} v{self.data}>"
-
-
 class LineView:
     """A live window onto one occupied slot of the coded array.
 
     Reads and writes go straight through to the parallel lists, so a view
-    behaves like the :class:`CacheLine` it replaces for snoop-style
-    callers.  Views are transient: holding one across an ``insert`` or
-    ``invalidate`` that reshuffles the set is undefined (the old model had
-    the same caveat — an evicted ``CacheLine`` silently detached).
+    behaves like a line object (``tag``/``state``/``data``/``lru``) for
+    snoop-style callers.  Views are transient: holding one across an
+    ``insert`` or ``invalidate`` that reshuffles the set is undefined.
     """
 
     __slots__ = ("_arr", "_slot")
@@ -110,8 +88,8 @@ class LineView:
         return f"<Line tag={self.tag:#x} {self.state.value} v{self.data}>"
 
 
-class CacheArrayBase:
-    """Geometry, statistics, and the policy knobs shared by both models.
+class CacheArray:
+    """A set-associative array in struct-of-arrays form.
 
     Parameters mirror a hardware description: total ``size`` in bytes,
     ``block_size`` in bytes, ``assoc`` ways.  ``size`` must be a multiple of
@@ -122,6 +100,14 @@ class CacheArrayBase:
     default), ``'fifo'`` (insertion order; cheaper hardware since hits do
     not touch the replacement state), or ``'random'`` (seeded, so runs
     stay deterministic).
+
+    Set ``s`` owns slots ``[s*assoc, (s+1)*assoc)`` of four flat parallel
+    lists.  ``_tags[slot] == -1`` marks an empty slot; occupied slots form
+    a prefix of the set, **sorted by tag**, so the seeded random victim
+    (``rng.choice`` over the sorted tag list, as the object-model oracle
+    draws it) becomes ``slot = base + rng.choice(range(assoc))`` — same
+    entropy draw, same victim, no sort.  States are small-int codes
+    (``states.py``).
     """
 
     REPLACEMENT_POLICIES = ("lru", "fifo", "random")
@@ -130,6 +116,8 @@ class CacheArrayBase:
         "replacement", "_lru", "_rng", "size", "block_size", "assoc",
         "num_sets", "name", "_tick", "hits", "misses", "evictions",
         "invalidations",
+        "_tags", "_states", "_data", "_lrus", "_occ", "_occupied",
+        "_set_mask", "_set_bits", "_block_shift", "_victim_range", "_slot",
     )
 
     def __init__(
@@ -169,110 +157,6 @@ class CacheArrayBase:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-
-    # ------------------------------------------------------------------
-    # address helpers
-    # ------------------------------------------------------------------
-    def block_of(self, addr: int) -> int:
-        return addr // self.block_size
-
-    def _index(self, block: int) -> Tuple[int, int]:
-        return block % self.num_sets, block // self.num_sets
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<{type(self).__name__} {self.name or ''} {self.size}B "
-            f"{self.num_sets}x{self.assoc}x{self.block_size}B>"
-        )
-
-    # ------------------------------------------------------------------
-    # the common API both models implement
-    # ------------------------------------------------------------------
-    def probe(self, addr: int) -> Optional[Union[CacheLine, LineView]]:
-        raise NotImplementedError
-
-    def lookup(self, addr: int) -> Optional[Union[CacheLine, LineView]]:
-        raise NotImplementedError
-
-    def insert(
-        self, addr: int, state: LineState, data: int
-    ) -> Optional[Tuple[int, LineState, int]]:
-        raise NotImplementedError
-
-    def set_state(self, addr: int, state: LineState) -> None:
-        raise NotImplementedError
-
-    def invalidate(self, addr: int) -> Optional[Tuple[LineState, int]]:
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        raise NotImplementedError
-
-    def resident_blocks(
-        self,
-    ) -> Iterator[Tuple[int, Union[CacheLine, LineView]]]:
-        raise NotImplementedError
-
-    def occupancy(self) -> int:
-        raise NotImplementedError
-
-    def set_len(self, set_idx: int) -> int:
-        """Occupied slots in one set (valid *and* INVALID-state lines)."""
-        raise NotImplementedError
-
-    # allocation-free variants used by the simulation hot paths ---------
-    def probe_data(self, addr: int) -> Optional[int]:
-        raise NotImplementedError
-
-    def probe_state(self, addr: int) -> int:
-        raise NotImplementedError
-
-    def lookup_data(self, addr: int) -> Optional[int]:
-        raise NotImplementedError
-
-    def lookup_state(self, addr: int) -> int:
-        raise NotImplementedError
-
-    def write_owned(self, addr: int, data: int) -> bool:
-        raise NotImplementedError
-
-    def set_data(self, addr: int, data: int) -> bool:
-        raise NotImplementedError
-
-    def downgrade_owned(self, addr: int) -> Optional[int]:
-        raise NotImplementedError
-
-
-class CacheArray(CacheArrayBase):
-    """The coded struct-of-arrays model (default kernel).
-
-    Set ``s`` owns slots ``[s*assoc, (s+1)*assoc)`` of four flat parallel
-    lists.  ``_tags[slot] == -1`` marks an empty slot; occupied slots form
-    a prefix of the set, **sorted by tag**, so the seeded random victim
-    (``rng.choice`` over the sorted tag list in the object model) becomes
-    ``slot = base + rng.choice(range(assoc))`` — same entropy draw, same
-    victim, no sort.  States are small-int codes (``states.py``).
-    """
-
-    __slots__ = (
-        "_tags", "_states", "_data", "_lrus", "_occ", "_occupied",
-        "_set_mask", "_set_bits", "_block_shift", "_victim_range", "_slot",
-    )
-
-    def __init__(
-        self,
-        size: int,
-        block_size: int,
-        assoc: int,
-        name: str = "",
-        replacement: str = "lru",
-        seed: int = 0xCAE5A,
-    ) -> None:
-        super().__init__(size, block_size, assoc, name, replacement, seed)
         slots = self.num_sets * assoc
         self._tags: List[int] = [-1] * slots
         self._states: List[int] = [0] * slots
@@ -289,6 +173,22 @@ class CacheArray(CacheArrayBase):
         # hash probe instead of a bounded list.index with a ValueError on
         # every miss, which profiling showed dominating the lookup cost.
         self._slot: Dict[int, int] = {}
+
+    # ------------------------------------------------------------------
+    # address helpers
+    # ------------------------------------------------------------------
+    def block_of(self, addr: int) -> int:
+        return addr // self.block_size
+
+    def hit_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<{type(self).__name__} {self.name or ''} {self.size}B "
+            f"{self.num_sets}x{self.assoc}x{self.block_size}B>"
+        )
 
     # ------------------------------------------------------------------
     # lookups
@@ -525,188 +425,3 @@ class CacheArray(CacheArrayBase):
 
     def set_len(self, set_idx: int) -> int:
         return self._occ[set_idx]
-
-
-class CacheArrayObj(CacheArrayBase):
-    """The original dict-of-``CacheLine`` model (``REPRO_STATE=obj``).
-
-    Kept byte-for-byte faithful to the pre-coded implementation: it is the
-    reference half of the lockstep differential fuzzer and the escape
-    hatch for debugging the coded kernel (DESIGN.md §10).
-    """
-
-    __slots__ = ("_sets",)
-
-    def __init__(
-        self,
-        size: int,
-        block_size: int,
-        assoc: int,
-        name: str = "",
-        replacement: str = "lru",
-        seed: int = 0xCAE5A,
-    ) -> None:
-        super().__init__(size, block_size, assoc, name, replacement, seed)
-        self._sets: List[Dict[int, CacheLine]] = [
-            dict() for _ in range(self.num_sets)
-        ]
-
-    # ------------------------------------------------------------------
-    # lookups
-    # ------------------------------------------------------------------
-    def probe(self, addr: int) -> Optional[CacheLine]:
-        """Hit test *without* updating LRU or statistics (snoop-style)."""
-        block = addr // self.block_size
-        line = self._sets[block % self.num_sets].get(block // self.num_sets)
-        if line is not None and line.state is not _INVALID:
-            return line
-        return None
-
-    def lookup(self, addr: int) -> Optional[CacheLine]:
-        """Hit test that updates LRU and hit/miss statistics."""
-        block = addr // self.block_size
-        line = self._sets[block % self.num_sets].get(block // self.num_sets)
-        if line is None or line.state is _INVALID:
-            self.misses += 1
-            return None
-        if self._lru:
-            self._tick += 1
-            line.lru = self._tick
-        self.hits += 1
-        return line
-
-    # -- allocation-free variants (same observable behavior) ------------
-    def probe_data(self, addr: int) -> Optional[int]:
-        line = self.probe(addr)
-        return None if line is None else line.data
-
-    def probe_state(self, addr: int) -> int:
-        line = self.probe(addr)
-        return 0 if line is None else line.state.code
-
-    def lookup_data(self, addr: int) -> Optional[int]:
-        line = self.lookup(addr)
-        return None if line is None else line.data
-
-    def lookup_state(self, addr: int) -> int:
-        line = self.lookup(addr)
-        return 0 if line is None else line.state.code
-
-    def write_owned(self, addr: int, data: int) -> bool:
-        line = self.probe(addr)
-        if line is None or not line.state.writable():
-            return False
-        line.state = LineState.MODIFIED
-        line.data = data
-        return True
-
-    def set_data(self, addr: int, data: int) -> bool:
-        line = self.probe(addr)
-        if line is None:
-            return False
-        line.data = data
-        return True
-
-    def downgrade_owned(self, addr: int) -> Optional[int]:
-        line = self.probe(addr)
-        if line is None or not line.state.owned():
-            return None
-        line.state = LineState.SHARED
-        return line.data
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def insert(
-        self, addr: int, state: LineState, data: int
-    ) -> Optional[Tuple[int, LineState, int]]:
-        """Install a block, evicting per policy if the set is full."""
-        block = self.block_of(addr)
-        set_idx, tag = self._index(block)
-        cache_set = self._sets[set_idx]
-        self._tick += 1
-        existing = cache_set.get(tag)
-        if existing is not None:
-            existing.state = state
-            existing.data = data
-            existing.lru = self._tick
-            return None
-        victim_info = None
-        if len(cache_set) >= self.assoc:
-            if self._rng is not None:
-                victim_tag = self._rng.choice(sorted(cache_set))
-                victim = cache_set[victim_tag]
-            else:
-                victim_tag = -1
-                victim_lru = None
-                for tag_i, line_i in cache_set.items():
-                    if victim_lru is None or line_i.lru < victim_lru:
-                        victim_tag, victim_lru = tag_i, line_i.lru
-                victim = cache_set[victim_tag]
-            del cache_set[victim_tag]
-            if victim.state is not LineState.INVALID:
-                self.evictions += 1
-                victim_block = victim_tag * self.num_sets + set_idx
-                victim_info = (
-                    victim_block * self.block_size, victim.state, victim.data
-                )
-        cache_set[tag] = CacheLine(tag, state, data, self._tick)
-        return victim_info
-
-    def set_state(self, addr: int, state: LineState) -> None:
-        """Change the state of a resident line (line must be present)."""
-        line = self.probe(addr)
-        if line is None:
-            raise KeyError(f"set_state on non-resident block {addr:#x}")
-        line.state = state
-
-    def invalidate(self, addr: int) -> Optional[Tuple[LineState, int]]:
-        """Drop a block if present; returns its former (state, data)."""
-        set_idx, tag = self._index(self.block_of(addr))
-        cache_set = self._sets[set_idx]
-        line = cache_set.get(tag)
-        if line is None or line.state is LineState.INVALID:
-            return None
-        del cache_set[tag]
-        self.invalidations += 1
-        return line.state, line.data
-
-    def clear(self) -> None:
-        for cache_set in self._sets:
-            cache_set.clear()
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def resident_blocks(self) -> Iterator[Tuple[int, CacheLine]]:
-        """Yield ``(block_start_addr, line)`` for every valid line."""
-        for set_idx, cache_set in enumerate(self._sets):
-            for tag, line in cache_set.items():
-                if line.state is not LineState.INVALID:
-                    block = tag * self.num_sets + set_idx
-                    yield block * self.block_size, line
-
-    def occupancy(self) -> int:
-        """Number of occupied slots (valid and INVALID-state lines)."""
-        return sum(len(s) for s in self._sets)
-
-    def set_len(self, set_idx: int) -> int:
-        return len(self._sets[set_idx])
-
-
-def make_cache_array(
-    size: int,
-    block_size: int,
-    assoc: int,
-    name: str = "",
-    replacement: str = "lru",
-    seed: int = 0xCAE5A,
-    model: Optional[str] = None,
-) -> CacheArrayBase:
-    """Build a cache array for the configured state model.
-
-    ``model`` overrides the ``REPRO_STATE`` environment selection
-    (``coded`` by default, ``obj`` for the reference kernel).
-    """
-    cls = CacheArrayObj if (model or state_model()) == "obj" else CacheArray
-    return cls(size, block_size, assoc, name, replacement, seed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .array import CacheArrayBase, make_cache_array
+from .array import CacheArray
 from .states import CODE_EXCLUSIVE, LineState
 
 
@@ -63,16 +63,11 @@ class CacheHierarchy:
         l1_assoc: int = 2,
         l2_assoc: int = 4,
         node_id: int = -1,
-        model: Optional[str] = None,
     ) -> None:
         self.block_size = block_size
         self.node_id = node_id
-        self.l1: CacheArrayBase = make_cache_array(
-            l1_size, block_size, l1_assoc, name=f"L1[{node_id}]", model=model
-        )
-        self.l2: CacheArrayBase = make_cache_array(
-            l2_size, block_size, l2_assoc, name=f"L2[{node_id}]", model=model
-        )
+        self.l1 = CacheArray(l1_size, block_size, l1_assoc, name=f"L1[{node_id}]")
+        self.l2 = CacheArray(l2_size, block_size, l2_assoc, name=f"L2[{node_id}]")
 
     # ------------------------------------------------------------------
     # processor-side probes

@@ -17,36 +17,12 @@ predicates become single comparisons::
 
 ``LINE_STATE_BY_CODE`` is the hoisted decode table back to the enum for
 the object-facing views and victim tuples.
-
-``REPRO_STATE`` selects the state-kernel implementation machine-wide:
-``coded`` (default; bitmask directories + struct-of-arrays cache sets) or
-``obj`` (the original per-object model, kept byte-for-byte as a
-differential-debugging escape hatch).
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from typing import Tuple
-
-from ..errors import ConfigError
-
-#: environment variable selecting the state-kernel model
-STATE_ENV = "REPRO_STATE"
-
-#: valid values for REPRO_STATE
-STATE_MODELS = ("coded", "obj")
-
-
-def state_model() -> str:
-    """The configured state-kernel model (``coded`` unless overridden)."""
-    model = os.environ.get(STATE_ENV, "coded")
-    if model not in STATE_MODELS:
-        raise ConfigError(
-            f"unknown {STATE_ENV}={model!r}; expected one of {STATE_MODELS}"
-        )
-    return model
 
 
 class LineState(enum.Enum):

@@ -15,17 +15,17 @@ popcount (``sharer_count``), so the per-transition hot path is bit
 arithmetic with no set objects and no hashing.  Fan-out sites use
 ``sorted_sharers()``, which decodes the mask in ascending node order —
 the same order ``sorted(set)`` produced — so message timing is
-bit-identical to the old model.  :class:`DirEntryObj` keeps the original
-``Set[int]`` storage and backs ``REPRO_STATE=obj`` plus the differential
-fuzzer.  ``entry.sharers`` stays available on both as a decoded-set view
-for tests and cold invariant checks.
+bit-identical to the old ``Set[int]`` model, which survives as the
+lockstep fuzz oracle in ``tests/reference_models.py``.  ``entry.sharers``
+stays available as a decoded-set view for tests and cold invariant
+checks.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..cache.states import DirState, state_model
+from ..cache.states import DirState
 from ..errors import ProtocolError
 
 
@@ -81,56 +81,12 @@ class DirEntry:
         )
 
 
-class DirEntryObj(DirEntry):
-    """The original ``Set[int]`` entry (``REPRO_STATE=obj`` reference).
-
-    The private ``_sharers`` set is the storage; the mask slots of the
-    base class go unused.  Kept observationally identical to the coded
-    entry — the lockstep fuzzer in ``tests/test_state_differential.py``
-    holds the two in sync op by op.
-    """
-
-    __slots__ = ("_sharers",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._sharers: Set[int] = set()
-
-    def has_sharer(self, node: int) -> bool:
-        return node in self._sharers
-
-    def num_sharers(self) -> int:
-        return len(self._sharers)
-
-    def add_sharer_node(self, node: int) -> None:
-        self._sharers.add(node)
-
-    def clear_sharer_nodes(self) -> None:
-        self._sharers.clear()
-
-    def sorted_sharers(self) -> List[int]:
-        return sorted(self._sharers)
-
-    @property
-    def sharers(self) -> Set[int]:
-        return self._sharers
-
-
 class Directory:
-    """All directory entries homed at one node.
+    """All directory entries homed at one node."""
 
-    ``model`` selects the entry encoding (``coded``/``obj``); the default
-    follows the machine-wide ``REPRO_STATE`` selection.
-    """
-
-    def __init__(
-        self, node_id: int, block_size: int, model: Optional[str] = None
-    ) -> None:
+    def __init__(self, node_id: int, block_size: int) -> None:
         self.node_id = node_id
         self.block_size = block_size
-        self._entry_cls = (
-            DirEntryObj if (model or state_model()) == "obj" else DirEntry
-        )
         self._entries: Dict[int, DirEntry] = {}
 
     def _block(self, addr: int) -> int:
@@ -140,7 +96,7 @@ class Directory:
         block = self._block(addr)
         entry = self._entries.get(block)
         if entry is None:
-            entry = self._entry_cls()
+            entry = DirEntry()
             self._entries[block] = entry
         return entry
 
@@ -195,4 +151,7 @@ class Directory:
         return iter(self._entries.items())
 
     def version_of(self, addr: int) -> int:
-        return self.entry(addr).version
+        """Memory image of a block; never creates an entry (an untouched
+        block is at version 0)."""
+        entry = self._entries.get(self._block(addr))
+        return 0 if entry is None else entry.version

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..cache.array import make_cache_array
+from ..cache.array import CacheArray
 from ..cache.states import LineState
 from ..errors import ConfigError
 from ..sim.engine import Simulator
@@ -84,7 +84,7 @@ class SwitchCacheSRAM:
     def __init__(self, sim: Simulator, geometry: SwitchCacheGeometry, name: str = "") -> None:
         self.sim = sim
         self.geo = geometry
-        self.array = make_cache_array(
+        self.array = CacheArray(
             geometry.size, geometry.block_size, geometry.assoc, name=name,
             replacement=geometry.replacement,
         )

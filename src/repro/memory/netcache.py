@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..cache.array import make_cache_array
+from ..cache.array import CacheArray
 from ..cache.states import LineState
 from ..sim.engine import Simulator
 from ..sim.resource import Timeline
@@ -40,7 +40,7 @@ class NetworkCache:
         self.sim = sim
         self.node_id = node_id
         self.access_cycles = access_cycles
-        self.array = make_cache_array(size, block_size, assoc, name=f"nc{node_id}")
+        self.array = CacheArray(size, block_size, assoc, name=f"nc{node_id}")
         self.port = Timeline(sim, f"nc{node_id}.port")
         # statistics
         self.hits = 0

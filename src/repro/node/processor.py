@@ -7,6 +7,10 @@ The processor executes an application's operation stream:
 instructions RSIM would execute);
 ``('barrier', k)`` / ``('lock', k)`` / ``('unlock', k)`` — synchronization.
 
+The stream arrives compiled into integer-coded chunks with stride
+superops (:mod:`repro.apps.opstream`, DESIGN.md §13); one loop,
+:meth:`Processor._run`, decodes them and expands the superops in place.
+
 **Fast-forward on hits.**  Cache hits and local work advance a *local
 clock* without touching the event queue; the processor re-enters the
 queue only on a miss, a synchronization point, a full write buffer, or
@@ -68,13 +72,10 @@ class Processor:
         self.time = 0  # local clock (>= sim.now except never behind on entry)
         self.done = False
         self.finish_time: Optional[int] = None
-        self._ops: Optional[Iterator[Op]] = None
-        self._pending_op: Optional[Op] = None
-        # compiled front end (REPRO_OPS=compiled, DESIGN.md §13): chunk
-        # cursor plus the progress of a partially executed superop, so a
-        # miss, a full write buffer or a quantum yield can suspend a
-        # run/loop mid-flight and resume it element-exact
-        self._compiled = False
+        # chunk cursor plus the progress of a partially executed superop
+        # (DESIGN.md §13), so a miss, a full write buffer or a quantum
+        # yield can suspend a run/loop mid-flight and resume it
+        # element-exact
         self._chunks: Optional[Iterator[List[int]]] = None
         self._code: List[int] = []
         self._ip = 0
@@ -104,185 +105,17 @@ class Processor:
     # ------------------------------------------------------------------
     # control
     # ------------------------------------------------------------------
-    def start(self, ops: Iterable[Op]) -> None:
-        self._ops = iter(ops)
-        self.sim.schedule(0, self._resume)
-
-    def start_compiled(self, chunks: Iterable[List[int]]) -> None:
+    def start(self, chunks: Iterable[List[int]]) -> None:
         """Begin executing an integer-coded chunk stream (DESIGN.md §13)."""
         self._chunks = iter(chunks)
-        self._compiled = True
         self.sim.schedule(0, self._resume)
 
     def _resume(self) -> None:
         """(Re-)enter the execution loop at global time."""
         self.time = max(self.time, self.sim.now)
-        if self._compiled:
-            self._run_compiled()
-        else:
-            self._run()
+        self._run()
 
-    def _run(self) -> None:
-        # The simulator's hottest loop: every cache hit and local-work op
-        # executes here without touching the event queue.  Attribute
-        # lookups are hoisted into locals, and the local clock / op
-        # counter live in locals, written back before any exit (the
-        # helpers called on exit paths read ``self.time``).  ``sim.now``
-        # is constant for the whole loop — no events fire inside it.
-        node = self.node
-        stats = node.stats
-        sim = self.sim
-        now = sim.now
-        quantum = self.quantum
-        l1_cycles = self.l1_cycles
-        l2_cycles = self.l2_cycles
-        store_cycles = self.store_cycles
-        trace_values = self.trace_values
-        write_buffer = node.write_buffer
-        wb_entries = write_buffer._entries
-        wb_mask = write_buffer._neg_mask  # 0 = block size not a power of 2
-        wb_block = write_buffer.block_size
-        wb_push = write_buffer.push
-        kick_drain = node.kick_drain
-        # the two-level read probe is inlined below (instead of calling
-        # CacheHierarchy.read) so the per-load ReadResult allocation and
-        # call overhead disappear; the probe sequence — L1 lookup, L2
-        # lookup, L1 refill on an L2 hit — is identical.  Hit statistics
-        # accumulate in locals (hit_wb/hit_l1/hit_l2) and flush in one
-        # bulk call at every loop exit.
-        hierarchy = node.hierarchy
-        l1 = hierarchy.l1
-        l1_lookup_data = l1.lookup_data
-        l2_lookup_data = hierarchy.l2.lookup_data
-        l1_insert = l1.insert
-        # coded-model L1 probe, inlined below (kept in lockstep with
-        # CacheArray.lookup_data — same stats, same LRU updates): the
-        # slot dict and column lists are stable for the array's
-        # lifetime.  The obj escape hatch has no columns and keeps the
-        # method call.
-        l1_slot = getattr(l1, "_slot", None)
-        if l1_slot is not None:
-            l1_slot_get = l1_slot.get
-            l1_states = l1._states
-            l1_data = l1._data
-            l1_lrus = l1._lrus
-            l1_shift = l1._block_shift
-            l1_is_lru = l1._lru
-        else:
-            l1_slot_get = None
-        shared = LineState.SHARED
-        node_id = node.node_id
-        add_read_hits = stats.add_read_hits
-        ops_iter = self._ops
-        time = self.time
-        ops_executed = self.ops_executed
-        hit_wb = hit_l1 = hit_l2 = 0
-        # a pending op exists only on re-entry after a full write buffer;
-        # resolving it here keeps the per-op fetch a bare next()
-        op = self._pending_op
-        if op is not None:
-            self._pending_op = None
-        else:
-            op = next(ops_iter, None)
-        while True:
-            if op is None:
-                self.time = time
-                self.ops_executed = ops_executed
-                add_read_hits(node_id, hit_wb, hit_l1, hit_l2)
-                self._begin_finish()
-                return
-            code = op[0]
-            if code == "r":
-                addr = op[1]
-                # inlined WriteBuffer.contains (pending stores forward)
-                block = addr & wb_mask if wb_mask else addr // wb_block * wb_block
-                if block in wb_entries or block == write_buffer._draining:
-                    time += l1_cycles
-                    ops_executed += 1
-                    hit_wb += 1
-                else:
-                    if l1_slot_get is not None:
-                        i = l1_slot_get(addr >> l1_shift)
-                        if i is None or not l1_states[i]:
-                            l1.misses += 1
-                            data = None
-                        else:
-                            if l1_is_lru:
-                                l1._tick = tick = l1._tick + 1
-                                l1_lrus[i] = tick
-                            l1.hits += 1
-                            data = l1_data[i]
-                    else:
-                        data = l1_lookup_data(addr)
-                    if data is not None:
-                        time += l1_cycles
-                        ops_executed += 1
-                        hit_l1 += 1
-                        if trace_values:
-                            self.value_trace.append(("r", addr, data, time))
-                    else:
-                        data = l2_lookup_data(addr)
-                        if data is None:
-                            self.time = time
-                            self.ops_executed = ops_executed
-                            add_read_hits(node_id, hit_wb, hit_l1, hit_l2)
-                            self._start_read_miss(addr)
-                            return
-                        # L1 is no-write-allocate/write-through: refill clean
-                        l1_insert(addr, shared, data)
-                        time += l2_cycles
-                        ops_executed += 1
-                        hit_l2 += 1
-                        if trace_values:
-                            self.value_trace.append(("r", addr, data, time))
-            elif code == "w":
-                if wb_push(op[1]):
-                    time += store_cycles
-                    ops_executed += 1
-                    # kick_drain()'s first check, hoisted: while a drain
-                    # is in flight the call would return immediately
-                    if not node._draining:
-                        kick_drain()
-                else:
-                    # buffer full: wait for a drain to complete, then retry
-                    self.time = time
-                    self.ops_executed = ops_executed
-                    add_read_hits(node_id, hit_wb, hit_l1, hit_l2)
-                    self._pending_op = op
-                    self._stall_started = time
-                    node.wait_wb_change(self._retry_after_wb)
-                    return
-            elif code == "work":
-                time += op[1]
-                ops_executed += 1
-            else:
-                self.time = time
-                self.ops_executed = ops_executed
-                add_read_hits(node_id, hit_wb, hit_l1, hit_l2)
-                if code == "barrier":
-                    self._start_sync(op, is_barrier=True)
-                    return
-                if code == "lock":
-                    self._start_sync(op, is_barrier=False)
-                    return
-                if code == "unlock":
-                    self._start_unlock(op)
-                    return
-                raise SimulationError(f"unknown op {op!r}")
-            # the retired op advanced the local clock; yield once it has
-            # run a quantum ahead of global time.  Every entry into this
-            # loop satisfies time - now < quantum (each exit path above
-            # resumes at or after the saved local time), so checking
-            # after each op matches checking before the next one.
-            if time - now >= quantum:
-                self.time = time
-                self.ops_executed = ops_executed
-                add_read_hits(node_id, hit_wb, hit_l1, hit_l2)
-                sim.at(time, self._resume)
-                return
-            op = next(ops_iter, None)
-
-    def _suspend_compiled(
+    def _suspend(
         self,
         time: int,
         ops_executed: int,
@@ -300,7 +133,7 @@ class Processor:
         hit_l1: int,
         hit_l2: int,
     ) -> None:
-        """Write the compiled loop's locals back before any exit."""
+        """Write the loop's locals back before any exit."""
         self.time = time
         self.ops_executed = ops_executed
         self._ip = ip
@@ -316,16 +149,19 @@ class Processor:
         node = self.node
         node.stats.add_read_hits(node.node_id, hit_wb, hit_l1, hit_l2)
 
-    def _run_compiled(self) -> None:
-        # Compiled twin of _run, kept in lockstep op for op: it consumes
-        # integer-coded chunks (apps/opstream.py) instead of a generator
-        # and expands run/loop superops arithmetically.  The hoists, the
-        # per-op costs, the quantum arithmetic and every exit path match
-        # the generator loop exactly — the differential suites pin the
-        # two modes bit-identical — but a hit run retires a whole cache
-        # block per probe instead of re-entering the dispatch per
-        # element.  Superop progress lives in locals and is written back
-        # by _suspend_compiled whenever the loop exits.
+    def _run(self) -> None:
+        # The simulator's hottest loop: every cache hit and local-work op
+        # executes here without touching the event queue.  It consumes
+        # integer-coded chunks (apps/opstream.py) and expands run/loop
+        # superops arithmetically: a hit run retires a whole cache block
+        # per probe, with the same counters, LRU order and yield points
+        # as retiring its elements one by one (the differential suite
+        # pins this against an elementary stream).  Attribute lookups
+        # are hoisted into locals; the local clock, op counter and
+        # superop progress live in locals too, written back by _suspend
+        # before any exit (the helpers called on exit paths read
+        # ``self.time``).  ``sim.now`` is constant for the whole loop —
+        # no events fire inside it.
         node = self.node
         sim = self.sim
         now = sim.now
@@ -340,30 +176,28 @@ class Processor:
         wb_block = write_buffer.block_size
         wb_push = write_buffer.push
         kick_drain = node.kick_drain
+        # the two-level read probe is inlined below (instead of calling
+        # CacheHierarchy.read): the L1 probe is CacheArray.lookup_data
+        # over the array's slot dict and column lists (same stats, same
+        # LRU updates), which are stable for the array's lifetime.  Hit
+        # statistics accumulate in locals (hit_wb/hit_l1/hit_l2) and
+        # flush in one bulk call at every loop exit.
         hierarchy = node.hierarchy
         l1 = hierarchy.l1
-        l1_lookup_data = l1.lookup_data
         l2_lookup_data = hierarchy.l2.lookup_data
         l1_insert = l1.insert
-        l1_slot = getattr(l1, "_slot", None)
-        if l1_slot is not None:
-            l1_slot_get = l1_slot.get
-            l1_states = l1._states
-            l1_data = l1._data
-            l1_lrus = l1._lrus
-            l1_shift = l1._block_shift
-            l1_is_lru = l1._lru
-        else:
-            l1_slot_get = None
+        l1_slot_get = l1._slot.get
+        l1_states = l1._states
+        l1_data = l1._data
+        l1_lrus = l1._lrus
+        l1_shift = l1._block_shift
+        l1_is_lru = l1._lru
         # bulk span: elements of one batch must share both their write
         # buffer block and their L1 block, so span by the smaller
-        if l1_slot_get is not None and (1 << l1_shift) < wb_block:
-            span = 1 << l1_shift
-        else:
-            span = wb_block
+        span = min(1 << l1_shift, wb_block)
         shared = LineState.SHARED
         wb_capacity = write_buffer.capacity
-        batching = l1_slot_get is not None and not trace_values
+        batching = not trace_values
         hit_wb = hit_l1 = hit_l2 = 0
         time = self.time
         ops_executed = self.ops_executed
@@ -380,7 +214,7 @@ class Processor:
         loop_slot = self._loop_slot
         # lazily computed per loop: -1 marks the cached batchability
         # flags stale (set on every fresh OP_LOOP decode); the cached
-        # values survive suspends via _suspend_compiled
+        # values survive suspends via _suspend
         loop_cost = self._loop_cost
         loop_nw = self._loop_nw
         loop_batchable = self._loop_batchable
@@ -400,7 +234,7 @@ class Processor:
                     ops_executed += k
                     run_left -= k
                     if time - now >= quantum:
-                        self._suspend_compiled(
+                        self._suspend(
                             time, ops_executed, ip, run_op, run_addr,
                             run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
                             hit_wb, hit_l1, hit_l2)
@@ -411,7 +245,7 @@ class Processor:
                 stride = run_stride
                 if run_op == OP_W_RUN:
                     # stores retire through the write buffer one per
-                    # cycle; push/merge/drain-kick exactly as _run
+                    # cycle: push, merge, then kick the drain engine
                     if wb_push(addr):
                         time += store_cycles
                         ops_executed += 1
@@ -450,14 +284,14 @@ class Processor:
                                     run_left -= k
                                     run_addr = addr + stride * k
                         if time - now >= quantum:
-                            self._suspend_compiled(
+                            self._suspend(
                                 time, ops_executed, ip, run_op, run_addr,
                                 run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
                                 hit_wb, hit_l1, hit_l2)
                             sim.at(time, self._resume)
                             return
                         continue
-                    self._suspend_compiled(
+                    self._suspend(
                         time, ops_executed, ip, run_op, run_addr,
                         run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
                         hit_wb, hit_l1, hit_l2)
@@ -468,7 +302,7 @@ class Processor:
                 # probe.  k = elements from addr that stay in the block,
                 # capped at the run length and at the quantum boundary
                 # (retiring the op that crosses it yields, exactly as
-                # the generator path checks after every op).
+                # checking after every element would).
                 block = addr & wb_mask if wb_mask else addr // wb_block * wb_block
                 if stride > 0:
                     k = (addr // span * span + span - addr + stride - 1) // stride
@@ -481,14 +315,14 @@ class Processor:
                     if k > m:
                         k = m
                 if block in wb_entries or block == write_buffer._draining:
-                    # forwarded from pending stores (no value trace, as
-                    # in _run); the whole block span forwards alike
+                    # forwarded from pending stores (no value trace); the
+                    # whole block span forwards alike
                     time += k * l1_cycles
                     ops_executed += k
                     hit_wb += k
                     run_left -= k
                     run_addr = addr + stride * k
-                elif l1_slot_get is not None:
+                else:
                     i = l1_slot_get(addr >> l1_shift)
                     if i is not None and l1_states[i]:
                         if l1_is_lru:
@@ -515,7 +349,7 @@ class Processor:
                         if data is None:
                             run_left -= 1
                             run_addr = addr + stride
-                            self._suspend_compiled(
+                            self._suspend(
                                 time, ops_executed, ip, run_op, run_addr,
                                 run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
                                 hit_wb, hit_l1, hit_l2)
@@ -530,38 +364,8 @@ class Processor:
                         run_addr = addr + stride
                         if trace_values:
                             self.value_trace.append(("r", addr, data, time))
-                else:
-                    # obj-model escape hatch: element-exact method calls
-                    data = l1_lookup_data(addr)
-                    if data is not None:
-                        time += l1_cycles
-                        ops_executed += 1
-                        hit_l1 += 1
-                        run_left -= 1
-                        run_addr = addr + stride
-                        if trace_values:
-                            self.value_trace.append(("r", addr, data, time))
-                    else:
-                        data = l2_lookup_data(addr)
-                        if data is None:
-                            run_left -= 1
-                            run_addr = addr + stride
-                            self._suspend_compiled(
-                                time, ops_executed, ip, run_op, run_addr,
-                                run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
-                                hit_wb, hit_l1, hit_l2)
-                            self._start_read_miss(addr)
-                            return
-                        l1_insert(addr, shared, data)
-                        time += l2_cycles
-                        ops_executed += 1
-                        hit_l2 += 1
-                        run_left -= 1
-                        run_addr = addr + stride
-                        if trace_values:
-                            self.value_trace.append(("r", addr, data, time))
                 if time - now >= quantum:
-                    self._suspend_compiled(
+                    self._suspend(
                         time, ops_executed, ip, run_op, run_addr,
                         run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
                         hit_wb, hit_l1, hit_l2)
@@ -756,19 +560,16 @@ class Processor:
                         ops_executed += 1
                         hit_wb += 1
                     else:
-                        if l1_slot_get is not None:
-                            i = l1_slot_get(addr >> l1_shift)
-                            if i is None or not l1_states[i]:
-                                l1.misses += 1
-                                data = None
-                            else:
-                                if l1_is_lru:
-                                    l1._tick = tick = l1._tick + 1
-                                    l1_lrus[i] = tick
-                                l1.hits += 1
-                                data = l1_data[i]
+                        i = l1_slot_get(addr >> l1_shift)
+                        if i is None or not l1_states[i]:
+                            l1.misses += 1
+                            data = None
                         else:
-                            data = l1_lookup_data(addr)
+                            if l1_is_lru:
+                                l1._tick = tick = l1._tick + 1
+                                l1_lrus[i] = tick
+                            l1.hits += 1
+                            data = l1_data[i]
                         if data is not None:
                             time += l1_cycles
                             ops_executed += 1
@@ -785,7 +586,7 @@ class Processor:
                                 if loop_slot == nbody:
                                     loop_slot = 0
                                     loop_iters -= 1
-                                self._suspend_compiled(
+                                self._suspend(
                                     time, ops_executed, ip, run_op, run_addr,
                                     run_stride, run_left, loop_iters,
                                     loop_slot, loop_cost, loop_nw,
@@ -809,7 +610,7 @@ class Processor:
                         body[s + 1] = addr + body[s + 2]
                     else:
                         # full buffer: retry this same store after a drain
-                        self._suspend_compiled(
+                        self._suspend(
                             time, ops_executed, ip, run_op, run_addr,
                             run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
                             hit_wb, hit_l1, hit_l2)
@@ -824,7 +625,7 @@ class Processor:
                     loop_slot = 0
                     loop_iters -= 1
                 if time - now >= quantum:
-                    self._suspend_compiled(
+                    self._suspend(
                         time, ops_executed, ip, run_op, run_addr,
                         run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
                         hit_wb, hit_l1, hit_l2)
@@ -834,7 +635,7 @@ class Processor:
             if ip >= end:
                 nxt = next(self._chunks, None)
                 if nxt is None:
-                    self._suspend_compiled(
+                    self._suspend(
                         time, ops_executed, ip, run_op, run_addr,
                         run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
                         hit_wb, hit_l1, hit_l2)
@@ -886,7 +687,7 @@ class Processor:
                 ip += 3 + n3
             else:
                 # synchronization (or a bad opcode): cold exits
-                self._suspend_compiled(
+                self._suspend(
                     time, ops_executed, ip + 2, run_op, run_addr,
                     run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
                     hit_wb, hit_l1, hit_l2)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..apps.opstream import compile_stream, ops_mode
+from ..apps.opstream import compile_stream
 from ..cache.states import DirState
 from ..core.caesar import CaesarEngine
 from ..core.policy import CachingPolicy
@@ -235,14 +235,8 @@ class Machine:
         :class:`~repro.errors.DeadlockError`.
         """
         app.setup(self)
-        compiled = ops_mode() == "compiled"
         for stack in self.stacks():
-            if compiled:
-                stack.processor.start_compiled(
-                    compile_stream(app, stack.proc_id, self)
-                )
-            else:
-                stack.processor.start(app.ops(stack.proc_id, self))
+            stack.processor.start(compile_stream(app, stack.proc_id, self))
         metrics = self.metrics
         if metrics is not None and metrics.sample_interval:
             self.sim.schedule(metrics.sample_interval, self._sample_metrics)
@@ -336,11 +330,18 @@ class Machine:
                                 f"block {block:#x}: netcache {node.node_id} "
                                 f"v{nc_line.data} != home v{entry.version}"
                             )
-        # switch caches must agree with home directories
+        # switch caches must agree with home directories.  Entries are
+        # never removed, so a copy of a block the home never saw is a bug
+        # (peek, not entry(): the audit must not create directory state)
         for sid, block, version in self.fabric.switch_cache_blocks():
             home = self.nodes[self.space.home_of(block)]
-            entry = home.directory.entry(block)
-            if entry.state is DirState.MODIFIED:
+            entry = home.directory.peek(block)
+            if entry is None:
+                problems.append(
+                    f"block {block:#x}: switch {sid} copy v{version} but "
+                    f"no directory entry at home {home.node_id}"
+                )
+            elif entry.state is DirState.MODIFIED:
                 problems.append(
                     f"block {block:#x}: switch {sid} copy while MODIFIED"
                 )

@@ -213,8 +213,8 @@ class _ModuleLint(ast.NodeVisitor):
             name = target.attr
         else:
             return
-        if "sharers" not in name or name.startswith("_"):
-            return  # the obj reference model's private set is exempt
+        if "sharers" not in name:
+            return
         if isinstance(annotation, ast.Subscript):
             annotation = annotation.value
         ann = (_dotted(annotation) or "").rsplit(".", 1)[-1]
@@ -222,8 +222,8 @@ class _ModuleLint(ast.NodeVisitor):
             self._report(
                 "B", target,
                 f"Set-typed sharer field {name!r} in a coherence module — "
-                f"sharer vectors are int bitmasks (sharers_mask); keep "
-                f"set-based reference models behind a private _ name",
+                f"sharer vectors are int bitmasks (sharers_mask); "
+                f"set-based reference models belong in tests/",
             )
 
     def _check_iteration(self, iter_node: ast.AST) -> None:

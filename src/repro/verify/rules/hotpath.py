@@ -59,11 +59,8 @@ HOT_REGIONS: Dict[str, FrozenSet[str]] = {
         "CaesarEngine.snoop", "CaesarEngine.try_deposit",
         "CaesarEngine.try_intercept",
     }),
-    # the processor front end: the generator dispatch loop and its
-    # compiled twin (integer-coded op chunks, DESIGN.md §13)
-    "node/processor.py": frozenset({
-        "Processor._run", "Processor._run_compiled",
-    }),
+    # the processor front end: the chunk decode loop (DESIGN.md §13)
+    "node/processor.py": frozenset({"Processor._run"}),
 }
 
 #: builtins whose call allocates a container / sorted copy

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache.states import LineState
 from repro.apps import GaussianElimination
+from repro.apps.synthetic import SharedReaders
 from repro.errors import DeadlockError
 from repro.system.machine import Machine
 from repro.system.presets import switch_cache_config
@@ -130,6 +131,26 @@ class TestCoherenceAudit:
         machine.fabric.switches[sid].cache_engine.array.probe(addr).data = 77
         problems = machine.check_coherence()
         assert any("switch" in p for p in problems)
+
+    def test_audit_flags_switch_copy_without_directory_entry(self):
+        machine = Machine(switch_cache_config(4))
+        machine.run(SharedReaders())
+        assert machine.check_coherence() == []
+        block = 1 << 20  # never touched by the app
+        home = machine.nodes[machine.space.home_of(block)]
+        assert home.directory.peek(block) is None
+        engine = next(s.cache_engine for s in machine.fabric.switches.values())
+        engine.array.insert(block, LineState.SHARED, 0)
+        entries_before = sum(len(list(n.directory.entries()))
+                             for n in machine.nodes)
+        problems = machine.check_coherence()
+        assert any("no directory entry" in p for p in problems)
+        # the audit only reads: it must not create directory state
+        assert home.directory.peek(block) is None
+        assert sum(len(list(n.directory.entries()))
+                   for n in machine.nodes) == entries_before
+        assert machine.memory_version(block) == 0
+        assert home.directory.peek(block) is None
 
     def test_memory_version_accessor(self):
         machine, _stats = run_scripted(

@@ -2,8 +2,8 @@
 
 The peephole is the part of the front end with real logic — run
 detection, equal-cost work merging, chunking, run splitting — so it is
-pinned here op by op; the end-to-end bit-identity of the compiled
-processor path lives in tests/test_opstream_differential.py.
+pinned here op by op; the end-to-end bit-identity of fused and
+elementary streams lives in tests/test_opstream_differential.py.
 """
 
 import pytest
@@ -19,7 +19,6 @@ from repro.apps.opstream import (
     OP_W,
     OP_W_RUN,
     OP_WORK,
-    OPS_ENV,
     SLOT_R,
     SLOT_W,
     SLOT_WORK,
@@ -27,7 +26,6 @@ from repro.apps.opstream import (
     elems_in_block,
     expand_chunks,
     expand_macro,
-    ops_mode,
     row_pitch,
 )
 from repro.errors import ConfigError, SimulationError
@@ -257,23 +255,3 @@ def test_row_pitch_uneven_rows_is_zero():
 
 def test_row_pitch_single_row_falls_back_to_row_bytes():
     assert row_pitch(_FakeMatrix([512], row_bytes=96)) == 96
-
-
-# ---------------------------------------------------------------------------
-# mode selection
-# ---------------------------------------------------------------------------
-
-def test_ops_mode_defaults_to_compiled(monkeypatch):
-    monkeypatch.delenv(OPS_ENV, raising=False)
-    assert ops_mode() == "compiled"
-
-
-def test_ops_mode_env_escape_hatch(monkeypatch):
-    monkeypatch.setenv(OPS_ENV, "gen")
-    assert ops_mode() == "gen"
-
-
-def test_ops_mode_rejects_unknown(monkeypatch):
-    monkeypatch.setenv(OPS_ENV, "vectorized")
-    with pytest.raises(ConfigError):
-        ops_mode()

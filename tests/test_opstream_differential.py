@@ -1,19 +1,36 @@
-"""Lockstep differential: ``REPRO_OPS=compiled`` vs ``gen``.
+"""Differential: fused op streams vs their elementary encoding.
 
-The compiled front end (integer-coded op chunks + stride superops,
-DESIGN.md §13) promises *bit identity* with the generator path: same
-statistics, same simulated timing, same value traces, same event count.
-These tests run every paper kernel under both front ends across the
-protocol / switch-cache matrix and compare complete run fingerprints.
+The compiler (DESIGN.md §13) fuses app streams into stride runs, loops
+and repeated work ops, and the processor retires a hit run a cache block
+at a time.  Both promise *bit identity* with executing the ops one by
+one: same statistics, same simulated timing, same value and write
+traces, same event count.  Each test runs one workload twice on the same
+processor loop — once on the compiled stream, once on an *elementary*
+stream with one instruction per op, so no bulk-retirement path can fire
+— and compares complete run fingerprints.  The fused run must also
+reproduce a frozen digest (``fixtures/opstream_digests.json``), recorded
+when a separate generator-driven front end and the object state models
+still existed and all three agreed on every cell.
 
-The small app scales here are chosen so the whole matrix stays in
-tier-1 time; at full scale, ``perfbench/pins.json`` pins the default
-(compiled) path's statistics on every CI run.
+The small app scales here keep the whole matrix in tier-1 time; at full
+scale, ``perfbench/pins.json`` pins the statistics on every CI run.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.apps.opstream import OPS_ENV
+import repro.system.machine as machine_module
+from repro.apps.opstream import (
+    OP_BARRIER,
+    OP_LOCK,
+    OP_R,
+    OP_UNLOCK,
+    OP_W,
+    OP_WORK,
+)
 from repro.apps.synthetic import PrivateWork, UniformRandom
 from repro.experiments.common import make_app
 from repro.system.machine import Machine
@@ -21,7 +38,7 @@ from repro.system.presets import base_config, switch_cache_config
 
 #: small instances of the six paper kernels — big enough to cross
 #: block/chunk boundaries and fill the write buffer, small enough that
-#: the 24-cell matrix stays cheap
+#: the 48-cell matrix stays cheap
 SMALL_SCALE = {
     "FWA": {"n": 12},
     "GS": {"n_vectors": 8, "length": 12},
@@ -31,80 +48,115 @@ SMALL_SCALE = {
     "FFT": {"m": 8},
 }
 
-APPS = sorted(SMALL_SCALE)
-PROTOCOLS = ("msi", "mesi")
-SWITCH = ("off", "on")
+#: sha256 of each fused run's fingerprint, keyed by test id
+FROZEN = json.loads(
+    (Path(__file__).resolve().parent / "fixtures" / "opstream_digests.json")
+    .read_text()
+)
+
+#: app x switch cache x protocol x value tracing
+MATRIX = [
+    pytest.param(app, switch, protocol, traced,
+                 id=f"{app}-{switch}-{protocol}" + ("-traced" if traced else ""))
+    for app in sorted(SMALL_SCALE)
+    for switch in ("off", "on")
+    for protocol in ("mesi", "msi")
+    for traced in (False, True)
+]
+
+_SYNC_OPCODE = {"barrier": OP_BARRIER, "lock": OP_LOCK, "unlock": OP_UNLOCK}
 
 
-def _config(protocol, switch, **overrides):
-    if switch == "on":
-        return switch_cache_config(4, protocol=protocol, **overrides)
-    return base_config(4, protocol=protocol, **overrides)
+def elementary_stream(app, proc_id, machine, work_extra=0):
+    """Encode the app's elementary ops one instruction each (the stand-in
+    for ``compile_stream``; ``work_extra`` perturbs every work op)."""
+    code = []
+    for op in app.ops(proc_id, machine):
+        kind = op[0]
+        if kind == "r":
+            code += (OP_R, op[1])
+        elif kind == "w":
+            code += (OP_W, op[1])
+        elif kind == "work":
+            code += (OP_WORK, op[1] + work_extra, 1)
+        else:
+            code += (_SYNC_OPCODE[kind], op[1])
+    yield code
 
 
-def _small_app(name):
-    return make_app(name, "quick", SMALL_SCALE[name])
+def _config(protocol, switch, traced=False):
+    maker = switch_cache_config if switch == "on" else base_config
+    return maker(4, protocol=protocol, trace_values=traced)
 
 
-def fingerprint(config, app, mode, monkeypatch):
+def fingerprint(config, app):
     """Everything observable from one run: stats payload, event count,
-    per-processor value and write traces."""
-    monkeypatch.setenv(OPS_ENV, mode)
+    per-processor finish times, value traces and write traces."""
     machine = Machine(config, sanitize=False)
     stats = machine.run(app)
-    traces = {}
-    for stack in machine.stacks():
-        traces[("v", stack.proc_id)] = list(stack.processor.value_trace)
-        traces[("w", stack.proc_id)] = list(stack.write_trace)
-    return stats.to_payload(), machine.sim.events_fired, traces
+    stacks = list(machine.stacks())
+    return {
+        "stats": stats.to_payload(),
+        "events": machine.sim.events_fired,
+        "finish": [s.processor.finish_time for s in stacks],
+        "values": [s.processor.value_trace for s in stacks],
+        "writes": [s.write_trace for s in stacks],
+    }
 
 
-def assert_identical(config, app_factory, monkeypatch):
-    gen = fingerprint(config, app_factory(), "gen", monkeypatch)
-    compiled = fingerprint(config, app_factory(), "compiled", monkeypatch)
-    assert gen[0] == compiled[0], "stats diverged between front ends"
-    assert gen[1] == compiled[1], "event counts diverged between front ends"
-    assert gen[2] == compiled[2], "traces diverged between front ends"
+def digest(fp):
+    blob = json.dumps(fp, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-@pytest.mark.parametrize("switch", SWITCH)
-@pytest.mark.parametrize("app_name", APPS)
-def test_paper_kernels_bit_identical(app_name, protocol, switch, monkeypatch):
-    config = _config(protocol, switch)
-    assert_identical(config, lambda: _small_app(app_name), monkeypatch)
+def assert_fused_matches_elementary(cell, config, app_factory, monkeypatch):
+    fused = fingerprint(config, app_factory())
+    monkeypatch.setattr(machine_module, "compile_stream", elementary_stream)
+    elementary = fingerprint(config, app_factory())
+    for part in ("stats", "events", "finish", "values", "writes"):
+        assert fused[part] == elementary[part], (
+            f"{part} diverged between fused and elementary streams"
+        )
+    assert digest(fused) == FROZEN[cell], "fused run moved off its golden"
 
 
-@pytest.mark.parametrize("app_name", ["GE", "SOR"])
-def test_value_tracing_bit_identical(app_name, monkeypatch):
-    # trace_values=True takes the per-element paths (bulk retirement is
-    # reserved for untraced runs); both modes must still agree
-    config = _config("msi", "on", trace_values=True)
-    assert_identical(config, lambda: _small_app(app_name), monkeypatch)
-
-
-def test_object_state_kernels_bit_identical(monkeypatch):
-    # the REPRO_STATE=obj reference models lack the slot fast path, so
-    # the compiled loop falls back to per-element probes — still
-    # bit-identical
-    from repro.cache.states import STATE_ENV
-
-    monkeypatch.setenv(STATE_ENV, "obj")
-    assert_identical(_config("msi", "on"), lambda: _small_app("GE"),
-                     monkeypatch)
+@pytest.mark.parametrize("app_name, switch, protocol, traced", MATRIX)
+def test_paper_kernels_bit_identical(request, app_name, switch, protocol,
+                                     traced, monkeypatch):
+    # traced cells take the per-element value-trace paths (bulk loop
+    # batches are reserved for untraced runs)
+    assert_fused_matches_elementary(
+        request.node.callspec.id, _config(protocol, switch, traced),
+        lambda: make_app(app_name, "quick", SMALL_SCALE[app_name]),
+        monkeypatch,
+    )
 
 
 def test_synthetic_alias_pattern_bit_identical(monkeypatch):
     # PrivateWork's loop reads and rewrites the same element: the
     # aliased read-before-write slot is the trickiest batch case
-    config = _config("msi", "on")
-    assert_identical(config, lambda: PrivateWork(), monkeypatch)
+    assert_fused_matches_elementary(
+        "alias", _config("msi", "on"), PrivateWork, monkeypatch
+    )
 
 
 def test_synthetic_irregular_stream_bit_identical(monkeypatch):
     # seeded-random streams defeat the peephole almost everywhere:
-    # exercises the elementary-op decode loop
-    config = _config("msi", "off")
-    assert_identical(
-        config, lambda: UniformRandom(ops_per_proc=150), monkeypatch
+    # exercises the elementary-op decode paths
+    assert_fused_matches_elementary(
+        "random", _config("msi", "off"),
+        lambda: UniformRandom(ops_per_proc=150), monkeypatch,
     )
+
+
+def test_elementary_swap_takes_effect(monkeypatch):
+    # the stand-in stream must really replace the compiler: a perturbed
+    # encoding (every work op one cycle longer) has to move the run
+    def perturbed(app, proc_id, machine):
+        return elementary_stream(app, proc_id, machine, work_extra=1)
+
+    config = _config("msi", "on")
+    fused = fingerprint(config, make_app("GE", "quick", SMALL_SCALE["GE"]))
+    monkeypatch.setattr(machine_module, "compile_stream", perturbed)
+    moved = fingerprint(config, make_app("GE", "quick", SMALL_SCALE["GE"]))
+    assert moved["stats"] != fused["stats"]

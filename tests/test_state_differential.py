@@ -1,38 +1,37 @@
 """Differential tests: integer-coded hot state vs the object models.
 
-PR 6 recodes the simulator's hot state — directory sharer sets become int
-bitmasks, cache sets become struct-of-arrays int lists, message kinds get
-table-driven predicates, and worms recycle through a per-machine pool —
-while keeping every simulation bit-identical.  The original object models
-survive as ``REPRO_STATE=obj`` (DESIGN.md §10), exactly as the heap engine
-backs the calendar queue (§9), and these tests hold the two halves
-together:
+The simulator's hot state is coded (DESIGN.md §10): directory sharer sets
+are int bitmasks, cache sets are struct-of-arrays int lists, and message
+kinds have table-driven predicates.  The original object models live on
+as test oracles in ``reference_models.py``, and these tests hold the two
+halves together:
 
 * lockstep fuzzers drive a coded and an object instance through one
   seeded op-script, comparing every observable after every op;
 * a golden test pins the seeded random-replacement victim to the *old*
   algorithm (``rng.choice(sorted(tags))``) computed independently;
-* full machines run every paper app under both models and must agree on
-  the cycle count, the event count, and every statistics counter.
+* full machines run every paper app at quick scale and must reproduce
+  frozen fingerprints — cycle count, event count, read classes and the
+  message-id stream — recorded while the object models still ran
+  machine-wide and agreed with the coded kernels on every one.
 """
 
 import random
 
 import pytest
 
-from repro.cache.array import CacheArray, CacheArrayObj, make_cache_array
+from reference_models import CacheArrayObj, DirectoryObj
+from repro.cache.array import CacheArray
 from repro.cache.states import (
     CODE_EXCLUSIVE,
     CODE_INVALID,
     CODE_MODIFIED,
     CODE_SHARED,
     LINE_STATE_BY_CODE,
-    STATE_ENV,
     LineState,
-    state_model,
 )
-from repro.coherence.directory import DirEntry, DirEntryObj, Directory
-from repro.errors import ConfigError, ProtocolError
+from repro.coherence.directory import Directory
+from repro.errors import ProtocolError
 from repro.network.message import (
     CARRIES_DATA,
     INTERCEPTABLE,
@@ -43,28 +42,8 @@ from repro.network.message import (
     MsgKind,
 )
 
-STATE_MODELS = ("coded", "obj")
-
-
-# ----------------------------------------------------------------------
-# state-model selection
-# ----------------------------------------------------------------------
-def test_state_model_env(monkeypatch):
-    monkeypatch.delenv(STATE_ENV, raising=False)
-    assert state_model() == "coded"
-    assert isinstance(make_cache_array(512, 32, 2), CacheArray)
-    assert isinstance(Directory(0, 32).entry(0), DirEntry)
-    assert not isinstance(Directory(0, 32).entry(0), DirEntryObj)
-    monkeypatch.setenv(STATE_ENV, "obj")
-    assert state_model() == "obj"
-    assert isinstance(make_cache_array(512, 32, 2), CacheArrayObj)
-    assert isinstance(Directory(0, 32).entry(0), DirEntryObj)
-
-
-def test_unknown_state_model_rejected(monkeypatch):
-    monkeypatch.setenv(STATE_ENV, "simd")
-    with pytest.raises(ConfigError):
-        state_model()
+#: the coded kernel and its object-model oracle
+STATE_MODELS = (CacheArray, CacheArrayObj)
 
 
 def test_line_state_codes_round_trip():
@@ -83,10 +62,7 @@ def test_line_state_codes_round_trip():
 # ----------------------------------------------------------------------
 def _array_pair(replacement):
     kwargs = dict(size=512, block_size=32, assoc=2, replacement=replacement)
-    return (
-        make_cache_array(model="coded", **kwargs),
-        make_cache_array(model="obj", **kwargs),
-    )
+    return CacheArray(**kwargs), CacheArrayObj(**kwargs)
 
 
 def _array_observables(arr):
@@ -182,9 +158,7 @@ def test_random_victim_matches_legacy_choice():
     algorithm computed independently with a twin RNG.
     """
     for model in STATE_MODELS:
-        arr = make_cache_array(
-            256, 32, 4, replacement="random", model=model
-        )  # 2 sets, 4 ways
+        arr = model(256, 32, 4, replacement="random")  # 2 sets, 4 ways
         twin = random.Random(0xCAE5A)  # same default seed as the array
         resident = []
         for tag in (7, 3, 11, 5):  # insertion order deliberately unsorted
@@ -200,7 +174,7 @@ def test_random_victim_matches_legacy_choice():
 def test_invalid_state_lines_occupy_slots():
     """INVALID-state lines stay resident-but-unreadable in both models."""
     for model in STATE_MODELS:
-        arr = make_cache_array(256, 32, 4, model=model)
+        arr = model(256, 32, 4)
         arr.insert(0, LineState.INVALID, 1)
         assert arr.probe(0) is None, model
         assert arr.occupancy() == 1, model  # the slot is held
@@ -227,8 +201,8 @@ def _entry_observables(d):
 
 def _lockstep_directories(seed, ops=500, nodes=16):
     rng = random.Random(seed)
-    mask_dir = Directory(0, 64, model="coded")
-    set_dir = Directory(0, 64, model="obj")
+    mask_dir = Directory(0, 64)
+    set_dir = DirectoryObj(0, 64)
     blocks = [b * 64 for b in range(8)]
     for op_idx in range(ops):
         roll = rng.random()
@@ -280,7 +254,7 @@ def test_directory_lockstep_fuzz(seed):
 
 
 def test_sorted_sharers_is_ascending():
-    d = Directory(0, 64, model="coded")
+    d = Directory(0, 64)
     for node in (9, 2, 14, 0, 5):
         d.add_sharer(0x40, node)
     assert d.entry(0x40).sorted_sharers() == [0, 2, 5, 9, 14]
@@ -332,8 +306,46 @@ def test_bare_message_uses_global_fallback_ids():
 
 
 # ----------------------------------------------------------------------
-# whole-machine cross-model identity (every paper app)
+# whole-machine golden fingerprints (every paper app, quick scale)
 # ----------------------------------------------------------------------
+#: (exec_time, sim.now, events_fired, read_counts, per_node_reads,
+#: msgs_delivered, message ids issued) of one quick-scale run on
+#: ``switch_cache_config(4)``.  Recorded when the coded and object state
+#: models both still ran machine-wide and agreed on every field.
+QUICK_GOLDENS = {
+    "FWA": (32153, 32153, 7639,
+            {"cluster": 0, "l1": 15168, "l2": 0, "local_mem": 72,
+             "netcache": 0, "owner": 69, "remote_mem": 33, "switch": 114,
+             "wb": 11592},
+            (6762, 6762, 6762, 6762), 1108, 2030),
+    "GS": (16396, 16396, 2923,
+           {"cluster": 0, "l1": 5714, "l2": 0, "local_mem": 48,
+            "netcache": 0, "owner": 45, "remote_mem": 14, "switch": 67,
+            "wb": 256},
+           (1248, 1440, 1632, 1824), 430, 868),
+    "GE": (21891, 21891, 4151,
+           {"cluster": 0, "l1": 5380, "l2": 0, "local_mem": 72,
+            "netcache": 0, "owner": 47, "remote_mem": 24, "switch": 67,
+            "wb": 4185},
+           (2204, 2372, 2528, 2671), 528, 1138),
+    "MM": (24702, 24702, 3279,
+           {"cluster": 0, "l1": 27288, "l2": 0, "local_mem": 144,
+            "netcache": 0, "owner": 0, "remote_mem": 146, "switch": 70,
+            "wb": 0},
+           (6912, 6912, 6912, 6912), 432, 864),
+    "SOR": (11279, 11279, 3853,
+            {"cluster": 0, "l1": 3625, "l2": 0, "local_mem": 128,
+             "netcache": 0, "owner": 84, "remote_mem": 12, "switch": 0,
+             "wb": 3351},
+            (1680, 1920, 1920, 1680), 400, 1608),
+    "FFT": (155374, 155374, 53431,
+            {"cluster": 0, "l1": 6272, "l2": 11648, "local_mem": 256,
+             "netcache": 0, "owner": 1536, "remote_mem": 768, "switch": 0,
+             "wb": 0},
+            (5120, 5120, 5120, 5120), 7730, 19014),
+}
+
+
 def _machine_fingerprint(app_name):
     from repro.experiments.common import make_app
     from repro.system.machine import Machine
@@ -353,12 +365,6 @@ def _machine_fingerprint(app_name):
     )
 
 
-@pytest.mark.parametrize(
-    "app_name", ("FWA", "GS", "GE", "MM", "SOR", "FFT")
-)
-def test_machine_identical_across_state_models(app_name, monkeypatch):
-    results = {}
-    for model in STATE_MODELS:
-        monkeypatch.setenv(STATE_ENV, model)
-        results[model] = _machine_fingerprint(app_name)
-    assert results["coded"] == results["obj"]
+@pytest.mark.parametrize("app_name", sorted(QUICK_GOLDENS))
+def test_machine_matches_quick_golden(app_name):
+    assert _machine_fingerprint(app_name) == QUICK_GOLDENS[app_name]

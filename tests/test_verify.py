@@ -326,23 +326,25 @@ class TestDeterminismLint:
         assert not any(f.rule == "L" for f in findings)
 
     def test_set_typed_sharers_flagged_in_coherence(self, tmp_path):
-        findings = self._lint_snippet(
-            tmp_path, "coherence/dir2.py",
-            "from typing import Set\n\n"
-            "class Entry:\n"
-            "    def __init__(self):\n"
-            "        self.sharers: Set[int] = set()\n",
-        )
-        assert any(f.rule == "B" for f in findings)
+        # a private name is no exemption: set-based reference models
+        # live in tests/, not in src/
+        for field in ("sharers", "_sharers"):
+            findings = self._lint_snippet(
+                tmp_path, "coherence/dir2.py",
+                "from typing import Set\n\n"
+                "class Entry:\n"
+                "    def __init__(self):\n"
+                f"        self.{field}: Set[int] = set()\n",
+            )
+            assert any(f.rule == "B" for f in findings), field
 
-    def test_private_or_masked_sharers_allowed(self, tmp_path):
-        # the obj reference model's private set and the coded bitmask
-        # are both fine; so is a Set-typed field outside coherence/
+    def test_masked_sharers_allowed(self, tmp_path):
+        # the coded bitmask is fine; so is a Set-typed field outside
+        # coherence/
         clean = (
             "from typing import Set\n\n"
             "class Entry:\n"
             "    def __init__(self):\n"
-            "        self._sharers: Set[int] = set()\n"
             "        self.sharers_mask: int = 0\n"
         )
         findings = self._lint_snippet(tmp_path, "coherence/dir3.py", clean)
