@@ -13,10 +13,11 @@ older than the last write that completed before it.
 :class:`CacheArray` is a *coded* kernel (DESIGN.md §10).  Each set is a
 slice of four flat parallel int lists (``tag``/``state``/``data``/``lru``),
 states are the small-int codes from :mod:`repro.cache.states`, and the
-occupied slots of a set are kept sorted by tag so the seeded random victim
-is a direct index (no per-victim sort).  ``probe``/``lookup`` return a
-:class:`LineView` over the slot; the allocation-free ``*_data``/``*_state``
-variants are what the simulation hot paths use.
+occupied slots of a set form an unsorted prefix, so every insert and
+invalidate is constant-time apart from the victim scan.
+``probe``/``lookup`` return a :class:`LineView` over the slot; the
+allocation-free ``*_data``/``*_state`` variants are what the simulation
+hot paths use.
 
 The original dict-of-lines model survives as a test oracle
 (``tests/reference_models.py``): the lockstep fuzzer in
@@ -103,10 +104,14 @@ class CacheArray:
 
     Set ``s`` owns slots ``[s*assoc, (s+1)*assoc)`` of four flat parallel
     lists.  ``_tags[slot] == -1`` marks an empty slot; occupied slots form
-    a prefix of the set, **sorted by tag**, so the seeded random victim
-    (``rng.choice`` over the sorted tag list, as the object-model oracle
-    draws it) becomes ``slot = base + rng.choice(range(assoc))`` — same
-    entropy draw, same victim, no sort.  States are small-int codes
+    an unsorted prefix of the set.  A new block takes the next free slot,
+    an evicted one is overwritten in place, and an invalidated one is
+    filled by the set's last occupied way.  LRU and FIFO evict the
+    minimum timestamp; timestamps are unique, so slot order never
+    changes the victim.  The seeded random victim keeps the object-model
+    oracle's draw, ``rng.choice`` over the set's tags in sorted order,
+    through a sorted view built only when that policy evicts
+    (:meth:`_random_victim`).  States are small-int codes
     (``states.py``).
     """
 
@@ -286,80 +291,64 @@ class CacheArray:
         the same block updates it in place (no eviction).
         """
         block = addr >> self._block_shift
+        slot = self._slot
+        self._tick = tick = self._tick + 1
+        i = slot.get(block)
+        if i is not None:
+            self._states[i] = state.code
+            self._data[i] = data
+            self._lrus[i] = tick
+            return None
         set_idx = block & self._set_mask
-        tag = block >> self._set_bits
         assoc = self.assoc
-        num_sets = self.num_sets
         base = set_idx * assoc
+        n = self._occ[set_idx]
         tags = self._tags
         states = self._states
         datas = self._data
         lrus = self._lrus
-        slot = self._slot
-        self._tick += 1
-        tick = self._tick
-        i = slot.get(block)
-        if i is not None:
-            states[i] = state.code
-            datas[i] = data
-            lrus[i] = tick
-            return None
         victim_info = None
-        n = self._occ[set_idx]
-        if n >= assoc:
+        if n < assoc:
+            i = base + n
+            self._occ[set_idx] = n + 1
+            self._occupied += 1
+        else:
             rng = self._rng
             if rng is not None:
-                # same entropy draw as rng.choice(sorted(tags)): the
-                # occupied prefix is kept tag-sorted, so the k-th choice
-                # IS slot base+k
-                v = base + rng.choice(self._victim_range)
+                i = self._random_victim(rng, base)
             else:
                 # LRU and FIFO both evict the minimum timestamp; they
                 # differ in whether hits refresh it (see lookup).  A
                 # manual scan beats min(key=lambda) at these small assocs
-                v = base
+                i = base
                 victim_lru = lrus[base]
-                for j in range(base + 1, base + n):
+                for j in range(base + 1, base + assoc):
                     if lrus[j] < victim_lru:
-                        v, victim_lru = j, lrus[j]
-            victim_block = tags[v] * num_sets + set_idx
-            if states[v]:
+                        i, victim_lru = j, lrus[j]
+            victim_block = tags[i] * self.num_sets + set_idx
+            code = states[i]
+            if code:
                 self.evictions += 1
                 victim_info = (
-                    victim_block * self.block_size,
-                    _DECODE[states[v]],
-                    datas[v],
+                    victim_block * self.block_size, _DECODE[code], datas[i]
                 )
             del slot[victim_block]
-            # close the gap left by the victim (keeps the prefix sorted)
-            for j in range(v, base + n - 1):
-                tags[j] = tags[j + 1]
-                states[j] = states[j + 1]
-                datas[j] = datas[j + 1]
-                lrus[j] = lrus[j + 1]
-                slot[tags[j] * num_sets + set_idx] = j
-            n -= 1
-            tags[base + n] = -1
-            self._occupied -= 1
-        # sorted insertion into the occupied prefix
-        pos = base
-        end = base + n
-        while pos < end and tags[pos] < tag:
-            pos += 1
-        for j in range(end, pos, -1):
-            tags[j] = tags[j - 1]
-            states[j] = states[j - 1]
-            datas[j] = datas[j - 1]
-            lrus[j] = lrus[j - 1]
-            slot[tags[j] * num_sets + set_idx] = j
-        tags[pos] = tag
-        states[pos] = state.code
-        datas[pos] = data
-        lrus[pos] = tick
-        slot[block] = pos
-        self._occ[set_idx] = n + 1
-        self._occupied += 1
+        tags[i] = block >> self._set_bits
+        states[i] = state.code
+        datas[i] = data
+        lrus[i] = tick
+        slot[block] = i
         return victim_info
+
+    def _random_victim(self, rng: _random.Random, base: int) -> int:
+        """Slot of the seeded random victim in the full set at ``base``.
+
+        The oracle draws ``rng.choice(sorted(tags))``; the same draw
+        indexes a tag-sorted view of the set's slots.
+        """
+        k = rng.choice(self._victim_range)
+        tags = self._tags
+        return sorted(range(base, base + self.assoc), key=tags.__getitem__)[k]
 
     def set_state(self, addr: int, state: LineState) -> None:
         """Change the state of a resident line (line must be present)."""
@@ -371,28 +360,31 @@ class CacheArray:
     def invalidate(self, addr: int) -> Optional[Tuple[LineState, int]]:
         """Drop a block if present; returns its former (state, data)."""
         block = addr >> self._block_shift
-        set_idx = block & self._set_mask
         slot = self._slot
         i = slot.get(block)
-        if i is None or not self._states[i]:
+        if i is None:
             return None
-        former = (_DECODE[self._states[i]], self._data[i])
-        tags = self._tags
         states = self._states
+        code = states[i]
+        if not code:
+            return None
         datas = self._data
-        lrus = self._lrus
-        num_sets = self.num_sets
-        base = set_idx * self.assoc
-        n = self._occ[set_idx]
+        former = (_DECODE[code], datas[i])
+        set_idx = block & self._set_mask
+        n = self._occ[set_idx] - 1
+        last = set_idx * self.assoc + n
+        tags = self._tags
         del slot[block]
-        for j in range(i, base + n - 1):
-            tags[j] = tags[j + 1]
-            states[j] = states[j + 1]
-            datas[j] = datas[j + 1]
-            lrus[j] = lrus[j + 1]
-            slot[tags[j] * num_sets + set_idx] = j
-        tags[base + n - 1] = -1
-        self._occ[set_idx] = n - 1
+        if i != last:
+            # the set's last way fills the hole: the prefix stays dense
+            tag = tags[last]
+            tags[i] = tag
+            states[i] = states[last]
+            datas[i] = datas[last]
+            self._lrus[i] = self._lrus[last]
+            slot[tag * self.num_sets + set_idx] = i
+        tags[last] = -1
+        self._occ[set_idx] = n
         self._occupied -= 1
         self.invalidations += 1
         return former

@@ -44,6 +44,19 @@ from ..network.message import Message, MessagePool, MsgKind
 from ..sim.engine import Simulator
 from .directory import Directory
 
+#: hoisted kinds for the per-message dispatch in receive/_start: each
+#: ``MsgKind.X`` lookup goes through EnumType.__getattr__ on Python 3.11
+_READ = MsgKind.READ
+_READX = MsgKind.READX
+_UPGRADE = MsgKind.UPGRADE
+_DIR_UPDATE = MsgKind.DIR_UPDATE
+_INV_ACK = MsgKind.INV_ACK
+_RECALL_REPLY = MsgKind.RECALL_REPLY
+_WRITEBACK = MsgKind.WRITEBACK
+#: the requests that open a home transaction (queued per block); a
+#: tuple, since its identity-first membership test beats hashing an enum
+_REQUESTS = (_READ, _READX, _UPGRADE, _DIR_UPDATE)
+
 #: directory-access overhead for transactions that do not touch memory
 DIR_CYCLES = 4
 
@@ -122,13 +135,13 @@ class HomeController:
     # ------------------------------------------------------------------
     def receive(self, msg: Message) -> None:
         kind = msg.kind
-        if kind in (MsgKind.READ, MsgKind.READX, MsgKind.UPGRADE, MsgKind.DIR_UPDATE):
+        if kind in _REQUESTS:
             self._enqueue(msg)
-        elif kind is MsgKind.INV_ACK:
+        elif kind is _INV_ACK:
             self._on_inv_ack(msg)
-        elif kind is MsgKind.RECALL_REPLY:
+        elif kind is _RECALL_REPLY:
             self._on_recall_reply(msg)
-        elif kind is MsgKind.WRITEBACK:
+        elif kind is _WRITEBACK:
             self._on_writeback(msg)
         else:
             entry = self.directory.peek(msg.addr)
@@ -164,13 +177,13 @@ class HomeController:
         txn = HomeTxn(msg, block)
         self._active[block] = txn
         kind = msg.kind
-        if kind is MsgKind.READ:
+        if kind is _READ:
             self._start_read(txn)
-        elif kind is MsgKind.READX:
+        elif kind is _READX:
             self._start_write(txn, upgrade=False)
-        elif kind is MsgKind.UPGRADE:
+        elif kind is _UPGRADE:
             self._start_write(txn, upgrade=True)
-        elif kind is MsgKind.DIR_UPDATE:
+        elif kind is _DIR_UPDATE:
             self._start_dir_update(txn)
         else:  # pragma: no cover - guarded by receive()
             raise ProtocolError(

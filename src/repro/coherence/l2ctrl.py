@@ -30,6 +30,15 @@ from .messages import Transaction
 # imported lazily by name to avoid a hard import cycle in type checkers
 from ..network.message import Message, MessagePool, MsgKind
 
+#: hoisted kinds for the per-message dispatch in receive: each
+#: ``MsgKind.X`` lookup goes through EnumType.__getattr__ on Python 3.11
+_DATA_S = MsgKind.DATA_S
+_DATA_X = MsgKind.DATA_X
+_DATA_E = MsgKind.DATA_E
+_UPGR_ACK = MsgKind.UPGR_ACK
+_INV = MsgKind.INV
+_RECALLS = (MsgKind.RECALL, MsgKind.RECALL_X)
+
 
 class NodeController:
     """Coherence controller for one node's processor side."""
@@ -166,17 +175,17 @@ class NodeController:
     # ------------------------------------------------------------------
     def receive(self, msg: Message) -> None:
         kind = msg.kind
-        if kind is MsgKind.DATA_S:
+        if kind is _DATA_S:
             self._on_data_s(msg)
-        elif kind is MsgKind.DATA_X:
+        elif kind is _DATA_X:
             self._on_data_x(msg)
-        elif kind is MsgKind.DATA_E:
+        elif kind is _DATA_E:
             self._on_data_e(msg)
-        elif kind is MsgKind.UPGR_ACK:
+        elif kind is _UPGR_ACK:
             self._on_upgr_ack(msg)
-        elif kind is MsgKind.INV:
+        elif kind is _INV:
             self._on_inv(msg)
-        elif kind in (MsgKind.RECALL, MsgKind.RECALL_X):
+        elif kind in _RECALLS:
             self._on_recall(msg)
         else:
             raise ProtocolError(

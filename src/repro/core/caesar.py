@@ -48,7 +48,8 @@ class CaesarEngine:
         self.geo = geometry
         self.policy = policy if policy is not None else CachingPolicy()
         self.sram = SwitchCacheSRAM(sim, geometry, name=f"sc{switch_id}")
-        self._enabled = self.policy.stage_enabled(self.stage)
+        # whether this stage caches: a disabled engine still snoops
+        self.enabled = self.policy.stage_enabled(self.stage)
         # same tracer track as the owning switch (see Switch.trace_track)
         self.trace_track = f"switch{switch_id[0]}.{switch_id[1]}"
         # hot-path hoists: policy thresholds and SRAM geometry are fixed
@@ -114,7 +115,7 @@ class CaesarEngine:
 
     def try_deposit(self, msg: Message) -> bool:
         """DATA_S passing through: capture the block unless the bank is busy."""
-        if not self._enabled:
+        if not self.enabled:
             return False
         addr = msg.addr
         now = self.sim.now
@@ -158,7 +159,7 @@ class CaesarEngine:
 
     def try_intercept(self, msg: Message) -> Optional[Tuple[int, int]]:
         """READ arriving: probe; return (data, reply_ready_time) on a hit."""
-        if not self._enabled:
+        if not self.enabled:
             return None
         now = self.sim.now
         tag_port = self._tag_port

@@ -3,9 +3,10 @@
 The NI's send module prepares worms and injects them into the fabric
 (where they queue for the injection link — the paper's NI queueing term);
 its receive module dispatches delivered worms to the node's coherence
-controllers.  Traffic between two controllers of the *same* node (an L2
-miss to the local home memory) never enters the network: it crosses the
-node's local bus with a fixed small delay instead.
+controllers: the fabric calls the node's dispatcher directly, with no
+NI frame in between.  Traffic between two controllers of the *same*
+node (an L2 miss to the local home memory) never enters the network: it
+crosses the node's local bus with a fixed small delay instead.
 """
 
 from __future__ import annotations
@@ -35,16 +36,16 @@ class NetworkInterface:
         self.fabric = fabric
         self.local_delay = local_delay
         self._dispatch: Optional[DispatchFn] = None
-        # statistics
-        self.sent = 0
-        self.received = 0
-        self.local_deliveries = 0
 
     def attach(self, dispatch: DispatchFn) -> None:
-        """Register the node's receive-side dispatcher."""
+        """Register the node's receive-side dispatcher.
+
+        Remote worms are handed to it by the fabric itself; local ones
+        by :meth:`_receive_local` after the bus delay.
+        """
         self._dispatch = dispatch
         if self.fabric is not None:
-            self.fabric.attach_node(self.node_id, self._receive)
+            self.fabric.attach_node(self.node_id, dispatch)
 
     def send(self, msg: Message, at: Optional[int] = None) -> None:
         """Send a message now (or at a future cycle ``at``)."""
@@ -52,7 +53,6 @@ class NetworkInterface:
             raise SimulationError(
                 f"NI{self.node_id} asked to send a message from {msg.src}"
             )
-        self.sent += 1
         if at is not None and at > self.sim.now:
             self.sim.call_at(at, self._send_now, msg)
         else:
@@ -61,7 +61,6 @@ class NetworkInterface:
     def _send_now(self, msg: Message) -> None:
         if msg.dst == self.node_id:
             # intra-node: cross the local bus, never enter the fabric
-            self.local_deliveries += 1
             msg.created_at = self.sim.now
             msg.injected_at = self.sim.now
             self.sim.call(self.local_delay, self._receive_local, msg)
@@ -73,10 +72,6 @@ class NetworkInterface:
 
     def _receive_local(self, msg: Message) -> None:
         msg.delivered_at = self.sim.now
-        self._receive(msg)
-
-    def _receive(self, msg: Message) -> None:
         if self._dispatch is None:
             raise SimulationError(f"NI{self.node_id} has no dispatcher attached")
-        self.received += 1
         self._dispatch(msg)

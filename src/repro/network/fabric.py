@@ -21,14 +21,21 @@ fabric invokes the embedded CAESAR engine —
   fabric fabricates a ``DATA_S`` reply that retraces the request's path,
   and the request itself shrinks to a 1-flit ``DIR_UPDATE`` that continues
   to the home node so the full-map directory stays exact.
+
+Each worm's per-hop callback is chosen once, when it enters the fabric
+(DESIGN.md §10.4): :meth:`Fabric._hop` (grant only), ``_hop_snoop``,
+``_hop_deposit`` or ``_hop_intercept`` by kind, or :meth:`Fabric._arrive`
+when the route trace is recorded (tracing or SCSan).  Every one of them
+ends in ``_hop``, the one inlined copy of the link grant arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from ..errors import NetworkError
+from ..errors import ConfigError, NetworkError, SimulationError
 from ..sim.engine import Simulator
 from .link import Link
 from .message import Message, MessagePool, MsgKind
@@ -39,6 +46,8 @@ if TYPE_CHECKING:
     from ..trace.tracer import Tracer
 
 DeliverFn = Callable[[Message], None]
+#: a per-hop callback: ``fn(msg, hop)`` as the header reaches hop ``hop``
+HopFn = Callable[[Message, int], None]
 
 #: one resolved route hop: (switch, out-link toward the next hop / the node)
 Hop = Tuple[Switch, Link]
@@ -52,7 +61,7 @@ _FLOW_REPLIES = frozenset(
     {MsgKind.DATA_S, MsgKind.DATA_X, MsgKind.DATA_E, MsgKind.UPGR_ACK}
 )
 
-#: hoisted members for the per-hop engine dispatch in ``_arrive``
+#: the kinds that run a CAESAR hook at each switch they cross
 _INV = MsgKind.INV            # snoops_switch_caches
 _DATA_S = MsgKind.DATA_S      # switch_cacheable
 _READ = MsgKind.READ          # interceptable
@@ -88,7 +97,7 @@ class Fabric:
     __slots__ = (
         "sim", "topo", "switch_delay", "cycles_per_flit", "stats",
         "switches", "_inject_links", "_handlers", "_tracer", "_route_objs",
-        "_route_lists", "_reply_routes", "pool", "_record_route",
+        "_route_lists", "_reply_routes", "pool", "_record_route", "_hop_fns",
     )
 
     def __init__(
@@ -99,6 +108,12 @@ class Fabric:
         cycles_per_flit: int = 4,
         pool: Optional[MessagePool] = None,
     ) -> None:
+        if switch_delay < 0:
+            raise ConfigError(f"switch_delay must be >= 0, got {switch_delay}")
+        if cycles_per_flit < 1:
+            raise ConfigError(
+                f"cycles_per_flit must be >= 1, got {cycles_per_flit}"
+            )
         self.sim = sim
         # captured once: Machine installs the tracer on the simulator
         # before any component is built, and never swaps it mid-run
@@ -135,6 +150,9 @@ class Fabric:
             Tuple[int, int, int],
             Tuple[List[SwitchId], Tuple[Hop, ...]],
         ] = {}
+        # the untraced hop callback per kind, indexed by MsgKind.code:
+        # grant only, until install_cache_engines embeds CAESAR engines
+        self._hop_fns: List[HopFn] = [self._hop] * len(MsgKind)
         self._build()
 
     # ------------------------------------------------------------------
@@ -186,8 +204,30 @@ class Fabric:
 
     def install_cache_engines(self, factory: Callable[[SwitchId], object]) -> None:
         """Embed a cache engine in every switch (``factory`` may return None)."""
+        embedded = False
         for sid, switch in self.switches.items():
-            switch.cache_engine = factory(sid)
+            engine = factory(sid)
+            switch.embed(engine)
+            embedded = embedded or engine is not None
+        fns = self._hop_fns = [self._hop] * len(MsgKind)
+        if embedded:
+            fns[_INV.code] = self._hop_snoop
+            fns[_DATA_S.code] = self._hop_deposit
+            fns[_READ.code] = self._hop_intercept
+
+    def _pick_hop(self, msg: Message) -> HopFn:
+        """Choose, and store on the worm, the callback for all its hops.
+
+        A worm keeps its kind from switch to switch, so the choice holds
+        until :meth:`_serve_from_switch` rewrites a READ in flight (both
+        worms it leaves pick again through :meth:`_forward`).
+        """
+        if self._record_route:
+            fn = self._arrive
+        else:
+            fn = self._hop_fns[msg.kind.code]
+        msg.on_hop = fn
+        return fn
 
     # ------------------------------------------------------------------
     # injection
@@ -209,49 +249,26 @@ class Fabric:
         self.stats.msgs_injected += 1
         self.stats.flits_injected += msg.flits
         header_at_switch = grant + self.cycles_per_flit
-        sim.call_at(header_at_switch, self._arrive, msg, 0)
+        sim.call_at(header_at_switch, self._pick_hop(msg), msg, 0)
 
     # ------------------------------------------------------------------
     # per-hop processing
     # ------------------------------------------------------------------
-    def _arrive(self, msg: Message, hop: int) -> None:
-        # hot path: one event per worm per hop; route pre-resolved.  Every
-        # switch and link shares the fabric-wide switch_delay and
-        # cycles_per_flit (see _build), so those load from self — one
-        # bound attribute each — instead of per-switch/per-link fields.
+    def _hop(self, msg: Message, hop: int) -> None:
+        """A header at hop ``hop``: grant the output link, move on.
+
+        The plain hop, and the tail of every other hop callback: the one
+        inlined copy of :meth:`Link.reserve`'s grant arithmetic (held
+        equal to it by ``TestGrantLockstep``), followed by
+        :meth:`Simulator.call_at`'s push — same sequence number, same
+        peak bookkeeping, same past-time check — straight onto the heap.
+        Every switch and link shares the fabric-wide ``switch_delay`` and
+        ``cycles_per_flit`` (see _build), so those load from self.
+        """
         sim = self.sim
         now = sim.now
         hops = msg.hops
-        switch, link = hops[hop]
-        kind = msg.kind
-        if self._record_route:
-            msg.trace.append(switch.id)
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.instant(
-                switch.trace_track, "hop", now,
-                {"msg": msg.id, "kind": kind.value, "addr": msg.addr},
-            )
-        engine = switch.cache_engine
-        if engine is not None:
-            # identity checks against the hoisted members, not the
-            # MsgKind convenience properties: once per worm per switch
-            if kind is _INV:
-                engine.snoop(msg)
-            elif kind is _DATA_S:
-                engine.try_deposit(msg)
-            elif kind is _READ:
-                served = engine.try_intercept(msg)
-                if served is not None:
-                    data, ready_at = served
-                    self._serve_from_switch(msg, switch, hop, data, ready_at)
-                    return
-        # _forward inlined for the header-just-arrived case (the grant
-        # arithmetic must stay in lockstep with Link.reserve): this body
-        # runs once per worm per hop and the call levels measurably show
-        # up.  Worms that enter the fabric here were all registered at
-        # inject, so SanitizedFabric's _forward ledger hook — needed only
-        # for fabricated switch replies — is not required on this path.
+        link = hops[hop][1]
         flits = msg.flits
         cycles_per_flit = self.cycles_per_flit
         duration = flits * cycles_per_flit
@@ -265,22 +282,77 @@ class Fabric:
         link.flits += flits
         hop += 1
         if hop == len(hops):
-            sim.call_at(grant + duration, self._deliver, msg)
+            time = grant + duration
+            fn = self._deliver
+            args = (msg,)
         else:
-            sim.call_at(grant + cycles_per_flit, self._arrive, msg, hop)
+            time = grant + cycles_per_flit
+            fn = msg.on_hop
+            args = (msg, hop)
+        if time < now:
+            raise SimulationError(
+                f"cannot schedule event in the past: {time} < now {now}"
+            )
+        sim._seq = seq = sim._seq + 1
+        heap = sim._heap
+        heappush(heap, (time, seq, fn, args))
+        if len(heap) > sim._peak:
+            sim._peak = len(heap)
+
+    def _hop_snoop(self, msg: Message, hop: int) -> None:
+        """An INV header: purge the block from the switch cache, move on."""
+        snoop = msg.hops[hop][0].snoop
+        if snoop is not None:
+            snoop(msg)
+        self._hop(msg, hop)
+
+    def _hop_deposit(self, msg: Message, hop: int) -> None:
+        """A DATA_S header: deposit the block in the switch cache, move on."""
+        deposit = msg.hops[hop][0].deposit
+        if deposit is not None:
+            deposit(msg)
+        self._hop(msg, hop)
+
+    def _hop_intercept(self, msg: Message, hop: int) -> None:
+        """A READ header: a switch-cache hit serves it here, else move on."""
+        switch = msg.hops[hop][0]
+        intercept = switch.intercept
+        if intercept is not None:
+            served = intercept(msg)
+            if served is not None:
+                data, ready_at = served
+                self._serve_from_switch(msg, switch, hop, data, ready_at)
+                return
+        self._hop(msg, hop)
+
+    def _arrive(self, msg: Message, hop: int) -> None:
+        """The recorded hop (tracing or SCSan): log it, then hook and grant.
+
+        Runs the same per-kind callback an untraced worm takes, so a
+        traced run grants, deposits and serves exactly as an untraced one.
+        """
+        switch = msg.hops[hop][0]
+        msg.trace.append(switch.id)
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.instant(
+                switch.trace_track, "hop", self.sim.now,
+                {"msg": msg.id, "kind": msg.kind.value, "addr": msg.addr},
+            )
+        self._hop_fns[msg.kind.code](msg, hop)
 
     def _forward(self, msg: Message, hop: int, header_at: int) -> None:
-        """Grant the hop's output link and move the worm one stage on.
+        """Grant the hop's output link for a worm entering mid-fabric.
 
-        Only reached for worms entering the network mid-fabric (the
-        switch-served DIR_UPDATE continuation); the per-hop fast path in
-        :meth:`_arrive` inlines this same sequence.  SanitizedFabric
-        wraps this method to register fabricated worms.
+        Only the switch-served reply and the DIR_UPDATE continuation
+        enter here, with their header ready at ``header_at``; both pick
+        their hop callback afresh.  SanitizedFabric wraps this method to
+        register the fabricated reply.
         """
         hops = msg.hops
-        switch, link = hops[hop]
+        link = hops[hop][1]
         grant, tail_done = link.reserve(
-            msg.flits, header_at + switch.switch_delay
+            msg.flits, header_at + self.switch_delay
         )
         next_hop = hop + 1
         call_at = self.sim.call_at
@@ -288,7 +360,8 @@ class Fabric:
             call_at(tail_done, self._deliver, msg)
         else:
             call_at(
-                grant + switch.cycles_per_flit, self._arrive, msg, next_hop
+                grant + self.cycles_per_flit, self._pick_hop(msg), msg,
+                next_hop,
             )
 
     def _deliver(self, msg: Message) -> None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class MsgKind(enum.Enum):
@@ -148,6 +148,7 @@ class Message:
         "trace",
         "route",
         "hops",
+        "on_hop",
         "transaction",
     )
 
@@ -179,6 +180,8 @@ class Message:
         # the route resolved to ((switch, out-link), ...) hop objects by
         # the fabric at injection, so per-hop forwarding is pure indexing
         self.hops: Optional[Tuple[Any, ...]] = None
+        # the fabric's callback for each hop, chosen when the worm enters
+        self.on_hop: Optional[Callable[[Message, int], None]] = None
         self.transaction = transaction
 
     def header_fields(self) -> Dict[str, int]:

@@ -10,16 +10,19 @@ transmitter — costs ``switch_delay`` cycles (4 in the paper).
 
 A switch optionally embeds a cache engine (CAESAR, see
 :mod:`repro.core.caesar`); the fabric invokes the engine's hooks as worms
-arrive, so this module stays a pure crossbar.
+arrive, so this module stays a pure crossbar.  :meth:`Switch.embed`
+binds those hooks once: a switch without an engine has none, and one
+whose stage does not cache keeps only the snoop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Hashable, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import NetworkError
 from ..sim.engine import Simulator
 from .link import Link
+from .message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..core.caesar import CaesarEngine
@@ -30,7 +33,7 @@ class Switch:
 
     __slots__ = (
         "sim", "id", "stage", "switch_delay", "cycles_per_flit", "_out",
-        "cache_engine", "trace_track",
+        "cache_engine", "trace_track", "snoop", "deposit", "intercept",
     )
 
     def __init__(
@@ -48,12 +51,29 @@ class Switch:
         # outgoing links keyed by neighbor: a SwitchId tuple or an int node id
         self._out: Dict[Hashable, Link] = {}
         self.cache_engine: Optional["CaesarEngine"] = None
+        # the engine's fabric hooks, bound by embed(); None = skip
+        self.snoop: Optional[Callable[[Message], None]] = None
+        self.deposit: Optional[Callable[[Message], bool]] = None
+        self.intercept: Optional[
+            Callable[[Message], Optional[Tuple[int, int]]]
+        ] = None
         # precomputed tracer track name (avoids per-hop formatting)
         self.trace_track = f"switch{self.stage}.{switch_id[1]}"
 
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
+    def embed(self, engine: Optional["CaesarEngine"]) -> None:
+        """Install ``engine`` (or none) and bind the hooks worms call."""
+        self.cache_engine = engine
+        self.snoop = self.deposit = self.intercept = None
+        if engine is not None:
+            # snoops purge on every engine, caching stage or not
+            self.snoop = engine.snoop
+            if engine.enabled:
+                self.deposit = engine.try_deposit
+                self.intercept = engine.try_intercept
+
     def add_output(self, neighbor: Hashable) -> Link:
         """Create the outgoing link toward ``neighbor`` (switch id or node)."""
         if neighbor in self._out:

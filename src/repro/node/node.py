@@ -40,6 +40,9 @@ _HOME_KINDS = frozenset(
         MsgKind.INV_ACK,
     }
 )
+#: hoisted kinds for the router arms of Node._dispatch
+_INV = MsgKind.INV
+_RECALLS = (MsgKind.RECALL, MsgKind.RECALL_X)
 
 
 class Node:
@@ -152,9 +155,9 @@ class Node:
                     f"misrouted {msg!r}", node=self.node_id, addr=msg.addr
                 )
             self.home_ctrl.receive(msg)
-        elif kind is MsgKind.INV:
+        elif kind is _INV:
             self._on_inv(msg)
-        elif kind in (MsgKind.RECALL, MsgKind.RECALL_X):
+        elif kind in _RECALLS:
             self._on_recall(msg)
         else:
             # data replies and upgrade acks go to the requesting stack

@@ -92,7 +92,11 @@ class Simulator:
         self.call_at(self.now + delay, fn, *args)
 
     def call_at(self, time: int, fn: Callback, *args: Any) -> None:
-        """Schedule ``fn(*args)`` at absolute cycle ``time`` (>= now)."""
+        """Schedule ``fn(*args)`` at absolute cycle ``time`` (>= now).
+
+        ``Fabric._hop`` inlines this push for the next hop of a worm;
+        keep the two in lockstep (sequence number, peak, past check).
+        """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event in the past: {time} < now {self.now}"

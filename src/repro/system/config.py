@@ -98,7 +98,23 @@ class SystemConfig:
             )
         if self.network_model not in ("message", "flit"):
             raise ConfigError(f"bad network_model {self.network_model!r}")
-
+        # timing knobs: a negative latency would run a clock backwards
+        # (or hang the processor loop), a zero flit time would make the
+        # network free, and a zero-entry write buffer can never drain
+        for field in dataclasses.fields(self):
+            name = field.name
+            value = getattr(self, name)
+            if (name.endswith("_cycles") or name == "switch_delay") and value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
+        if self.cycles_per_flit < 1:
+            raise ConfigError(
+                f"cycles_per_flit must be >= 1, got {self.cycles_per_flit}"
+            )
+        if self.write_buffer_entries < 1:
+            raise ConfigError(
+                "write_buffer_entries must be >= 1, "
+                f"got {self.write_buffer_entries}"
+            )
 
     # convenience
     @property

@@ -43,9 +43,12 @@ HOT_REGIONS: Dict[str, FrozenSet[str]] = {
         "Simulator.call_at", "Simulator.step", "Simulator.run",
         "Simulator.run_until_stop",
     }),
+    # the per-worm hop path: injection, the per-kind hop callbacks and
+    # their shared grant (_hop), the recorded hop, delivery
     "network/fabric.py": frozenset({
-        "Fabric.inject", "Fabric._arrive", "Fabric._forward",
-        "Fabric._deliver",
+        "Fabric.inject", "Fabric._pick_hop", "Fabric._hop",
+        "Fabric._hop_snoop", "Fabric._hop_deposit", "Fabric._hop_intercept",
+        "Fabric._arrive", "Fabric._forward", "Fabric._deliver",
     }),
     "network/message.py": frozenset({"MessagePool.make"}),
     "cache/array.py": frozenset({

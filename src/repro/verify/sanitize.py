@@ -86,7 +86,8 @@ class Sanitizer:
             self.deliveries_checked += 1
             self.check_block(msg.addr)
 
-        node.ni._dispatch = checked
+        # re-attach: the fabric calls the dispatcher directly
+        node.ni.attach(checked)
 
     def _wrap_sync(self, machine) -> None:
         stacks = {stack.proc_id: stack for stack in machine.stacks()}

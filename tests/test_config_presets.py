@@ -43,6 +43,42 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SystemConfig(quantum=0)
 
+    # each of these used to construct and then hang, silently simulate
+    # a free network, die mid-run in the event engine, or deadlock
+    @pytest.mark.parametrize("field, value", [
+        ("l1_hit_cycles", -1),
+        ("l2_hit_cycles", -1),
+        ("l2_write_cycles", -1),
+        ("memory_access_cycles", -1),
+        ("memory_bus_cycles", -1),
+        ("local_bus_cycles", -1),
+        ("netcache_access_cycles", -1),
+        ("barrier_wakeup_cycles", -1),
+        ("lock_handoff_cycles", -1),
+        ("switch_delay", -1),
+        ("cycles_per_flit", 0),
+        ("write_buffer_entries", 0),
+    ])
+    def test_bad_timing_rejected_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SystemConfig(**{field: value})
+
+    def test_zero_latencies_allowed(self):
+        cfg = SystemConfig(l1_hit_cycles=0, switch_delay=0, cycles_per_flit=1,
+                           write_buffer_entries=1)
+        assert cfg.switch_delay == 0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"switch_delay": -1}, {"cycles_per_flit": 0},
+    ])
+    def test_standalone_fabric_rejects_bad_timing(self, kwargs):
+        from repro.network.fabric import Fabric
+        from repro.network.topology import BminTopology
+        from repro.sim.engine import Simulator
+
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            Fabric(Simulator(), BminTopology(4), **kwargs)
+
     def test_replaced_creates_modified_copy(self):
         cfg = SystemConfig()
         other = cfg.replaced(switch_cache_size=512)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.caesar import CaesarEngine
+from repro.core.policy import CachingPolicy
 from repro.core.switchcache import SwitchCacheGeometry
 from repro.errors import NetworkError
 from repro.network.fabric import Fabric
@@ -206,3 +207,92 @@ class TestInjectionQueueing:
             send(fabric, MsgKind.DATA_S, 0, 15, data=1)
         sim.run()
         assert fabric.injection_queue_delay() > 0
+
+
+class TestHopHandlers:
+    """Each worm's per-hop callback is chosen once, when it enters."""
+
+    #: the hooked kinds when switch caches are embedded
+    HOOKED = {
+        MsgKind.INV: "_hop_snoop",
+        MsgKind.DATA_S: "_hop_deposit",
+        MsgKind.READ: "_hop_intercept",
+    }
+
+    @staticmethod
+    def _expected(mode, kind):
+        if mode == "traced":
+            return "_arrive"
+        if mode == "caches":
+            return TestHopHandlers.HOOKED.get(kind, "_hop")
+        return "_hop"
+
+    @pytest.mark.parametrize("mode", ("plain", "caches", "traced"))
+    @pytest.mark.parametrize("kind", list(MsgKind), ids=lambda k: k.name)
+    def test_inject_schedules_the_kind_handler(self, mode, kind):
+        sim, fabric, _inbox = make_fabric(with_caches=mode != "plain")
+        if mode == "traced":
+            fabric._record_route = True  # as an attached tracer or SCSan
+        msg = send(fabric, kind, 2, 13)
+        (_time, _seq, fn, args), = sim._heap
+        want = getattr(fabric, self._expected(mode, kind))
+        assert fn == want and args == (msg, 0)
+        assert msg.on_hop == want
+
+    def test_switch_hit_rechooses_for_both_worms(self):
+        # caches from stage 2 up: the READ hits mid-route, so both the
+        # fabricated reply and the DIR_UPDATE still have hops to make
+        sim, fabric, inbox = make_fabric()
+        fabric.install_cache_engines(
+            lambda sid: CaesarEngine(
+                sim, sid, SwitchCacheGeometry(size=2048),
+                CachingPolicy(enabled_stages={2, 3}),
+            )
+        )
+        send(fabric, MsgKind.DATA_S, 15, 0, addr=0x80, data=3)
+        sim.run()
+        read = send(fabric, MsgKind.READ, 0, 15, addr=0x80)
+        sim.run()
+        assert read.kind is MsgKind.DIR_UPDATE and read in inbox[15]
+        reply, = [m for m in inbox[0] if m.payload.get("served_by")]
+        assert reply.payload["served_stage"] == 2
+        assert read.on_hop == fabric._hop
+        assert reply.on_hop == fabric._hop_deposit
+
+    def test_caching_stages_only_get_deposit_and_intercept(self):
+        sim = Simulator()
+        fabric = Fabric(sim, BminTopology(16))
+        fabric.install_cache_engines(
+            lambda sid: None if sid[0] == 3 else CaesarEngine(
+                sim, sid, SwitchCacheGeometry(size=2048),
+                CachingPolicy(enabled_stages={1}),
+            )
+        )
+        for (stage, _row), switch in fabric.switches.items():
+            engine = switch.cache_engine
+            assert (engine is None) == (stage == 3)
+            assert (switch.snoop is None) == (stage == 3)
+            caches = stage == 1
+            assert (switch.deposit is not None) == caches
+            assert (switch.intercept is not None) == caches
+
+    @pytest.mark.parametrize("first", (MsgKind.DATA_S, MsgKind.DATA_X))
+    def test_same_cycle_contention_grants_in_scheduling_order(self, first):
+        # a DATA_S worm (deposit handler) and a DATA_X worm (plain
+        # handler) from nodes 0 and 1 request the stage-0 switch's up
+        # link in the same cycle: the one scheduled first is granted
+        # first, the other queues for its 9-flit serialization
+        sim, fabric, _inbox = make_fabric(with_caches=True)
+        second = MsgKind.DATA_X if first is MsgKind.DATA_S else MsgKind.DATA_S
+        a = send(fabric, first, 0, 15, data=1)
+        b = send(fabric, second, 1, 15, data=1)
+        sim.run()
+        assert (a.delivered_at, b.delivered_at) == (92, 128)
+        up = fabric._route_objs[(0, 15)][0][1]
+        assert up is fabric._route_objs[(1, 15)][0][1]
+        assert (up.queued_cycles, up.msgs) == (36, 2)
+        assert sum(
+            link.queued_cycles
+            for switch in fabric.switches.values()
+            for link in switch.outputs().values()
+        ) == 36

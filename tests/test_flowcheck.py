@@ -118,7 +118,7 @@ class TestSeededMutations:
     def test_deleting_a_handler_arm_is_caught(self, tmp_path, capsys):
         root = _mutated_tree(
             tmp_path, "coherence/home.py",
-            "        elif kind is MsgKind.WRITEBACK:\n"
+            "        elif kind is _WRITEBACK:\n"
             "            self._on_writeback(msg)\n",
             "",
         )

@@ -111,14 +111,16 @@ class TestSwitch:
 class TestGrantLockstep:
     """Grant arithmetic lives in a hand-inlined copy besides Link.reserve.
 
-    ``Fabric._arrive`` inlines the reservation for the per-hop path.
+    ``Fabric._hop`` inlines the reservation for the per-hop path; every
+    per-kind hop callback (and the recorded ``_arrive``) ends there.
     These property tests drive fuzzed (flits, earliest, free_at) streams
     through a real fabric route and through reference ``Link.reserve``
     calls with the same tuples, asserting identical (grant, tail_done)
     timing and identical link counters — so the copy cannot drift
     apart silently.  Each stream also runs through the SCSan overlay
     (``SanitizedSimulator`` + ``SanitizedFabric``), whose ``_forward`` and
-    ``_deliver`` overrides must leave the grant timing untouched.
+    ``_deliver`` overrides must leave the grant timing untouched, and
+    through switch-cache engines, whose hooked kinds must too.
     """
 
     SWITCH_DELAY = 4
@@ -153,8 +155,16 @@ class TestGrantLockstep:
             link.mean_queueing_delay(),
         )
 
-    def _fabric_run(self, worms, sanitize="off", eject_busy_until=0):
-        """The same stream through a real single-switch fabric route."""
+    def _fabric_run(self, worms, sanitize="off", eject_busy_until=0,
+                    caches=False):
+        """The same stream through a real single-switch fabric route.
+
+        With ``caches`` the switches embed CAESAR engines and the worms
+        cycle through the hooked kinds (deposit, snoop, a missing READ)
+        and a plain one, so each per-kind hop callback takes its turn.
+        """
+        from repro.core.caesar import CaesarEngine
+        from repro.core.switchcache import SwitchCacheGeometry
         from repro.network.fabric import Fabric
         from repro.network.message import Message, MsgKind
         from repro.network.topology import BminTopology
@@ -173,11 +183,21 @@ class TestGrantLockstep:
             fabric = Fabric(sim, BminTopology(4))
         for node in range(4):
             fabric.attach_node(node, lambda m: None)
+        kinds = [MsgKind.READ]
+        if caches:
+            fabric.install_cache_engines(
+                lambda sid: CaesarEngine(sim, sid, SwitchCacheGeometry())
+            )
+            kinds = [MsgKind.DATA_S, MsgKind.INV, MsgKind.READ,
+                     MsgKind.DATA_X]
         eject = fabric._route_objs[(0, 1)][-1][1]
         eject._free_at = eject_busy_until
         msgs = []
-        for flits, inject_at in worms:
-            msg = Message(MsgKind.READ, 0, 1, 0x40, flits)
+        for i, (flits, inject_at) in enumerate(worms):
+            kind = kinds[i % len(kinds)]
+            # the READs ask for a block no DATA_S deposits: all miss
+            addr = 0x1000 if kind is MsgKind.READ and caches else 0x40
+            msg = Message(kind, 0, 1, addr, flits, data=1)
             msgs.append(msg)
             sim.call_at(inject_at, fabric.inject, msg)
         sim.run()
@@ -209,6 +229,57 @@ class TestGrantLockstep:
         assert got_timing == want_timing
         assert got_inj == want_inj
         assert got_ej == want_ej
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("sanitize", ("off", "on"))
+    def test_hooked_hops_match_link_reserve(self, seed, sanitize):
+        rng = random.Random(100 + seed)
+        when = 0
+        worms = []
+        for _ in range(30):
+            when += rng.randrange(0, 40)
+            worms.append((rng.randrange(1, 12), when))
+        busy = rng.randrange(0, 64)
+        want = self._reference(worms, busy)
+        assert self._fabric_run(worms, sanitize, busy, caches=True) == want
+
+    def test_shared_grant_matches_link_reserve(self):
+        # Fabric._hop itself, against Link.reserve, over fuzzed fabric
+        # timing, link backlog, clock and hop position: same grant, same
+        # counters, and one heap entry carrying the next callback
+        from repro.network.fabric import Fabric
+        from repro.network.message import Message, MsgKind
+        from repro.network.topology import BminTopology
+
+        rng = random.Random(2024)
+        for _ in range(300):
+            sim = Simulator()
+            cycles_per_flit = rng.randrange(1, 6)
+            fabric = Fabric(sim, BminTopology(16),
+                            switch_delay=rng.randrange(0, 6),
+                            cycles_per_flit=cycles_per_flit)
+            msg = Message(MsgKind.DATA_X, 0, 15, 0x40, rng.randrange(1, 12))
+            msg.hops = fabric._route_objs[(0, 15)]
+            msg.on_hop = fabric._hop
+            hop = rng.randrange(len(msg.hops))
+            link = msg.hops[hop][1]
+            link._free_at = rng.randrange(0, 80)
+            sim.now = rng.randrange(0, 80)
+            ref = Link(sim, "ref", cycles_per_flit=cycles_per_flit)
+            ref._free_at = link._free_at
+            grant, tail = ref.reserve(
+                msg.flits, earliest=sim.now + fabric.switch_delay
+            )
+            fabric._hop(msg, hop)
+            (time, seq, fn, args), = sim._heap
+            if hop + 1 == len(msg.hops):
+                assert (time, fn, args) == (tail, fabric._deliver, (msg,))
+            else:
+                assert (time, fn, args) == (
+                    grant + cycles_per_flit, fabric._hop, (msg, hop + 1)
+                )
+            assert (seq, sim.peak_pending) == (1, 1)
+            assert self._counters(link) == self._counters(ref)
 
     def test_back_to_back_worms_chain_identically(self):
         # all injected at cycle 0: the inject link serializes them and the

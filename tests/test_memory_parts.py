@@ -49,7 +49,6 @@ class TestNetworkInterface:
         sim.run()
         assert received == [msg]
         assert msg.delivered_at == 3
-        assert ni.local_deliveries == 1
 
     def test_remote_without_fabric_raises(self):
         sim = Simulator()

@@ -16,10 +16,12 @@ Three properties keep the layer trustworthy:
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.apps import GaussianElimination
+from repro.network.fabric import Fabric
 from repro.system.config import SystemConfig
 from repro.system.machine import Machine
 from repro.trace import MetricsRegistry, Tracer, chrome_trace
@@ -247,6 +249,41 @@ class TestMachineIntegration:
         _machine2, plain_stats = traced_run()
         assert plain_stats.exec_time == traced_stats.exec_time
         assert plain_stats.to_dict() == traced_stats.to_dict()
+
+    #: the fabric's hop callbacks (the recorded one first)
+    HOP_FNS = ("_arrive", "_hop", "_hop_snoop", "_hop_deposit",
+               "_hop_intercept")
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"switch_cache_stages": {1}},
+        {"switch_cache_banks": 2},
+    ], ids=["all-stages", "partial-stage", "caesar-plus"])
+    def test_tracing_is_timing_transparent_per_config(self, overrides,
+                                                      monkeypatch):
+        # a traced run takes the recorded hop (_arrive), which runs the
+        # same per-kind callback an untraced run takes directly: the
+        # per-kind call counts and every statistic must agree
+        calls = Counter()
+        for name in self.HOP_FNS:
+            def spy(fabric, msg, hop, _fn=getattr(Fabric, name), _name=name):
+                calls[_name] += 1
+                _fn(fabric, msg, hop)
+            monkeypatch.setattr(Fabric, name, spy)
+        config = sc_config().replaced(**overrides)
+        runs = {}
+        for traced in (False, True):
+            calls.clear()
+            machine = Machine(config, sanitize=False,
+                              tracer=Tracer() if traced else None)
+            stats = machine.run(GaussianElimination(n=12))
+            runs[traced] = (stats.to_dict(), dict(calls))
+        (plain, plain_calls), (traced, traced_calls) = runs[False], runs[True]
+        assert plain == traced
+        assert "_arrive" not in plain_calls
+        assert traced_calls.pop("_arrive") > 0
+        assert traced_calls == plain_calls
+        assert plain_calls["_hop_deposit"] and plain_calls["_hop_intercept"]
 
     def test_untraced_machine_has_no_tracer_installed(self):
         machine = Machine(sc_config())

@@ -153,9 +153,10 @@ def test_random_victim_matches_legacy_choice():
     """The coded random victim must equal ``rng.choice(sorted(tags))``.
 
     The object model used to re-sort the set per eviction and draw with
-    ``random.Random.choice``; the coded model keeps the occupied prefix
-    tag-sorted and draws an index.  Both are pinned here against the old
-    algorithm computed independently with a twin RNG.
+    ``random.Random.choice``; the coded model keeps its set unsorted and
+    maps the same draw through a tag-sorted view of the set.  Both are
+    pinned here against the old algorithm computed independently with a
+    twin RNG.
     """
     for model in STATE_MODELS:
         arr = model(256, 32, 4, replacement="random")  # 2 sets, 4 ways
