@@ -1,11 +1,15 @@
 """Microbenchmarks of the simulator's hot paths.
 
 These are true pytest-benchmark measurements (many iterations): cache
-array probes, BMIN route computation, switch-cache engine operations, and
-the event engine itself.  They guard against performance regressions that
-would make the paper-scale experiments impractically slow.
+array probes, BMIN route computation, switch-cache engine operations, the
+event engine itself, and the processor front end's per-element loop.
+They guard against performance regressions that would make the
+paper-scale experiments impractically slow.
 """
 
+import pytest
+
+from repro.apps.opstream import OP_LOOP, SLOT_R, SLOT_W, SLOT_WORK
 from repro.cache.array import CacheArray
 from repro.cache.states import LineState
 from repro.core.caesar import CaesarEngine
@@ -13,6 +17,8 @@ from repro.core.switchcache import SwitchCacheGeometry
 from repro.network.message import Message, MsgKind
 from repro.network.topology import BminTopology
 from repro.sim.engine import Simulator
+from repro.system.machine import Machine
+from repro.system.presets import base_config
 
 
 def test_cache_array_lookup(benchmark):
@@ -94,3 +100,60 @@ def test_caesar_deposit_then_hit(benchmark):
         return served
 
     assert benchmark(deposit_and_intercept) == 64
+
+
+#: an 8 KB grid of 32 rows x 32 eight-byte elements: one L1 way's worth
+GRID_ROWS = 32
+GRID_PITCH = 32 * 8
+
+
+def _mm_loops():
+    # MM's k loop for every column j: A's row element by element, B's
+    # column row by row (stride = row pitch)
+    code = []
+    for j in range(GRID_ROWS):
+        code += (OP_LOOP, GRID_ROWS, 2,
+                 SLOT_R, 0, 8,
+                 SLOT_R, j * 8, GRID_PITCH)
+    return code
+
+
+def _sor_loops():
+    # SOR's red-black sweep of the interior rows: four neighbour reads,
+    # the point's work, and its store, every other element
+    code = []
+    for i in range(1, GRID_ROWS - 1):
+        mid = i * GRID_PITCH + (1 + i % 2) * 8
+        code += (OP_LOOP, 15, 6,
+                 SLOT_R, mid - GRID_PITCH, 16,
+                 SLOT_R, mid + GRID_PITCH, 16,
+                 SLOT_R, mid - 8, 16,
+                 SLOT_R, mid + 8, 16,
+                 SLOT_WORK, 4, 0,
+                 SLOT_W, mid, 16)
+    return code
+
+
+@pytest.mark.parametrize("loops, ops", [
+    (_mm_loops, GRID_ROWS * GRID_ROWS * 2),
+    (_sor_loops, (GRID_ROWS - 2) * 15 * 6),
+], ids=["mm-body", "sor-body"])
+def test_processor_loop_per_element(benchmark, loops, ops):
+    """OP_LOOP bodies over L1-resident data: every iteration runs slot by
+    slot, so this is the cost of the path every app loop takes."""
+    code = loops()
+
+    def setup():
+        machine = Machine(base_config(2), sanitize=False)
+        stack = next(machine.stacks())
+        # every grid block in L1, and owned in L2 so stores drain locally
+        for block in range(0, GRID_ROWS * GRID_PITCH, 64):
+            stack.hierarchy.fill(block, LineState.MODIFIED, 0, fill_l1=True)
+        return (machine, stack), {}
+
+    def run(machine, stack):
+        stack.processor.start([code])
+        machine.sim.run()
+        return stack.processor.ops_executed, stack.hierarchy.l1.misses
+
+    assert benchmark.pedantic(run, setup=setup, rounds=20) == (ops, 0)

@@ -41,6 +41,11 @@ SwitchId = Tuple[int, int]  # (stage, row)
 _ROUTE_TABLES: Dict[int, Dict[Tuple[int, int], List[SwitchId]]] = {}
 
 
+def stage_count(num_nodes: int) -> int:
+    """Switch stages of the BMIN for ``num_nodes`` nodes: log2(N), at least 1."""
+    return max(1, num_nodes.bit_length() - 1)
+
+
 class BminTopology:
     """Geometry and routing of a k=2 butterfly BMIN for ``num_nodes`` nodes."""
 
@@ -49,7 +54,7 @@ class BminTopology:
             raise ConfigError(f"num_nodes must be a power of two >= 2, got {num_nodes}")
         self.num_nodes = num_nodes
         self.k = 2
-        self.stages = max(1, num_nodes.bit_length() - 1)  # log2(N)
+        self.stages = stage_count(num_nodes)
         self.rows = num_nodes // 2  # switches per stage
         table = _ROUTE_TABLES.get(num_nodes)
         if table is None:

@@ -86,13 +86,6 @@ class Processor:
         self._loop_body: List[int] = []  # (kind, base|cycles, stride) triples
         self._loop_iters = 0    # iterations remaining, current included
         self._loop_slot = 0     # offset of the next slot triple to execute
-        self._loop_cost = -1    # cached batch flags; -1 = stale
-        self._loop_nw = 0
-        self._loop_batchable = False
-        # scratch for the strip-mined loop batches (avoids per-batch lists)
-        self._batch_cls: List[int] = []
-        self._batch_alias: List[int] = []
-        self._batch_wblocks: List[int] = []
         self._stall_started: Optional[int] = None
         self._sync_label = "sync"  # span name for the current sync stall
         self.value_trace: List[Tuple[str, int, int, int]] = []
@@ -126,9 +119,6 @@ class Processor:
         run_left: int,
         loop_iters: int,
         loop_slot: int,
-        loop_cost: int,
-        loop_nw: int,
-        loop_batchable: bool,
         hit_wb: int,
         hit_l1: int,
         hit_l2: int,
@@ -143,25 +133,22 @@ class Processor:
         self._run_left = run_left
         self._loop_iters = loop_iters
         self._loop_slot = loop_slot
-        self._loop_cost = loop_cost
-        self._loop_nw = loop_nw
-        self._loop_batchable = loop_batchable
         node = self.node
         node.stats.add_read_hits(node.node_id, hit_wb, hit_l1, hit_l2)
 
     def _run(self) -> None:
         # The simulator's hottest loop: every cache hit and local-work op
         # executes here without touching the event queue.  It consumes
-        # integer-coded chunks (apps/opstream.py) and expands run/loop
-        # superops arithmetically: a hit run retires a whole cache block
-        # per probe, with the same counters, LRU order and yield points
-        # as retiring its elements one by one (the differential suite
-        # pins this against an elementary stream).  Attribute lookups
-        # are hoisted into locals; the local clock, op counter and
-        # superop progress live in locals too, written back by _suspend
-        # before any exit (the helpers called on exit paths read
-        # ``self.time``).  ``sim.now`` is constant for the whole loop —
-        # no events fire inside it.
+        # integer-coded chunks (apps/opstream.py) and expands superops in
+        # place: a hit run retires a whole cache block per probe, with the
+        # same counters, LRU ticks and yield points as retiring its
+        # elements one by one (the differential suite pins this against
+        # an elementary stream); a loop runs its slots per element.
+        # Attribute lookups are hoisted into locals; the local clock, op
+        # counter and superop progress live in locals too, written back
+        # by _suspend before any exit (the helpers called on exit paths
+        # read ``self.time``).  ``sim.now`` is constant for the whole
+        # loop — no events fire inside it.
         node = self.node
         sim = self.sim
         now = sim.now
@@ -192,12 +179,10 @@ class Processor:
         l1_lrus = l1._lrus
         l1_shift = l1._block_shift
         l1_is_lru = l1._lru
-        # bulk span: elements of one batch must share both their write
-        # buffer block and their L1 block, so span by the smaller
+        # bulk span: elements retired in one step must share both their
+        # write buffer block and their L1 block, so span by the smaller
         span = min(1 << l1_shift, wb_block)
         shared = LineState.SHARED
-        wb_capacity = write_buffer.capacity
-        batching = not trace_values
         hit_wb = hit_l1 = hit_l2 = 0
         time = self.time
         ops_executed = self.ops_executed
@@ -212,12 +197,6 @@ class Processor:
         nbody = len(body)
         loop_iters = self._loop_iters
         loop_slot = self._loop_slot
-        # lazily computed per loop: -1 marks the cached batchability
-        # flags stale (set on every fresh OP_LOOP decode); the cached
-        # values survive suspends via _suspend
-        loop_cost = self._loop_cost
-        loop_nw = self._loop_nw
-        loop_batchable = self._loop_batchable
         while True:
             # ---- pending stride run -----------------------------------
             while run_left:
@@ -236,7 +215,7 @@ class Processor:
                     if time - now >= quantum:
                         self._suspend(
                             time, ops_executed, ip, run_op, run_addr,
-                            run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
+                            run_stride, run_left, loop_iters, loop_slot,
                             hit_wb, hit_l1, hit_l2)
                         sim.at(time, self._resume)
                         return
@@ -286,14 +265,14 @@ class Processor:
                         if time - now >= quantum:
                             self._suspend(
                                 time, ops_executed, ip, run_op, run_addr,
-                                run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
+                                run_stride, run_left, loop_iters, loop_slot,
                                 hit_wb, hit_l1, hit_l2)
                             sim.at(time, self._resume)
                             return
                         continue
                     self._suspend(
                         time, ops_executed, ip, run_op, run_addr,
-                        run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
+                        run_stride, run_left, loop_iters, loop_slot,
                         hit_wb, hit_l1, hit_l2)
                     self._stall_started = time
                     node.wait_wb_change(self._retry_after_wb)
@@ -351,7 +330,7 @@ class Processor:
                             run_addr = addr + stride
                             self._suspend(
                                 time, ops_executed, ip, run_op, run_addr,
-                                run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
+                                run_stride, run_left, loop_iters, loop_slot,
                                 hit_wb, hit_l1, hit_l2)
                             self._start_read_miss(addr)
                             return
@@ -367,189 +346,14 @@ class Processor:
                 if time - now >= quantum:
                     self._suspend(
                         time, ops_executed, ip, run_op, run_addr,
-                        run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
+                        run_stride, run_left, loop_iters, loop_slot,
                         hit_wb, hit_l1, hit_l2)
                     sim.at(time, self._resume)
                     return
             # ---- pending fixed-slot loop ------------------------------
+            # one slot per pass: retiring whole iterations in bulk does
+            # not pay for its lines (DESIGN.md §13.2)
             while loop_iters:
-                # Strip-mined hit fast path: when the next b iterations
-                # provably complete without an exit — every read slot
-                # forwards from the write buffer or hits L1, and the
-                # stores cannot fill the buffer — retire them slot-bulk.
-                # b is capped so each slot stays inside one cache block
-                # and the batch ends strictly before the quantum, which
-                # keeps counters, LRU order, the (single) drain kick and
-                # yield points identical to the per-element schedule; a
-                # read block aliasing a written block bails out because
-                # its wb-forward state would flip mid-batch.
-                if batching and loop_slot == 0:
-                    if loop_cost < 0:
-                        # classify the loop once per OP_LOOP (and per
-                        # resume): per-iteration cost, store-slot count,
-                        # and whether batching can ever pay — a slot
-                        # striding a whole block per iteration caps every
-                        # batch at one element, so skip the attempts
-                        loop_cost = 0
-                        loop_nw = 0
-                        loop_batchable = True
-                        s = 0
-                        while s < nbody:
-                            kind = body[s]
-                            if kind == 2:
-                                loop_cost += body[s + 1]
-                            else:
-                                stride = body[s + 2]
-                                # batches only pay when a block covers
-                                # many elements; coarse strides fragment
-                                # every batch at a block boundary, so
-                                # leave those loops per-element
-                                if stride < 0 or stride * 8 > span:
-                                    loop_batchable = False
-                                if kind == 0:
-                                    loop_cost += l1_cycles
-                                else:
-                                    loop_cost += store_cycles
-                                    loop_nw += 1
-                            s += 3
-                    # occupancy bound is strict (<): a store to the block
-                    # being drained needs a free slot even when it merges
-                    # into an existing fresh entry, so the buffer must
-                    # not reach capacity mid-batch
-                    if (loop_batchable and loop_iters >= 2
-                            and (not loop_nw
-                                 or len(wb_entries) + loop_nw < wb_capacity)):
-                        b = loop_iters
-                        if loop_cost:
-                            m = (quantum - (time - now) - 1) // loop_cost
-                            if m < b:
-                                b = m
-                        s = 0
-                        while b >= 2 and s < nbody:
-                            kind = body[s]
-                            if kind != 2:
-                                stride = body[s + 2]
-                                if stride:
-                                    addr = body[s + 1]
-                                    k = (addr // span * span + span - addr
-                                         + stride - 1) // stride
-                                    if k < b:
-                                        b = k
-                            s += 3
-                    else:
-                        b = 0
-                    if b >= 2:
-                        # classify each slot before mutating anything.
-                        # cls per read slot: -1 = write-buffer forward,
-                        # else the L1 slot index; aliased reads (block
-                        # written by a store slot of the same body, not
-                        # yet buffered) take one L1 hit on the first
-                        # iteration and forward afterwards — exactly the
-                        # per-element schedule — unless the store slot
-                        # precedes them, in which case every iteration
-                        # forwards.  Any read that would miss bails out
-                        # so the per-element path discovers the miss at
-                        # its exact op.
-                        cls = self._batch_cls
-                        alias = self._batch_alias
-                        wblocks = self._batch_wblocks
-                        del cls[:], alias[:], wblocks[:]
-                        s = 0
-                        while s < nbody:
-                            if body[s] == 1:
-                                addr = body[s + 1]
-                                wblocks.append(
-                                    addr & wb_mask if wb_mask
-                                    else addr // wb_block * wb_block)
-                                wblocks.append(s)
-                            s += 3
-                        s = 0
-                        while s < nbody:
-                            if body[s] == 0:
-                                addr = body[s + 1]
-                                block = (addr & wb_mask if wb_mask
-                                         else addr // wb_block * wb_block)
-                                if (block in wb_entries
-                                        or block == write_buffer._draining):
-                                    cls.append(-1)
-                                else:
-                                    w_pos = -1
-                                    for wi in range(0, len(wblocks), 2):
-                                        if wblocks[wi] == block:
-                                            w_pos = wblocks[wi + 1]
-                                            break
-                                    if 0 <= w_pos < s:
-                                        # store slot runs first each
-                                        # iteration: forwards throughout
-                                        cls.append(-1)
-                                    else:
-                                        i = l1_slot_get(addr >> l1_shift)
-                                        if i is None or not l1_states[i]:
-                                            b = 0
-                                            break
-                                        cls.append(i)
-                                        if w_pos >= 0:
-                                            alias.append(len(cls) - 1)
-                            s += 3
-                        if b and alias and l1_is_lru:
-                            # the single first-iteration L1 touch of each
-                            # aliased read lands before any other slot's
-                            # later iterations, so their LRU bumps go
-                            # first (in slot order)
-                            for ci in alias:
-                                l1._tick = tick = l1._tick + 1
-                                l1_lrus[cls[ci]] = tick
-                        if b:
-                            ci = 0
-                            s = 0
-                            while s < nbody:
-                                kind = body[s]
-                                if kind == 0:
-                                    i = cls[ci]
-                                    if i < 0:
-                                        hit_wb += b
-                                    elif ci in alias:
-                                        # tick already bumped above
-                                        l1.hits += 1
-                                        hit_l1 += 1
-                                        hit_wb += b - 1
-                                    else:
-                                        if l1_is_lru:
-                                            l1._tick = tick = l1._tick + b
-                                            l1_lrus[i] = tick
-                                        l1.hits += b
-                                        hit_l1 += b
-                                    ci += 1
-                                    body[s + 1] += body[s + 2] * b
-                                elif kind == 1:
-                                    addr = body[s + 1]
-                                    stride = body[s + 2]
-                                    block = (addr & wb_mask if wb_mask
-                                             else addr // wb_block * wb_block)
-                                    wb_push(addr)
-                                    if not node._draining:
-                                        kick_drain()
-                                    if (block in wb_entries
-                                            and block
-                                            != write_buffer._draining):
-                                        # the rest of the batch merges
-                                        # into this entry
-                                        wb_entries[block] += b - 1
-                                        write_buffer.stores_retired += b - 1
-                                        write_buffer.stores_merged += b - 1
-                                    else:
-                                        addr += stride
-                                        for _ in range(b - 1):
-                                            wb_push(addr)
-                                            addr += stride
-                                            if not node._draining:
-                                                kick_drain()
-                                    body[s + 1] += stride * b
-                                ops_executed += b
-                                s += 3
-                            time += b * loop_cost
-                            loop_iters -= b
-                            continue
                 s = loop_slot
                 kind = body[s]
                 if kind == 0:  # SLOT_R
@@ -589,8 +393,7 @@ class Processor:
                                 self._suspend(
                                     time, ops_executed, ip, run_op, run_addr,
                                     run_stride, run_left, loop_iters,
-                                    loop_slot, loop_cost, loop_nw,
-                                    loop_batchable, hit_wb, hit_l1, hit_l2)
+                                    loop_slot, hit_wb, hit_l1, hit_l2)
                                 self._start_read_miss(addr)
                                 return
                             l1_insert(addr, shared, data)
@@ -612,7 +415,7 @@ class Processor:
                         # full buffer: retry this same store after a drain
                         self._suspend(
                             time, ops_executed, ip, run_op, run_addr,
-                            run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
+                            run_stride, run_left, loop_iters, loop_slot,
                             hit_wb, hit_l1, hit_l2)
                         self._stall_started = time
                         node.wait_wb_change(self._retry_after_wb)
@@ -627,7 +430,7 @@ class Processor:
                 if time - now >= quantum:
                     self._suspend(
                         time, ops_executed, ip, run_op, run_addr,
-                        run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
+                        run_stride, run_left, loop_iters, loop_slot,
                         hit_wb, hit_l1, hit_l2)
                     sim.at(time, self._resume)
                     return
@@ -637,7 +440,7 @@ class Processor:
                 if nxt is None:
                     self._suspend(
                         time, ops_executed, ip, run_op, run_addr,
-                        run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
+                        run_stride, run_left, loop_iters, loop_slot,
                         hit_wb, hit_l1, hit_l2)
                     self._begin_finish()
                     return
@@ -683,13 +486,12 @@ class Processor:
                 nbody = n3
                 loop_iters = iters
                 loop_slot = 0
-                loop_cost = -1
                 ip += 3 + n3
             else:
                 # synchronization (or a bad opcode): cold exits
                 self._suspend(
                     time, ops_executed, ip + 2, run_op, run_addr,
-                    run_stride, run_left, loop_iters, loop_slot, loop_cost, loop_nw, loop_batchable,
+                    run_stride, run_left, loop_iters, loop_slot,
                     hit_wb, hit_l1, hit_l2)
                 sync_id = code[ip + 1]
                 if opcode == OP_BARRIER:

@@ -14,6 +14,7 @@ import dataclasses
 from typing import Optional, Set
 
 from ..errors import ConfigError
+from ..network.topology import stage_count
 
 KB = 1024
 
@@ -86,6 +87,17 @@ class SystemConfig:
             raise ConfigError("block_size must be a multiple of the 8-byte flit")
         if self.switch_cache_size < 0 or self.netcache_size < 0:
             raise ConfigError("cache sizes must be non-negative")
+        stages = self.switch_cache_stages
+        if stages is not None:
+            # a stage the BMIN lacks (or no stage at all) would leave
+            # every switch cache idle: a base machine under an SC label
+            n = stage_count(self.num_nodes)
+            if not stages or any(not 0 <= s < n for s in stages):
+                raise ConfigError(
+                    f"switch_cache_stages must be a non-empty subset of the "
+                    f"{self.num_nodes}-node BMIN's stages 0..{n - 1}, "
+                    f"got {sorted(stages)}"
+                )
         if self.quantum < 1:
             raise ConfigError("quantum must be positive")
         if self.procs_per_node < 1:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.system.config import KB, SystemConfig
+from repro.system.machine import Machine
 from repro.system.presets import (
     base_config,
     caesar_plus_config,
@@ -117,3 +118,17 @@ class TestPresets:
     def test_stage_restriction_passthrough(self):
         cfg = switch_cache_config(stages={2, 3})
         assert cfg.switch_cache_stages == {2, 3}
+
+    @pytest.mark.parametrize("stages", [{7}, {-1}, set()],
+                             ids=["out-of-range", "negative", "empty"])
+    def test_stage_set_outside_the_bmin_rejected(self, stages):
+        # an 8-node BMIN has stages 0..2; any other set leaves every
+        # switch cache idle while label() still reports SC-CAESAR
+        with pytest.raises(ConfigError, match=r"stages 0\.\.2"):
+            switch_cache_config(8).replaced(switch_cache_stages=stages)
+
+    @pytest.mark.parametrize("stage", range(4))
+    def test_single_stage_sets_build(self, stage):
+        # experiment A1 caches at one stage at a time on 16 nodes
+        cfg = switch_cache_config(16, stages={stage})
+        assert Machine(cfg, sanitize=False).topology.stages == 4
