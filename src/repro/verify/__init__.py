@@ -7,11 +7,10 @@ model-check smoke, aggregated exit code).  The individual analyzers:
   of the unified framework (:mod:`repro.verify.framework`) over the
   source tree.  Handler exhaustiveness (F-*) and lane-dependency
   deadlock freedom (C-*) over the extracted MsgKind send/receive graph,
-  hot-path purity (P-*) for the PR 4/6 inlined regions, and the
-  determinism lint (W/R/S/H/L/B) adapted from
-  :mod:`repro.verify.lint_determinism`.  Findings ratchet against the
-  committed ``flowcheck_baseline.json``; single findings are silenced
-  in place with ``# repro: allow[RULE-ID]``.
+  hot-path purity (P-*) for the inlined regions, and determinism
+  (W/R/S/H/L/B/N) over the kernel packages.  Any unsuppressed finding
+  fails; a single finding is silenced in place with
+  ``# repro: allow[RULE-ID]``.
   Run as ``python -m repro.verify.flowcheck``.
 
 * :mod:`repro.verify.modelcheck` — an explicit-state model checker that
@@ -27,10 +26,6 @@ model-check smoke, aggregated exit code).  The individual analyzers:
   environment) that re-checks the same invariants during live
   simulation plus flit conservation, event-time monotonicity, and
   write-buffer drain-before-release ordering.
-
-* :mod:`repro.verify.lint_determinism` — the single-file determinism
-  lint.  Its rules run inside flowcheck; standalone, run it as
-  ``python -m repro.verify.lint_determinism``.
 """
 
 from .framework import (

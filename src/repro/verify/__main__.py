@@ -2,16 +2,16 @@
 
 Aggregates every static and dynamic check the verify suite offers:
 
-1. **Static analysis** — all framework rules (determinism lint W/R/S/H/L/B,
-   protocol-flow F-*, lane C-*, hot-path P-*) against the committed
-   flowcheck baseline, exactly as ``python -m repro.verify.flowcheck``.
+1. **Static analysis** — all framework rules (determinism W/R/S/H/L/B/N,
+   protocol-flow F-*, lane C-*, hot-path P-*), exactly as
+   ``python -m repro.verify.flowcheck``.
 2. **Model-check smoke** — a small exhaustive state-space sweep of the
    MSI and MESI protocols with the switch cache on and off (2 nodes,
    1 op per node), catching dynamic protocol regressions the static
    passes cannot see.
 
 The exit code is the logical OR of the stages: 0 only when the static
-gate passes (no findings beyond the baseline) *and* every smoke
+gate passes (no unsuppressed findings) *and* every smoke
 configuration verifies clean.  ``--skip-modelcheck`` runs only the
 static stage (useful on machines where the sweep is too slow).
 """
@@ -24,8 +24,8 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from .flowcheck import BASELINE_REL, DEFAULT_ROOT
-from .framework import load_baseline, run_rules
+from .flowcheck import DEFAULT_ROOT
+from .framework import run_rules
 
 #: (protocol, switch) smoke matrix — small enough to finish in seconds
 SMOKE_CONFIGS = (
@@ -72,9 +72,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    root: Path = args.root.resolve()
-    baseline = load_baseline(root / BASELINE_REL)
-    report = run_rules(root, baseline=baseline)
+    report = run_rules(args.root.resolve())
     print(report.render())
     exit_code = report.exit_code
 

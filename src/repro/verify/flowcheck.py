@@ -3,27 +3,27 @@
 Runs every registered rule of the unified analysis framework
 (:mod:`repro.verify.framework`) over the ``repro`` source tree:
 
-* ``W R S H L B`` — determinism lint (wall clock, randomness, set
-  iteration, ``__slots__``, hot-path logging, bare except),
+* ``W R S H L B N`` — determinism (wall clock, unseeded randomness,
+  bare-set iteration, hot-module ``__slots__``, lambda scheduling,
+  set-typed sharer fields, salted ``hash()``),
 * ``F-UNHANDLED F-ORPHAN F-DEAD F-NOELSE`` — handler exhaustiveness over
   the extracted MsgKind send/receive graph,
 * ``C-NOLANE C-SAMELANE C-BACKWARD C-CYCLE`` — lane-dependency deadlock
   freedom (request < forward < reply, whitelist for intentional edges),
-* ``P-ALLOC P-CLOSURE P-ATTR P-NOSLOTS`` — hot-path purity for the
-  PR 4/6 inlined regions.
+* ``P-ALLOC P-CLOSURE P-ATTR P-NOSLOTS P-STALE`` — hot-path purity for
+  the inlined regions.
 
 Usage::
 
-    python -m repro.verify.flowcheck                  # gate (ratchet)
-    python -m repro.verify.flowcheck --json out.json  # CI artifact
+    python -m repro.verify.flowcheck                  # gate
+    python -m repro.verify.flowcheck --json out.json  # machine-readable
     python -m repro.verify.flowcheck --list-rules
-    python -m repro.verify.flowcheck --update-baseline
 
-Exit code 0 when no findings beyond the committed baseline
-(``verify/flowcheck_baseline.json``), 1 when new findings exist, 2 on
-usage errors.  Single findings are silenced in place with a trailing
-``# repro: allow[RULE-ID]`` comment; intentional lane edges live in
-:mod:`repro.verify.rules.lane_whitelist` with one-line justifications.
+Exit code 0 when there are no unsuppressed findings, 1 when there are,
+2 on usage errors.  A single finding is silenced in place with a
+trailing ``# repro: allow[RULE-ID]`` comment; intentional lane edges
+live in :mod:`repro.verify.rules.lane_whitelist` with one-line
+justifications.
 """
 
 from __future__ import annotations
@@ -34,19 +34,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .framework import (
-    Finding,
-    all_rules,
-    load_baseline,
-    run_rules,
-    save_baseline,
-)
+from .framework import all_rules, run_rules
 
 #: default scan root: the ``repro`` package this module lives in
 DEFAULT_ROOT = Path(__file__).resolve().parent.parent
-
-#: committed ratchet baseline (relative to the scan root)
-BASELINE_REL = "verify/flowcheck_baseline.json"
 
 
 def _list_rules() -> str:
@@ -79,18 +70,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also write a machine-readable report to PATH",
     )
     parser.add_argument(
-        "--baseline", type=Path, metavar="PATH", default=None,
-        help=f"ratchet baseline (default: <root>/{BASELINE_REL})",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline: every finding is new",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the registered rules and exit",
     )
@@ -110,24 +89,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     root: Path = args.root.resolve()
     if not root.is_dir():
         parser.error(f"scan root {root} is not a directory")
-    baseline_path: Path = (
-        args.baseline if args.baseline is not None
-        else root / BASELINE_REL
-    )
-    baseline: List[Finding] = (
-        [] if args.no_baseline else load_baseline(baseline_path)
-    )
 
-    report = run_rules(root, baseline=baseline)
-
-    if args.update_baseline:
-        save_baseline(baseline_path, report.findings)
-        print(
-            f"flowcheck: baseline {baseline_path} updated "
-            f"({len(report.findings)} finding(s))"
-        )
-        return 0
-
+    report = run_rules(root)
     if args.json is not None:
         args.json.write_text(
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"

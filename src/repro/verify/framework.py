@@ -1,9 +1,9 @@
 """Unified rule framework for the static analyzers (``repro.verify``).
 
-Every static check in the verify suite — the determinism lint rules from
-PR 2 and the protocol-flow/lane/hot-path passes added with flowcheck —
-is a :class:`Rule` registered here.  The framework owns everything the
-individual rules should not have to reimplement:
+Every static check in the verify suite — the determinism rules and the
+protocol-flow/lane/hot-path passes — is a :class:`Rule` registered
+here.  The framework owns everything the individual rules should not
+have to reimplement:
 
 * **Parsing** — one :class:`AnalysisContext` per run holds every module
   under the scanned root, parsed once and shared by all rules (plus a
@@ -11,31 +11,26 @@ individual rules should not have to reimplement:
   are built once and reused across rules).
 * **Suppressions** — a trailing or preceding ``# repro: allow[RULE-ID]``
   comment (comma-separated ids allowed) silences a finding at that line.
-  Suppressions are deliberate, reviewable exemptions; the count of
-  applied suppressions is reported so they cannot rot silently.
-* **Baselines** — a committed JSON findings file makes the exit-code
-  policy *ratchet-shaped*: pre-existing findings are tolerated, **new**
-  findings fail.  Baseline identity is ``(rule, path, message)`` — line
-  numbers drift with unrelated edits and are excluded on purpose.
+  Suppressions are the one way to exempt a finding: deliberate and
+  reviewable, and their count is reported so they cannot rot silently.
 * **Output** — stable human-readable lines plus a machine-readable JSON
-  report (uploaded as a CI artifact).
+  report (the umbrella's is uploaded as a CI artifact).
 
 Exit-code policy (shared by ``python -m repro.verify.flowcheck`` and the
-``python -m repro.verify`` umbrella): 0 when there are no findings
-beyond the baseline, 1 when new findings exist, 2 on usage errors.
+``python -m repro.verify`` umbrella): 0 when there are no unsuppressed
+findings, 1 when there are, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence
 
-#: file format version of JSON reports and baseline files
-REPORT_VERSION = 1
+#: format version of the JSON report
+REPORT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -50,10 +45,6 @@ class Finding:
     def __str__(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
-    def key(self) -> Tuple[str, str, str]:
-        """Baseline identity: line numbers drift, so they are excluded."""
-        return (self.rule, self.path, self.message)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "rule": self.rule,
@@ -61,15 +52,6 @@ class Finding:
             "line": self.line,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "Finding":
-        return cls(
-            rule=str(raw["rule"]),
-            path=str(raw["path"]),
-            line=int(raw.get("line", 0)),
-            message=str(raw["message"]),
-        )
 
 
 #: ``# repro: allow[F-UNHANDLED]`` or ``# repro: allow[W, P-ALLOC]``
@@ -154,9 +136,9 @@ def load_context(root: Path) -> AnalysisContext:
 class Rule:
     """One registered static check.
 
-    Subclasses set ``id`` (stable, referenced by suppressions and the
-    baseline) and ``title`` and implement :meth:`run`.  ``run`` returns
-    raw findings; the framework applies suppressions afterwards.
+    Subclasses set ``id`` (stable, referenced by suppressions) and
+    ``title`` and implement :meth:`run`.  ``run`` returns raw findings;
+    the framework applies suppressions afterwards.
     """
 
     id: str = ""
@@ -207,12 +189,10 @@ class Report:
     rules: List[str]
     findings: List[Finding]
     suppressed: int
-    baseline_count: int = 0
-    new: List[Finding] = field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.new else 0
+        return 1 if self.findings else 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -220,21 +200,17 @@ class Report:
             "root": self.root,
             "rules": self.rules,
             "findings": [f.to_dict() for f in self.findings],
-            "new": [f.to_dict() for f in self.new],
             "suppressed": self.suppressed,
-            "baseline": self.baseline_count,
         }
 
     def render(self) -> str:
         """Human-readable report (stable ordering)."""
         lines = [str(f) for f in self.findings]
-        known = len(self.findings) - len(self.new)
-        status = "FAIL" if self.new else "ok"
+        status = "FAIL" if self.findings else "ok"
         lines.append(
             f"flowcheck: {len(self.rules)} rule(s), "
             f"{len(self.findings)} finding(s) "
-            f"({len(self.new)} new, {known} baselined, "
-            f"{self.suppressed} suppressed) [{status}]"
+            f"({self.suppressed} suppressed) [{status}]"
         )
         return "\n".join(lines)
 
@@ -242,7 +218,6 @@ class Report:
 def run_rules(
     root: Path,
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Sequence[Finding]] = None,
     ctx: Optional[AnalysisContext] = None,
 ) -> Report:
     """Run ``rules`` (default: all registered) over the tree at ``root``."""
@@ -262,37 +237,12 @@ def run_rules(
             else:
                 findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-    baseline_keys: Set[Tuple[str, str, str]] = (
-        {f.key() for f in baseline} if baseline else set()
-    )
-    new = [f for f in findings if f.key() not in baseline_keys]
     return Report(
         root=str(root),
         rules=[r.id for r in rules],
         findings=findings,
         suppressed=suppressed,
-        baseline_count=len(baseline_keys),
-        new=new,
     )
-
-
-# ----------------------------------------------------------------------
-# baseline files
-# ----------------------------------------------------------------------
-def load_baseline(path: Path) -> List[Finding]:
-    """Read a committed findings baseline (empty list if absent)."""
-    if not path.exists():
-        return []
-    raw = json.loads(path.read_text())
-    return [Finding.from_dict(item) for item in raw.get("findings", [])]
-
-
-def save_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    payload = {
-        "version": REPORT_VERSION,
-        "findings": [f.to_dict() for f in findings],
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -308,3 +258,27 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def declares_slots(node: ast.ClassDef) -> bool:
+    """True when the class body assigns ``__slots__``."""
+    return any(
+        isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__"
+            for t in stmt.targets
+        )
+        for stmt in node.body
+    )
+
+
+def slots_exempt(node: ast.ClassDef) -> bool:
+    """Enums, exceptions and dataclasses may keep instance dicts."""
+    for base in node.bases:
+        name = (dotted_name(base) or "").rsplit(".", 1)[-1]
+        if name.endswith(("Enum", "Error", "Exception", "Flag")):
+            return True
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if (dotted_name(target) or "").startswith("dataclass"):
+            return True
+    return False

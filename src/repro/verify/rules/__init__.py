@@ -3,10 +3,10 @@
 Importing this package registers every built-in rule with
 :mod:`repro.verify.framework`; import order here is report order:
 
-* ``W R S H L B`` — determinism lint (PR 3, adapted)
+* ``W R S H L B N`` — determinism (kernel packages)
 * ``F-*`` — handler exhaustiveness over the message-flow graph
 * ``C-*`` — lane-dependency deadlock freedom
-* ``P-*`` — hot-path purity (PR 4/6 inlined regions)
+* ``P-*`` — hot-path purity (the inlined regions)
 """
 
 from __future__ import annotations

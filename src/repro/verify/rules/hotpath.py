@@ -23,7 +23,7 @@ regions listed in :data:`HOT_REGIONS`.
   uses).
 * **P-NOSLOTS** — instantiating a class that does not declare
   ``__slots__`` inside a hot region (enums, exceptions, and dataclasses
-  are exempt, mirroring the determinism lint's H rule).
+  are exempt, by the same test rule H uses).
 * **P-STALE** — a :data:`HOT_REGIONS` entry whose module or function
   does not exist, so a rename cannot silently drop a region from the
   gate.  Checked only on a whole package (an ``__init__.py`` at the
@@ -35,7 +35,15 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from ..framework import AnalysisContext, Finding, Rule, dotted_name, register
+from ..framework import (
+    AnalysisContext,
+    Finding,
+    Rule,
+    declares_slots,
+    dotted_name,
+    register,
+    slots_exempt,
+)
 
 #: module -> the Class.method regions the perf PRs inlined (gate scope)
 HOT_REGIONS: Dict[str, FrozenSet[str]] = {
@@ -107,32 +115,14 @@ class _ClassIndex:
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.ClassDef):
                     continue
-                if self._is_exempt(node):
+                if slots_exempt(node):
                     self.exempt.add(node.name)
-                elif any(
-                    isinstance(stmt, ast.Assign) and any(
-                        isinstance(t, ast.Name) and t.id == "__slots__"
-                        for t in stmt.targets
-                    )
-                    for stmt in node.body
-                ):
+                elif declares_slots(node):
                     self.slotted.add(node.name)
                 else:
                     # defined somewhere without slots; a same-named
                     # slotted definition elsewhere must not mask it
                     self.slotted.discard(node.name)
-
-    @staticmethod
-    def _is_exempt(node: ast.ClassDef) -> bool:
-        for base in node.bases:
-            name = (dotted_name(base) or "").rsplit(".", 1)[-1]
-            if name.endswith(("Enum", "Error", "Exception", "Flag")):
-                return True
-        for deco in node.decorator_list:
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            if (dotted_name(target) or "").startswith("dataclass"):
-                return True
-        return False
 
     def lacks_slots(self, name: str) -> bool:
         return name not in self.slotted and name not in self.exempt

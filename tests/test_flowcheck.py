@@ -13,6 +13,9 @@ protocol rather than vacuously passing:
 * **seeded mutations** — deleting a handler arm, adding a reply->request
   edge, and inserting an allocation into ``Fabric._arrive`` each turn
   the real tree red with the expected rule and a nonzero exit code.
+
+The umbrella ``python -m repro.verify`` is covered here too: it passes
+on the real tree and fails on a mutated one.
 """
 
 import json
@@ -22,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.verify import flowcheck
+from repro.verify.__main__ import main as verify_main
 from repro.verify.framework import all_rules, load_context, run_rules
 from repro.verify.rules.flowgraph import build_flowgraph
 from repro.verify.rules.lane_whitelist import WHITELIST
@@ -51,7 +55,7 @@ class TestFixtures:
         want = sorted((e["rule"], e["path"]) for e in expected["findings"])
         assert got == want, "\n".join(str(f) for f in report.findings)
         assert report.suppressed == expected["suppressed"]
-        # no baseline passed: every finding is new, exit mirrors findings
+        # any unsuppressed finding fails the gate
         assert report.exit_code == (1 if want else 0)
 
     def test_every_registered_rule_has_a_fixture(self):
@@ -125,7 +129,7 @@ class TestSeededMutations:
         report = run_rules(root)
         assert any(
             f.rule == "F-UNHANDLED" and "WRITEBACK" in f.message
-            for f in report.new
+            for f in report.findings
         ), "\n".join(str(f) for f in report.findings)
         assert flowcheck.main([str(root)]) == 1
         capsys.readouterr()
@@ -141,7 +145,7 @@ class TestSeededMutations:
         assert any(
             f.rule == "C-BACKWARD"
             and "UPGR_ACK" in f.message and "READ" in f.message
-            for f in report.new
+            for f in report.findings
         ), "\n".join(str(f) for f in report.findings)
         assert flowcheck.main([str(root)]) == 1
         capsys.readouterr()
@@ -156,7 +160,7 @@ class TestSeededMutations:
         report = run_rules(root)
         assert any(
             f.rule == "P-ALLOC" and "_arrive" in f.message
-            for f in report.new
+            for f in report.findings
         ), "\n".join(str(f) for f in report.findings)
         assert flowcheck.main([str(root)]) == 1
         capsys.readouterr()
@@ -166,38 +170,13 @@ class TestSeededMutations:
 # framework behaviors
 # ----------------------------------------------------------------------
 class TestFramework:
-    def test_baseline_tolerates_known_findings(self, tmp_path):
-        root = FIXTURES / "hotpath_alloc"
-        first = run_rules(root)
-        assert first.exit_code == 1
-        second = run_rules(root, baseline=first.findings)
-        assert second.findings == first.findings  # still reported
-        assert second.new == []  # but not new
-        assert second.exit_code == 0
-
-    def test_cli_update_baseline_roundtrip(self, tmp_path, capsys):
-        root = tmp_path / "tree"
-        shutil.copytree(FIXTURES / "hotpath_alloc", root)
-        baseline = tmp_path / "baseline.json"
-        assert flowcheck.main(
-            [str(root), "--baseline", str(baseline), "--update-baseline"]
-        ) == 0
-        assert flowcheck.main(
-            [str(root), "--baseline", str(baseline)]
-        ) == 0
-        assert flowcheck.main(
-            [str(root), "--baseline", str(baseline), "--no-baseline"]
-        ) == 1
-        capsys.readouterr()
-
     def test_json_report_is_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert flowcheck.main(
-            [str(FIXTURES / "lane_unknown"), "--no-baseline",
-             "--json", str(out)]
+            [str(FIXTURES / "lane_unknown"), "--json", str(out)]
         ) == 1
         payload = json.loads(out.read_text())
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert [f["rule"] for f in payload["findings"]] == ["C-NOLANE"]
         capsys.readouterr()
 
@@ -211,3 +190,37 @@ class TestFramework:
             "C-NOLANE", "C-SAMELANE", "C-BACKWARD", "C-CYCLE",
             "P-ALLOC", "P-CLOSURE", "P-ATTR", "P-NOSLOTS", "P-STALE",
         ]
+
+
+# ----------------------------------------------------------------------
+# the umbrella: python -m repro.verify
+# ----------------------------------------------------------------------
+class TestUmbrella:
+    def test_real_tree_passes(self, capsys):
+        assert verify_main([str(REPO_SRC), "--skip-modelcheck"]) == 0
+        assert "verify: static [ok]" in capsys.readouterr().out
+
+    def test_deleted_handler_arm_fails(self, tmp_path, capsys):
+        root = _mutated_tree(
+            tmp_path, "coherence/home.py",
+            "        elif kind is _WRITEBACK:\n"
+            "            self._on_writeback(msg)\n",
+            "",
+        )
+        assert verify_main([str(root), "--skip-modelcheck"]) == 1
+        assert "verify: static [FAIL]" in capsys.readouterr().out
+
+    def test_json_payload_carries_every_stage(self, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        assert verify_main([str(REPO_SRC), "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["exit_code"] == 0
+        assert payload["static"]["findings"] == []
+        assert payload["static"]["suppressed"] == 1
+        assert len(payload["static"]["rules"]) == len(all_rules())
+        assert [(e["protocol"], e["switch"], e["ok"])
+                for e in payload["modelcheck"]] == [
+            ("msi", False, True), ("msi", True, True),
+            ("mesi", False, True), ("mesi", True, True),
+        ]
+        capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.verify`: model checker, SCSan, determinism lint.
+"""Tests for :mod:`repro.verify`: model checker, SCSan, determinism rules.
 
 The mutation tests deliberately break the protocol (or the kernel) and
 assert the analyzers notice — that is the evidence the tooling actually
@@ -16,7 +16,7 @@ from repro.network.message import MsgKind
 from repro.node.node import Node
 from repro.node.processor import Processor
 from repro.system.machine import Machine
-from repro.verify import lint_determinism
+from repro.verify.framework import get_rule, run_rules
 from repro.verify.modelcheck import MUTATIONS, check
 from repro.verify.sanitize import Sanitizer, SanitizedSimulator
 
@@ -241,17 +241,21 @@ class TestProtocolErrorContext:
 
 
 # ----------------------------------------------------------------------
-# determinism lint
+# determinism rules (W/R/S/H/L/B/N), run through the flowcheck framework
 # ----------------------------------------------------------------------
-class TestDeterminismLint:
-    def test_trunk_is_clean(self):
-        assert lint_determinism.lint_tree() == []
+DETERMINISM_RULES = [get_rule(rule_id) for rule_id in "WRSHLBN"]
 
-    def _lint_snippet(self, tmp_path: Path, rel: str, code: str):
+
+class TestDeterminismLint:
+    def _run_snippet(self, tmp_path: Path, rel: str, code: str):
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(code)
-        return lint_determinism.lint_file(path, tmp_path)
+        return run_rules(tmp_path, rules=DETERMINISM_RULES)
+
+    def _lint_snippet(self, tmp_path: Path, rel: str, code: str):
+        report = self._run_snippet(tmp_path, rel, code)
+        return [f for f in report.findings if f.path == rel]
 
     def test_wall_clock_flagged(self, tmp_path):
         findings = self._lint_snippet(
@@ -260,12 +264,40 @@ class TestDeterminismLint:
         )
         assert [f.rule for f in findings].count("W") == 2
 
+    def test_wall_clock_imported_by_name_flagged(self, tmp_path):
+        findings = self._lint_snippet(
+            tmp_path, "sim/clock.py",
+            "from time import perf_counter\n\n"
+            "def f():\n    return perf_counter()\n",
+        )
+        assert [(f.rule, f.line) for f in findings] == [("W", 4)]
+
     def test_unseeded_random_flagged(self, tmp_path):
         findings = self._lint_snippet(
             tmp_path, "node/rng.py",
             "import random\n\ndef f(xs):\n    return random.choice(xs)\n",
         )
         assert any(f.rule == "R" for f in findings)
+
+    @pytest.mark.parametrize("imported, call", [
+        ("from random import choice", "choice(xs)"),
+        ("import random as _random", "_random.choice(xs)"),
+    ])
+    def test_random_function_imported_by_name_flagged(
+        self, tmp_path, imported, call
+    ):
+        findings = self._lint_snippet(
+            tmp_path, "sim/rng.py",
+            f"{imported}\n\ndef f(xs):\n    return {call}\n",
+        )
+        assert [(f.rule, f.line) for f in findings] == [("R", 4)]
+
+    def test_unseeded_random_instance_flagged(self, tmp_path):
+        findings = self._lint_snippet(
+            tmp_path, "sim/rng.py",
+            "import random\n\ndef f():\n    return random.Random()\n",
+        )
+        assert [(f.rule, f.line) for f in findings] == [("R", 4)]
 
     def test_seeded_random_instance_allowed(self, tmp_path):
         findings = self._lint_snippet(
@@ -358,7 +390,11 @@ class TestDeterminismLint:
         )
         assert not any(f.rule == "B" for f in elsewhere)
 
-    def test_cli_exit_status(self, capsys):
-        assert lint_determinism.main([]) == 0
-        out = capsys.readouterr().out
-        assert "0 finding(s)" in out
+    def test_allow_comment_silences_one_finding(self, tmp_path):
+        report = self._run_snippet(
+            tmp_path, "sim/clock.py",
+            "import time  # repro: allow[W]\n\n"
+            "def f():\n    return time.time()\n",
+        )
+        assert [(f.rule, f.line) for f in report.findings] == [("W", 4)]
+        assert report.suppressed == 1
