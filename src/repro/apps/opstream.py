@@ -100,8 +100,7 @@ def row_pitch(matrix) -> int:
 
 def elems_in_block(addr: int, stride: int, block_size: int) -> int:
     """How many elements of a positive-stride run starting at ``addr``
-    fall in ``addr``'s block.  Works for any block size (the write
-    buffer supports non-power-of-2 blocks; caches do not)."""
+    fall in ``addr``'s block (of any size)."""
     if stride <= 0:
         raise ConfigError(f"elems_in_block needs a positive stride, got {stride}")
     block_end = addr // block_size * block_size + block_size

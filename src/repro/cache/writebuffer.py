@@ -12,18 +12,22 @@ this class only tracks contents, ordering, and occupancy statistics.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
+
+from ..errors import ConfigError
 
 
 class WriteBuffer:
     """Coalescing FIFO write buffer (per processor)."""
 
     def __init__(self, capacity: int = 8, block_size: int = 64) -> None:
+        if block_size <= 0 or block_size & (block_size - 1):
+            raise ConfigError(
+                f"block_size must be a power of two, got {block_size}"
+            )
         self.capacity = capacity
         self.block_size = block_size
-        # block masking: AND with -block_size when it is a power of two
-        # (always, in practice); 0 falls back to division in _block()
-        self._neg_mask = -block_size if block_size & (block_size - 1) == 0 else 0
+        self._neg_mask = -block_size  # block address = addr & _neg_mask
         # block_addr -> number of merged stores
         self._entries: "OrderedDict[int, int]" = OrderedDict()
         # the entry currently being drained (removed from _entries)
@@ -33,49 +37,43 @@ class WriteBuffer:
         self.stores_merged = 0
         self.full_stalls = 0
 
-    def _block(self, addr: int) -> int:
-        if self._neg_mask:
-            return addr & self._neg_mask
-        return (addr // self.block_size) * self.block_size
-
     # ------------------------------------------------------------------
     # processor side
     # ------------------------------------------------------------------
     def can_accept(self, addr: int) -> bool:
-        block = self._block(addr)
+        block = addr & self._neg_mask
         if block in self._entries or block == self._draining:
             return True
         return len(self._entries) < self.capacity
 
     def push(self, addr: int) -> bool:
         """Retire a store.  Returns False (and counts a stall) when full."""
-        block = self._block(addr)
+        block = addr & self._neg_mask
+        entries = self._entries
         if block == self._draining:
             # Store to the block being drained right now cannot merge into
             # the in-flight transaction; it needs a fresh entry.
-            if len(self._entries) >= self.capacity:
+            if len(entries) >= self.capacity:
                 self.full_stalls += 1
                 return False
-            self._entries[block] = self._entries.get(block, 0) + 1
+            entries[block] = entries.get(block, 0) + 1
             self.stores_retired += 1
             return True
-        if block in self._entries:
-            self._entries[block] += 1
+        if block in entries:
+            entries[block] += 1
             self.stores_retired += 1
             self.stores_merged += 1
             return True
-        if len(self._entries) >= self.capacity:
+        if len(entries) >= self.capacity:
             self.full_stalls += 1
             return False
-        self._entries[block] = 1
+        entries[block] = 1
         self.stores_retired += 1
         return True
 
     def contains(self, addr: int) -> bool:
         """Whether a store to this block is still pending (incl. draining)."""
-        # hot path (checked on every simulated load): _block() inlined
-        mask = self._neg_mask
-        block = addr & mask if mask else addr // self.block_size * self.block_size
+        block = addr & self._neg_mask
         return block in self._entries or block == self._draining
 
     # ------------------------------------------------------------------

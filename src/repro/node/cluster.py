@@ -29,6 +29,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..cache.hierarchy import CacheHierarchy
 from ..cache.states import CODE_EXCLUSIVE, LineState
 from ..cache.writebuffer import WriteBuffer
+from ..coherence.l2ctrl import NodeController
 from ..coherence.messages import Transaction
 from ..errors import ProtocolError
 from ..sim.engine import Simulator
@@ -69,28 +70,23 @@ class ProcStack:
         self._wb_waiters: List[Callable[[], None]] = []
         self._draining = False
         self._drain_started = 0
+        self._l2_write_cycles = config.l2_write_cycles
+        self._trace_values = config.trace_values
         self.write_trace: List[Tuple[str, int, int, int]] = []
-
-    # ------------------------------------------------------------------
-    # context interface used by Processor
-    # ------------------------------------------------------------------
-    @property
-    def stats(self):
-        return self.node.stats
-
-    @property
-    def barriers(self):
-        return self.node.barriers
-
-    @property
-    def locks(self):
-        return self.node.locks
-
-    @property
-    def l2ctrl(self):
-        # Processor issues reads via the cluster bus; this shim keeps the
-        # historical `node.l2ctrl.issue_read` call site working
-        return self
+        # context interface used by Processor: the node's shared managers
+        self.stats = node.stats
+        self.barriers = node.barriers
+        self.locks = node.locks
+        # this stack's network-side controller (MSHRs).  The bus owns the
+        # network-cache probe, so the controller skips it on issue but
+        # still fills/purges the shared array on replies/invalidations
+        self.netctrl = NodeController(
+            sim, node.node_id, self.hierarchy, node.ni, node.home_of, block,
+            netcache=node.netcache, proc_id=proc_id,
+            probe_netcache=False, pool=node._pool,
+        )
+        # the other stacks on the cluster bus (set by the node)
+        self.siblings: Tuple[ProcStack, ...] = ()
 
     def sync_addr(self, kind: str, sync_id: int) -> int:
         return self.node.sync_addr(kind, sync_id)
@@ -117,11 +113,15 @@ class ProcStack:
         if block is None:
             return
         self._draining = True
-        self._drain_started = self.sim.now
-        probe = self.hierarchy.write_probe(block)
-        if probe.action == "hit":
+        sim = self.sim
+        now = sim.now
+        self._drain_started = now
+        # the store probe (same stats and LRU as CacheHierarchy.write_probe):
+        # an owned (E/M) L2 copy takes the store at once, any other state
+        # needs a write transaction
+        if self.hierarchy.l2.lookup_state(block) >= CODE_EXCLUSIVE:
             self._apply_store(block)
-            self.sim.schedule(self.config.l2_write_cycles, self._drain_done)
+            sim.call_at(now + self._l2_write_cycles, self._drain_done)
         else:
             self.issue_write(block, self._drain_owned)
 
@@ -142,7 +142,7 @@ class ProcStack:
             )
         new_version = data + 1
         self.hierarchy.perform_write(block, new_version)
-        if self.config.trace_values:
+        if self._trace_values:
             self.write_trace.append(("w", block, new_version, self.sim.now))
 
     def _drain_done(self) -> None:
@@ -155,9 +155,14 @@ class ProcStack:
                 f"proc{self.proc_id}", "wb_drain", started,
                 self.sim.now - started,
             )
-        waiters, self._wb_waiters = self._wb_waiters, []
-        for waiter in waiters:
-            waiter()
+        waiters = self._wb_waiters
+        if waiters:
+            # a resumed waiter may wait again, for the next change: run
+            # only the waiters present now
+            n = len(waiters)
+            for i in range(n):
+                waiters[i]()
+            del waiters[:n]
         self.kick_drain()
 
     def wait_wb_change(self, waiter: Callable[[], None]) -> None:
@@ -190,6 +195,7 @@ class ClusterBus:
         self.wire = Timeline(sim, f"bus{node.node_id}")
         self._queues: Dict[int, Deque[_BusOp]] = {}
         self._active: Dict[int, _BusOp] = {}
+        self._block_mask = -node.config.block_size  # a power of two
         # statistics
         self.sibling_reads = 0
         self.sibling_transfers = 0
@@ -197,7 +203,7 @@ class ClusterBus:
 
     # ------------------------------------------------------------------
     def submit(self, kind: str, stack: ProcStack, addr: int, callback) -> None:
-        block = (addr // self.node.config.block_size) * self.node.config.block_size
+        block = addr & self._block_mask
         op = _BusOp(kind, stack, block, callback, self.sim.now)
         self.ops += 1
         if block in self._active:
@@ -227,9 +233,6 @@ class ClusterBus:
             op.callback(result)
 
     # ------------------------------------------------------------------
-    def _siblings(self, stack: ProcStack):
-        return [s for s in self.node.stacks if s is not stack]
-
     def _execute(self, op: _BusOp) -> None:
         if op.kind == "read":
             self._execute_read(op)
@@ -244,7 +247,7 @@ class ClusterBus:
             self._complete(op, txn)
             return
         # snoop siblings (cache-to-cache within the cluster)
-        for sibling in self._siblings(stack):
+        for sibling in stack.siblings:
             sib_line = sibling.hierarchy.l2.probe(block)
             if sib_line is None:
                 continue
@@ -284,7 +287,7 @@ class ClusterBus:
         self._complete(op, txn)
 
     def _network_read(self, op: _BusOp) -> None:
-        self.node.netctrl(op.stack).issue_read(
+        op.stack.netctrl.issue_read(
             op.block, lambda txn: self._complete(op, txn)
         )
 
@@ -296,7 +299,7 @@ class ClusterBus:
             self._complete(op, txn)
             return
         # an owned sibling copy transfers ownership across the bus
-        for sibling in self._siblings(stack):
+        for sibling in stack.siblings:
             sib_line = sibling.hierarchy.l2.probe(block)
             if sib_line is not None and sib_line.state.owned():
                 _state, data = sibling.hierarchy.invalidate(block)
@@ -310,7 +313,7 @@ class ClusterBus:
         # otherwise the directory must be involved (upgrade or read-excl);
         # grab a sibling's shared data first so an upgrade suffices
         if not code:
-            for sibling in self._siblings(stack):
+            for sibling in stack.siblings:
                 sib_line = sibling.hierarchy.l2.probe(block)
                 if sib_line is not None:
                     victim = stack.hierarchy.fill(
@@ -321,11 +324,11 @@ class ClusterBus:
 
         def owned(txn: Transaction) -> None:
             # ownership granted globally: purge sibling shared copies
-            for sibling in self._siblings(stack):
+            for sibling in stack.siblings:
                 sibling.hierarchy.invalidate(block)
             self._complete(op, txn)
 
-        self.node.netctrl(stack).issue_write(block, owned)
+        stack.netctrl.issue_write(block, owned)
 
     # ------------------------------------------------------------------
     def _local_txn(self, kind: str, op: _BusOp, served_by: str,

@@ -13,9 +13,9 @@ configuration: one stack, a bus with no siblings to snoop.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
-from ..cache.states import CODE_EXCLUSIVE, LineState
+from ..cache.states import CODE_EXCLUSIVE
 from ..coherence.directory import Directory
 from ..coherence.home import HomeController
 from ..coherence.l2ctrl import NodeController
@@ -40,6 +40,9 @@ _HOME_KINDS = frozenset(
         MsgKind.INV_ACK,
     }
 )
+#: index-by-code form of _HOME_KINDS for Node._dispatch: a set test
+#: would call the Python-level Enum.__hash__ per delivered message
+_TO_HOME: Tuple[bool, ...] = tuple(k in _HOME_KINDS for k in MsgKind)
 #: hoisted kinds for the router arms of Node._dispatch
 _INV = MsgKind.INV
 _RECALLS = (MsgKind.RECALL, MsgKind.RECALL_X)
@@ -89,18 +92,15 @@ class Node:
         self.stacks: List[ProcStack] = [
             ProcStack(sim, self, first_proc + k, config) for k in range(ppn)
         ]
+        if ppn > 1:
+            for stack in self.stacks:
+                stack.siblings = tuple(s for s in self.stacks if s is not stack)
         self.bus = ClusterBus(sim, self, config.local_bus_cycles)
-        # one network-side controller (MSHRs) per stack; the bus owns the
-        # network-cache probe, so the controllers skip it on issue but
-        # still fill/purge the shared array on replies/invalidations
+        # one network-side controller (MSHRs) per stack
         self._netctrls: List[NodeController] = [
-            NodeController(
-                sim, node_id, stack.hierarchy, self.ni, home_of, block,
-                netcache=self.netcache, proc_id=stack.proc_id,
-                probe_netcache=False, pool=self._pool,
-            )
-            for stack in self.stacks
+            stack.netctrl for stack in self.stacks
         ]
+        self._first_proc = first_proc
         self.directory = Directory(node_id, block)
         self.memory = MemoryModule(
             sim, node_id,
@@ -142,14 +142,14 @@ class Node:
         return self._netctrls[0]
 
     def netctrl(self, stack: ProcStack) -> NodeController:
-        return self._netctrls[stack.proc_id - self.stacks[0].proc_id]
+        return stack.netctrl
 
     # ------------------------------------------------------------------
     # message dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, msg: Message) -> None:
         kind = msg.kind
-        if kind in _HOME_KINDS:
+        if _TO_HOME[kind.code]:
             if msg.dst != self.node_id:
                 raise ProtocolError(
                     f"misrouted {msg!r}", node=self.node_id, addr=msg.addr
@@ -165,7 +165,7 @@ class Node:
             if proc is None:
                 ctrl = self._netctrls[0]
             else:
-                ctrl = self._netctrls[proc - self.stacks[0].proc_id]
+                ctrl = self._netctrls[proc - self._first_proc]
             ctrl.receive(msg)
 
     # ------------------------------------------------------------------

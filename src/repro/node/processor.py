@@ -8,8 +8,15 @@ instructions RSIM would execute);
 ``('barrier', k)`` / ``('lock', k)`` / ``('unlock', k)`` — synchronization.
 
 The stream arrives compiled into integer-coded chunks with stride
-superops (:mod:`repro.apps.opstream`, DESIGN.md §13); one loop,
-:meth:`Processor._run`, decodes them and expands the superops in place.
+superops (:mod:`repro.apps.opstream`, DESIGN.md §13).
+:meth:`Processor._run` is a short decode loop that hands each superop
+to one handler: :meth:`~Processor._stride` for loads and stores
+(``OP_R``/``OP_W`` and their runs), :meth:`~Processor._work` for
+``OP_WORK`` and :meth:`~Processor._loop` for ``OP_LOOP``.  The
+resumable state (local time, ops, ``ip``, run and loop progress) lives
+on the processor; a handler runs from hoisted locals, writes its
+progress and its hit counts back once when it returns, and a handler
+that leaves the loop simply says so.
 
 **Fast-forward on hits.**  Cache hits and local work advance a *local
 clock* without touching the event queue; the processor re-enters the
@@ -48,6 +55,10 @@ from ..sim.engine import Simulator
 
 Op = Tuple
 
+#: hoisted fill state for L1 refills (an Enum attribute costs a
+#: metaclass lookup per access)
+_SHARED = LineState.SHARED
+
 
 class Processor:
     """One in-order processor executing an operation stream."""
@@ -55,13 +66,15 @@ class Processor:
     def __init__(
         self,
         sim: Simulator,
-        node,  # Node (late-bound to avoid an import cycle)
+        node,  # ProcStack (late-bound to avoid an import cycle)
         l1_cycles: int = 1,
         l2_cycles: int = 10,
         store_cycles: int = 1,
         quantum: int = 500,
         trace_values: bool = False,
     ) -> None:
+        # keep under 30 instance attributes: from 30 on, CPython 3.11
+        # gives each instance a 1.6 KB dict of its own (no shared keys)
         self.sim = sim
         self.node = node
         self.l1_cycles = l1_cycles
@@ -72,20 +85,24 @@ class Processor:
         self.time = 0  # local clock (>= sim.now except never behind on entry)
         self.done = False
         self.finish_time: Optional[int] = None
-        # chunk cursor plus the progress of a partially executed superop
-        # (DESIGN.md §13), so a miss, a full write buffer or a quantum
-        # yield can suspend a run/loop mid-flight and resume it
-        # element-exact
+        # the chunk cursor plus the progress of a partially executed
+        # superop (DESIGN.md §13.2): a miss, a full write buffer or a
+        # quantum yield suspends a run or loop mid-flight, and _run
+        # resumes it element-exact
         self._chunks: Optional[Iterator[List[int]]] = None
         self._code: List[int] = []
         self._ip = 0
-        self._run_op = 0        # OP_R_RUN or OP_W_RUN while _run_left > 0
-        self._run_addr = 0
+        self._run_op = OP_R_RUN  # opcode of the suspended run, or OP_WORK
+        self._run_addr = 0       # its next address (OP_WORK: cycles per op)
         self._run_stride = 0
-        self._run_left = 0
-        self._loop_body: List[int] = []  # (kind, base|cycles, stride) triples
-        self._loop_iters = 0    # iterations remaining, current included
-        self._loop_slot = 0     # offset of the next slot triple to execute
+        self._run_left = 0       # elements still to retire (0: none)
+        # the loop body, one list per slot field: kind, next address
+        # (work slots: cycles) and stride
+        self._kinds: List[int] = []
+        self._addrs: List[int] = []
+        self._strides: List[int] = []
+        self._loop_iters = 0     # iterations left, current included
+        self._loop_slot = 0      # next slot of the current iteration
         self._stall_started: Optional[int] = None
         self._sync_label = "sync"  # span name for the current sync stall
         self.value_trace: List[Tuple[str, int, int, int]] = []
@@ -108,340 +125,36 @@ class Processor:
         self.time = max(self.time, self.sim.now)
         self._run()
 
-    def _suspend(
-        self,
-        time: int,
-        ops_executed: int,
-        ip: int,
-        run_op: int,
-        run_addr: int,
-        run_stride: int,
-        run_left: int,
-        loop_iters: int,
-        loop_slot: int,
-        hit_wb: int,
-        hit_l1: int,
-        hit_l2: int,
-    ) -> None:
-        """Write the loop's locals back before any exit."""
-        self.time = time
-        self.ops_executed = ops_executed
-        self._ip = ip
-        self._run_op = run_op
-        self._run_addr = run_addr
-        self._run_stride = run_stride
-        self._run_left = run_left
-        self._loop_iters = loop_iters
-        self._loop_slot = loop_slot
-        node = self.node
-        node.stats.add_read_hits(node.node_id, hit_wb, hit_l1, hit_l2)
-
     def _run(self) -> None:
-        # The simulator's hottest loop: every cache hit and local-work op
-        # executes here without touching the event queue.  It consumes
-        # integer-coded chunks (apps/opstream.py) and expands superops in
-        # place: a hit run retires a whole cache block per probe, with the
-        # same counters, LRU ticks and yield points as retiring its
-        # elements one by one (the differential suite pins this against
-        # an elementary stream); a loop runs its slots per element.
-        # Attribute lookups are hoisted into locals; the local clock, op
-        # counter and superop progress live in locals too, written back
-        # by _suspend before any exit (the helpers called on exit paths
-        # read ``self.time``).  ``sim.now`` is constant for the whole
-        # loop — no events fire inside it.
-        node = self.node
-        sim = self.sim
-        now = sim.now
-        quantum = self.quantum
-        l1_cycles = self.l1_cycles
-        l2_cycles = self.l2_cycles
-        store_cycles = self.store_cycles
-        trace_values = self.trace_values
-        write_buffer = node.write_buffer
-        wb_entries = write_buffer._entries
-        wb_mask = write_buffer._neg_mask  # 0 = block size not a power of 2
-        wb_block = write_buffer.block_size
-        wb_push = write_buffer.push
-        kick_drain = node.kick_drain
-        # the two-level read probe is inlined below (instead of calling
-        # CacheHierarchy.read): the L1 probe is CacheArray.lookup_data
-        # over the array's slot dict and column lists (same stats, same
-        # LRU updates), which are stable for the array's lifetime.  Hit
-        # statistics accumulate in locals (hit_wb/hit_l1/hit_l2) and
-        # flush in one bulk call at every loop exit.
-        hierarchy = node.hierarchy
-        l1 = hierarchy.l1
-        l2_lookup_data = hierarchy.l2.lookup_data
-        l1_insert = l1.insert
-        l1_slot_get = l1._slot.get
-        l1_states = l1._states
-        l1_data = l1._data
-        l1_lrus = l1._lrus
-        l1_shift = l1._block_shift
-        l1_is_lru = l1._lru
-        # bulk span: elements retired in one step must share both their
-        # write buffer block and their L1 block, so span by the smaller
-        span = min(1 << l1_shift, wb_block)
-        shared = LineState.SHARED
-        hit_wb = hit_l1 = hit_l2 = 0
-        time = self.time
-        ops_executed = self.ops_executed
+        # The decode loop.  Every return from here is an exit from the
+        # processor loop, with the resumable state on the processor.  A
+        # handler returns True when it left the loop (a miss, a full
+        # write buffer or a quantum yield).  ``limit`` is the local time
+        # at which the processor yields: ``sim.now`` is constant for the
+        # whole loop, as no events fire inside it.
+        limit = self.sim.now + self.quantum
+        left = self._run_left
+        if left:  # resume a suspended run
+            self._run_left = 0
+            if self._run_op == OP_WORK:
+                if self._work(self._run_addr, left, limit):
+                    return
+            elif self._stride(self._run_op, self._run_addr, self._run_stride,
+                              left, limit):
+                return
+        iters = self._loop_iters
+        if iters:  # resume a suspended loop
+            self._loop_iters = 0
+            if self._loop(iters, self._loop_slot, limit):
+                return
         code = self._code
         end = len(code)
         ip = self._ip
-        run_op = self._run_op
-        run_addr = self._run_addr
-        run_stride = self._run_stride
-        run_left = self._run_left
-        body = self._loop_body
-        nbody = len(body)
-        loop_iters = self._loop_iters
-        loop_slot = self._loop_slot
         while True:
-            # ---- pending stride run -----------------------------------
-            while run_left:
-                if run_op == OP_WORK:
-                    # repeated equal-cost work ops: charge as many as
-                    # fit before the quantum boundary in one step
-                    c = run_addr  # cycles per op
-                    k = run_left
-                    if c:
-                        m = (quantum - (time - now) + c - 1) // c
-                        if k > m:
-                            k = m
-                    time += k * c
-                    ops_executed += k
-                    run_left -= k
-                    if time - now >= quantum:
-                        self._suspend(
-                            time, ops_executed, ip, run_op, run_addr,
-                            run_stride, run_left, loop_iters, loop_slot,
-                            hit_wb, hit_l1, hit_l2)
-                        sim.at(time, self._resume)
-                        return
-                    continue
-                addr = run_addr
-                stride = run_stride
-                if run_op == OP_W_RUN:
-                    # stores retire through the write buffer one per
-                    # cycle: push, merge, then kick the drain engine
-                    if wb_push(addr):
-                        time += store_cycles
-                        ops_executed += 1
-                        run_left -= 1
-                        run_addr = addr + stride
-                        if not node._draining:
-                            kick_drain()
-                        # the rest of this block's stores are pure merges
-                        # once the entry is settled: after the first push
-                        # the drain engine is busy, so no kick can pop
-                        # the entry mid-block and every push coalesces.
-                        # Retire them in one step, quantum-capped like
-                        # the read-run bulk.
-                        if run_left and stride > 0:
-                            block = (addr & wb_mask if wb_mask
-                                     else addr // wb_block * wb_block)
-                            addr = run_addr
-                            if (block in wb_entries
-                                    and block != write_buffer._draining
-                                    and addr - block < wb_block):
-                                k = (block + wb_block - addr
-                                     + stride - 1) // stride
-                                if k > run_left:
-                                    k = run_left
-                                if store_cycles:
-                                    m = (quantum - (time - now)
-                                         + store_cycles - 1) // store_cycles
-                                    if k > m:
-                                        k = m
-                                if k > 0:
-                                    wb_entries[block] += k
-                                    write_buffer.stores_retired += k
-                                    write_buffer.stores_merged += k
-                                    time += k * store_cycles
-                                    ops_executed += k
-                                    run_left -= k
-                                    run_addr = addr + stride * k
-                        if time - now >= quantum:
-                            self._suspend(
-                                time, ops_executed, ip, run_op, run_addr,
-                                run_stride, run_left, loop_iters, loop_slot,
-                                hit_wb, hit_l1, hit_l2)
-                            sim.at(time, self._resume)
-                            return
-                        continue
-                    self._suspend(
-                        time, ops_executed, ip, run_op, run_addr,
-                        run_stride, run_left, loop_iters, loop_slot,
-                        hit_wb, hit_l1, hit_l2)
-                    self._stall_started = time
-                    node.wait_wb_change(self._retry_after_wb)
-                    return
-                # read run: bulk-retire the hits of one cache block per
-                # probe.  k = elements from addr that stay in the block,
-                # capped at the run length and at the quantum boundary
-                # (retiring the op that crosses it yields, exactly as
-                # checking after every element would).
-                block = addr & wb_mask if wb_mask else addr // wb_block * wb_block
-                if stride > 0:
-                    k = (addr // span * span + span - addr + stride - 1) // stride
-                    if k > run_left:
-                        k = run_left
-                else:
-                    k = 1
-                if l1_cycles:
-                    m = (quantum - (time - now) + l1_cycles - 1) // l1_cycles
-                    if k > m:
-                        k = m
-                if block in wb_entries or block == write_buffer._draining:
-                    # forwarded from pending stores (no value trace); the
-                    # whole block span forwards alike
-                    time += k * l1_cycles
-                    ops_executed += k
-                    hit_wb += k
-                    run_left -= k
-                    run_addr = addr + stride * k
-                else:
-                    i = l1_slot_get(addr >> l1_shift)
-                    if i is not None and l1_states[i]:
-                        if l1_is_lru:
-                            # one bump per element, final tick wins
-                            l1._tick = tick = l1._tick + k
-                            l1_lrus[i] = tick
-                        l1.hits += k
-                        hit_l1 += k
-                        run_left -= k
-                        run_addr = addr + stride * k
-                        if trace_values:
-                            data = l1_data[i]
-                            trace = self.value_trace
-                            for _ in range(k):
-                                time += l1_cycles
-                                trace.append(("r", addr, data, time))
-                                addr += stride
-                        else:
-                            time += k * l1_cycles
-                        ops_executed += k
-                    else:
-                        l1.misses += 1
-                        data = l2_lookup_data(addr)
-                        if data is None:
-                            run_left -= 1
-                            run_addr = addr + stride
-                            self._suspend(
-                                time, ops_executed, ip, run_op, run_addr,
-                                run_stride, run_left, loop_iters, loop_slot,
-                                hit_wb, hit_l1, hit_l2)
-                            self._start_read_miss(addr)
-                            return
-                        # L1 refill; the rest of the block hits L1 next
-                        l1_insert(addr, shared, data)
-                        time += l2_cycles
-                        ops_executed += 1
-                        hit_l2 += 1
-                        run_left -= 1
-                        run_addr = addr + stride
-                        if trace_values:
-                            self.value_trace.append(("r", addr, data, time))
-                if time - now >= quantum:
-                    self._suspend(
-                        time, ops_executed, ip, run_op, run_addr,
-                        run_stride, run_left, loop_iters, loop_slot,
-                        hit_wb, hit_l1, hit_l2)
-                    sim.at(time, self._resume)
-                    return
-            # ---- pending fixed-slot loop ------------------------------
-            # one slot per pass: retiring whole iterations in bulk does
-            # not pay for its lines (DESIGN.md §13.2)
-            while loop_iters:
-                s = loop_slot
-                kind = body[s]
-                if kind == 0:  # SLOT_R
-                    addr = body[s + 1]
-                    block = addr & wb_mask if wb_mask else addr // wb_block * wb_block
-                    if block in wb_entries or block == write_buffer._draining:
-                        time += l1_cycles
-                        ops_executed += 1
-                        hit_wb += 1
-                    else:
-                        i = l1_slot_get(addr >> l1_shift)
-                        if i is None or not l1_states[i]:
-                            l1.misses += 1
-                            data = None
-                        else:
-                            if l1_is_lru:
-                                l1._tick = tick = l1._tick + 1
-                                l1_lrus[i] = tick
-                            l1.hits += 1
-                            data = l1_data[i]
-                        if data is not None:
-                            time += l1_cycles
-                            ops_executed += 1
-                            hit_l1 += 1
-                            if trace_values:
-                                self.value_trace.append(("r", addr, data, time))
-                        else:
-                            data = l2_lookup_data(addr)
-                            if data is None:
-                                # complete on the reply; advance past
-                                # this element before suspending
-                                body[s + 1] = addr + body[s + 2]
-                                loop_slot = s + 3
-                                if loop_slot == nbody:
-                                    loop_slot = 0
-                                    loop_iters -= 1
-                                self._suspend(
-                                    time, ops_executed, ip, run_op, run_addr,
-                                    run_stride, run_left, loop_iters,
-                                    loop_slot, hit_wb, hit_l1, hit_l2)
-                                self._start_read_miss(addr)
-                                return
-                            l1_insert(addr, shared, data)
-                            time += l2_cycles
-                            ops_executed += 1
-                            hit_l2 += 1
-                            if trace_values:
-                                self.value_trace.append(("r", addr, data, time))
-                    body[s + 1] = addr + body[s + 2]
-                elif kind == 1:  # SLOT_W
-                    addr = body[s + 1]
-                    if wb_push(addr):
-                        time += store_cycles
-                        ops_executed += 1
-                        if not node._draining:
-                            kick_drain()
-                        body[s + 1] = addr + body[s + 2]
-                    else:
-                        # full buffer: retry this same store after a drain
-                        self._suspend(
-                            time, ops_executed, ip, run_op, run_addr,
-                            run_stride, run_left, loop_iters, loop_slot,
-                            hit_wb, hit_l1, hit_l2)
-                        self._stall_started = time
-                        node.wait_wb_change(self._retry_after_wb)
-                        return
-                else:  # SLOT_WORK
-                    time += body[s + 1]
-                    ops_executed += 1
-                loop_slot = s + 3
-                if loop_slot == nbody:
-                    loop_slot = 0
-                    loop_iters -= 1
-                if time - now >= quantum:
-                    self._suspend(
-                        time, ops_executed, ip, run_op, run_addr,
-                        run_stride, run_left, loop_iters, loop_slot,
-                        hit_wb, hit_l1, hit_l2)
-                    sim.at(time, self._resume)
-                    return
-            # ---- decode the next instruction --------------------------
             if ip >= end:
                 nxt = next(self._chunks, None)
                 if nxt is None:
-                    self._suspend(
-                        time, ops_executed, ip, run_op, run_addr,
-                        run_stride, run_left, loop_iters, loop_slot,
-                        hit_wb, hit_l1, hit_l2)
+                    self._ip = ip
                     self._begin_finish()
                     return
                 self._code = code = nxt
@@ -449,50 +162,26 @@ class Processor:
                 ip = 0
                 continue
             opcode = code[ip]
-            if opcode == OP_R:
-                run_op = OP_R_RUN
-                run_addr = code[ip + 1]
-                run_stride = 0
-                run_left = 1
-                ip += 2
-            elif opcode == OP_R_RUN:
-                run_op = OP_R_RUN
-                run_addr = code[ip + 1]
-                run_stride = code[ip + 2]
-                run_left = code[ip + 3]
+            if opcode == OP_LOOP:
+                first = ip + 3
+                ip = first + 3 * code[ip + 2]
+                self._kinds = code[first:ip:3]
+                self._addrs = code[first + 1:ip:3]
+                self._strides = code[first + 2:ip:3]
+                exited = self._loop(code[first - 2], 0, limit)
+            elif opcode == OP_R_RUN or opcode == OP_W_RUN:
                 ip += 4
-            elif opcode == OP_W:
-                run_op = OP_W_RUN
-                run_addr = code[ip + 1]
-                run_stride = 0
-                run_left = 1
-                ip += 2
-            elif opcode == OP_W_RUN:
-                run_op = OP_W_RUN
-                run_addr = code[ip + 1]
-                run_stride = code[ip + 2]
-                run_left = code[ip + 3]
-                ip += 4
+                exited = self._stride(opcode, code[ip - 3], code[ip - 2],
+                                      code[ip - 1], limit)
             elif opcode == OP_WORK:
-                run_op = OP_WORK
-                run_addr = code[ip + 1]  # cycles per op
-                run_stride = 0
-                run_left = code[ip + 2]
                 ip += 3
-            elif opcode == OP_LOOP:
-                iters = code[ip + 1]
-                n3 = code[ip + 2] * 3
-                body[:] = code[ip + 3:ip + 3 + n3]
-                nbody = n3
-                loop_iters = iters
-                loop_slot = 0
-                ip += 3 + n3
+                exited = self._work(code[ip - 2], code[ip - 1], limit)
+            elif opcode == OP_R or opcode == OP_W:
+                ip += 2
+                exited = self._stride(opcode, code[ip - 1], 0, 1, limit)
             else:
                 # synchronization (or a bad opcode): cold exits
-                self._suspend(
-                    time, ops_executed, ip + 2, run_op, run_addr,
-                    run_stride, run_left, loop_iters, loop_slot,
-                    hit_wb, hit_l1, hit_l2)
+                self._ip = ip + 2
                 sync_id = code[ip + 1]
                 if opcode == OP_BARRIER:
                     self._start_sync(("barrier", sync_id), is_barrier=True)
@@ -504,10 +193,320 @@ class Processor:
                     self._start_unlock(("unlock", sync_id))
                     return
                 raise SimulationError(f"bad opcode {opcode} at {ip}")
+            if exited:
+                self._ip = ip
+                return
 
     # ------------------------------------------------------------------
-    # read misses
+    # superop handlers (DESIGN.md §13.2).  Each retires elements exactly
+    # as the elementary stream would: same costs, counters, LRU ticks
+    # and exits.  Per element it pays only for what the element
+    # changes; the hit counts, the L1's LRU clock and the retired ops
+    # are written back once, when the handler returns.
     # ------------------------------------------------------------------
+    def _stride(self, op: int, addr: int, stride: int, left: int,
+                limit: int) -> bool:
+        """Retire ``left`` loads or stores from ``addr`` on, ``stride``
+        apart (``op`` is ``OP_R``/``OP_R_RUN`` or ``OP_W``/``OP_W_RUN``)."""
+        node = self.node
+        wb = node.write_buffer
+        entries = wb._entries
+        draining = wb._draining
+        wb_mask = wb._neg_mask
+        time = self.time
+        if op == OP_W_RUN or op == OP_W:
+            store_cycles = self.store_cycles
+            wb_block = wb.block_size
+            kick_drain = node.kick_drain
+            todo = left
+            merged = 0
+            while left:
+                block = addr & wb_mask
+                if block != draining and block in entries:
+                    # coalesce into the pending entry
+                    entries[block] += 1
+                    merged += 1
+                elif not wb.push(addr):
+                    break  # full buffer: retry this store after a drain
+                time += store_cycles
+                left -= 1
+                addr += stride
+                if not node._draining:
+                    kick_drain()
+                    draining = wb._draining
+                # with a drain in flight, no kick can pop this entry: the
+                # rest of the block's stores are pure merges, retired in
+                # one step up to the quantum boundary
+                if (left and stride > 0 and block != draining
+                        and addr - block < wb_block):
+                    k = (block + wb_block - addr + stride - 1) // stride
+                    if k > left:
+                        k = left
+                    if store_cycles:
+                        m = (limit - time + store_cycles - 1) // store_cycles
+                        if k > m:
+                            k = m
+                    if k > 0:
+                        entries[block] += k
+                        merged += k
+                        time += k * store_cycles
+                        left -= k
+                        addr += stride * k
+                if time >= limit:
+                    break
+            self.time = time
+            self.ops_executed += todo - left
+            wb.stores_retired += merged
+            wb.stores_merged += merged
+            if left:
+                self._run_op, self._run_addr = op, addr
+                self._run_stride, self._run_left = stride, left
+            if time >= limit:
+                self._yield()
+                return True
+            if left:
+                self._wait_wb()
+                return True
+            return False
+        # loads: one probe per cache block of a hit run (the L1 and the
+        # write buffer share the config's block size).  k = elements from
+        # addr in the block, capped at the run length and the quantum
+        # boundary (retiring the op that crosses it yields, as checking
+        # after every element would)
+        hierarchy = node.hierarchy
+        l1 = hierarchy.l1
+        l1_slot = l1._slot.get
+        l1_states = l1._states
+        l1_lrus = l1._lrus
+        l1_shift = l1._block_shift
+        tick = l1._tick
+        l1_cycles = self.l1_cycles
+        trace_values = self.trace_values
+        cap = limit + l1_cycles - 1
+        low = l1.block_size - 1
+        reach = low + stride
+        hit_wb = hit_l1 = hit_l2 = 0
+        missed = None
+        while left:
+            if stride > 0:
+                k = (reach - (addr & low)) // stride
+                if k > left:
+                    k = left
+            else:
+                k = 1
+            if l1_cycles:
+                m = (cap - time) // l1_cycles
+                if k > m:
+                    k = m
+            block = addr & wb_mask
+            if block in entries or block == draining:
+                # forwarded from pending stores (no value trace)
+                hit_wb += k
+                time += k * l1_cycles
+            else:
+                i = l1_slot(addr >> l1_shift)
+                if i is not None and l1_states[i]:
+                    # the L1 is true LRU: one bump per element, the final
+                    # tick wins
+                    tick += k
+                    l1_lrus[i] = tick
+                    hit_l1 += k
+                    if trace_values:
+                        data = l1._data[i]
+                        value_trace = self.value_trace
+                        a = addr
+                        for _ in range(k):
+                            time += l1_cycles
+                            value_trace.append(("r", a, data, time))
+                            a += stride
+                    else:
+                        time += k * l1_cycles
+                else:
+                    l1.misses += 1
+                    data = hierarchy.l2.lookup_data(addr)
+                    if data is None:
+                        # completes on the reply; step past it first
+                        missed = addr
+                        left -= 1
+                        addr += stride
+                        break
+                    # L1 refill; the rest of the block hits L1 next
+                    l1._tick = tick
+                    l1.insert(addr, _SHARED, data)
+                    tick += 1
+                    k = 1
+                    hit_l2 += 1
+                    time += self.l2_cycles
+                    if trace_values:
+                        self.value_trace.append(("r", addr, data, time))
+            left -= k
+            addr += stride * k
+            if time >= limit:
+                break
+        self.time = time
+        l1._tick = tick
+        l1.hits += hit_l1
+        self.ops_executed += hit_wb + hit_l1 + hit_l2
+        node.stats.add_read_hits(node.node_id, hit_wb, hit_l1, hit_l2)
+        if left:
+            self._run_op, self._run_addr = op, addr
+            self._run_stride, self._run_left = stride, left
+        if missed is not None:
+            self._start_read_miss(missed)
+            return True
+        if time >= limit:
+            self._yield()
+            return True
+        return False
+
+    def _work(self, cycles: int, count: int, limit: int) -> bool:
+        """Charge ``count`` work ops of ``cycles`` each, up to the yield."""
+        time = self.time
+        k = count
+        if cycles:
+            m = (limit - time + cycles - 1) // cycles
+            if k > m:
+                k = m
+        time += k * cycles
+        self.time = time
+        self.ops_executed += k
+        if time >= limit:
+            if k < count:
+                self._run_op, self._run_addr = OP_WORK, cycles
+                self._run_left = count - k
+            self._yield()
+            return True
+        return False
+
+    def _loop(self, iters: int, s: int, limit: int) -> bool:
+        """Run the body slot by slot from slot ``s``, for ``iters``
+        iterations (the current one included; DESIGN.md §13.2)."""
+        kinds = self._kinds
+        addrs = self._addrs
+        strides = self._strides
+        n = len(kinds)
+        todo = iters * n - s  # elements left, for the ops count at exit
+        node = self.node
+        wb = node.write_buffer
+        entries = wb._entries
+        draining = wb._draining
+        wb_mask = wb._neg_mask
+        kick_drain = node.kick_drain
+        hierarchy = node.hierarchy
+        l1 = hierarchy.l1
+        l1_slot = l1._slot.get
+        l1_states = l1._states
+        l1_lrus = l1._lrus
+        l1_shift = l1._block_shift
+        tick = l1._tick
+        l1_cycles = self.l1_cycles
+        store_cycles = self.store_cycles
+        trace_values = self.trace_values
+        value_trace = self.value_trace
+        time = self.time
+        hit_wb = hit_l1 = hit_l2 = merged = 0
+        missed = None
+        slots = range(n)
+        while True:
+            for s in range(s, n) if s else slots:
+                kind = kinds[s]
+                if not kind:  # SLOT_R
+                    addr = addrs[s]
+                    block = addr & wb_mask
+                    if block in entries or block == draining:
+                        time += l1_cycles
+                        hit_wb += 1
+                    else:
+                        i = l1_slot(addr >> l1_shift)
+                        if i is not None and l1_states[i]:
+                            tick += 1
+                            l1_lrus[i] = tick
+                            time += l1_cycles
+                            hit_l1 += 1
+                            if trace_values:
+                                value_trace.append(
+                                    ("r", addr, l1._data[i], time))
+                        else:
+                            l1.misses += 1
+                            data = hierarchy.l2.lookup_data(addr)
+                            if data is None:
+                                # completes on the reply; step past it
+                                missed = addr
+                                addrs[s] = addr + strides[s]
+                                break
+                            l1._tick = tick
+                            l1.insert(addr, _SHARED, data)
+                            tick += 1
+                            time += self.l2_cycles
+                            hit_l2 += 1
+                            if trace_values:
+                                value_trace.append(("r", addr, data, time))
+                    addrs[s] = addr + strides[s]
+                elif kind == 1:  # SLOT_W
+                    addr = addrs[s]
+                    block = addr & wb_mask
+                    if block != draining and block in entries:
+                        # coalesce into the pending entry
+                        entries[block] += 1
+                        merged += 1
+                    elif not wb.push(addr):
+                        break  # full buffer: retry this store after a drain
+                    time += store_cycles
+                    if not node._draining:
+                        kick_drain()
+                        draining = wb._draining
+                    addrs[s] = addr + strides[s]
+                else:  # SLOT_WORK
+                    time += addrs[s]
+                if time >= limit:
+                    break
+            else:
+                s = 0
+                iters -= 1
+                if iters:
+                    continue
+                break
+            # left mid-iteration: step past the element just retired (a
+            # store refused by a full buffer is retried)
+            if missed is not None or time >= limit:
+                s += 1
+                if s == n:
+                    s = 0
+                    iters -= 1
+            break
+        self.time = time
+        l1._tick = tick
+        l1.hits += hit_l1
+        node.stats.add_read_hits(node.node_id, hit_wb, hit_l1, hit_l2)
+        wb.stores_retired += merged
+        wb.stores_merged += merged
+        # every element stepped past retired, bar a missing load
+        self.ops_executed += todo - (iters * n - s) - (missed is not None)
+        if iters:
+            self._loop_iters, self._loop_slot = iters, s
+        if missed is not None:
+            self._start_read_miss(missed)
+            return True
+        if time >= limit:
+            self._yield()
+            return True
+        if iters:
+            self._wait_wb()
+            return True
+        return False
+
+    # ------------------------------------------------------------------
+    # exits: quantum yields, full write buffers and read misses
+    # ------------------------------------------------------------------
+    def _yield(self) -> None:
+        """Re-enter the event queue at the local clock."""
+        self.sim.call_at(self.time, self._resume)
+
+    def _wait_wb(self) -> None:
+        """Stall until the write buffer changes, then retry the store."""
+        self._stall_started = self.time
+        self.node.wait_wb_change(self._retry_after_wb)
+
     def _start_read_miss(self, addr: int) -> None:
         self._stall_started = self.time
         issue_at = self.time + self.l2_cycles  # miss detection through L1+L2
@@ -517,7 +516,7 @@ class Processor:
             self._issue_read(addr)
 
     def _issue_read(self, addr: int) -> None:
-        self.node.l2ctrl.issue_read(addr, self._read_done)
+        self.node.issue_read(addr, self._read_done)
 
     def _read_done(self, txn: Transaction) -> None:
         stall = self.sim.now - self._stall_started
@@ -584,7 +583,7 @@ class Processor:
                 hierarchy.perform_write(addr, hierarchy.l2.probe_data(addr) + 1)
                 then()
 
-            node.l2ctrl.issue_write(addr, owned)
+            node.issue_write(addr, owned)
 
     def _sync_arrived(self, op: Op, is_barrier: bool) -> None:
         node = self.node

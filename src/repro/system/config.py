@@ -85,6 +85,11 @@ class SystemConfig:
             )
         if self.block_size % 8:
             raise ConfigError("block_size must be a multiple of the 8-byte flit")
+        if self.block_size <= 0 or self.block_size & (self.block_size - 1):
+            # caches and write buffers address blocks by masking
+            raise ConfigError(
+                f"block_size must be a power of two, got {self.block_size}"
+            )
         if self.switch_cache_size < 0 or self.netcache_size < 0:
             raise ConfigError("cache sizes must be non-negative")
         stages = self.switch_cache_stages
@@ -113,10 +118,9 @@ class SystemConfig:
         # timing knobs: a negative latency would run a clock backwards
         # (or hang the processor loop), a zero flit time would make the
         # network free, and a zero-entry write buffer can never drain
-        for field in dataclasses.fields(self):
-            name = field.name
+        for name in _TIMING_FIELDS:
             value = getattr(self, name)
-            if (name.endswith("_cycles") or name == "switch_delay") and value < 0:
+            if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.cycles_per_flit < 1:
             raise ConfigError(
@@ -148,3 +152,11 @@ class SystemConfig:
     def replaced(self, **changes) -> "SystemConfig":
         """A copy of this config with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
+
+
+#: the timing knobs __post_init__ range-checks, in field order: every
+#: ``*_cycles`` field and ``switch_delay`` (listed once, not per config)
+_TIMING_FIELDS = tuple(
+    field.name for field in dataclasses.fields(SystemConfig)
+    if field.name.endswith("_cycles") or field.name == "switch_delay"
+)

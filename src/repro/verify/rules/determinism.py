@@ -10,12 +10,16 @@ A run must be a pure function of the configuration and the seeds (see
 * **R (unseeded randomness)** — module-level ``random.*`` calls (or the
   same functions imported from ``random`` and called bare) draw from the
   interpreter's global, unseeded generator, and ``random.Random()`` with
-  no seed argument seeds itself from the host.  Components must take a
-  seeded ``random.Random`` instance instead.
+  no seed argument seeds itself from the host.  Host entropy sources —
+  ``random.SystemRandom``, ``uuid.uuid1``/``uuid4``, ``os.urandom`` and
+  anything in ``secrets`` — cannot be seeded at all.  Components must
+  take a seeded ``random.Random`` instance instead.
 * **S (set iteration)** — iterating a bare ``set`` (e.g. a directory's
   sharer set) in an order-sensitive module makes message fan-out order
-  depend on hash order, which varies across Python builds.  Wrap the
-  iterable in ``sorted()``.
+  depend on hash order, which varies across Python builds.  A set is a
+  display, a ``set()`` call, a set-operator expression over one
+  (``a | {b}``), or a name or attribute (``self.pending``) bound to
+  one.  Wrap the iterable in ``sorted()``.
 
 Four structural rules ride along:
 
@@ -89,6 +93,14 @@ GLOBAL_RANDOM_FNS = frozenset({
     "sample", "uniform", "gauss", "random_sample", "seed",
 })
 
+#: calls that draw host entropy, which no seed reproduces
+HOST_ENTROPY_CALLS = frozenset({
+    "random.SystemRandom", "uuid.uuid1", "uuid.uuid4", "os.urandom",
+})
+
+#: binary operators that combine sets into a set
+_SET_OPERATORS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+
 #: scheduling methods whose callback argument must not be a lambda (rule L)
 SCHEDULING_METHODS = frozenset({"schedule", "at", "call", "call_at"})
 
@@ -118,7 +130,8 @@ class _ModuleScan(ast.NodeVisitor):
         self.coherence = rel_path.startswith("coherence/")
         #: local name -> the absolute dotted name an import bound it to
         self._imports: Dict[str, str] = {}
-        #: names bound to bare sets anywhere in the module
+        #: names and dotted attributes (``self.pending``) bound to bare
+        #: sets anywhere in the module
         self._set_names: Set[str] = set()
 
     def _report(self, rule: str, node: ast.AST, message: str) -> None:
@@ -175,6 +188,12 @@ class _ModuleScan(ast.NodeVisitor):
                     f"{shown}() without a seed seeds itself from the "
                     f"host — pass the configured seed",
                 )
+            if target in HOST_ENTROPY_CALLS or parts[0] == "secrets":
+                self._report(
+                    "R", node,
+                    f"host entropy {shown}() in a kernel module — no seed "
+                    f"reproduces it; take a seeded random.Random instead",
+                )
         if isinstance(node.func, ast.Name) and node.func.id == "hash":
             self._report(
                 "N", node,
@@ -201,11 +220,19 @@ class _ModuleScan(ast.NodeVisitor):
             return True
         if isinstance(node, ast.Call):
             return isinstance(node.func, ast.Name) and node.func.id == "set"
-        return isinstance(node, ast.Name) and node.id in self._set_names
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPERATORS):
+            return (self._is_bare_set_expr(node.left)
+                    or self._is_bare_set_expr(node.right))
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            return dotted_name(node) in self._set_names
+        return False
 
     def _track_set_binding(self, target: ast.AST, value: ast.AST) -> None:
-        if isinstance(target, ast.Name) and self._is_bare_set_expr(value):
-            self._set_names.add(target.id)
+        if (isinstance(target, (ast.Name, ast.Attribute))
+                and self._is_bare_set_expr(value)):
+            name = dotted_name(target)
+            if name is not None:
+                self._set_names.add(name)
 
     def _check_iteration(self, iter_node: ast.AST) -> None:
         if self.order_sensitive and self._is_bare_set_expr(iter_node):

@@ -14,7 +14,10 @@ three kinds of evidence, all read straight from the AST:
 * **dispatch sites** — functions named ``receive``/``_dispatch``/
   ``_start`` are parsed into guard *arms*: an if/elif chain whose tests
   compare a kind (``kind is MsgKind.X``, ``kind in (A, B)``, ``kind in
-  _HOME_KINDS`` with the frozenset table resolved from module level).
+  _KINDS`` with the frozenset table resolved from module level) or
+  index a module-level predicate table by kind code
+  (``_TO_HOME[kind.code]``, where ``_TO_HOME = tuple(k in _HOME_KINDS
+  for k in MsgKind)``).
 * **edges** — for each handler arm and each kind the arm guards, a DFS
   over the intra-class call graph (direct calls, and bound-method
   references passed as scheduler callbacks, e.g. ``sim.call_at(done,
@@ -204,6 +207,14 @@ def _guard_kinds(
     """Every kind a dispatcher guard test can select."""
     out: Set[str] = set()
     for node in ast.walk(test):
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in tables
+                and isinstance(node.slice, ast.Attribute)
+                and node.slice.attr == "code"):
+            # an index-by-code predicate table: TABLE[kind.code]
+            out |= tables[node.value.id]
+            continue
         if not isinstance(node, ast.Compare):
             continue
         for op, comparator in zip(node.ops, node.comparators):
@@ -358,17 +369,27 @@ def _scan_module_level(
     tables: Dict[str, FrozenSet[str]] = {}
     empty_consts: Dict[str, Set[str]] = {}
     no_tables: Dict[str, FrozenSet[str]] = {}
+    target: ast.expr
+    value: ast.expr
     for stmt in module.tree.body:
-        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)):
+        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            target, value = stmt.target, stmt.value
+        elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            target, value = stmt.targets[0], stmt.value
+        else:
             continue
-        name = stmt.targets[0].id
-        value: ast.AST = stmt.value
+        if not isinstance(target, ast.Name):
+            continue
+        name = target.id
         if (isinstance(value, ast.Call)
                 and isinstance(value.func, ast.Name)
                 and value.func.id in ("frozenset", "set", "tuple")
                 and len(value.args) == 1):
             value = value.args[0]
+        predicate = _predicate_table(value, aliases, tables, kinds)
+        if predicate:
+            tables[name] = predicate
+            continue
         resolved_single = _resolve_kind(value, empty_consts, aliases, kinds)
         if resolved_single and len(resolved_single) == 1:
             aliases[name] = next(iter(resolved_single))
@@ -378,6 +399,28 @@ def _scan_module_level(
         if group:
             tables[name] = group
     return aliases, tables
+
+
+def _predicate_table(
+    value: ast.AST,
+    aliases: Dict[str, str],
+    tables: Dict[str, FrozenSet[str]],
+    kinds: FrozenSet[str],
+) -> FrozenSet[str]:
+    """Kinds an index-by-code table marks true: the generator of
+    ``tuple(k in TABLE for k in MsgKind)`` (or ``k is MsgKind.X``)."""
+    if not (isinstance(value, ast.GeneratorExp)
+            and len(value.generators) == 1):
+        return frozenset()
+    comp = value.generators[0]
+    elt = value.elt
+    if not (isinstance(comp.iter, ast.Name) and comp.iter.id == ENUM_NAME
+            and isinstance(comp.target, ast.Name) and not comp.ifs
+            and isinstance(elt, ast.Compare)
+            and isinstance(elt.left, ast.Name)
+            and elt.left.id == comp.target.id):
+        return frozenset()
+    return _guard_kinds(elt, {}, aliases, tables, kinds)
 
 
 def _find_enum(modules: List[Module]) -> Tuple[str, List[str], Dict[str, int]]:

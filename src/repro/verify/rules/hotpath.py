@@ -70,8 +70,19 @@ HOT_REGIONS: Dict[str, FrozenSet[str]] = {
         "CaesarEngine.snoop", "CaesarEngine.try_deposit",
         "CaesarEngine.try_intercept",
     }),
-    # the processor front end: the chunk decode loop (DESIGN.md §13)
-    "node/processor.py": frozenset({"Processor._run"}),
+    # the processor front end: the chunk decode loop and its superop
+    # handlers (DESIGN.md §13.2)
+    "node/processor.py": frozenset({
+        "Processor._run", "Processor._stride", "Processor._work",
+        "Processor._loop",
+    }),
+    # the store path: the write buffer, the drain engine and the node's
+    # message router
+    "cache/writebuffer.py": frozenset({"WriteBuffer.push"}),
+    "node/cluster.py": frozenset({
+        "ProcStack.kick_drain", "ProcStack._drain_done",
+    }),
+    "node/node.py": frozenset({"Node._dispatch"}),
 }
 
 #: builtins whose call allocates a container / sorted copy

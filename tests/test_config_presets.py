@@ -34,6 +34,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SystemConfig(block_size=20)
 
+    @pytest.mark.parametrize("block", [24, 48, 96])
+    def test_block_must_be_power_of_two(self, block):
+        # a flit multiple that is not a power of two used to construct,
+        # then fail inside Machine's cache arrays
+        with pytest.raises(ConfigError, match="power of two"):
+            SystemConfig(num_nodes=4, block_size=block)
+
     def test_negative_cache_sizes_rejected(self):
         with pytest.raises(ConfigError):
             SystemConfig(switch_cache_size=-1)

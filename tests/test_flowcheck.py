@@ -98,6 +98,20 @@ class TestRealTree:
                 <= LANE_ORDER[LANE_BY_KIND[src]]
             ), f"{src} -> {dst} is lane-increasing; drop the entry"
 
+    def test_node_router_resolves_its_home_table(self):
+        # Node._dispatch selects home-bound kinds by indexing a predicate
+        # table with the kind code; the graph must still see that arm,
+        # or F-UNHANDLED falls back to "any receiver arm anywhere"
+        graph = build_flowgraph(load_context(REPO_SRC))
+        [router] = [r for r in graph.routers
+                    if r.qualname == "Node._dispatch"]
+        home = router.arms[0]
+        assert home.kinds == {
+            "READ", "READX", "UPGRADE", "DIR_UPDATE", "WRITEBACK",
+            "RECALL_REPLY", "INV_ACK",
+        }
+        assert [attr for attr, _line in home.router_targets] == ["home_ctrl"]
+
     def test_lane_table_is_total_over_real_kinds(self):
         graph = build_flowgraph(load_context(REPO_SRC))
         assert set(graph.kinds) == set(LANE_BY_KIND)
@@ -129,6 +143,20 @@ class TestSeededMutations:
         report = run_rules(root)
         assert any(
             f.rule == "F-UNHANDLED" and "WRITEBACK" in f.message
+            for f in report.findings
+        ), "\n".join(str(f) for f in report.findings)
+        assert flowcheck.main([str(root)]) == 1
+        capsys.readouterr()
+
+    def test_dropping_a_home_kind_from_the_router_is_caught(
+        self, tmp_path, capsys
+    ):
+        root = _mutated_tree(
+            tmp_path, "node/node.py", "        MsgKind.INV_ACK,\n", "",
+        )
+        report = run_rules(root)
+        assert any(
+            f.rule == "F-UNHANDLED" and "INV_ACK" in f.message
             for f in report.findings
         ), "\n".join(str(f) for f in report.findings)
         assert flowcheck.main([str(root)]) == 1

@@ -4,14 +4,15 @@ The compiler (DESIGN.md §13) fuses app streams into stride runs, loops
 and repeated work ops, and the processor retires a hit run a cache block
 at a time.  Both promise *bit identity* with executing the ops one by
 one: same statistics, same simulated timing, same value and write
-traces, same event count, same final cache arrays and the same exits
-from the processor loop.  Each test runs one workload twice on the same
-processor loop — once on the compiled stream, once on an *elementary*
-stream with one instruction per op, so no bulk-retirement path can fire
-— and compares complete run fingerprints.  The fused run must also
-reproduce a frozen digest (``fixtures/opstream_digests.json``), recorded
-when a separate generator-driven front end and the object state models
-still existed and all three agreed on every cell.
+traces, same event count, same final cache arrays, the same exits
+from the processor loop and the same write-buffer counters.  Each test
+runs one workload twice on the same processor loop — once on the
+compiled stream, once on an *elementary* stream with one instruction
+per op, so no bulk-retirement path can fire — and compares complete
+run fingerprints.  The fused run must also reproduce a frozen digest
+(``fixtures/opstream_digests.json``), recorded when a separate
+generator-driven front end and the object state models still existed
+and all three agreed on every cell.
 
 The small app scales here keep the whole matrix in tier-1 time; at full
 scale, ``perfbench/pins.json`` pins the statistics on every CI run.
@@ -24,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import repro.system.machine as machine_module
+from conftest import ScriptedApp
 from repro.apps.opstream import (
     OP_BARRIER,
     OP_LOCK,
@@ -31,6 +33,7 @@ from repro.apps.opstream import (
     OP_UNLOCK,
     OP_W,
     OP_WORK,
+    expand_macro,
 )
 from repro.apps.synthetic import PrivateWork, UniformRandom
 from repro.experiments.common import make_app
@@ -95,7 +98,8 @@ def run_cell(config, app):
     """Run once; return the fingerprint (everything observable: stats
     payload, event count, per-processor finish times, value traces and
     write traces) and, apart from it so the frozen digests stay as they
-    are, each processor's final L1/L2 arrays and exit points."""
+    are, each processor's final L1/L2 arrays, exit points and write
+    buffer counters."""
     machine = Machine(config, sanitize=False)
     stats = machine.run(app)
     stacks = list(machine.stacks())
@@ -114,6 +118,11 @@ def run_cell(config, app):
             for array in (s.hierarchy.l1, s.hierarchy.l2)
         ],
         "exits": [s.processor.__dict__.get("exits") for s in stacks],
+        "wb": [
+            (s.write_buffer.stores_retired, s.write_buffer.stores_merged,
+             s.write_buffer.full_stalls)
+            for s in stacks
+        ],
     }
     return fp, extra
 
@@ -129,22 +138,25 @@ def digest(fp):
 
 
 def record_exits(monkeypatch):
-    """Log (local time, ops retired) at every ``Processor._suspend``, the
-    write-back that precedes each exit from the processor loop."""
-    suspend = Processor._suspend
+    """Log (local time, ops retired) at every exit from the processor
+    loop: each return from ``Processor._run`` leaves the processor's
+    resumable state written back."""
+    run = Processor._run
 
-    def recording(self, time, ops_executed, *rest):
-        self.__dict__.setdefault("exits", []).append((time, ops_executed))
-        suspend(self, time, ops_executed, *rest)
+    def recording(self):
+        run(self)
+        self.__dict__.setdefault("exits", []).append(
+            (self.time, self.ops_executed)
+        )
 
-    monkeypatch.setattr(Processor, "_suspend", recording)
+    monkeypatch.setattr(Processor, "_run", recording)
 
 
 def assert_fused_matches_elementary(cell, config, app_factory, monkeypatch,
-                                    extra=("caches", "exits")):
+                                    extra=("caches", "exits", "wb")):
     """Fused and elementary runs agree on the fingerprint and on the
     ``extra`` parts; ``cell`` names the frozen digest the fused run must
-    reproduce (None: no digest)."""
+    reproduce (None: no digest).  Returns the fused run's extra parts."""
     record_exits(monkeypatch)
     fused, fused_extra = run_cell(config, app_factory())
     monkeypatch.setattr(machine_module, "compile_stream", elementary_stream)
@@ -161,6 +173,7 @@ def assert_fused_matches_elementary(cell, config, app_factory, monkeypatch,
         )
     if cell is not None:
         assert digest(fused) == FROZEN[cell], "fused run moved off its golden"
+    return fused_extra
 
 
 @pytest.mark.parametrize("app_name, switch, protocol, traced", MATRIX)
@@ -184,7 +197,7 @@ def test_paper_kernels_bit_identical_at_odd_quantum(app_name, monkeypatch):
     assert_fused_matches_elementary(
         None, _config("msi", "on").replaced(quantum=37),
         lambda: make_app(app_name, "quick", SMALL_SCALE[app_name]),
-        monkeypatch, extra=("exits",),
+        monkeypatch, extra=("exits", "wb"),
     )
 
 
@@ -203,6 +216,53 @@ def test_synthetic_irregular_stream_bit_identical(monkeypatch):
         "random", _config("msi", "off"),
         lambda: UniformRandom(ops_per_proc=150), monkeypatch,
     )
+
+
+class MacroScript(ScriptedApp):
+    """A ScriptedApp whose scripts may use the macro forms (``('wr', ...)``,
+    ``('loop', iters, body)``) on ``("blk", i)`` addresses; its
+    elementary stream is their expansion."""
+
+    def macro_ops(self, proc_id, machine):
+        for op in self.scripts.get(proc_id, ()):
+            if op[0] == "loop":
+                yield ("loop", op[1], [self._resolve(s) for s in op[2]])
+            else:
+                yield self._resolve(op)
+
+    def ops(self, proc_id, machine):
+        return expand_macro(self.macro_ops(proc_id, machine))
+
+
+_A, _B = ("blk", 0), ("blk", 1)
+
+
+def test_store_to_draining_block_takes_a_fresh_entry(monkeypatch):
+    # the first store's drain (a write miss to a remote home) outlasts
+    # the loop: every store to A while it drains goes through push into
+    # a fresh entry and counts no merge, while the stores to B coalesce
+    script = [("w", _A), ("loop", 3, [("w", _A, 0), ("w", _B, 0)])]
+    extra = assert_fused_matches_elementary(
+        None, _config("msi", "off"),
+        lambda: MacroScript({0: script}, blocks=2, home=1), monkeypatch,
+    )
+    # (stores retired, stores merged, full-buffer stalls) on processor 0
+    assert extra["wb"][0] == (7, 2, 0)
+
+
+def test_store_resumed_from_the_drain_waiters_kicks_the_drain(monkeypatch):
+    # with two entries, the third store to A (draining, buffer full)
+    # stalls.  _drain_done resumes it from its waiter loop, where the
+    # fresh entry for A is pending but no drain runs: the store merges
+    # into it and must kick the drain at once, so the next store finds
+    # A draining and takes a fresh entry instead of merging
+    script = [("wr", _A, 0, 2),
+              ("loop", 1, [("w", _B, 0), ("w", _A, 0), ("w", _A, 0)])]
+    extra = assert_fused_matches_elementary(
+        None, _config("msi", "off").replaced(write_buffer_entries=2),
+        lambda: MacroScript({0: script}, blocks=2, home=1), monkeypatch,
+    )
+    assert extra["wb"][0] == (5, 1, 1)
 
 
 def test_elementary_swap_takes_effect(monkeypatch):

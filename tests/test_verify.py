@@ -299,6 +299,21 @@ class TestDeterminismLint:
         )
         assert [(f.rule, f.line) for f in findings] == [("R", 4)]
 
+    @pytest.mark.parametrize("imported, call", [
+        ("import random", "random.SystemRandom().random()"),
+        ("import uuid", "uuid.uuid1()"),
+        ("import uuid", "uuid.uuid4()"),
+        ("import os", "os.urandom(4)"),
+        ("import secrets", "secrets.token_bytes(4)"),
+        ("from secrets import randbelow", "randbelow(10)"),
+    ])
+    def test_host_entropy_flagged(self, tmp_path, imported, call):
+        findings = self._lint_snippet(
+            tmp_path, "sim/entropy.py",
+            f"{imported}\n\ndef f():\n    return {call}\n",
+        )
+        assert [(f.rule, f.line) for f in findings] == [("R", 4)]
+
     def test_seeded_random_instance_allowed(self, tmp_path):
         findings = self._lint_snippet(
             tmp_path, "node/rng.py",
@@ -315,6 +330,32 @@ class TestDeterminismLint:
         assert any(f.rule == "S" for f in sensitive)
         elsewhere = self._lint_snippet(tmp_path, "cache/util.py", code)
         assert not any(f.rule == "S" for f in elsewhere)
+
+    def test_set_attribute_iteration_flagged(self, tmp_path):
+        findings = self._lint_snippet(
+            tmp_path, "coherence/pending.py",
+            "class C:\n"
+            "    def __init__(self):\n"
+            "        self.pending = set()\n\n"
+            "    def fan_out(self):\n"
+            "        for n in self.pending:\n"
+            "            yield n\n",
+        )
+        assert [(f.rule, f.line) for f in findings] == [("S", 6)]
+
+    def test_set_operator_iteration_flagged(self, tmp_path):
+        findings = self._lint_snippet(
+            tmp_path, "coherence/union.py",
+            "def f():\n    for n in {1, 2} | {3}:\n        yield n\n",
+        )
+        assert [(f.rule, f.line) for f in findings] == [("S", 2)]
+
+    def test_arithmetic_on_names_not_taken_for_sets(self, tmp_path):
+        findings = self._lint_snippet(
+            tmp_path, "coherence/span.py",
+            "def f(a, b):\n    for n in range(a - b):\n        yield n\n",
+        )
+        assert not findings
 
     def test_sorted_set_iteration_allowed(self, tmp_path):
         findings = self._lint_snippet(

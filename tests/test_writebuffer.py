@@ -1,6 +1,9 @@
 """Unit tests for the release-consistency write buffer."""
 
+import pytest
+
 from repro.cache.writebuffer import WriteBuffer
+from repro.errors import ConfigError
 
 
 def test_empty_initially():
@@ -109,3 +112,10 @@ def test_block_granularity_alignment():
     wb = WriteBuffer(capacity=4, block_size=64)
     wb.push(0x1F)
     assert wb.begin_drain() == 0
+
+
+@pytest.mark.parametrize("block", [0, 24, 48])
+def test_block_size_must_be_power_of_two(block):
+    # blocks are addressed by masking, as in CacheArray
+    with pytest.raises(ConfigError, match="power of two"):
+        WriteBuffer(capacity=4, block_size=block)
