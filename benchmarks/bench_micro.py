@@ -1,10 +1,10 @@
 """Microbenchmarks of the simulator's hot paths.
 
 These are true pytest-benchmark measurements (many iterations): cache
-array probes, BMIN route computation, switch-cache engine operations, the
-event engine itself, and the processor front end's per-element loop.
-They guard against performance regressions that would make the
-paper-scale experiments impractically slow.
+array probes, BMIN route computation, machine construction, switch-cache
+engine operations, the event engine itself, and the processor front end's
+per-element loop.  They guard against performance regressions that would
+make the paper-scale experiments impractically slow.
 """
 
 import pytest
@@ -18,7 +18,7 @@ from repro.network.message import Message, MsgKind
 from repro.network.topology import BminTopology
 from repro.sim.engine import Simulator
 from repro.system.machine import Machine
-from repro.system.presets import base_config
+from repro.system.presets import base_config, switch_cache_config
 
 
 def test_cache_array_lookup(benchmark):
@@ -48,6 +48,18 @@ def test_bmin_routing(benchmark):
         return total
 
     assert benchmark(route_all_pairs) > 0
+
+
+@pytest.mark.parametrize("num_nodes", (16, 64))
+def test_machine_construction(benchmark, num_nodes):
+    """Building a switch-cache machine, with the garbage collector left
+    on: the collections a build triggers over the live heap count too."""
+    config = switch_cache_config(num_nodes)
+    machine = benchmark.pedantic(
+        Machine, args=(config,), kwargs={"sanitize": False},
+        rounds=20, warmup_rounds=1,
+    )
+    assert len(machine.nodes) == num_nodes
 
 
 def test_event_engine_throughput(benchmark):

@@ -37,7 +37,7 @@ def show_latency() -> None:
             fabric.inject(msg)
             sim.run()
             rows.append((f"0 -> {dst}", kind.value, msg.flits,
-                         len(msg.route), msg.delivered_at - msg.created_at))
+                         len(msg.hops), msg.delivered_at - msg.created_at))
     print(format_table(
         ("route", "message", "flits", "hops", "latency (cycles)"),
         rows, title="Uncontended worm latencies",

@@ -22,6 +22,13 @@ fabric invokes the embedded CAESAR engine —
   and the request itself shrinks to a 1-flit ``DIR_UPDATE`` that continues
   to the home node so the full-map directory stays exact.
 
+Routes are resolved on first use (:meth:`Fabric.route`): a pair's
+``((switch, out_link), ...)`` hops are built the first time a worm needs
+them and shared by every later worm on the pair.  The fabric relies on
+the topology's reversal symmetry, ``path(a, b) == reversed(path(b, a))``:
+a switch-served reply rides the home-to-requester route from the serving
+switch on, which is exactly the request's traversed prefix, reversed.
+
 Each worm's per-hop callback is chosen once, when it enters the fabric
 (DESIGN.md §10.4): :meth:`Fabric._hop` (grant only), ``_hop_snoop``,
 ``_hop_deposit`` or ``_hop_intercept`` by kind, or :meth:`Fabric._arrive`
@@ -96,8 +103,8 @@ class Fabric:
 
     __slots__ = (
         "sim", "topo", "switch_delay", "cycles_per_flit", "stats",
-        "switches", "_inject_links", "_handlers", "_tracer", "_route_objs",
-        "_route_lists", "_reply_routes", "pool", "_record_route", "_hop_fns",
+        "switches", "_inject_links", "_handlers", "_tracer", "_routes",
+        "pool", "_record_route", "_hop_fns",
     )
 
     def __init__(
@@ -121,9 +128,7 @@ class Fabric:
         # the per-hop route trace costs one list append per hop on the
         # hottest path; it only feeds the tracer's hop attribution and
         # test introspection, so it is recorded only when tracing (or,
-        # via SanitizedFabric, sanitizing) is enabled.  The switch-served
-        # reply retrace derives the traversed prefix from the resolved
-        # route + hop index instead.
+        # via SanitizedFabric, sanitizing) is enabled.
         self._record_route = sim.tracer is not None
         self.topo = topology
         self.switch_delay = switch_delay
@@ -140,16 +145,8 @@ class Fabric:
         self._handlers: List[Optional[DeliverFn]] = (
             [None] * topology.num_nodes
         )
-        self._route_objs: Dict[Tuple[int, int], Tuple[Hop, ...]] = {}
-        self._route_lists: Dict[Tuple[int, int], List[SwitchId]] = {}
-        # switch-served replies retrace the request's traversed prefix;
-        # routes are deterministic per (src, dst), so (src, dst, hop)
-        # names the prefix exactly and the reversed route plus its
-        # resolution are cached like the forward tables above
-        self._reply_routes: Dict[
-            Tuple[int, int, int],
-            Tuple[List[SwitchId], Tuple[Hop, ...]],
-        ] = {}
+        # (src, dst) -> resolved hops, filled by route() on first use
+        self._routes: Dict[Tuple[int, int], Tuple[Hop, ...]] = {}
         # the untraced hop callback per kind, indexed by MsgKind.code:
         # grant only, until install_cache_engines embeds CAESAR engines
         self._hop_fns: List[HopFn] = [self._hop] * len(MsgKind)
@@ -176,15 +173,20 @@ class Fabric:
             self._inject_links[node] = Link(
                 self.sim, f"ni{node}->sw", cycles_per_flit=self.cycles_per_flit
             )
-        # resolve every (src, dst) route once into (switch, out-link) hop
-        # tuples, so the per-worm hot path never consults the topology or
-        # the switches' output dicts again
-        for src in range(self.topo.num_nodes):
-            for dst in range(self.topo.num_nodes):
-                if src != dst:
-                    route = self.topo.path(src, dst)
-                    self._route_lists[(src, dst)] = route
-                    self._route_objs[(src, dst)] = self._resolve(route, dst)
+
+    def route(self, src: int, dst: int) -> Tuple[Hop, ...]:
+        """The ``((switch, out_link), ...)`` hops from node ``src`` to ``dst``.
+
+        Resolved from the topology the first time a worm needs the pair,
+        then memoised: every later worm on the pair shares the one tuple,
+        so the per-hop path never consults the topology or the switches'
+        output dicts.
+        """
+        hops = self._routes.get((src, dst))
+        if hops is None:
+            hops = self._resolve(self.topo.path(src, dst), dst)
+            self._routes[(src, dst)] = hops
+        return hops
 
     def _resolve(
         self, route: List[SwitchId], dst: int
@@ -239,10 +241,8 @@ class Fabric:
         sim = self.sim
         if msg.created_at < 0:
             msg.created_at = sim.now
-        # the cached route list is shared across worms (read-only by
-        # convention); resolving per-inject was a measurable allocation
-        msg.route = self._route_lists[(msg.src, msg.dst)]
-        msg.hops = self._route_objs[(msg.src, msg.dst)]
+        hops = self._routes.get((msg.src, msg.dst))
+        msg.hops = hops if hops is not None else self.route(msg.src, msg.dst)
         link = self._inject_links[msg.src]
         grant, _tail = link.reserve(msg.flits, earliest=sim.now)
         msg.injected_at = grant
@@ -441,8 +441,7 @@ class Fabric:
             src=msg.dst,  # protocol-wise the reply stands in for the home's
             dst=msg.src,
             addr=msg.addr,
-            flits=1 + _data_flits(msg),
-            data=data,
+            data=data,  # flits default to the pool's block, as for every DATA_S
             payload={
                 "served_by": "switch",
                 "served_stage": stage,
@@ -453,22 +452,13 @@ class Fabric:
         )
         reply.created_at = now
         reply.injected_at = ready_at
-        # retrace the request's traversed prefix back to the requester:
-        # routes are deterministic per (src, dst), so (src, dst, hop)
-        # names the prefix exactly — derived from the resolved route, not
-        # from the per-hop msg.trace, which is only recorded when tracing
-        # (cached: the route list is shared across worms, read-only by
-        # convention, exactly like the forward tables)
-        key = (msg.src, msg.dst, hop)
-        cached = self._reply_routes.get(key)
-        if cached is None:
-            route = msg.route[hop::-1]
-            cached = (route, self._resolve(route, msg.src))
-            self._reply_routes[key] = cached
-        reply.route, reply.hops = cached
+        # the reply retraces the request's traversed prefix: by reversal
+        # symmetry that is the tail of the home-to-requester route, from
+        # the serving switch on
+        hops = reply.hops = self.route(msg.dst, msg.src)
         if self._record_route:
             reply.trace.append(switch.id)
-        self._forward(reply, 0, header_at=ready_at)
+        self._forward(reply, len(hops) - 1 - hop, header_at=ready_at)
         # the request continues to the home as a 1-flit directory update;
         # it carries the version the switch served so the home can detect
         # staleness even after an intervening writer has written back
@@ -524,10 +514,3 @@ class Fabric:
             link.mean_queueing_delay() for link in self._inject_links.values()
         ]
         return sum(delays) / len(delays) if delays else 0.0
-
-
-def _data_flits(msg: Message) -> int:
-    """Payload flits for the block size implied by the request's transaction."""
-    txn = msg.transaction
-    block_size = getattr(txn, "block_size", 64) if txn is not None else 64
-    return block_size // 8

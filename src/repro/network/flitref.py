@@ -321,8 +321,7 @@ class FlitNetwork:
                 src=msg.dst,
                 dst=msg.src,
                 addr=msg.addr,
-                flits=1 + self._block_flits(msg),
-                data=data,
+                data=data,  # flits default to the pool's block, as for every DATA_S
                 payload={
                     "served_by": "switch",
                     "served_stage": at[1],
@@ -351,11 +350,6 @@ class FlitNetwork:
             self._inject_at(at, update, update_hops)
             return True
         return False
-
-    def _block_flits(self, msg: Message) -> int:
-        txn = msg.transaction
-        block_size = getattr(txn, "block_size", 64) if txn is not None else 64
-        return block_size // 8
 
     def _inject_at(self, vertex: Port, msg: Message, hops, not_before=None):
         """Queue a switch-originated worm for transmission from ``vertex``."""

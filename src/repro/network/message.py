@@ -128,9 +128,10 @@ def flits_for(kind: MsgKind, block_size: int) -> int:
 class Message:
     """One worm in flight.
 
-    ``trace`` accumulates the (stage, row) of every switch the header has
-    traversed, which gives the switch-served replies their retrace route
-    and the statistics their per-stage attribution.
+    ``hops`` is the worm's resolved route, ``((switch, out_link), ...)``,
+    set by the fabric when the worm enters it.  ``trace`` accumulates the
+    (stage, row) of every switch the header has traversed, recorded only
+    when a tracer or the sanitizer asks for it.
     """
 
     __slots__ = (
@@ -146,7 +147,6 @@ class Message:
         "injected_at",
         "delivered_at",
         "trace",
-        "route",
         "hops",
         "on_hop",
         "transaction",
@@ -176,7 +176,6 @@ class Message:
         self.injected_at: int = -1
         self.delivered_at: int = -1
         self.trace: List[Tuple[int, int]] = []
-        self.route: Optional[List[Tuple[int, int]]] = None
         # the route resolved to ((switch, out-link), ...) hop objects by
         # the fabric at injection, so per-hop forwarding is pure indexing
         self.hops: Optional[Tuple[Any, ...]] = None

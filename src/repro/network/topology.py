@@ -21,7 +21,9 @@ depends on are enforced here and checked by tests:
   retraces its request, that copies deposited by replies lie on the unique
   home-to-sharer path, and therefore that invalidations (which follow the
   same path) snoop every switch that can hold a copy — the paper's
-  tree-cover argument.
+  tree-cover argument.  The fabric (``network/fabric.py``) uses it
+  directly: a switch-served reply rides the mirrored route, from the
+  serving switch on, instead of resolving a reversed prefix of its own.
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ from repro.network.fabric import Fabric
 from repro.network.message import Message, MsgKind, flits_for
 from repro.network.topology import BminTopology
 from repro.sim.engine import Simulator
+from repro.system.machine import Machine
+from repro.system.presets import switch_cache_config
 
 
 def make_fabric(n=16, with_caches=False):
@@ -51,7 +53,7 @@ class TestBasicDelivery:
         msg = send(fabric, MsgKind.READ, 2, 13)
         sim.run()
         assert msg.trace == []
-        assert msg.route == fabric.topo.path(2, 13)
+        assert [sw.id for sw, _ in msg.hops] == fabric.topo.path(2, 13)
 
     def test_trace_matches_topology_path(self):
         sim, fabric, _inbox = make_fabric()
@@ -193,6 +195,74 @@ class TestSwitchCacheIntegration:
         assert fabric.stats.switch_hits == 0
 
 
+class TestRouteResolution:
+    """Routes are resolved on first use; switch replies ride the mirror."""
+
+    @staticmethod
+    def _same_objects(got, want):
+        return len(got) == len(want) and all(
+            g_sw is w_sw and g_link is w_link
+            for (g_sw, g_link), (w_sw, w_link) in zip(got, want)
+        )
+
+    @pytest.mark.parametrize("n", (2, 4, 8, 16, 32, 64))
+    def test_mirrored_suffix_is_the_retraced_prefix(self, n):
+        # a READ intercepted at hop ``hop`` of path(src, dst) is answered
+        # along the tail of route(dst, src) from len - 1 - hop: the same
+        # (switch, link) objects as resolving the reversed prefix directly
+        fabric = Fabric(Simulator(), BminTopology(n))
+        for src in range(n):
+            for dst in range(n):
+                if src == dst:
+                    continue
+                path = fabric.topo.path(src, dst)
+                mirror = fabric.route(dst, src)
+                assert len(mirror) == len(path)
+                for hop in range(len(path)):
+                    want = fabric._resolve(path[hop::-1], src)
+                    got = mirror[len(mirror) - 1 - hop:]
+                    assert self._same_objects(got, want), (src, dst, hop)
+
+    def test_traced_switch_reply_walks_the_mirrored_suffix(self):
+        sim, fabric, inbox = make_fabric(with_caches=True)
+        fabric._record_route = True  # as an attached tracer or SCSan would
+        send(fabric, MsgKind.DATA_S, 15, 0, addr=0x40, data=7)
+        sim.run()
+        send(fabric, MsgKind.READ, 5, 15, addr=0x40)
+        sim.run()
+        reply, = [m for m in inbox[5] if m.payload.get("served_by")]
+        path = fabric.topo.path(5, 15)
+        hop = path.index(reply.payload["served_switch"])
+        assert hop > 0  # the reply has switches to walk back through
+        mirror = fabric.route(15, 5)
+        assert reply.hops is mirror
+        suffix = mirror[len(mirror) - 1 - hop:]
+        assert reply.trace == [sw.id for sw, _ in suffix]
+        assert reply.trace == path[hop::-1]
+
+    def test_fresh_fabric_and_machine_resolve_nothing(self):
+        _sim, fabric, _inbox = make_fabric(with_caches=True)
+        assert fabric._routes == {}
+        machine = Machine(switch_cache_config(16), sanitize=False)
+        assert machine.fabric._routes == {}
+
+    def test_one_inject_resolves_one_pair(self):
+        sim, fabric, _inbox = make_fabric()
+        msg = send(fabric, MsgKind.READ, 2, 13)
+        assert list(fabric._routes) == [(2, 13)]
+        sim.run()
+        assert list(fabric._routes) == [(2, 13)]
+        assert msg.hops is fabric.route(2, 13)
+
+    def test_worms_on_one_pair_share_one_hop_tuple(self):
+        sim, fabric, _inbox = make_fabric()
+        a = send(fabric, MsgKind.READ, 2, 13)
+        b = send(fabric, MsgKind.DATA_S, 2, 13, data=1)
+        sim.run()
+        assert a.hops is b.hops
+        assert len(fabric._routes) == 1
+
+
 class TestInjectionQueueing:
     def test_injection_link_serializes(self):
         sim, fabric, _inbox = make_fabric()
@@ -288,8 +358,8 @@ class TestHopHandlers:
         b = send(fabric, second, 1, 15, data=1)
         sim.run()
         assert (a.delivered_at, b.delivered_at) == (92, 128)
-        up = fabric._route_objs[(0, 15)][0][1]
-        assert up is fabric._route_objs[(1, 15)][0][1]
+        up = fabric.route(0, 15)[0][1]
+        assert up is fabric.route(1, 15)[0][1]
         assert (up.queued_cycles, up.msgs) == (36, 2)
         assert sum(
             link.queued_cycles

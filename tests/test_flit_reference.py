@@ -11,9 +11,11 @@ same microbenchmark workloads on both models and check the claim:
 
 import pytest
 
+from repro.core.caesar import CaesarEngine
+from repro.core.switchcache import SwitchCacheGeometry
 from repro.network.fabric import Fabric
 from repro.network.flitref import FlitNetwork
-from repro.network.message import Message, MsgKind, flits_for
+from repro.network.message import Message, MessagePool, MsgKind, flits_for
 from repro.network.topology import BminTopology
 from repro.sim.engine import Simulator
 
@@ -142,6 +144,34 @@ class TestReferenceMechanics:
         network = FlitNetwork(sim, BminTopology(4))
         with pytest.raises(NetworkError):
             network.inject(Message(MsgKind.READ, 1, 1, 0, 1))
+
+
+class TestSwitchReplyLength:
+    @pytest.mark.parametrize("model_cls", (Fabric, FlitNetwork),
+                             ids=("fabric", "flit"))
+    def test_switch_reply_carries_the_pool_block(self, model_cls):
+        # 32-byte blocks: a switch-served reply to a READ that carries no
+        # transaction is as long as the DATA_S that deposited the block
+        sim = Simulator()
+        network = model_cls(sim, BminTopology(16), pool=MessagePool(32))
+        inbox = {node: [] for node in range(16)}
+        for node in range(16):
+            network.attach_node(node, inbox[node].append)
+        network.install_cache_engines(
+            lambda sid: CaesarEngine(
+                sim, sid, SwitchCacheGeometry(size=2048, block_size=32)
+            )
+        )
+        data_flits = flits_for(MsgKind.DATA_S, 32)
+        assert data_flits == 5
+        network.inject(Message(MsgKind.DATA_S, 15, 0, 0x40, data_flits, data=7))
+        sim.run()
+        network.inject(Message(MsgKind.READ, 1, 15, 0x40, 1))
+        sim.run()
+        assert network.stats.switch_hits == 1
+        reply, = [m for m in inbox[1] if m.kind is MsgKind.DATA_S]
+        assert reply.payload["served_by"] == "switch"
+        assert reply.flits == data_flits
 
 
 class TestFlitPacing:

@@ -190,7 +190,7 @@ class TestGrantLockstep:
             )
             kinds = [MsgKind.DATA_S, MsgKind.INV, MsgKind.READ,
                      MsgKind.DATA_X]
-        eject = fabric._route_objs[(0, 1)][-1][1]
+        eject = fabric.route(0, 1)[-1][1]
         eject._free_at = eject_busy_until
         msgs = []
         for i, (flits, inject_at) in enumerate(worms):
@@ -259,7 +259,7 @@ class TestGrantLockstep:
                             switch_delay=rng.randrange(0, 6),
                             cycles_per_flit=cycles_per_flit)
             msg = Message(MsgKind.DATA_X, 0, 15, 0x40, rng.randrange(1, 12))
-            msg.hops = fabric._route_objs[(0, 15)]
+            msg.hops = fabric.route(0, 15)
             msg.on_hop = fabric._hop
             hop = rng.randrange(len(msg.hops))
             link = msg.hops[hop][1]
