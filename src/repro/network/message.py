@@ -21,7 +21,7 @@ instead of an enum property call.
 
 :class:`MessagePool` owns message identity for one machine: ids come
 from a per-pool counter, so two machines in one process (differential
-tests, the model checker) get independent, reproducible id streams.
+tests, the explorer) get independent, reproducible id streams.
 Every worm is a fresh :class:`Message`; a delivered one is simply
 dropped.
 

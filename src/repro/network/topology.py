@@ -28,19 +28,11 @@ depends on are enforced here and checked by tests:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..errors import ConfigError
 
 SwitchId = Tuple[int, int]  # (stage, row)
-
-#: all-pairs route tables shared by every topology instance of a given
-#: size.  Routing is static per topology, and an experiment harness builds
-#: hundreds of same-sized machines, so the table is computed once per
-#: ``num_nodes`` for the lifetime of the process.  The cached lists are
-#: shared — callers must treat returned paths as read-only (they already
-#: did: the per-instance cache handed out shared lists too).
-_ROUTE_TABLES: Dict[int, Dict[Tuple[int, int], List[SwitchId]]] = {}
 
 
 def stage_count(num_nodes: int) -> int:
@@ -58,22 +50,6 @@ class BminTopology:
         self.k = 2
         self.stages = stage_count(num_nodes)
         self.rows = num_nodes // 2  # switches per stage
-        table = _ROUTE_TABLES.get(num_nodes)
-        if table is None:
-            table = self._build_route_table()
-            _ROUTE_TABLES[num_nodes] = table
-        self._path_cache = table
-
-    def _build_route_table(self) -> Dict[Tuple[int, int], List[SwitchId]]:
-        """Precompute every pair's route (canonical path + its reversal)."""
-        table: Dict[Tuple[int, int], List[SwitchId]] = {}
-        for a in range(self.num_nodes):
-            table[(a, a)] = []
-            for b in range(a + 1, self.num_nodes):
-                canon = self._canonical_path(a, b)
-                table[(a, b)] = canon
-                table[(b, a)] = list(reversed(canon))
-        return table
 
     # ------------------------------------------------------------------
     # geometry
@@ -123,13 +99,17 @@ class BminTopology:
 
         Returns the ordered list of (stage, row) switches the header
         traverses.  ``path(a, a)`` is empty (local access, no network).
+        Computed on demand from the canonical path of the (min, max)
+        pair, so ``path(b, a)`` is ``path(a, b)`` reversed by
+        construction; the fabric memoises the pairs its worms use.
         """
-        route = self._path_cache.get((a, b))
-        if route is None:
-            # every valid pair is precomputed; a miss is a bad node id
-            self._check_node(a)
-            self._check_node(b)
-        return route
+        self._check_node(a)
+        self._check_node(b)
+        if a == b:
+            return []
+        if a < b:
+            return self._canonical_path(a, b)
+        return self._canonical_path(b, a)[::-1]
 
     def _canonical_path(self, a: int, b: int) -> List[SwitchId]:
         """Canonical path for a < b: straight ascent from a, morph descent to b."""

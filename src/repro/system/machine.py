@@ -249,10 +249,11 @@ class Machine:
                 raise DeadlockError(
                     f"max_cycles={max_cycles} reached with processors "
                     f"{stuck} unfinished at cycle {self.sim.now}"
+                    + self._open_work()
                 )
             raise DeadlockError(
                 f"event queue drained with processors {stuck} unfinished "
-                f"at cycle {self.sim.now}"
+                f"at cycle {self.sim.now}" + self._open_work()
             )
         # let in-flight traffic (writebacks, late invalidations) quiesce
         self.sim.run(until=max_cycles)
@@ -261,6 +262,24 @@ class Machine:
         if self.stats.exec_time is None:
             raise SimulationError("finish times missing")
         return self.stats
+
+    def _open_work(self) -> str:
+        """Every open home transaction and MSHR, one per line (cold path)."""
+        lines = []
+        for node in self.nodes:
+            for block, txn in sorted(node.home_ctrl._active.items()):
+                lines.append(
+                    f"home {node.node_id}: {txn.msg.kind.name} of block "
+                    f"{block:#x} from node {txn.requester}, "
+                    f"{txn.acks_needed} acks outstanding"
+                )
+        for stack in self.stacks():
+            for block, mshr in sorted(stack.netctrl._mshr.items()):
+                lines.append(
+                    f"proc {stack.proc_id}: {mshr.kind} MSHR for block "
+                    f"{block:#x}"
+                )
+        return "".join(f"\n  {line}" for line in lines)
 
     # ------------------------------------------------------------------
     # whole-system coherence audit (used by tests)

@@ -1,7 +1,7 @@
 """Correctness tooling for the simulator (``repro.verify``).
 
 Run everything at once with ``python -m repro.verify`` (static rules +
-model-check smoke, aggregated exit code).  The individual analyzers:
+explorer smoke, aggregated exit code).  The individual analyzers:
 
 * :mod:`repro.verify.flowcheck` — the static analysis gate: every rule
   of the unified framework (:mod:`repro.verify.framework`) over the
@@ -13,12 +13,11 @@ model-check smoke, aggregated exit code).  The individual analyzers:
   ``# repro: allow[RULE-ID]``.
   Run as ``python -m repro.verify.flowcheck``.
 
-* :mod:`repro.verify.modelcheck` — an explicit-state model checker that
-  BFS-enumerates the reachable protocol state space for a small
-  configuration (1 block x N nodes, with or without a switch cache on
-  the reply path) and checks SWMR, directory/cache agreement,
-  clean-SHARED switch copies, and absence of stuck states.
-  Run as ``python -m repro.verify.modelcheck``.
+* :mod:`repro.verify.explore` — delay-bounded exploration of the real
+  protocol handlers: each built-in script runs on a sanitized 4-node
+  machine under the trunk schedule and every schedule that holds at
+  most two fabric deliveries back, checked by SCSan, the coherence
+  audit and monotone reads.
 
 * :mod:`repro.verify.sanitize` — "SCSan", an opt-in runtime invariant
   layer hooked into :class:`~repro.system.machine.Machine`
@@ -37,22 +36,21 @@ from .framework import (
     load_context,
     run_rules,
 )
-from .modelcheck import CheckResult, ModelConfig, ProtocolModel, check
+from .explore import Exploration, Failure, explore
 from .sanitize import SanitizedFabric, SanitizedSimulator, Sanitizer
 
 __all__ = [
     "AnalysisContext",
-    "CheckResult",
+    "Exploration",
+    "Failure",
     "Finding",
-    "ModelConfig",
-    "ProtocolModel",
     "Report",
     "Rule",
     "SanitizedFabric",
     "SanitizedSimulator",
     "Sanitizer",
     "all_rules",
-    "check",
+    "explore",
     "load_context",
     "run_rules",
 ]

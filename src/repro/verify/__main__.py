@@ -5,15 +5,16 @@ Aggregates every static and dynamic check the verify suite offers:
 1. **Static analysis** — all framework rules (determinism W/R/S/H/L/B/N,
    protocol-flow F-*, lane C-*, hot-path P-*), exactly as
    ``python -m repro.verify.flowcheck``.
-2. **Model-check smoke** — a small exhaustive state-space sweep of the
-   MSI and MESI protocols with the switch cache on and off (2 nodes,
-   1 op per node), catching dynamic protocol regressions the static
-   passes cannot see.
+2. **Explorer smoke** — every built-in script of the delay-bounded
+   explorer (:mod:`repro.verify.explore`) under MSI and MESI, with and
+   without switch caches, over every schedule that holds one delivery
+   back: the real handlers under many timings, catching dynamic
+   protocol regressions the static passes cannot see.  The full k=2
+   exploration runs in ``tests/test_verify.py``.
 
 The exit code is the logical OR of the stages: 0 only when the static
-gate passes (no unsuppressed findings) *and* every smoke
-configuration verifies clean.  ``--skip-modelcheck`` runs only the
-static stage (useful on machines where the sweep is too slow).
+gate passes (no unsuppressed findings) *and* every smoke cell explores
+clean.  ``--static-only`` runs only the static stage.
 """
 
 from __future__ import annotations
@@ -27,29 +28,30 @@ from typing import Any, Dict, List, Optional
 from .flowcheck import DEFAULT_ROOT
 from .framework import run_rules
 
-#: (protocol, switch) smoke matrix — small enough to finish in seconds
-SMOKE_CONFIGS = (
-    ("msi", False),
-    ("msi", True),
-    ("mesi", False),
-    ("mesi", True),
-)
+#: the smoke's delay bound: k=1 keeps the 12 cells to a few seconds
+SMOKE_K = 1
 
 
-def _run_modelcheck_smoke() -> List[Dict[str, Any]]:
-    from .modelcheck import check
+def _run_explorer_smoke() -> List[Dict[str, Any]]:
+    from .explore import SCRIPTS, explore
 
     results: List[Dict[str, Any]] = []
-    for protocol, switch in SMOKE_CONFIGS:
-        result = check(
-            protocol=protocol, nodes=2, ops_per_node=1, switch=switch,
-        )
-        results.append({
-            "protocol": protocol,
-            "switch": switch,
-            "ok": result.ok,
-            "summary": result.summary(),
-        })
+    for name, script in SCRIPTS.items():
+        for protocol in ("msi", "mesi"):
+            for switch in (False, True):
+                result = explore(script, protocol, switch, k=SMOKE_K)
+                results.append({
+                    "script": name,
+                    "protocol": protocol,
+                    "switch": switch,
+                    "schedules": result.schedules,
+                    "failure": (
+                        None if result.failure is None
+                        else str(result.failure)
+                    ),
+                    "ok": result.ok,
+                    "summary": result.summary(),
+                })
     return results
 
 
@@ -67,8 +69,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write an aggregated machine-readable report to PATH",
     )
     parser.add_argument(
-        "--skip-modelcheck", action="store_true",
-        help="run only the static analysis stage",
+        "--static-only", action="store_true",
+        help="run only the static analysis stage, not the explorer smoke",
     )
     args = parser.parse_args(argv)
 
@@ -77,26 +79,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     exit_code = report.exit_code
 
     smoke: List[Dict[str, Any]] = []
-    if not args.skip_modelcheck:
-        smoke = _run_modelcheck_smoke()
+    if not args.static_only:
+        smoke = _run_explorer_smoke()
         for entry in smoke:
-            status = "ok" if entry["ok"] else "FAIL"
-            switch = "switch" if entry["switch"] else "no-switch"
-            print(
-                f"modelcheck[{entry['protocol']}/{switch}]: "
-                f"{entry['summary']} [{status}]"
-            )
+            print(f"explore: {entry['summary']}")
             if not entry["ok"]:
+                print(f"  {entry['failure']}")
                 exit_code = 1
 
     status = "ok" if exit_code == 0 else "FAIL"
-    stages = "static" if args.skip_modelcheck else "static+modelcheck"
+    stages = "static" if args.static_only else "static+explore"
     print(f"verify: {stages} [{status}]")
 
     if args.json is not None:
         payload = {
             "static": report.to_dict(),
-            "modelcheck": smoke,
+            "explore": smoke,
             "exit_code": exit_code,
         }
         args.json.write_text(

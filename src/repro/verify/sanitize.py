@@ -1,9 +1,9 @@
 """SCSan: opt-in runtime invariant layer for live simulations.
 
-The model checker (:mod:`repro.verify.modelcheck`) proves the protocol
-sound on a small abstract configuration; SCSan re-checks the same
-invariants on the *real* component models while a full simulation runs,
-plus the kernel-level properties the abstraction cannot see:
+SCSan checks the protocol's invariants on the real component models
+while a simulation runs (the delay-bounded explorer,
+:mod:`repro.verify.explore`, runs it over many timings of small
+scripted races), plus the kernel-level properties beneath them:
 
 * **SWMR** — after every message delivery, at most one processor stack
   holds an owned (MODIFIED/EXCLUSIVE) copy of the delivered block, and

@@ -2,54 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, List, Sequence
 
 import pytest
 
-from repro.apps.base import Application, Op
+from repro.apps.base import Op
+from repro.apps.scripted import ScriptedApp, monotone_read_problems
 from repro.system.config import SystemConfig
 from repro.system.machine import Machine
-
-
-class ScriptedApp(Application):
-    """An application defined by explicit per-processor op lists.
-
-    The workhorse of the protocol tests: lets a test drive exact access
-    interleavings (reads, writes, barriers) per processor.  Addresses may
-    be given symbolically as ``("blk", i)`` pairs, resolved at setup time
-    against blocks allocated with the requested placement.
-    """
-
-    name = "scripted"
-
-    def __init__(
-        self,
-        scripts: Dict[int, Sequence[Op]],
-        blocks: int = 8,
-        home: int = None,
-        interleave: bool = True,
-    ) -> None:
-        self.scripts = scripts
-        self.n_blocks = blocks
-        self.home = home
-        self.interleave = interleave if home is None else False
-        self.block_addrs: List[int] = []
-
-    def setup(self, machine) -> None:
-        block = machine.config.block_size
-        base = machine.space.alloc(
-            self.n_blocks * block, home=self.home, interleave=self.interleave
-        )
-        self.block_addrs = [base + i * block for i in range(self.n_blocks)]
-
-    def _resolve(self, op: Op) -> Op:
-        if len(op) >= 2 and isinstance(op[1], tuple) and op[1][0] == "blk":
-            return (op[0], self.block_addrs[op[1][1]]) + tuple(op[2:])
-        return op
-
-    def ops(self, proc_id: int, machine) -> Iterator[Op]:
-        for op in self.scripts.get(proc_id, ()):
-            yield self._resolve(op)
 
 
 def tiny_config(**overrides) -> SystemConfig:
@@ -88,19 +48,8 @@ def assert_coherent(machine: Machine) -> None:
 
 def assert_monotonic_reads(machine: Machine) -> None:
     """Per (processor, block), observed versions never go backward."""
-    for node in machine.stacks():
-        last: Dict[int, int] = {}
-        block = machine.config.block_size
-        for _op, addr, version, _time in node.processor.value_trace:
-            key = (addr // block) * block
-            if version is None:
-                continue
-            previous = last.get(key, -1)
-            assert version >= previous, (
-                f"proc {node.node_id} read v{version} after v{previous} "
-                f"at block {key:#x}"
-            )
-            last[key] = version
+    problems = monotone_read_problems(machine)
+    assert not problems, problems[0]
 
 
 @pytest.fixture

@@ -26,6 +26,7 @@ import pytest
 
 from repro.verify import flowcheck
 from repro.verify.__main__ import main as verify_main
+from repro.verify.explore import SCRIPTS
 from repro.verify.framework import all_rules, load_context, run_rules
 from repro.verify.rules.flowgraph import build_flowgraph
 from repro.verify.rules.lane_whitelist import WHITELIST
@@ -225,7 +226,7 @@ class TestFramework:
 # ----------------------------------------------------------------------
 class TestUmbrella:
     def test_real_tree_passes(self, capsys):
-        assert verify_main([str(REPO_SRC), "--skip-modelcheck"]) == 0
+        assert verify_main([str(REPO_SRC), "--static-only"]) == 0
         assert "verify: static [ok]" in capsys.readouterr().out
 
     def test_deleted_handler_arm_fails(self, tmp_path, capsys):
@@ -235,7 +236,7 @@ class TestUmbrella:
             "            self._on_writeback(msg)\n",
             "",
         )
-        assert verify_main([str(root), "--skip-modelcheck"]) == 1
+        assert verify_main([str(root), "--static-only"]) == 1
         assert "verify: static [FAIL]" in capsys.readouterr().out
 
     def test_json_payload_carries_every_stage(self, tmp_path, capsys):
@@ -246,9 +247,14 @@ class TestUmbrella:
         assert payload["static"]["findings"] == []
         assert payload["static"]["suppressed"] == 1
         assert len(payload["static"]["rules"]) == len(all_rules())
-        assert [(e["protocol"], e["switch"], e["ok"])
-                for e in payload["modelcheck"]] == [
-            ("msi", False, True), ("msi", True, True),
-            ("mesi", False, True), ("mesi", True, True),
+        cells = [
+            ("msi", False), ("msi", True), ("mesi", False), ("mesi", True),
         ]
+        assert [(e["script"], e["protocol"], e["switch"], e["ok"])
+                for e in payload["explore"]] == [
+            (name, protocol, switch, True)
+            for name in SCRIPTS for protocol, switch in cells
+        ]
+        assert all(e["schedules"] > 30 and e["failure"] is None
+                   for e in payload["explore"])
         capsys.readouterr()

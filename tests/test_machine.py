@@ -6,6 +6,7 @@ from repro.cache.states import LineState
 from repro.apps import GaussianElimination
 from repro.apps.synthetic import SharedReaders
 from repro.errors import DeadlockError
+from repro.node.node import Node
 from repro.system.machine import Machine
 from repro.system.presets import switch_cache_config
 
@@ -51,6 +52,31 @@ class TestRunLoop:
         machine = Machine(tiny_config())
         with pytest.raises(DeadlockError, match="event queue drained"):
             machine.run(app)
+
+    def test_deadlock_names_open_transactions_and_mshrs(self, monkeypatch):
+        # a node that never acknowledges an INV leaves the home's write
+        # transaction waiting forever: the error says what is stuck
+        on_inv = Node._on_inv
+
+        def on_inv_without_ack(self, msg):
+            msg.payload["no_ack"] = True
+            on_inv(self, msg)
+
+        monkeypatch.setattr(Node, "_on_inv", on_inv_without_ack)
+        app = ScriptedApp(
+            {1: [("r", ("blk", 0))], 2: [("work", 400), ("w", ("blk", 0))]},
+            blocks=1, home=0,
+        )
+        machine = Machine(tiny_config())
+        with pytest.raises(DeadlockError) as excinfo:
+            machine.run(app)
+        block = app.block_addrs[0]
+        message = str(excinfo.value)
+        assert (
+            f"home 0: READX of block {block:#x} from node 2, "
+            f"1 acks outstanding" in message
+        )
+        assert f"proc 2: write MSHR for block {block:#x}" in message
 
     @pytest.mark.parametrize("sanitize", (False, True))
     def test_max_cycles_bounds_the_run(self, sanitize):

@@ -93,6 +93,27 @@ class TestRouting:
         topo = BminTopology(16)
         assert topo.path(2, 9) == topo.path(2, 9)
 
+    @pytest.mark.parametrize("a, b", [(16, 0), (0, 16), (-1, 3), (16, 16)])
+    def test_path_rejects_bad_node_ids(self, a, b):
+        with pytest.raises(ConfigError):
+            BminTopology(16).path(a, b)
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_construction_computes_no_path(self, n, monkeypatch):
+        # routes are computed when asked for, never as an all-pairs table
+        calls = []
+        canonical = BminTopology._canonical_path
+
+        def counting(self, a, b):
+            calls.append((a, b))
+            return canonical(self, a, b)
+
+        monkeypatch.setattr(BminTopology, "_canonical_path", counting)
+        topo = BminTopology(n)
+        assert calls == []
+        assert topo.path(n - 1, 0) == canonical(topo, 0, n - 1)[::-1]
+        assert calls == [(0, n - 1)]
+
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
 def test_all_pairs_paths_valid_unique_and_symmetric(n):
