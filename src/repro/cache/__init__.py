@@ -1,7 +1,7 @@
 """SRAM cache substrate: arrays, MSI states, hierarchy, write buffer."""
 
 from .array import CacheArray, LineView
-from .hierarchy import CacheHierarchy, ReadResult, WriteResult
+from .hierarchy import CacheHierarchy
 from .states import DirState, LineState
 from .writebuffer import WriteBuffer
 
@@ -9,8 +9,6 @@ __all__ = [
     "CacheArray",
     "LineView",
     "CacheHierarchy",
-    "ReadResult",
-    "WriteResult",
     "DirState",
     "LineState",
     "WriteBuffer",

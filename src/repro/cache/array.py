@@ -179,12 +179,6 @@ class CacheArray:
         # every miss, which profiling showed dominating the lookup cost.
         self._slot: Dict[int, int] = {}
 
-    # ------------------------------------------------------------------
-    # address helpers
-    # ------------------------------------------------------------------
-    def block_of(self, addr: int) -> int:
-        return addr // self.block_size
-
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0

@@ -4,7 +4,8 @@ Mirrors the paper's per-node hierarchy: a 16 KB L1 and a 128 KB L2.  The L1
 is write-through/no-write-allocate (so it never holds dirty data and needs
 no M state); the L2 is write-back MSI and inclusive of the L1.  All methods
 are pure state transitions — the node controller adds timing and drives the
-coherence protocol for misses.
+coherence protocol for misses.  Loads and store probes read the two arrays
+directly (``l1``/``l2``) from the processor's op loop and the store drain.
 """
 
 from __future__ import annotations
@@ -12,44 +13,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .array import CacheArray
-from .states import CODE_EXCLUSIVE, LineState
-
-
-class ReadResult:
-    """Outcome of a hierarchy read probe."""
-
-    __slots__ = ("level", "data")
-
-    def __init__(self, level: str, data: Optional[int]) -> None:
-        self.level = level  # 'l1' | 'l2' | 'miss'
-        self.data = data
-
-    @property
-    def hit(self) -> bool:
-        return self.level != "miss"
-
-
-class WriteResult:
-    """Outcome of a hierarchy write probe.
-
-    ``action`` is one of:
-
-    * ``'hit'``      — L2 holds the block in M; write performed.
-    * ``'upgrade'``  — L2 holds the block in S; ownership needed.
-    * ``'miss'``     — block absent; read-exclusive needed.
-    """
-
-    __slots__ = ("action",)
-
-    def __init__(self, action: str) -> None:
-        self.action = action
-
-
-#: interned probe outcomes — write_probe is on the store hot path and the
-#: three results are immutable, so one instance each suffices
-_WR_HIT = WriteResult("hit")
-_WR_UPGRADE = WriteResult("upgrade")
-_WR_MISS = WriteResult("miss")
+from .states import LineState
 
 
 class CacheHierarchy:
@@ -70,30 +34,8 @@ class CacheHierarchy:
         self.l2 = CacheArray(l2_size, block_size, l2_assoc, name=f"L2[{node_id}]")
 
     # ------------------------------------------------------------------
-    # processor-side probes
+    # processor-side stores
     # ------------------------------------------------------------------
-    def read(self, addr: int) -> ReadResult:
-        """Probe for a load.  On an L2 hit the block is refilled into L1."""
-        data = self.l1.lookup_data(addr)
-        if data is not None:
-            return ReadResult("l1", data)
-        data = self.l2.lookup_data(addr)
-        if data is not None:
-            # L1 is no-write-allocate and write-through, so refills are
-            # always clean copies; an L1 victim needs no writeback.
-            self.l1.insert(addr, LineState.SHARED, data)
-            return ReadResult("l2", data)
-        return ReadResult("miss", None)
-
-    def write_probe(self, addr: int) -> WriteResult:
-        """Probe for a store (no data change yet)."""
-        code = self.l2.lookup_state(addr)
-        if not code:
-            return _WR_MISS
-        if code >= CODE_EXCLUSIVE:
-            return _WR_HIT
-        return _WR_UPGRADE
-
     def perform_write(self, addr: int, data: int) -> None:
         """Commit a store to an owned L2 line (and through to L1 if present).
 

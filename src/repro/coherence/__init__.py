@@ -3,7 +3,7 @@
 from .directory import DirEntry, Directory
 from .home import HomeController
 from .l2ctrl import NodeController
-from .messages import Transaction, make_message
+from .messages import Transaction
 
 __all__ = [
     "DirEntry",
@@ -11,5 +11,4 @@ __all__ = [
     "HomeController",
     "NodeController",
     "Transaction",
-    "make_message",
 ]

@@ -1,17 +1,19 @@
 """Node-side coherence controller (L2 controller + MSHRs).
 
-Sits between a processor's cache hierarchy and the system: it turns L2
-misses into directory transactions, handles incoming protocol traffic
-(invalidations, recalls) against the hierarchy, fills replies, and spills
-dirty victims as writebacks.  One MSHR per block; the processor model
-guarantees at most one outstanding read plus one outstanding write drain,
-and never both to the same block (reads that match a pending write-buffer
-entry are forwarded from the buffer instead).
+Sits between a processor's cache hierarchy and the system: it turns node
+misses (what the cluster bus could not serve) into directory
+transactions, fills the replies, and spills dirty victims as writebacks.
+One MSHR per block; the processor model guarantees at most one
+outstanding read plus one outstanding write drain, and never both to the
+same block (reads that match a pending write-buffer entry are forwarded
+from the buffer instead).  Invalidations and recalls address the node,
+not a processor: :class:`~repro.node.node.Node` routes and handles them,
+so :meth:`NodeController.receive` rejects them.
 
 The *late invalidation* race is handled DASH-style: an INV that arrives
-while the block's reply is still in flight marks the MSHR; the reply's
-data is then delivered to the processor once but not installed in any
-cache.
+while the block's reply is still in flight marks the MSHR (through
+:meth:`NodeController.mark_pending_inval`); the reply's data is then
+delivered to the processor once but not installed in any cache.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from ..cache.hierarchy import CacheHierarchy
-from ..cache.states import CODE_EXCLUSIVE, CODE_SHARED, LineState
+from ..cache.states import CODE_SHARED, LineState
 from ..errors import ProtocolError
 from ..memory.netcache import NetworkCache
 from ..memory.nic import NetworkInterface
@@ -36,8 +38,6 @@ _DATA_S = MsgKind.DATA_S
 _DATA_X = MsgKind.DATA_X
 _DATA_E = MsgKind.DATA_E
 _UPGR_ACK = MsgKind.UPGR_ACK
-_INV = MsgKind.INV
-_RECALLS = (MsgKind.RECALL, MsgKind.RECALL_X)
 
 
 class NodeController:
@@ -53,7 +53,6 @@ class NodeController:
         block_size: int,
         netcache: Optional[NetworkCache] = None,
         proc_id: Optional[int] = None,
-        probe_netcache: bool = True,
         pool: Optional[MessagePool] = None,
     ) -> None:
         self.sim = sim
@@ -68,7 +67,6 @@ class NodeController:
         self._pool = pool if pool is not None else MessagePool(block_size)
         self.netcache = netcache
         self.proc_id = proc_id
-        self.probe_netcache = probe_netcache
         self._mshr: Dict[int, Transaction] = {}
         # statistics
         self.reads_issued = 0
@@ -96,7 +94,7 @@ class NodeController:
     def issue_read(
         self, addr: int, callback: Callable[[Transaction], None]
     ) -> Transaction:
-        """L1+L2 read miss: probe the network cache, then go to the home."""
+        """Node read miss: request the block from its home."""
         block = self._block(addr)
         home = self.home_of(block)
         txn = Transaction(
@@ -109,23 +107,6 @@ class NodeController:
                 node=self.node_id, addr=block,
                 state=self.hierarchy.state_of(block),
             )
-        if (self.probe_netcache and self.netcache is not None
-                and home != self.node_id):
-            data, done = self.netcache.lookup(block)
-            if data is not None:
-                txn.served_by = "netcache"
-                txn.data = data
-                self.sim.call_at(done, self._complete_nc_read, txn)
-                return txn
-            # miss: the probe's latency is paid before the request departs
-            self._mshr[block] = txn
-            msg = self._pool.make(
-                MsgKind.READ, self.node_id, home, block,
-                payload=self._req_payload(), transaction=txn,
-            )
-            txn.req_msg = msg
-            self.ni.send(msg, at=done)
-            return txn
         self._mshr[block] = txn
         msg = self._pool.make(
             MsgKind.READ, self.node_id, home, block,
@@ -134,11 +115,6 @@ class NodeController:
         txn.req_msg = msg
         self.ni.send(msg)
         return txn
-
-    def _complete_nc_read(self, txn: Transaction) -> None:
-        victim = self.hierarchy.fill(txn.addr, LineState.SHARED, txn.data, fill_l1=True)
-        self._spill(victim)
-        self._finish(txn)
 
     def issue_write(
         self, addr: int, callback: Callable[[Transaction], None]
@@ -183,10 +159,6 @@ class NodeController:
             self._on_data_e(msg)
         elif kind is _UPGR_ACK:
             self._on_upgr_ack(msg)
-        elif kind is _INV:
-            self._on_inv(msg)
-        elif kind in _RECALLS:
-            self._on_recall(msg)
         else:
             raise ProtocolError(
                 f"node got unexpected {msg!r}",
@@ -223,7 +195,7 @@ class NodeController:
             self._finish(txn)
             return
         victim = self.hierarchy.fill(txn.addr, LineState.SHARED, msg.data, fill_l1=True)
-        self._spill(victim)
+        self.spill(victim)
         if self.netcache is not None and txn.home != self.node_id:
             self.netcache.fill(txn.addr, msg.data)
         self._finish(txn)
@@ -234,7 +206,7 @@ class NodeController:
         txn.data = msg.data
         txn.served_by = "home_mem"
         victim = self.hierarchy.fill(txn.addr, LineState.MODIFIED, msg.data)
-        self._spill(victim)
+        self.spill(victim)
         self._finish(txn)
 
     def _on_data_e(self, msg: Message) -> None:
@@ -249,7 +221,7 @@ class NodeController:
         victim = self.hierarchy.fill(
             txn.addr, LineState.EXCLUSIVE, msg.data, fill_l1=True
         )
-        self._spill(victim)
+        self.spill(victim)
         self._finish(txn)
 
     def _on_upgr_ack(self, msg: Message) -> None:
@@ -265,50 +237,11 @@ class NodeController:
         self.hierarchy.upgrade(txn.addr)
         self._finish(txn)
 
-    def _on_inv(self, msg: Message) -> None:
-        self.invs_received += 1
-        block = self._block(msg.addr)
-        if msg.payload.get("purge_only"):
-            # our own upgrade/write: the L2 copy stays (it becomes the M
-            # copy) but the network cache's clean copy is now stale
-            if self.netcache is not None:
-                self.netcache.invalidate(block)
-        else:
-            self.hierarchy.invalidate(block)
-            if self.netcache is not None:
-                self.netcache.invalidate(block)
-            pending = self._mshr.get(block)
-            if pending is not None and pending.kind == "read":
-                pending.pending_inval = True
-        if not msg.payload.get("no_ack"):
-            ack = self._pool.make(MsgKind.INV_ACK, self.node_id, msg.src, block)
-            self.ni.send(ack)
-
-    def _on_recall(self, msg: Message) -> None:
-        block = self._block(msg.addr)
-        if self.hierarchy.state_code(block) >= CODE_EXCLUSIVE:
-            if msg.kind is MsgKind.RECALL:
-                data = self.hierarchy.downgrade(block)
-            else:
-                _state, data = self.hierarchy.invalidate(block)
-                if self.netcache is not None:
-                    self.netcache.invalidate(block)
-            reply = self._pool.make(
-                MsgKind.RECALL_REPLY, self.node_id, msg.src, block, data=data,
-            )
-        else:
-            # eviction raced the recall; the writeback is already in flight
-            reply = self._pool.make(
-                MsgKind.RECALL_REPLY, self.node_id, msg.src, block,
-                payload={"no_data": True},
-            )
-        self.ni.send(reply)
-
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _spill(self, victim) -> None:
-        """Send a displaced dirty L2 victim home as a writeback."""
+    def spill(self, victim) -> None:
+        """Send a displaced owned L2 victim home as a writeback."""
         if victim is None:
             return
         victim_addr, victim_data = victim

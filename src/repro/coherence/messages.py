@@ -1,4 +1,4 @@
-"""Coherence transactions and message construction helpers.
+"""Coherence transactions.
 
 A :class:`Transaction` is the node-side record of one outstanding
 coherence operation (an L2 read miss, a write-ownership acquisition, or an
@@ -10,9 +10,9 @@ breakdowns (Figure-5-style) are computed and the service classification
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Optional
 
-from ..network.message import Message, MsgKind, flits_for
+from ..network.message import Message
 
 _txn_ids = itertools.count()
 
@@ -69,10 +69,6 @@ class Transaction:
         self.reply_msg: Optional[Message] = None
 
     @property
-    def is_remote(self) -> bool:
-        return self.node != self.home
-
-    @property
     def latency(self) -> int:
         if self.completed_at < 0:
             raise ValueError("transaction not complete")
@@ -83,26 +79,3 @@ class Transaction:
             f"<Txn#{self.id} {self.kind} n{self.node}->h{self.home} "
             f"addr={self.addr:#x} served_by={self.served_by}>"
         )
-
-
-def make_message(
-    kind: MsgKind,
-    src: int,
-    dst: int,
-    addr: int,
-    block_size: int,
-    data: Optional[int] = None,
-    payload: Optional[Dict[str, Any]] = None,
-    transaction: Optional[Transaction] = None,
-) -> Message:
-    """Build a message with the correct worm length for its kind."""
-    return Message(
-        kind=kind,
-        src=src,
-        dst=dst,
-        addr=addr,
-        flits=flits_for(kind, block_size),
-        data=data,
-        payload=payload,
-        transaction=transaction,
-    )

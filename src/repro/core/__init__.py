@@ -2,11 +2,10 @@
 
 from .caesar import CaesarEngine
 from .policy import CachingPolicy
-from .switchcache import SwitchCacheGeometry, SwitchCacheSRAM
+from .switchcache import SwitchCacheGeometry
 
 __all__ = [
     "CaesarEngine",
     "CachingPolicy",
     "SwitchCacheGeometry",
-    "SwitchCacheSRAM",
 ]

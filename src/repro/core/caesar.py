@@ -4,8 +4,8 @@ One :class:`CaesarEngine` lives inside each switch of a switch-cache
 interconnect.  The fabric calls exactly three hooks as worm headers arrive,
 each timed off the simulator clock (the header-arrival cycle):
 
-* :meth:`snoop` — an INV worm passes: purge a matching block (second tag
-  port, never skipped, never delays the worm).
+* :meth:`snoop` — an INV worm passes: purge a matching block (the tag
+  array's second port, so never skipped and never delaying the worm).
 * :meth:`try_deposit` — a DATA_S worm passes: opportunistically capture
   the block as it streams through the switch.
 * :meth:`try_intercept` — a READ worm arrives: probe the cache; on a hit
@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from ..cache.array import CacheArray
 from ..cache.states import LineState
 from ..network.message import Message
 from ..sim.engine import Simulator
+from ..sim.resource import Timeline
 from .policy import CachingPolicy
-from .switchcache import SwitchCacheGeometry, SwitchCacheSRAM
+from .switchcache import SwitchCacheGeometry
 
 #: hoisted member: deposits always install clean shared copies
 _SHARED = LineState.SHARED
@@ -47,31 +49,39 @@ class CaesarEngine:
         self.stage = switch_id[0]
         self.geo = geometry
         self.policy = policy if policy is not None else CachingPolicy()
-        self.sram = SwitchCacheSRAM(sim, geometry, name=f"sc{switch_id}")
+        name = f"sc{switch_id}"
+        self.array = CacheArray(
+            geometry.size, geometry.block_size, geometry.assoc, name=name,
+            replacement=geometry.replacement,
+        )
+        # the regular tag port and one data port per bank.  Snoops use the
+        # tag array's second port, which nothing else contends for, so it
+        # needs no grant state: a snoop never delays a request or a worm
+        self.tag_port = Timeline(sim, f"{name}.tag")
+        self.data_ports = [
+            Timeline(sim, f"{name}.data{b}") for b in range(geometry.banks)
+        ]
         # whether this stage caches: a disabled engine still snoops
         self.enabled = self.policy.stage_enabled(self.stage)
         # same tracer track as the owning switch (see Switch.trace_track)
         self.trace_track = f"switch{switch_id[0]}.{switch_id[1]}"
-        # hot-path hoists: policy thresholds and SRAM geometry are fixed
-        # after construction, so the fabric hooks below read them (and the
-        # SRAM's ports/array methods) without chasing attribute chains.
-        # The hooks inline Timeline.reserve's grant arithmetic — kept in
-        # lockstep with repro.sim.resource.Timeline — because a worm
-        # passes a switch engine once per hop and the nested calls
-        # dominate the engine's cost when tracing is off.
+        # hot-path hoists: policy thresholds and geometry are fixed after
+        # construction, so the fabric hooks below read them (and the
+        # array's methods) without chasing attribute chains.  The hooks
+        # inline Timeline.reserve's grant arithmetic — kept in lockstep
+        # with repro.sim.resource.Timeline — because a worm passes a
+        # switch engine once per hop and the nested calls dominate the
+        # engine's cost when tracing is off.
         self._bypass_threshold = self.policy.bypass_threshold
         self._deposit_threshold = self.policy.deposit_threshold
-        sram = self.sram
-        self._tag_port = sram.tag_port
-        self._snoop_port = sram.snoop_port
-        self._data_ports = sram.data_ports
-        self._tag_cycles = sram._tag_cycles
-        self._data_cycles = sram._data_cycles
-        self._block_size = sram._block_size
-        self._bank_mask = sram._bank_mask
-        self._lookup_data = sram.array.lookup_data
-        self._insert = sram.array.insert
-        self._invalidate = sram.array.invalidate
+        self._tag_cycles = geometry.tag_cycles
+        self._data_cycles = geometry.data_cycles
+        self._block_size = geometry.block_size
+        # banks is 1/2/4, so interleaved bank selection is a mask
+        self._bank_mask = geometry.banks - 1
+        self._lookup_data = self.array.lookup_data
+        self._insert = self.array.insert
+        self._invalidate = self.array.invalidate
         # statistics
         self.lookups = 0
         self.hits = 0
@@ -88,29 +98,13 @@ class CaesarEngine:
     def snoop(self, msg: Message) -> None:
         """INV passing through: purge a matching block.  Never skipped."""
         self.snoops += 1
-        # inlined SwitchCacheSRAM.snoop_invalidate (same grants, stats)
-        port = self._snoop_port
-        tag_cycles = self._tag_cycles
-        now = self.sim.now
-        start = port._free_at
-        if start < now:
-            start = now
-        port._free_at = start + tag_cycles
-        port.busy_cycles += tag_cycles
-        port.reservations += 1
-        port.queued_cycles += start - now
         if self._invalidate(msg.addr) is not None:
-            # valid-bit clear costs one extra tag-port cycle
-            start = port._free_at  # just advanced past now: no clamp
-            port._free_at = start + tag_cycles
-            port.busy_cycles += tag_cycles
-            port.reservations += 1
-            port.queued_cycles += start - now
             self.purges += 1
             tracer = self._tracer
             if tracer is not None:
                 tracer.instant(
-                    self.trace_track, "sc_purge", now, {"addr": msg.addr}
+                    self.trace_track, "sc_purge", self.sim.now,
+                    {"addr": msg.addr},
                 )
 
     def try_deposit(self, msg: Message) -> bool:
@@ -119,20 +113,20 @@ class CaesarEngine:
             return False
         addr = msg.addr
         now = self.sim.now
-        port = self._data_ports[(addr // self._block_size) & self._bank_mask]
-        # policy.should_deposit(data_backlog) with the max(0, ...) folded in
+        port = self.data_ports[(addr // self._block_size) & self._bank_mask]
+        # a deposit is pure opportunism: skip it when the bank is backed
+        # up beyond the policy's threshold
         if port._free_at - now > self._deposit_threshold:
             self.deposit_skips += 1
             return False
-        # inlined SwitchCacheSRAM.write: tag update, then the full-block
-        # data-bank occupancy starting no earlier than the tag grant
-        tag_port = self._tag_port
+        # tag update, then the full-block data-bank occupancy starting
+        # no earlier than the tag grant
+        tag_port = self.tag_port
         tag_cycles = self._tag_cycles
         start = tag_port._free_at
         if start < now:
             start = now
         tag_port._free_at = start + tag_cycles
-        tag_port.busy_cycles += tag_cycles
         tag_port.reservations += 1
         tag_port.queued_cycles += start - now
         tag_done = start + tag_cycles
@@ -141,7 +135,6 @@ class CaesarEngine:
         if dstart < tag_done:
             dstart = tag_done
         port._free_at = dstart + data_cycles
-        port.busy_cycles += data_cycles
         port.reservations += 1
         port.queued_cycles += dstart - tag_done
         victim = self._insert(addr, _SHARED, msg.data)
@@ -162,8 +155,9 @@ class CaesarEngine:
         if not self.enabled:
             return None
         now = self.sim.now
-        tag_port = self._tag_port
-        # policy.should_check(tag_backlog) with the max(0, ...) folded in
+        tag_port = self.tag_port
+        # a read is forwarded unchecked when the tag port is backed up
+        # beyond the policy's threshold
         if tag_port._free_at - now > self._bypass_threshold:
             self.bypasses += 1
             tracer = self._tracer
@@ -173,21 +167,20 @@ class CaesarEngine:
                 )
             return None
         self.lookups += 1
-        # inlined SwitchCacheSRAM.read: tag check, then (on a hit) the
-        # block streams through the addressed data bank
+        # tag check, then (on a hit) the block streams through the
+        # addressed data bank
         tag_cycles = self._tag_cycles
         start = tag_port._free_at
         if start < now:
             start = now
         tag_port._free_at = start + tag_cycles
-        tag_port.busy_cycles += tag_cycles
         tag_port.reservations += 1
         tag_port.queued_cycles += start - now
         addr = msg.addr
         data = self._lookup_data(addr)
         done = tag_done = start + tag_cycles
         if data is not None:
-            port = self._data_ports[
+            port = self.data_ports[
                 (addr // self._block_size) & self._bank_mask
             ]
             data_cycles = self._data_cycles
@@ -195,7 +188,6 @@ class CaesarEngine:
             if dstart < tag_done:
                 dstart = tag_done
             port._free_at = dstart + data_cycles
-            port.busy_cycles += data_cycles
             port.reservations += 1
             port.queued_cycles += dstart - tag_done
             done = dstart + data_cycles
@@ -214,17 +206,13 @@ class CaesarEngine:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def array(self):
-        return self.sram.array
-
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
     def occupancy(self) -> int:
         """Valid blocks currently resident in this switch's cache."""
-        return self.sram.occupancy
+        return self.array.occupancy()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

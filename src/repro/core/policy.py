@@ -19,7 +19,7 @@ Snoops are never skipped: correctness depends on them.
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import Optional, Set
 
 
 class CachingPolicy:
@@ -37,11 +37,3 @@ class CachingPolicy:
 
     def stage_enabled(self, stage: int) -> bool:
         return self.enabled_stages is None or stage in self.enabled_stages
-
-    def should_check(self, tag_backlog: int) -> bool:
-        """Whether a read request should probe the cache or bypass it."""
-        return tag_backlog <= self.bypass_threshold
-
-    def should_deposit(self, data_backlog: int) -> bool:
-        """Whether a passing DATA_S reply should be captured."""
-        return data_backlog <= self.deposit_threshold

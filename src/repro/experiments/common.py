@@ -184,8 +184,8 @@ def execute(
         engine = switch.cache_engine
         if engine is None:
             continue
-        tag_qs.append(engine.sram.tag_port.mean_queueing_delay())
-        for port in engine.sram.data_ports:
+        tag_qs.append(engine.tag_port.mean_queueing_delay())
+        for port in engine.data_ports:
             data_qs.append(port.mean_queueing_delay())
     return RunRecord(
         app=app_name,

@@ -157,9 +157,7 @@ class Fabric:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         for sid in self.topo.switches():
-            self.switches[sid] = Switch(
-                self.sim, sid, self.switch_delay, self.cycles_per_flit
-            )
+            self.switches[sid] = Switch(self.sim, sid, self.cycles_per_flit)
         # inter-switch links (both directions)
         for sid, switch in self.switches.items():
             for up in self.topo.up_neighbors(sid):

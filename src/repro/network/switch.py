@@ -6,7 +6,8 @@ bidirectional.  Internally it arbitrates among 8 virtual-channel candidates
 with the Spider age technique [10]; at message granularity this is FIFO
 grant order on each output link, which :class:`~repro.network.link.Link`
 provides.  Crossing the switch — arbitration plus traversal to the link
-transmitter — costs ``switch_delay`` cycles (4 in the paper).
+transmitter — costs the fabric-wide ``switch_delay`` (4 cycles in the
+paper), which :class:`~repro.network.fabric.Fabric` adds on every hop.
 
 A switch optionally embeds a cache engine (CAESAR, see
 :mod:`repro.core.caesar`); the fabric invokes the engine's hooks as worms
@@ -32,7 +33,7 @@ class Switch:
     """One BMIN switching element with per-output-link grant state."""
 
     __slots__ = (
-        "sim", "id", "stage", "switch_delay", "cycles_per_flit", "_out",
+        "sim", "id", "stage", "cycles_per_flit", "_out",
         "cache_engine", "trace_track", "snoop", "deposit", "intercept",
     )
 
@@ -40,13 +41,11 @@ class Switch:
         self,
         sim: Simulator,
         switch_id,
-        switch_delay: int = 4,
         cycles_per_flit: int = 4,
     ) -> None:
         self.sim = sim
         self.id = switch_id
         self.stage = switch_id[0]
-        self.switch_delay = switch_delay
         self.cycles_per_flit = cycles_per_flit
         # outgoing links keyed by neighbor: a SwitchId tuple or an int node id
         self._out: Dict[Hashable, Link] = {}
@@ -91,32 +90,6 @@ class Switch:
         if link is None:
             raise NetworkError(f"switch {self.id} has no output to {neighbor}")
         return link
-
-    def has_output(self, neighbor: Hashable) -> bool:
-        return neighbor in self._out
-
-    # ------------------------------------------------------------------
-    # forwarding
-    # ------------------------------------------------------------------
-    def forward(self, flits: int, neighbor: Hashable, header_at: int):
-        """Arbitrate and transmit a worm toward ``neighbor``.
-
-        ``header_at`` is when the worm's header is available at this switch.
-        Returns ``(grant, header_next, tail_done)``: grant time on the output
-        link, header arrival time at the neighbor, and the time the tail has
-        fully crossed the link.
-        """
-        return self.forward_on(self.output_to(neighbor), flits, header_at)
-
-    def forward_on(self, link: Link, flits: int, header_at: int):
-        """:meth:`forward` with the output link already resolved.
-
-        The fabric resolves each worm's route into (switch, link) hop
-        objects once at injection, so the per-hop output-dict lookup
-        disappears from the hot path.
-        """
-        grant, tail_done = link.reserve(flits, earliest=header_at + self.switch_delay)
-        return grant, grant + self.cycles_per_flit, tail_done
 
     def outputs(self) -> Dict[Hashable, Link]:
         return dict(self._out)

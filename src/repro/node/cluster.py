@@ -78,12 +78,11 @@ class ProcStack:
         self.barriers = node.barriers
         self.locks = node.locks
         # this stack's network-side controller (MSHRs).  The bus owns the
-        # network-cache probe, so the controller skips it on issue but
-        # still fills/purges the shared array on replies/invalidations
+        # network-cache probe; the controller fills the shared array on
+        # remote replies
         self.netctrl = NodeController(
             sim, node.node_id, self.hierarchy, node.ni, node.home_of, block,
-            netcache=node.netcache, proc_id=proc_id,
-            probe_netcache=False, pool=node._pool,
+            netcache=node.netcache, proc_id=proc_id, pool=node._pool,
         )
         # the other stacks on the cluster bus (set by the node)
         self.siblings: Tuple[ProcStack, ...] = ()
@@ -116,9 +115,8 @@ class ProcStack:
         sim = self.sim
         now = sim.now
         self._drain_started = now
-        # the store probe (same stats and LRU as CacheHierarchy.write_probe):
-        # an owned (E/M) L2 copy takes the store at once, any other state
-        # needs a write transaction
+        # the store probe: an owned (E/M) L2 copy takes the store at
+        # once, any other state needs a write transaction
         if self.hierarchy.l2.lookup_state(block) >= CODE_EXCLUSIVE:
             self._apply_store(block)
             sim.call_at(now + self._l2_write_cycles, self._drain_done)
@@ -262,7 +260,7 @@ class ClusterBus:
                 data = sib_line.data
                 victim = stack.hierarchy.fill(block, LineState.SHARED, data,
                                               fill_l1=True)
-            self.node.spill(victim)
+            stack.netctrl.spill(victim)
             self.sibling_reads += 1
             txn = self._local_txn("read", op, served_by="cluster", data=data)
             self._complete(op, txn)
@@ -282,7 +280,7 @@ class ClusterBus:
     def _netcache_read_done(self, op: _BusOp, data: int) -> None:
         victim = op.stack.hierarchy.fill(op.block, LineState.SHARED, data,
                                          fill_l1=True)
-        self.node.spill(victim)
+        op.stack.netctrl.spill(victim)
         txn = self._local_txn("read", op, served_by="netcache", data=data)
         self._complete(op, txn)
 
@@ -304,7 +302,7 @@ class ClusterBus:
             if sib_line is not None and sib_line.state.owned():
                 _state, data = sibling.hierarchy.invalidate(block)
                 victim = stack.hierarchy.fill(block, LineState.MODIFIED, data)
-                self.node.spill(victim)
+                stack.netctrl.spill(victim)
                 self.sibling_transfers += 1
                 txn = self._local_txn("write", op, served_by="cluster",
                                       data=data)
@@ -319,7 +317,7 @@ class ClusterBus:
                     victim = stack.hierarchy.fill(
                         block, LineState.SHARED, sib_line.data
                     )
-                    self.node.spill(victim)
+                    stack.netctrl.spill(victim)
                     break
 
         def owned(txn: Transaction) -> None:

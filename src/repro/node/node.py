@@ -212,10 +212,6 @@ class Node:
             )
         self.ni.send(reply)
 
-    def spill(self, victim) -> None:
-        """Send a displaced owned victim home (used by the cluster bus)."""
-        self._netctrls[0]._spill(victim)
-
     # ------------------------------------------------------------------
     # glue
     # ------------------------------------------------------------------

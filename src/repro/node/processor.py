@@ -48,7 +48,7 @@ from ..apps.opstream import (
     OP_W_RUN,
     OP_WORK,
 )
-from ..cache.states import LineState
+from ..cache.states import CODE_EXCLUSIVE, LineState
 from ..coherence.messages import Transaction
 from ..errors import SimulationError
 from ..sim.engine import Simulator
@@ -574,8 +574,7 @@ class Processor:
         """Read-modify-write the synchronization variable coherently."""
         node = self.node
         hierarchy = node.hierarchy
-        probe = hierarchy.write_probe(addr)
-        if probe.action == "hit":
+        if hierarchy.l2.lookup_state(addr) >= CODE_EXCLUSIVE:
             hierarchy.perform_write(addr, hierarchy.l2.probe_data(addr) + 1)
             self.sim.schedule(2, then)
         else:

@@ -1,6 +1,6 @@
 """Discrete-event simulation core (engine, clocked resources)."""
 
 from .engine import Simulator
-from .resource import FifoServer, Timeline
+from .resource import Timeline
 
-__all__ = ["Simulator", "FifoServer", "Timeline"]
+__all__ = ["Simulator", "Timeline"]

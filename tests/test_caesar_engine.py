@@ -1,10 +1,15 @@
 """Unit tests for the CAESAR cache engine (fabric hooks + policy)."""
 
+import random
+
+import pytest
+
 from repro.core.caesar import CaesarEngine
 from repro.core.policy import CachingPolicy
 from repro.core.switchcache import SwitchCacheGeometry
 from repro.network.message import Message, MsgKind
 from repro.sim.engine import Simulator
+from repro.sim.resource import Timeline
 
 
 def make_engine(sim=None, policy=None, **geo_kw):
@@ -135,16 +140,88 @@ class TestPolicy:
             assert policy.stage_enabled(stage)
 
     def test_should_check_threshold(self):
-        policy = CachingPolicy(bypass_threshold=4)
-        assert policy.should_check(4)
-        assert not policy.should_check(5)
+        # each miss holds the tag port one cycle; a read probes while the
+        # backlog is at most the threshold and bypasses once it exceeds it
+        engine = make_engine(policy=CachingPolicy(bypass_threshold=4))
+        for _ in range(4):
+            assert engine.try_intercept(read(0x40)) is None
+        assert engine.tag_port.free_at() == 4  # backlog exactly 4
+        engine.try_intercept(read(0x40))
+        assert (engine.lookups, engine.bypasses) == (5, 0)
+        engine.try_intercept(read(0x40))  # backlog 5
+        assert (engine.lookups, engine.bypasses) == (5, 1)
 
     def test_should_deposit_threshold(self):
-        policy = CachingPolicy(deposit_threshold=16)
-        assert policy.should_deposit(16)
-        assert not policy.should_deposit(17)
+        sim = Simulator()
+        engine = make_engine(sim, policy=CachingPolicy(deposit_threshold=16))
+        engine.try_deposit(reply(0x40))
+        engine.try_deposit(reply(0x80))
+        bank = engine.data_ports[0]
+        assert bank.free_at() == 17  # tag cycle + two 8-cycle streams
+        assert not engine.try_deposit(reply(0xC0))  # backlog 17
+        assert engine.deposit_skips == 1
+        assert bank.free_at() == 17  # a skipped deposit reserves nothing
+        sim.now = 1
+        assert engine.try_deposit(reply(0xC0))  # backlog exactly 16
+        assert engine.deposits == 3
 
     def test_stage_filter(self):
         policy = CachingPolicy(enabled_stages={2, 3})
         assert not policy.stage_enabled(0)
         assert policy.stage_enabled(3)
+
+
+class TestGrantLockstep:
+    """The hooks inline Timeline.reserve: fuzz them against the real one.
+
+    A reference engine built from ``Timeline.reserve`` calls (a tag
+    grant, then, for a deposit or a hit, a data-bank grant no earlier
+    than the tag's end) must see the same ready times, bypasses, skips
+    and port counters as the hooks over the same fuzzed stream.
+    """
+
+    @staticmethod
+    def _counters(port):
+        return port._free_at, port.reservations, port.queued_cycles
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("banks", (1, 2))
+    def test_hooks_match_timeline_reserve(self, seed, banks):
+        rng = random.Random(seed)
+        sim = Simulator()
+        geo = SwitchCacheGeometry(size=512, banks=banks,
+                                  output_width_bits=rng.choice((64, 128)))
+        policy = CachingPolicy(bypass_threshold=rng.randrange(0, 3),
+                               deposit_threshold=rng.randrange(0, 20))
+        engine = CaesarEngine(sim, (1, 0), geo, policy=policy)
+        tag = Timeline(sim, "ref.tag")
+        data = [Timeline(sim, f"ref.data{b}") for b in range(banks)]
+        for _ in range(200):
+            # mostly same-cycle bursts, so the tag port backs up too
+            sim.now += rng.choice((0, 0, 1, 3))
+            addr = rng.randrange(16) * 64
+            bank = data[(addr // 64) % banks]
+            kind = rng.choice(("deposit", "read", "inv"))
+            if kind == "deposit":
+                want = bank.free_at() - sim.now <= policy.deposit_threshold
+                if want:
+                    tag_done = tag.reserve(geo.tag_cycles) + geo.tag_cycles
+                    bank.reserve(geo.data_cycles, earliest=tag_done)
+                assert engine.try_deposit(reply(addr)) == want
+            elif kind == "read":
+                checked = tag.free_at() - sim.now <= policy.bypass_threshold
+                want = None
+                if checked:
+                    tag_done = tag.reserve(geo.tag_cycles) + geo.tag_cycles
+                    line = engine.array.probe(addr)  # no LRU side effect
+                    if line is not None:
+                        start = bank.reserve(geo.data_cycles, earliest=tag_done)
+                        want = (line.data, start + geo.data_cycles)
+                assert engine.try_intercept(read(addr)) == want
+            else:
+                engine.snoop(inv(addr))
+                assert engine.array.probe(addr) is None
+            assert self._counters(engine.tag_port) == self._counters(tag)
+            assert [self._counters(p) for p in engine.data_ports] == [
+                self._counters(p) for p in data
+            ]

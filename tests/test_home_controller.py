@@ -11,10 +11,9 @@ import pytest
 from repro.cache.states import DirState
 from repro.coherence.directory import Directory
 from repro.coherence.home import HomeController
-from repro.coherence.messages import make_message
 from repro.errors import ProtocolError
 from repro.memory.dram import MemoryModule
-from repro.network.message import MsgKind
+from repro.network.message import MessagePool, MsgKind
 from repro.sim.engine import Simulator
 
 HOME = 0
@@ -27,6 +26,7 @@ class Harness:
         self.directory = Directory(HOME, 64)
         self.memory = MemoryModule(self.sim, HOME)
         self.sent = []
+        self.pool = MessagePool(64)
         self.home = HomeController(
             self.sim, HOME, self.directory, self.memory,
             send=lambda msg, at: self.sent.append(msg),
@@ -34,7 +34,7 @@ class Harness:
         )
 
     def deliver(self, kind, src, **kw):
-        msg = make_message(kind, src, HOME, BLOCK, 64, **kw)
+        msg = self.pool.make(kind, src, HOME, BLOCK, **kw)
         self.home.receive(msg)
         return msg
 

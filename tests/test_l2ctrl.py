@@ -1,16 +1,21 @@
-"""Direct unit tests of the node-side coherence controller."""
+"""Unit tests of the node-side coherence path, message by message.
+
+Each test drives the code the machine runs: a real :class:`Node` whose
+network interface records what it sends.  Replies reach a stack's
+controller, and invalidations and recalls reach the node, through
+``Node._dispatch``; misses leave through the cluster bus (which owns the
+network-cache probe) or straight from the stack's controller.
+"""
 
 import pytest
 
-from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.states import LineState
-from repro.coherence.l2ctrl import NodeController
-from repro.coherence.messages import make_message
 from repro.errors import ProtocolError
-from repro.memory.netcache import NetworkCache
-from repro.memory.nic import NetworkInterface
-from repro.network.message import MsgKind
+from repro.network.message import MessagePool, MsgKind
+from repro.node.node import Node
 from repro.sim.engine import Simulator
+
+from conftest import tiny_config
 
 NODE = 1
 HOME = 0
@@ -18,24 +23,35 @@ BLOCK = 0x40
 
 
 class Harness:
-    def __init__(self, netcache=False):
+    def __init__(self, netcache=False, home=HOME, **config):
+        if netcache:
+            config.setdefault("netcache_size", 4096)
+        self.config = tiny_config(num_nodes=2, l1_size=512, l2_size=2048,
+                                  **config)
         self.sim = Simulator()
-        self.hierarchy = CacheHierarchy(512, 2048, 64, node_id=NODE)
-        self.sent = []
-        ni = NetworkInterface.__new__(NetworkInterface)  # transport stub
-        ni.sim = self.sim
-        ni.node_id = NODE
-        ni.send = lambda msg, at=None: self.sent.append(msg)
-        nc = NetworkCache(self.sim, NODE) if netcache else None
-        self.ctrl = NodeController(
-            self.sim, NODE, self.hierarchy, ni,
-            home_of=lambda addr: HOME, block_size=64, netcache=nc,
+        self.node = Node(
+            self.sim, NODE, self.config, fabric=None,
+            home_of=lambda addr: home, barriers=None, locks=None,
+            stats=None, sync_addr=None, on_done=None,
         )
+        self.sent = []
+        self.sent_at = []
+
+        def send(msg, at=None):
+            self.sent.append(msg)
+            self.sent_at.append(self.sim.now if at is None else at)
+
+        self.node.ni.send = send
+        self.stack = self.node.stacks[0]
+        self.hierarchy = self.stack.hierarchy
+        self.ctrl = self.stack.netctrl
+        self.netcache = self.node.netcache
+        self.pool = MessagePool(64)
         self.completed = []
 
-    def deliver(self, kind, **kw):
-        msg = make_message(kind, HOME, NODE, BLOCK, 64, **kw)
-        self.ctrl.receive(msg)
+    def deliver(self, kind, addr=BLOCK, **kw):
+        msg = self.pool.make(kind, HOME, NODE, addr, **kw)
+        self.node._dispatch(msg)
         return msg
 
     def issue_read(self):
@@ -43,6 +59,12 @@ class Harness:
 
     def issue_write(self):
         return self.ctrl.issue_write(BLOCK, self.completed.append)
+
+    def bus_read(self, stack=None, addr=BLOCK):
+        """A node read miss through the cluster bus; runs to quiescence."""
+        stack = stack if stack is not None else self.stack
+        stack.issue_read(addr, self.completed.append)
+        self.sim.run()
 
 
 class TestReads:
@@ -107,10 +129,21 @@ class TestLateInvalidation:
 
     def test_purge_only_inv_purges_netcache(self):
         h = Harness(netcache=True)
-        h.ctrl.netcache.fill(BLOCK, 0)
+        h.netcache.fill(BLOCK, 0)
         h.hierarchy.fill(BLOCK, LineState.SHARED, 0)
         h.deliver(MsgKind.INV, payload={"purge_only": True})
-        assert h.ctrl.netcache.array.probe(BLOCK) is None
+        assert h.netcache.array.probe(BLOCK) is None
+
+    def test_inv_purges_every_stack_and_counts_per_stack(self):
+        h = Harness(procs_per_node=2)
+        for stack in h.node.stacks:
+            stack.hierarchy.fill(BLOCK, LineState.SHARED, 0)
+        h.deliver(MsgKind.INV)
+        for stack in h.node.stacks:
+            assert stack.hierarchy.l2.probe(BLOCK) is None
+            assert stack.netctrl.invs_received == 1
+        assert h.node.invs_received == 1
+        assert [m.kind for m in h.sent] == [MsgKind.INV_ACK]
 
 
 class TestWritesAndUpgrades:
@@ -172,43 +205,93 @@ class TestRecalls:
         assert reply.kind is MsgKind.RECALL_REPLY
         assert reply.payload["no_data"]
 
+    def test_recall_x_purges_netcache_and_every_stack(self):
+        # write ownership leaves the node: the owned copy answers, and
+        # every other local copy goes with it
+        h = Harness(netcache=True, procs_per_node=2)
+        owner, sibling = h.node.stacks
+        owner.hierarchy.fill(BLOCK, LineState.MODIFIED, 9)
+        sibling.hierarchy.fill(BLOCK, LineState.SHARED, 8)
+        h.netcache.fill(BLOCK, 8)
+        h.deliver(MsgKind.RECALL_X)
+        assert [m.kind for m in h.sent] == [MsgKind.RECALL_REPLY]
+        assert h.sent[0].data == 9
+        for stack in h.node.stacks:
+            assert stack.hierarchy.state_of(BLOCK) is LineState.INVALID
+        assert h.netcache.array.probe(BLOCK) is None
+
+    def test_recall_x_after_eviction_still_purges_netcache(self):
+        h = Harness(netcache=True)
+        h.netcache.fill(BLOCK, 8)
+        h.deliver(MsgKind.RECALL_X)
+        assert h.sent[-1].payload["no_data"]
+        assert h.netcache.array.probe(BLOCK) is None
+
 
 class TestVictimSpill:
     def test_dirty_victim_spills_writeback(self):
-        h = Harness()
         # direct-mapped tiny L2 to force conflict
-        h.hierarchy = CacheHierarchy(128, 128, 64, l2_assoc=1, node_id=NODE)
-        h.ctrl.hierarchy = h.hierarchy
+        h = Harness(l2_assoc=1)
         h.hierarchy.fill(0, LineState.MODIFIED, 5)
-        txn = h.ctrl.issue_read(128, h.completed.append)  # same set
-        reply = make_message(MsgKind.DATA_S, HOME, NODE, 128, 64, data=0,
-                             transaction=txn)
-        h.ctrl.receive(reply)
+        txn = h.ctrl.issue_read(2048, h.completed.append)  # same set
+        h.deliver(MsgKind.DATA_S, addr=2048, data=0, transaction=txn)
         wbs = [m for m in h.sent if m.kind is MsgKind.WRITEBACK]
         assert len(wbs) == 1
         assert wbs[0].addr == 0 and wbs[0].data == 5
+        assert h.ctrl.writebacks_sent == 1
+
+    def test_bus_spill_charged_to_filling_stack(self):
+        # stack 1's sibling-served fill displaces its own dirty victim:
+        # the writeback is stack 1's, not stack 0's
+        h = Harness(procs_per_node=2, l2_assoc=1)
+        first, second = h.node.stacks
+        second.hierarchy.fill(0, LineState.MODIFIED, 5)
+        first.hierarchy.fill(2048, LineState.SHARED, 1)  # same set
+        h.bus_read(stack=second, addr=2048)
+        assert h.completed[0].served_by == "cluster"
+        wbs = [m for m in h.sent if m.kind is MsgKind.WRITEBACK]
+        assert [(m.addr, m.data) for m in wbs] == [(0, 5)]
+        assert second.netctrl.writebacks_sent == 1
+        assert first.netctrl.writebacks_sent == 0
 
 
 class TestNetcachePath:
     def test_nc_hit_skips_network(self):
         h = Harness(netcache=True)
-        h.ctrl.netcache.fill(BLOCK, 3)
-        txn = h.issue_read()
-        h.sim.run()
+        h.netcache.fill(BLOCK, 3)
+        h.bus_read()
         assert h.sent == []  # no READ message left the node
+        (txn,) = h.completed
         assert txn.served_by == "netcache"
-        assert h.completed == [txn]
         assert h.hierarchy.l2.probe(BLOCK).data == 3
 
     def test_nc_miss_adds_probe_latency(self):
         h = Harness(netcache=True)
-        h.issue_read()
-        # the READ was handed to the NI with a deferred send; our stub
-        # records it immediately, but the txn must exist in the MSHR
+        h.bus_read()
+        # the READ departs only after the bus grant and the probe
+        assert [m.kind for m in h.sent] == [MsgKind.READ]
+        assert h.sent_at == [
+            h.config.local_bus_cycles + h.config.netcache_access_cycles
+        ]
         assert h.ctrl.outstanding == 1
 
     def test_remote_fill_populates_netcache(self):
         h = Harness(netcache=True)
         h.issue_read()
         h.deliver(MsgKind.DATA_S, data=2)
-        assert h.ctrl.netcache.array.probe(BLOCK).data == 2
+        assert h.netcache.array.probe(BLOCK).data == 2
+
+
+class TestRouting:
+    @pytest.mark.parametrize(
+        "kind", [MsgKind.INV, MsgKind.RECALL, MsgKind.RECALL_X]
+    )
+    def test_controller_rejects_node_addressed_kinds(self, kind):
+        # invalidations and recalls address the node: only Node._dispatch
+        # routes them, so a stack's controller never handles one itself
+        h = Harness()
+        h.hierarchy.fill(BLOCK, LineState.MODIFIED, 9)
+        with pytest.raises(ProtocolError):
+            h.ctrl.receive(h.pool.make(kind, HOME, NODE, BLOCK))
+        assert h.hierarchy.state_of(BLOCK) is LineState.MODIFIED
+        assert h.sent == []

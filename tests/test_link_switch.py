@@ -1,12 +1,15 @@
-"""Unit tests for links and the crossbar switch timing model."""
+"""Unit tests for links and the crossbar switch timing model (per-hop grants)."""
 
 import random
 
 import pytest
 
 from repro.errors import NetworkError
+from repro.network.fabric import Fabric
 from repro.network.link import Link
+from repro.network.message import Message, MsgKind
 from repro.network.switch import Switch
+from repro.network.topology import BminTopology
 from repro.sim.engine import Simulator
 
 
@@ -42,12 +45,37 @@ class TestLink:
 
 
 class TestSwitch:
+    """A worm crossing a switch: the fabric's hop grants the output link.
+
+    On the 4-node BMIN, nodes 0 and 1 share stage-0 switch (0, 0), whose
+    outputs are the two ejection ports and two links up to stage 1.
+    """
+
+    @staticmethod
+    def _fabric():
+        sim = Simulator()
+        return Fabric(sim, BminTopology(4), switch_delay=4, cycles_per_flit=4)
+
+    @staticmethod
+    def _cross(fabric, src, dst, flits, header_at):
+        """Hop 0 of a ``src -> dst`` worm whose header is at the switch at
+        ``header_at``; returns the (time, callback) it schedules next."""
+        sim = fabric.sim
+        sim.now = header_at
+        msg = Message(MsgKind.DATA_X, src, dst, 0x40, flits)
+        msg.hops = fabric.route(src, dst)
+        msg.on_hop = fabric._hop
+        fabric._hop(msg, 0)
+        (time, _seq, fn, _args), = sim._heap
+        sim._heap.clear()
+        return time, fn
+
     def test_add_and_get_output(self):
         sim = Simulator()
         sw = Switch(sim, (1, 0))
         link = sw.add_output((2, 0))
         assert sw.output_to((2, 0)) is link
-        assert sw.has_output((2, 0))
+        assert sw.outputs() == {(2, 0): link}
 
     def test_duplicate_output_rejected(self):
         sim = Simulator()
@@ -63,49 +91,41 @@ class TestSwitch:
             sw.output_to((9, 9))
 
     def test_forward_timing_uncontended(self):
-        sim = Simulator()
-        sw = Switch(sim, (1, 0), switch_delay=4, cycles_per_flit=4)
-        sw.add_output((2, 0))
-        grant, header_next, tail_done = sw.forward(9, (2, 0), header_at=100)
+        fabric = self._fabric()
+        link = fabric.route(0, 2)[0][1]  # up toward stage 1
+        time, fn = self._cross(fabric, 0, 2, 9, header_at=100)
         # arbitration+crossbar = 4 cycles, then the header takes one flit
         # time to cross; the tail clears after 9 flit times
-        assert grant == 104
-        assert header_next == 108
-        assert tail_done == 104 + 36
+        assert (time, fn) == (108, fabric._hop)
+        assert link._free_at == 104 + 36
 
     def test_forward_contention_serializes(self):
-        sim = Simulator()
-        sw = Switch(sim, (1, 0))
-        sw.add_output((2, 0))
-        g1, _h1, t1 = sw.forward(9, (2, 0), header_at=0)
-        g2, _h2, _t2 = sw.forward(9, (2, 0), header_at=0)
-        assert g2 == t1  # second worm waits for the first to clear the link
+        fabric = self._fabric()
+        t1, _fn = self._cross(fabric, 0, 1, 9, header_at=0)
+        t2, _fn = self._cross(fabric, 0, 1, 9, header_at=0)
+        # the second worm waits for the first to clear the link
+        assert t2 - 36 == t1
 
     def test_forward_different_outputs_independent(self):
-        sim = Simulator()
-        sw = Switch(sim, (1, 0))
-        sw.add_output((2, 0))
-        sw.add_output((2, 1))
-        g1, _h, _t = sw.forward(9, (2, 0), header_at=0)
-        g2, _h, _t = sw.forward(9, (2, 1), header_at=0)
-        assert g1 == g2 == 4
+        fabric = self._fabric()
+        t1, _fn = self._cross(fabric, 0, 1, 9, header_at=0)
+        t2, _fn = self._cross(fabric, 1, 0, 9, header_at=0)
+        assert t1 == t2 == 4 + 36
 
     def test_stats_accumulate(self):
-        sim = Simulator()
-        sw = Switch(sim, (1, 0))
-        sw.add_output((2, 0))
-        sw.forward(9, (2, 0), header_at=0)
-        sw.forward(1, (2, 0), header_at=0)
+        fabric = self._fabric()
+        self._cross(fabric, 0, 1, 9, header_at=0)
+        self._cross(fabric, 0, 1, 1, header_at=0)
+        sw = fabric.switches[(0, 0)]
         assert sw.msgs_routed == 2
         assert sw.flits_routed == 10
 
     def test_node_port_output(self):
-        sim = Simulator()
-        sw = Switch(sim, (0, 0))
-        sw.add_output(1)  # ejection port to node 1
-        grant, _h, tail = sw.forward(9, 1, header_at=10)
-        assert grant == 14
-        assert tail == 14 + 36
+        fabric = self._fabric()
+        sw, link = fabric.route(0, 1)[-1]
+        assert link is sw.output_to(1)  # the ejection port to node 1
+        time, fn = self._cross(fabric, 0, 1, 9, header_at=10)
+        assert (time, fn) == (14 + 36, fabric._deliver)
 
 
 class TestGrantLockstep:
@@ -165,9 +185,6 @@ class TestGrantLockstep:
         """
         from repro.core.caesar import CaesarEngine
         from repro.core.switchcache import SwitchCacheGeometry
-        from repro.network.fabric import Fabric
-        from repro.network.message import Message, MsgKind
-        from repro.network.topology import BminTopology
         from repro.verify.sanitize import (
             SanitizedFabric,
             SanitizedSimulator,
@@ -247,10 +264,6 @@ class TestGrantLockstep:
         # Fabric._hop itself, against Link.reserve, over fuzzed fabric
         # timing, link backlog, clock and hop position: same grant, same
         # counters, and one heap entry carrying the next callback
-        from repro.network.fabric import Fabric
-        from repro.network.message import Message, MsgKind
-        from repro.network.topology import BminTopology
-
         rng = random.Random(2024)
         for _ in range(300):
             sim = Simulator()

@@ -1,7 +1,7 @@
-"""Unit tests for Timeline and FifoServer resources."""
+"""Unit tests for the Timeline resource."""
 
 from repro.sim.engine import Simulator
-from repro.sim.resource import FifoServer, Timeline
+from repro.sim.resource import Timeline
 
 
 class TestTimeline:
@@ -53,7 +53,8 @@ class TestTimeline:
         tl = Timeline(sim)
         tl.reserve(10)
         tl.reserve(7)
-        assert tl.busy_cycles == 17
+        assert tl.free_at() == 17
+        assert tl.reservations == 2
 
     def test_queueing_delay_statistics(self):
         sim = Simulator()
@@ -67,82 +68,3 @@ class TestTimeline:
         sim = Simulator()
         tl = Timeline(sim)
         assert tl.mean_queueing_delay() == 0.0
-
-    def test_utilization(self):
-        sim = Simulator()
-        tl = Timeline(sim)
-        tl.reserve(30)
-        sim.schedule(100, lambda: None)
-        sim.run()
-        assert tl.utilization() == 0.3
-
-    def test_utilization_zero_time(self):
-        sim = Simulator()
-        tl = Timeline(sim)
-        assert tl.utilization() == 0.0
-
-
-class TestFifoServer:
-    def test_serves_in_order(self):
-        sim = Simulator()
-        served = []
-        server = FifoServer(sim, service=lambda r: 10, done=served.append)
-        server.submit("a")
-        server.submit("b")
-        sim.run()
-        assert served == ["a", "b"]
-        assert sim.now == 20
-
-    def test_service_time_from_request(self):
-        sim = Simulator()
-        finished = {}
-        server = FifoServer(
-            sim, service=lambda r: r, done=lambda r: finished.setdefault(r, sim.now)
-        )
-        server.submit(5)
-        server.submit(3)
-        sim.run()
-        assert finished == {5: 5, 3: 8}
-
-    def test_depth_counts_waiting_only(self):
-        sim = Simulator()
-        server = FifoServer(sim, service=lambda r: 10)
-        server.submit("a")
-        server.submit("b")
-        server.submit("c")
-        assert server.depth == 2
-
-    def test_idle_server_starts_immediately(self):
-        sim = Simulator()
-        done_at = []
-        server = FifoServer(sim, service=lambda r: 4, done=lambda r: done_at.append(sim.now))
-        server.submit("x")
-        sim.run()
-        assert done_at == [4]
-
-    def test_queueing_stats(self):
-        sim = Simulator()
-        server = FifoServer(sim, service=lambda r: 10)
-        server.submit("a")
-        server.submit("b")
-        sim.run()
-        assert server.served == 2
-        assert server.mean_queueing_delay() == 5.0
-
-    def test_resubmission_after_drain(self):
-        sim = Simulator()
-        served = []
-        server = FifoServer(sim, service=lambda r: 2, done=served.append)
-        server.submit(1)
-        sim.run()
-        server.submit(2)
-        sim.run()
-        assert served == [1, 2]
-
-    def test_busy_cycles(self):
-        sim = Simulator()
-        server = FifoServer(sim, service=lambda r: 7)
-        server.submit("a")
-        server.submit("b")
-        sim.run()
-        assert server.busy_cycles == 14

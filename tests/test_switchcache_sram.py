@@ -1,10 +1,34 @@
-"""Unit tests for the CAESAR SRAM timing model (geometry, ports, banks)."""
+"""Unit tests for the CAESAR SRAM timing model (geometry, ports, banks).
+
+The timing is checked where the machine applies it: the engine's fabric
+hooks, which reserve the regular tag port and the addressed data bank.
+"""
 
 import pytest
 
-from repro.core.switchcache import SwitchCacheGeometry, SwitchCacheSRAM
+from repro.core.caesar import CaesarEngine
+from repro.core.switchcache import SwitchCacheGeometry
 from repro.errors import ConfigError
+from repro.network.message import Message, MsgKind
 from repro.sim.engine import Simulator
+
+
+def make_engine(**kw):
+    sim = Simulator()
+    engine = CaesarEngine(sim, (1, 0), SwitchCacheGeometry(size=2048, **kw))
+    return sim, engine
+
+
+def deposit(engine, addr, data=1):
+    assert engine.try_deposit(Message(MsgKind.DATA_S, 15, 0, addr, 9, data=data))
+
+
+def probe(engine, addr):
+    return engine.try_intercept(Message(MsgKind.READ, 2, 15, addr, 1))
+
+
+def snoop(engine, addr):
+    engine.snoop(Message(MsgKind.INV, 15, 0, addr, 1))
 
 
 class TestGeometry:
@@ -33,10 +57,15 @@ class TestGeometry:
             SwitchCacheGeometry(output_width_bits=60)
 
     def test_bank_selection_interleaves_blocks(self):
-        geo = SwitchCacheGeometry(banks=2, block_size=64)
-        assert geo.bank_of(0) == 0
-        assert geo.bank_of(64) == 1
-        assert geo.bank_of(128) == 0
+        # consecutive blocks alternate between the two banks
+        _sim, engine = make_engine(banks=2, block_size=64)
+        ports = engine.data_ports
+        deposit(engine, 0)
+        assert [p.reservations for p in ports] == [1, 0]
+        deposit(engine, 64)
+        assert [p.reservations for p in ports] == [1, 1]
+        deposit(engine, 128)
+        assert [p.reservations for p in ports] == [2, 1]
 
     def test_describe_names_design(self):
         assert "CAESAR+" in SwitchCacheGeometry(banks=2).describe()
@@ -44,80 +73,70 @@ class TestGeometry:
 
 
 class TestSramTiming:
-    def make(self, **kw):
-        sim = Simulator()
-        return sim, SwitchCacheSRAM(sim, SwitchCacheGeometry(size=2048, **kw))
-
     def test_miss_costs_tag_only(self):
-        _sim, sram = self.make()
-        data, done = sram.read(0x40)
-        assert data is None
-        assert done == 1  # one tag cycle
+        _sim, engine = make_engine()
+        assert probe(engine, 0x40) is None
+        assert engine.tag_port.free_at() == 1  # one tag cycle
+        assert engine.data_ports[0].reservations == 0
 
     def test_hit_costs_tag_plus_stream(self):
-        _sim, sram = self.make(output_width_bits=64)
-        sram.write(0x40, 5)
-        # write occupied tag [?] and data; a fresh read queues behind
-        data, done = sram.read(0x40)
+        _sim, engine = make_engine(output_width_bits=64)
+        deposit(engine, 0x40, data=5)
+        # the deposit holds the tag port for cycle 0 and the data bank for
+        # cycles 1-8; a read in the same cycle queues behind it on both
+        data, ready = probe(engine, 0x40)
         assert data == 5
-        assert done >= 1 + 8  # tag + 8 data cycles minimum
+        assert ready == 9 + 8  # data bank free at 9, then 8 data cycles
 
     def test_wider_output_is_faster(self):
-        _s1, narrow = self.make(output_width_bits=64)
-        _s2, wide = self.make(output_width_bits=256)
-        narrow.write(0x40, 1)
-        wide.write(0x40, 1)
-        _d1, done_narrow = narrow.read(0x40)
-        _d2, done_wide = wide.read(0x40)
+        _s1, narrow = make_engine(output_width_bits=64)
+        _s2, wide = make_engine(output_width_bits=256)
+        deposit(narrow, 0x40)
+        deposit(wide, 0x40)
+        _d1, done_narrow = probe(narrow, 0x40)
+        _d2, done_wide = probe(wide, 0x40)
         assert done_wide < done_narrow
 
     def test_banked_requests_overlap(self):
-        _sim, sram = self.make(banks=2)
-        sram.write(0, 1)      # bank 0
-        sram.write(64, 2)     # bank 1
-        # both writes' data streams overlap: the second is not delayed by
-        # a full block time relative to the first
-        free0 = sram.data_ports[0].free_at()
-        free1 = sram.data_ports[1].free_at()
-        assert abs(free0 - free1) <= sram.geo.tag_cycles
+        _sim, engine = make_engine(banks=2)
+        deposit(engine, 0)      # bank 0
+        deposit(engine, 64)     # bank 1
+        # both deposits' data streams overlap: the second is not delayed
+        # by a full block time relative to the first
+        free0 = engine.data_ports[0].free_at()
+        free1 = engine.data_ports[1].free_at()
+        assert abs(free0 - free1) <= engine.geo.tag_cycles
 
     def test_single_bank_requests_serialize(self):
-        _sim, sram = self.make(banks=1)
-        sram.write(0, 1)
-        sram.write(64, 2)
-        assert sram.data_ports[0].busy_cycles == 2 * sram.geo.data_cycles
+        _sim, engine = make_engine(banks=1)
+        deposit(engine, 0)
+        deposit(engine, 64)
+        # after the first tag cycle the bank streams both blocks back to back
+        geo = engine.geo
+        assert engine.data_ports[0].free_at() == (
+            geo.tag_cycles + 2 * geo.data_cycles
+        )
 
     def test_snoop_uses_separate_port(self):
-        _sim, sram = self.make()
-        sram.write(0x40, 1)
-        tag_busy_before = sram.tag_port.busy_cycles
-        purged, _done = sram.snoop_invalidate(0x40)
-        assert purged
-        assert sram.tag_port.busy_cycles == tag_busy_before
-
-    def test_snoop_miss_is_one_cycle(self):
-        _sim, sram = self.make()
-        purged, done = sram.snoop_invalidate(0x80)
-        assert not purged
-        assert done == 1
-
-    def test_snoop_purge_costs_extra_cycle(self):
-        _sim, sram = self.make()
-        sram.write(0x40, 1)
-        purged, done = sram.snoop_invalidate(0x40)
-        assert purged
-        assert done == 2
+        _sim, engine = make_engine()
+        deposit(engine, 0x40)
+        tag = engine.tag_port
+        before = (tag.free_at(), tag.reservations, tag.queued_cycles)
+        snoop(engine, 0x40)
+        assert engine.purges == 1
+        # the purge took nothing from the regular tag port
+        assert (tag.free_at(), tag.reservations, tag.queued_cycles) == before
 
     def test_backlog_reporting(self):
-        _sim, sram = self.make()
-        assert sram.tag_backlog() == 0
-        sram.read(0x40)
-        assert sram.tag_backlog() == 1
-        sram.write(0x80, 1)
-        assert sram.data_backlog(0x80) > 0
+        sim, engine = make_engine()
+        assert engine.tag_port.free_at() - sim.now == 0
+        probe(engine, 0x40)
+        assert engine.tag_port.free_at() - sim.now == 1
+        deposit(engine, 0x80)
+        assert engine.data_ports[0].free_at() - sim.now > 0
 
     def test_occupancy(self):
-        _sim, sram = self.make()
-        sram.write(0, 1)
-        sram.write(64, 2)
-        assert sram.occupancy == 2
+        _sim, engine = make_engine()
+        deposit(engine, 0)
+        deposit(engine, 64)
+        assert engine.occupancy() == 2

@@ -13,10 +13,9 @@ import pytest
 
 from repro.cache.states import DirState
 from repro.coherence.home import DIR_CYCLES, HomeController
-from repro.coherence.messages import make_message
 from repro.core.caesar import CaesarEngine
 from repro.errors import DeadlockError, ProtocolError, SanitizerError
-from repro.network.message import MsgKind
+from repro.network.message import MessagePool, MsgKind
 from repro.node.node import Node
 from repro.node.processor import Processor
 from repro.sim.engine import Simulator
@@ -317,10 +316,11 @@ class TestDelayOverlay:
             fabric=SimpleNamespace(attach_node=handlers.__setitem__),
         )
         overlay = DelayOverlay(machine, ordinals, hold)
+        self._pool = MessagePool(64)
         return sim, handlers[0], got, overlay
 
     def _msg(self, src):
-        return make_message(MsgKind.READ, src, 0, 0x40, 64)
+        return self._pool.make(MsgKind.READ, src, 0, 0x40)
 
     def test_worm_arriving_at_release_time_stays_behind(self):
         sim, arrive, got, overlay = self._overlay([0], hold=40)
@@ -440,9 +440,8 @@ class TestSanitizerMutations:
             self.invs_received += 1
             block = (msg.addr // self.config.block_size) * self.config.block_size
             if not msg.payload.get("no_ack"):
-                ack = make_message(
-                    MsgKind.INV_ACK, self.node_id, msg.src, block,
-                    self.config.block_size,
+                ack = self._pool.make(
+                    MsgKind.INV_ACK, self.node_id, msg.src, block
                 )
                 self.ni.send(ack)
 
@@ -501,8 +500,8 @@ class TestSanitizerMutations:
 
     def test_double_injection_detected(self):
         machine = Machine(tiny_config(), sanitize=True)
-        msg = make_message(
-            MsgKind.READ, 0, 3, 0x40, machine.config.block_size
+        msg = MessagePool(machine.config.block_size).make(
+            MsgKind.READ, 0, 3, 0x40
         )
         machine.fabric.inject(msg)
         with pytest.raises(SanitizerError, match="injected while already"):
