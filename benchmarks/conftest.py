@@ -1,18 +1,19 @@
 """Shared fixtures for the benchmark harness.
 
-Each ``bench_*`` module regenerates one table/figure of the paper (see
-DESIGN.md Sec. 4).  Simulation runs are memoized inside
-``repro.experiments.common``, so the whole harness executes each distinct
-(app, config) machine exactly once per pytest session; reports are written
-to ``benchmarks/output/<exp-id>.txt`` for inspection.
+``bench_experiments.py`` regenerates every table/figure of the paper
+(see DESIGN.md Sec. 4), one parametrised test per experiment id, through
+the same executor as the CLI (``repro.experiments.run_experiments``).
+Simulation runs are memoized inside ``repro.experiments.common``, so the
+whole harness executes each distinct (app, config) machine exactly once
+per pytest session; reports are written to
+``benchmarks/output/<exp-id>.txt`` for inspection.
 
-Two more caching layers speed the harness up further (DESIGN.md):
+Two options speed the harness up further (DESIGN.md):
 
 * the on-disk run cache (``results/.runcache/``) persists completed
   runs across pytest sessions — disable with ``--no-runcache``;
-* with ``--jobs N`` the distinct simulations every experiment needs are
-  executed up front on N worker processes (``repro.experiments.parallel``),
-  so the serial bench modules find them all memoized.
+* with ``--jobs N`` each experiment simulates the runs it declares
+  that are not cached yet over N worker processes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
         "--jobs", type=int, default=1, metavar="N",
-        help="prewarm the harness's simulations over N worker processes",
+        help="simulate each experiment's runs over N worker processes",
     )
     parser.addoption(
         "--no-runcache", action="store_true",
@@ -36,15 +37,16 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 
 
 @pytest.fixture(scope="session", autouse=True)
-def run_caches(request: pytest.FixtureRequest, scale: str) -> None:
-    """Enable the disk cache and (optionally) prewarm in parallel."""
-    from repro.experiments import parallel, runcache
-    from repro.experiments.registry import EXPERIMENTS
+def run_cache(request: pytest.FixtureRequest) -> None:
+    """Enable the on-disk run cache unless ``--no-runcache``."""
+    from repro.experiments import runcache
 
     runcache.set_enabled(not request.config.getoption("--no-runcache"))
-    jobs = request.config.getoption("--jobs")
-    if jobs > 1:
-        parallel.prewarm(list(EXPERIMENTS), scale=scale, jobs=jobs)
+
+
+@pytest.fixture(scope="session")
+def jobs(request: pytest.FixtureRequest) -> int:
+    return request.config.getoption("--jobs")
 
 
 @pytest.fixture(scope="session")
@@ -61,4 +63,4 @@ def scale() -> str:
 
 def save_report(report_dir: pathlib.Path, result) -> None:
     path = report_dir / f"{result.exp_id}.txt"
-    path.write_text(f"== {result.exp_id}: {result.title} ==\n{result.text}\n")
+    path.write_text(f"{result}\n")

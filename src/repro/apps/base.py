@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import abc
 import zlib
-from typing import Dict, Iterator, Tuple
+from typing import Iterator, Tuple
 
 from ..errors import ConfigError
 from .opstream import expand_macro

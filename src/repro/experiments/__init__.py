@@ -12,8 +12,7 @@ from .common import (
     run,
     run_key,
 )
-from .parallel import PLANS, RunSpec, plan, prewarm
-from .registry import EXPERIMENTS, run_experiment
+from .registry import EXPERIMENTS, Experiment, run_experiments
 
 __all__ = [
     "APP_ORDER",
@@ -26,10 +25,7 @@ __all__ = [
     "make_app",
     "run",
     "run_key",
-    "PLANS",
-    "RunSpec",
-    "plan",
-    "prewarm",
     "EXPERIMENTS",
-    "run_experiment",
+    "Experiment",
+    "run_experiments",
 ]

@@ -9,6 +9,10 @@ These probe the design choices DESIGN.md calls out:
 * A3 — *associativity*: direct-mapped vs 2/4-way switch caches.
 * A4 — *system size scaling*: the benefit as the machine grows (deeper
   BMIN, longer remote paths — the paper's scalability argument).
+
+Each ablation is declared like the paper's experiments in
+``runners.py``: ``runs_*(scale)`` names its simulations by label and
+``render_*(scale, records)`` builds ``(text, data)`` from them.
 """
 
 from __future__ import annotations
@@ -16,26 +20,32 @@ from __future__ import annotations
 from typing import Dict
 
 from ..stats.report import format_series, format_table
-from ..system.config import KB
+from ..system.config import KB, SystemConfig
 from ..system.presets import base_config, switch_cache_config
-from .common import APP_ORDER, ExperimentResult, run
+from .common import APP_ORDER, grid
 
 #: apps with enough sharing to make ablations meaningful
 SHARING_APPS = ("FWA", "GS", "GE", "MM")
 
 
-def exp_a1(scale: str = "quick") -> ExperimentResult:
+A1_PLACEMENTS = [({s}, f"stage {s}") for s in range(4)] + [(None, "all")]
+
+
+def runs_a1(scale: str) -> Dict:
+    configs = {"base": base_config()}
+    configs.update((label, switch_cache_config(size=2 * KB, stages=stages))
+                   for stages, label in A1_PLACEMENTS)
+    return grid(configs, SHARING_APPS)
+
+
+def render_a1(scale: str, records: Dict):
     """Cache at a single MIN stage at a time (plus all stages)."""
     rows = []
     data: Dict = {}
-    placements = [({s}, f"stage {s}") for s in range(4)] + [(None, "all")]
     for name in SHARING_APPS:
-        base = run(name, scale, base_config())
-        for stages, label in placements:
-            record = run(
-                name, scale,
-                switch_cache_config(size=2 * KB, stages=stages),
-            )
+        base = records[(name, "base")]
+        for _stages, label in A1_PLACEMENTS:
+            record = records[(name, label)]
             improvement = 1 - record.exec_time / base.exec_time
             hits = record.stats.read_counts["switch"]
             data[(name, label)] = {"improvement": improvement, "hits": hits}
@@ -45,23 +55,32 @@ def exp_a1(scale: str = "quick") -> ExperimentResult:
         rows,
         title="A1: switch-cache placement by MIN stage",
     )
-    return ExperimentResult("A1", "Stage placement ablation", text, data)
+    return text, data
 
 
-def exp_a2(scale: str = "quick") -> ExperimentResult:
+A2_SETTINGS = ((0, 0), (4, 16), (64, 256))
+
+
+def runs_a2(scale: str) -> Dict:
+    configs = {"base": base_config()}
+    configs.update(
+        ((bypass, deposit), switch_cache_config(size=2 * KB).replaced(
+            switch_cache_bypass_threshold=bypass,
+            switch_cache_deposit_threshold=deposit,
+        ))
+        for bypass, deposit in A2_SETTINGS
+    )
+    return grid(configs, SHARING_APPS)
+
+
+def render_a2(scale: str, records: Dict):
     """Busy-bypass / deposit-skip thresholds (0 = maximally defensive)."""
     rows = []
     data: Dict = {}
-    settings = [(0, 0), (4, 16), (64, 256)]
     for name in SHARING_APPS:
-        base = run(name, scale, base_config())
-        for bypass, deposit in settings:
-            config = switch_cache_config(size=2 * KB)
-            config = config.replaced(
-                switch_cache_bypass_threshold=bypass,
-                switch_cache_deposit_threshold=deposit,
-            )
-            record = run(name, scale, config)
+        base = records[(name, "base")]
+        for bypass, deposit in A2_SETTINGS:
+            record = records[(name, (bypass, deposit))]
             improvement = 1 - record.exec_time / base.exec_time
             data[(name, bypass, deposit)] = improvement
             rows.append(
@@ -78,19 +97,27 @@ def exp_a2(scale: str = "quick") -> ExperimentResult:
         rows,
         title="A2: CAESAR robustness-policy thresholds",
     )
-    return ExperimentResult("A2", "Policy threshold ablation", text, data)
+    return text, data
 
 
-def exp_a3(scale: str = "quick") -> ExperimentResult:
+A3_ASSOCS = (1, 2, 4)
+
+
+def runs_a3(scale: str) -> Dict:
+    configs = {"base": base_config()}
+    configs.update((assoc, switch_cache_config(size=1 * KB, assoc=assoc))
+                   for assoc in A3_ASSOCS)
+    return grid(configs, SHARING_APPS)
+
+
+def render_a3(scale: str, records: Dict):
     """Switch-cache associativity (conflict sensitivity)."""
     rows = []
     data: Dict = {}
     for name in SHARING_APPS:
-        base = run(name, scale, base_config())
-        for assoc in (1, 2, 4):
-            record = run(
-                name, scale, switch_cache_config(size=1 * KB, assoc=assoc)
-            )
+        base = records[(name, "base")]
+        for assoc in A3_ASSOCS:
+            record = records[(name, assoc)]
             improvement = 1 - record.exec_time / base.exec_time
             data[(name, assoc)] = improvement
             rows.append(
@@ -102,10 +129,28 @@ def exp_a3(scale: str = "quick") -> ExperimentResult:
         rows,
         title="A3: switch-cache associativity (1KB per switch)",
     )
-    return ExperimentResult("A3", "Associativity ablation", text, data)
+    return text, data
 
 
-def exp_a4(scale: str = "quick") -> ExperimentResult:
+A4_SIZES = (4, 8, 16, 32)
+
+
+def _a4_rows_per_proc(scale: str) -> int:
+    return 2 if scale == "quick" else 4
+
+
+def runs_a4(scale: str) -> Dict:
+    runs = {}
+    for n in A4_SIZES:
+        overrides = {"n": _a4_rows_per_proc(scale) * n}
+        runs[(n, "base")] = ("GE", base_config(num_nodes=n), overrides)
+        runs[(n, "sc")] = (
+            "GE", switch_cache_config(size=2 * KB, num_nodes=n), overrides,
+        )
+    return runs
+
+
+def render_a4(scale: str, records: Dict):
     """Benefit vs machine size (weak scaling: the GE matrix grows with N).
 
     Deeper BMINs mean longer remote paths and more switches per path for
@@ -113,22 +158,14 @@ def exp_a4(scale: str = "quick") -> ExperimentResult:
     caching.  Problem size is scaled with the machine so per-processor
     work stays constant.
     """
-    rows_per_proc = 2 if scale == "quick" else 4
+    rows_per_proc = _a4_rows_per_proc(scale)
     lines = []
     data: Dict = {}
-    sizes = (4, 8, 16, 32)
     improvements = []
     remote_fracs = []
-    for n in sizes:
-        ge_n = rows_per_proc * n
-        overrides = {"n": ge_n}
-        base_stats = run(
-            "GE", scale, base_config(num_nodes=n), app_overrides=overrides
-        ).stats
-        sc_stats = run(
-            "GE", scale, switch_cache_config(size=2 * KB, num_nodes=n),
-            app_overrides=overrides,
-        ).stats
+    for n in A4_SIZES:
+        base_stats = records[(n, "base")].stats
+        sc_stats = records[(n, "sc")].stats
         improvement = 1 - sc_stats.exec_time / base_stats.exec_time
         total = base_stats.total_reads()
         remote = base_stats.remote_reads()
@@ -136,18 +173,28 @@ def exp_a4(scale: str = "quick") -> ExperimentResult:
         remote_fracs.append(remote / total if total else 0.0)
         data[n] = {"improvement": improvement,
                    "remote_fraction": remote_fracs[-1],
-                   "ge_n": ge_n}
-    lines.append(format_series("exec improvement", list(sizes), improvements))
-    lines.append(format_series("remote read fraction (base)", list(sizes),
+                   "ge_n": rows_per_proc * n}
+    lines.append(format_series("exec improvement", list(A4_SIZES),
+                               improvements))
+    lines.append(format_series("remote read fraction (base)", list(A4_SIZES),
                                remote_fracs))
     text = (
         f"A4: GE benefit vs machine size (weak scaling, n = {rows_per_proc}*N)\n"
         + "\n".join(lines)
     )
-    return ExperimentResult("A4", "System size scaling", text, data)
+    return text, data
 
 
-def exp_a5(scale: str = "quick") -> ExperimentResult:
+def runs_a5(scale: str) -> Dict:
+    return grid({
+        "msi_base": base_config(),
+        "mesi_base": base_config(protocol="mesi"),
+        "msi_sc": switch_cache_config(size=2 * KB),
+        "mesi_sc": switch_cache_config(size=2 * KB, protocol="mesi"),
+    })
+
+
+def render_a5(scale: str, records: Dict):
     """MSI (the paper's protocol) vs the MESI extension.
 
     MESI removes upgrade transactions for read-modify-write private data
@@ -158,15 +205,12 @@ def exp_a5(scale: str = "quick") -> ExperimentResult:
     rows = []
     data: Dict = {}
     for name in APP_ORDER:
-        msi_base = run(name, scale, base_config())
-        mesi_base = run(name, scale, base_config(protocol="mesi"))
-        msi_sc = run(name, scale, switch_cache_config(size=2 * KB))
-        mesi_sc = run(
-            name, scale, switch_cache_config(size=2 * KB, protocol="mesi")
-        )
+        msi_base = records[(name, "msi_base")]
+        mesi_base = records[(name, "mesi_base")]
         data[name] = {
             "base": mesi_base.exec_time / msi_base.exec_time,
-            "sc": mesi_sc.exec_time / msi_sc.exec_time,
+            "sc": (records[(name, "mesi_sc")].exec_time
+                   / records[(name, "msi_sc")].exec_time),
         }
         rows.append(
             (
@@ -184,10 +228,31 @@ def exp_a5(scale: str = "quick") -> ExperimentResult:
         rows,
         title="A5: MSI vs MESI (execution time ratio, lower favours MESI)",
     )
-    return ExperimentResult("A5", "MSI vs MESI", text, data)
+    return text, data
 
 
-def exp_a6(scale: str = "quick") -> ExperimentResult:
+A6_SHAPES = ((16, 1), (8, 2), (4, 4))
+
+
+def runs_a6(scale: str) -> Dict:
+    overrides = {"n": 24 if scale == "quick" else 48}
+    # small L2s so the streamed B matrix causes capacity re-fetches —
+    # the miss class network caches exist to serve [16][29]
+    small = dict(l1_size=512, l2_size=2 * KB)
+    runs = {}
+    for nodes, ppn in A6_SHAPES:
+        shape = dict(num_nodes=nodes, procs_per_node=ppn, **small)
+        runs[(nodes, ppn, "base")] = ("MM", base_config(**shape), overrides)
+        runs[(nodes, ppn, "nc")] = (
+            "MM", base_config(netcache_size=32 * KB, **shape), overrides,
+        )
+        runs[(nodes, ppn, "sc")] = (
+            "MM", switch_cache_config(size=2 * KB, **shape), overrides,
+        )
+    return runs
+
+
+def render_a6(scale: str, records: Dict):
     """Cluster organization: 16 processors as 16x1, 8x2, and 4x4 nodes.
 
     This is the paper's CC-NUMA context made explicit: with bus-based
@@ -196,32 +261,12 @@ def exp_a6(scale: str = "quick") -> ExperimentResult:
     crosses them — retain the advantage.  L2s are shrunk so capacity
     misses exist for the network cache to catch.
     """
-    mm_n = 24 if scale == "quick" else 48
-    shapes = ((16, 1), (8, 2), (4, 4))
     rows = []
     data: Dict = {}
-    # small L2s so the streamed B matrix causes capacity re-fetches —
-    # the miss class network caches exist to serve [16][29]
-    small = dict(l1_size=512, l2_size=2 * KB)
-    overrides = {"n": mm_n}
-    for nodes, ppn in shapes:
-        base = run(
-            "MM", scale,
-            base_config(num_nodes=nodes, procs_per_node=ppn, **small),
-            app_overrides=overrides,
-        ).stats
-        nc = run(
-            "MM", scale,
-            base_config(num_nodes=nodes, procs_per_node=ppn,
-                        netcache_size=32 * KB, **small),
-            app_overrides=overrides,
-        ).stats
-        sc = run(
-            "MM", scale,
-            switch_cache_config(size=2 * KB, num_nodes=nodes,
-                                procs_per_node=ppn, **small),
-            app_overrides=overrides,
-        ).stats
+    for nodes, ppn in A6_SHAPES:
+        base = records[(nodes, ppn, "base")].stats
+        nc = records[(nodes, ppn, "nc")].stats
+        sc = records[(nodes, ppn, "sc")].stats
         data[(nodes, ppn)] = {
             "nc": nc.exec_time / base.exec_time,
             "sc": sc.exec_time / base.exec_time,
@@ -244,26 +289,37 @@ def exp_a6(scale: str = "quick") -> ExperimentResult:
         rows,
         title="A6: cluster organization (MM, 16 processors total)",
     )
-    return ExperimentResult("A6", "Cluster organization", text, data)
+    return text, data
 
 
-def exp_a7(scale: str = "quick") -> ExperimentResult:
+A7_POLICIES = ("lru", "fifo", "random")
+
+
+def runs_a7(scale: str) -> Dict:
+    configs = {"base": base_config()}
+    configs.update(
+        (policy, switch_cache_config(size=1 * KB).replaced(
+            switch_cache_replacement=policy))
+        for policy in A7_POLICIES
+    )
+    return grid(configs, SHARING_APPS)
+
+
+def render_a7(scale: str, records: Dict):
     """Switch-cache replacement policy: LRU vs FIFO vs random.
 
-    The paper's CAESAR uses LRU within a set; FIFO needs no
-    hit-path update of replacement state (a simpler SRAM), and random is
-    the cheapest of all.  With small caches and bursty producer-consumer
+    The paper's CAESAR uses LRU within a set; FIFO needs no hit-path
+    update of replacement state (a simpler SRAM), and random is the
+    cheapest of all.  With small caches and bursty producer-consumer
     reuse the policies should be close — which is itself a useful design
     data point.
     """
     rows = []
     data: Dict = {}
     for name in SHARING_APPS:
-        base = run(name, scale, base_config())
-        for policy in ("lru", "fifo", "random"):
-            config = switch_cache_config(size=1 * KB)
-            config = config.replaced(switch_cache_replacement=policy)
-            record = run(name, scale, config)
+        base = records[(name, "base")]
+        for policy in A7_POLICIES:
+            record = records[(name, policy)]
             improvement = 1 - record.exec_time / base.exec_time
             data[(name, policy)] = improvement
             rows.append(
@@ -275,16 +331,35 @@ def exp_a7(scale: str = "quick") -> ExperimentResult:
         rows,
         title="A7: switch-cache replacement policy (1KB per switch)",
     )
-    return ExperimentResult("A7", "Replacement policy", text, data)
+    return text, data
 
 
-def exp_a8(scale: str = "quick") -> ExperimentResult:
+A8_END_TO_END = (("GE n=16 end-to-end", 0),
+                 ("GE n=16 + 1KB switch caches", 1024))
+A8_MODELS = ("message", "flit")
+
+
+def runs_a8(scale: str) -> Dict:
+    # end-to-end: a full application run on a 4-node machine
+    return {
+        (label, model): ("GE", SystemConfig(
+            num_nodes=4, l1_size=1024, l2_size=4096,
+            switch_cache_size=sc_size, network_model=model,
+        ), {"n": 16})
+        for label, sc_size in A8_END_TO_END for model in A8_MODELS
+    }
+
+
+def render_a8(scale: str, records: Dict):
     """Network-model validation: message-level fabric vs flit reference.
 
     Runs identical microbenchmark traffic on the production
     message-granularity fabric and on the flit-accurate wormhole
     reference (finite VCs, credit flow control) and reports both
     latencies — the evidence behind DESIGN.md's wormhole substitution.
+    The microbenchmarks are deterministic inline simulations of the bare
+    network, not Machine runs, so they live in the render; only the
+    end-to-end application runs are declared.
     """
     from ..network.fabric import Fabric
     from ..network.flitref import FlitNetwork
@@ -321,28 +396,14 @@ def exp_a8(scale: str = "quick") -> ExperimentResult:
         ref_t = max(m.delivered_at - m.created_at for m in ref)
         data[label] = {"fabric": fast_t, "flit_ref": ref_t}
         rows.append((label, fast_t, ref_t, f"{fast_t / ref_t:.3f}"))
-    # end-to-end: a full application run on a 4-node base machine
-    from ..system.config import SystemConfig
-
-    for label, sc_size in (("GE n=16 end-to-end", 0),
-                            ("GE n=16 + 1KB switch caches", 1024)):
-        exec_times = {}
-        for model in ("message", "flit"):
-            record = run("GE", scale, SystemConfig(
-                num_nodes=4, l1_size=1024, l2_size=4096,
-                switch_cache_size=sc_size, network_model=model,
-            ), app_overrides={"n": 16})
-            exec_times[model] = record.exec_time
-        data[label] = {
-            "fabric": exec_times["message"], "flit_ref": exec_times["flit"],
-        }
-        rows.append((
-            label, exec_times["message"], exec_times["flit"],
-            f"{exec_times['message'] / exec_times['flit']:.3f}",
-        ))
+    for label, _sc_size in A8_END_TO_END:
+        message = records[(label, "message")].exec_time
+        flit = records[(label, "flit")].exec_time
+        data[label] = {"fabric": message, "flit_ref": flit}
+        rows.append((label, message, flit, f"{message / flit:.3f}"))
     text = format_table(
         ("microbenchmark", "fabric (cyc)", "flit reference (cyc)", "ratio"),
         rows,
         title="A8: message-level fabric vs flit-level wormhole reference",
     )
-    return ExperimentResult("A8", "Network model validation", text, data)
+    return text, data

@@ -11,9 +11,9 @@ Examples::
     repro-experiments cache --prune            # drop stale/tmp cache files
 
 Completed simulations are persisted in the on-disk run cache
-(``results/.runcache/``) and reused across invocations; with ``--jobs``
-greater than one, the runs the requested experiments need are simulated
-in parallel before the (serial) report generation.
+(``results/.runcache/``) and reused across invocations; the runs the
+requested experiments declare are simulated first, over ``--jobs``
+worker processes, and every report is then rendered from them.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import sys
 import time
 from typing import List, Optional
 
-from . import parallel, runcache
-from .registry import EXPERIMENTS, run_experiment
+from . import runcache
+from .registry import EXPERIMENTS, run_experiments
 
 
 def _jsonify(value):
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--jobs", type=int, default=os.cpu_count() or 1, metavar="N",
-        help="simulate the needed runs over N worker processes first "
+        help="simulate the needed runs over N worker processes "
              "(default: CPU count; 1 = fully serial)",
     )
     run_p.add_argument(
@@ -81,16 +81,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--profile", action="store_true",
-        help="profile the (serial) experiment loop with cProfile and "
-             "print the top functions by cumulative time",
+        help="profile the experiment run with cProfile and print the "
+             "top functions by cumulative time",
     )
     cache_p = sub.add_parser(
         "cache", help="inspect or clean the on-disk run cache"
     )
     cache_p.add_argument(
         "--prune", action="store_true",
-        help="remove stale entries (old format versions) and orphaned "
-             "*.tmp files, keeping current-version entries",
+        help="remove stale entries (another format version or simulator "
+             "source) and orphaned *.tmp files, keeping current entries",
     )
     cache_p.add_argument(
         "--clear", action="store_true",
@@ -109,28 +109,25 @@ def _cache_command(args) -> int:
         removed = runcache.prune()
         print(f"run cache pruned ({removed} stale files) ({directory})")
         return 0
-    current = stale = tmp = total_bytes = 0
-    keep_suffix = f".v{runcache.CACHE_FORMAT_VERSION}.json"
+    counts = {"current": 0, "stale": 0, "tmp": 0}
+    total_bytes = 0
     if directory.is_dir():
         for path in directory.iterdir():
-            name = path.name
             try:
                 total_bytes += path.stat().st_size
             except OSError:
                 continue
-            if name.endswith(".tmp"):
-                tmp += 1
-            elif name.endswith(keep_suffix):
-                current += 1
-            elif name.endswith(".json"):
-                stale += 1
+            kind = runcache.classify(path.name)
+            if kind is not None:
+                counts[kind] += 1
     print(f"run cache: {directory}")
     print(
-        f"  {current} current entries (v{runcache.CACHE_FORMAT_VERSION}), "
-        f"{stale} stale-version entries, {tmp} orphaned tmp files, "
+        f"  {counts['current']} current entries "
+        f"({runcache.current_suffix()}), {counts['stale']} stale entries, "
+        f"{counts['tmp']} orphaned tmp files, "
         f"{total_bytes / 1024:.0f} KiB total"
     )
-    if stale or tmp:
+    if counts["stale"] or counts["tmp"]:
         print("  (run `repro-experiments cache --prune` to drop stale files)")
     return 0
 
@@ -138,8 +135,8 @@ def _cache_command(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        for exp_id, (title, _runner) in EXPERIMENTS.items():
-            print(f"{exp_id:4s} {title}")
+        for exp_id, exp in EXPERIMENTS.items():
+            print(f"{exp_id:4s} {exp.title}")
         return 0
     if args.command == "cache":
         return _cache_command(args)
@@ -159,34 +156,29 @@ def main(argv: Optional[List[str]] = None) -> int:
     runcache.set_enabled(not args.no_cache)
     if args.sanitize:
         # worker processes read the environment, so this one switch covers
-        # both the serial path and the ProcessPoolExecutor prewarm
+        # both the serial path and the process pool
         os.environ["REPRO_SANITIZE"] = "1"
     json_dir = pathlib.Path(args.json) if args.json else None
     if json_dir is not None:
         json_dir.mkdir(parents=True, exist_ok=True)
-    if args.jobs > 1:
-        started = time.time()
-        counters = parallel.prewarm(exp_ids, scale=args.scale,
-                                    jobs=args.jobs)
-        print(
-            f"prewarm: {counters['planned']} distinct runs "
-            f"({counters['memo']} memoized, {counters['disk']} from disk "
-            f"cache, {counters['executed']} simulated on {args.jobs} "
-            f"workers) [{time.time() - started:.1f}s]"
-        )
     profiler = None
     if args.profile:
         import cProfile
 
         profiler = cProfile.Profile()
         profiler.enable()
-    loop_started = time.time()
-    for exp_id in exp_ids:
-        started = time.time()
-        result = run_experiment(exp_id, scale=args.scale)
-        elapsed = time.time() - started
-        print(f"== {result.exp_id}: {result.title} [{elapsed:.1f}s] ==")
-        print(result.text)
+    started = time.time()
+    results, counters = run_experiments(exp_ids, args.scale, args.jobs)
+    elapsed = time.time() - started
+    if profiler is not None:
+        profiler.disable()
+    print(
+        f"runs: {counters['runs']} distinct ({counters['memo']} memoized, "
+        f"{counters['disk']} from disk cache, {counters['executed']} "
+        f"simulated, jobs={args.jobs}) [{elapsed:.1f}s]"
+    )
+    for result in results:
+        print(result)
         print()
         if json_dir is not None:
             payload = {
@@ -202,12 +194,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         import io
         import pstats
 
-        profiler.disable()
         buffer = io.StringIO()
         stats = pstats.Stats(profiler, stream=buffer)
         stats.sort_stats("cumulative").print_stats(25)
-        print(f"profile: experiment loop took "
-              f"{time.time() - loop_started:.2f}s wall-clock")
+        print(f"profile: experiment run took {elapsed:.2f}s wall-clock")
         print(buffer.getvalue())
     if not args.no_cache:
         cache = runcache.stats()

@@ -10,21 +10,20 @@ Experiments come in two scales:
 
 Runs are memoized per process: most experiments reuse the same
 (base, network-cache, switch-cache) simulations, so a full harness pass
-executes each distinct machine exactly once.  On top of the in-process
-memo sit two more layers (see DESIGN.md):
-
-* the **on-disk run cache** (:mod:`repro.experiments.runcache`) —
-  completed runs persist across processes, keyed by the full config;
-* the **parallel executor** (:mod:`repro.experiments.parallel`) —
-  fans the distinct runs an experiment set needs out over a process
-  pool and rehydrates this module's memo, so the runners themselves
-  stay serial and unchanged.
+executes each distinct machine exactly once.  Below the in-process memo
+sits the **on-disk run cache** (:mod:`repro.experiments.runcache`):
+completed runs persist across processes, keyed by the full config.
+:func:`resolve` looks each run up in both layers and simulates the
+rest, serially or over a process pool (see DESIGN.md); pool workers
+return ``RunRecord.to_payload()`` dicts, the same canonical payload the
+disk cache stores, so pooled and serial runs give bit-identical records.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple
 
 from ..apps import PAPER_APPS
 from ..stats.counters import MachineStats
@@ -67,6 +66,18 @@ def make_app(name: str, scale: str, overrides: Optional[Dict] = None):
     if overrides:
         kwargs.update(overrides)
     return PAPER_APPS[name](**kwargs)
+
+
+#: one simulation: (app, config, app-input overrides or None)
+Run = Tuple[str, SystemConfig, Optional[Dict]]
+
+
+def grid(
+    configs: Dict[Hashable, SystemConfig], apps: Iterable[str] = APP_ORDER,
+) -> Dict[Tuple, Run]:
+    """Declared runs of every app on every config, labelled ``(app, tag)``."""
+    return {(app, tag): (app, config, None)
+            for app in apps for tag, config in configs.items()}
 
 
 @dataclasses.dataclass
@@ -172,7 +183,7 @@ def execute(
     """Actually simulate one run (no cache layers).
 
     Pure function of its arguments: the engine is deterministic, so the
-    parallel executor's workers call this and ship the payload back.
+    executor's pool workers call this and ship the payload back.
     """
     # histograms only: no sample_interval, so the registry adds zero
     # simulator events and the run stays byte-identical with/without it
@@ -203,44 +214,74 @@ def execute(
     )
 
 
+def _worker(app_name: str, scale: str, config: SystemConfig,
+            app_overrides: Optional[Dict]) -> Dict:
+    """Pool worker: simulate one run, ship back its canonical payload."""
+    return execute(app_name, scale, config, app_overrides).to_payload()
+
+
+def _simulate(
+    todo: Dict[Tuple, Run], scale: str, jobs: int
+) -> Iterator[Tuple[Tuple, RunRecord]]:
+    """Simulate every run in ``todo``, yielding ``(key, record)``."""
+    if jobs <= 1 or len(todo) <= 1:
+        for key, (app, config, overrides) in todo.items():
+            yield key, execute(app, scale, config, overrides)
+        return
+    with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
+        futures = {
+            pool.submit(_worker, app, scale, config, overrides): key
+            for key, (app, config, overrides) in todo.items()
+        }
+        for future in as_completed(futures):
+            yield futures[future], RunRecord.from_payload(future.result())
+
+
+def resolve(
+    runs: Iterable[Run], scale: str, jobs: int = 1,
+) -> Tuple[Dict[Tuple, RunRecord], Dict[str, int]]:
+    """The record of every distinct run in ``runs``, by :func:`run_key`.
+
+    Lookup order: the in-process memo, then the on-disk run cache (when
+    enabled), then a simulation, serial or over ``jobs`` pool workers,
+    whose record the parent stores in both layers.  Also returns
+    counters: ``runs`` (distinct), ``memo``/``disk`` (already done) and
+    ``executed``.  Each run probes the disk cache at most once, so
+    ``runcache.stats()`` reconciles with them.
+    """
+    records: Dict[Tuple, RunRecord] = {}
+    todo: Dict[Tuple, Run] = {}
+    counters = {"runs": 0, "memo": 0, "disk": 0, "executed": 0}
+    for app, config, overrides in runs:
+        key = run_key(app, scale, config, overrides)
+        if key in records or key in todo:
+            continue
+        counters["runs"] += 1
+        if key in _CACHE:
+            records[key] = _CACHE[key]
+            counters["memo"] += 1
+            continue
+        payload = runcache.load(app, scale, config, overrides)
+        if payload is None:
+            todo[key] = (app, config, overrides)
+            continue
+        records[key] = _CACHE[key] = RunRecord.from_payload(payload)
+        counters["disk"] += 1
+    for key, record in _simulate(todo, scale, jobs):
+        app, config, overrides = todo[key]
+        records[key] = _CACHE[key] = record
+        runcache.store(app, scale, config, record.to_payload(), overrides)
+        counters["executed"] += 1
+    return records, counters
+
+
 def run(
     app_name: str, scale: str, config: SystemConfig,
     app_overrides: Optional[Dict] = None,
 ) -> RunRecord:
-    """Run (or fetch the cached run of) one app on one configuration.
-
-    Lookup order: in-process memo, then the on-disk run cache (when
-    enabled), then a live simulation (which populates both layers).
-    """
-    key = run_key(app_name, scale, config, app_overrides)
-    record = _CACHE.get(key)
-    if record is not None:
-        return record
-    payload = runcache.load(app_name, scale, config, app_overrides)
-    if payload is not None:
-        record = RunRecord.from_payload(payload)
-    else:
-        record = execute(app_name, scale, config, app_overrides)
-        runcache.store(
-            app_name, scale, config, record.to_payload(), app_overrides
-        )
-    _CACHE[key] = record
-    return record
-
-
-def memoize(key: Tuple, record: RunRecord) -> None:
-    """Install a completed run in the in-process memo (parallel executor)."""
-    _CACHE[key] = record
-
-
-def memoized(key: Tuple) -> Optional[RunRecord]:
-    """The memoized record for ``key``, or None."""
-    return _CACHE.get(key)
-
-
-def memoized_keys() -> Tuple:
-    """Snapshot of the memo's keys (used by plan-coverage tests)."""
-    return tuple(_CACHE)
+    """Run (or fetch the memoized or cached run of) one app on one config."""
+    records, _counters = resolve([(app_name, config, app_overrides)], scale)
+    return records[run_key(app_name, scale, config, app_overrides)]
 
 
 def clear_cache() -> None:
@@ -257,5 +298,5 @@ class ExperimentResult:
     text: str
     data: Dict
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
+    def __str__(self) -> str:
         return f"== {self.exp_id}: {self.title} ==\n{self.text}"

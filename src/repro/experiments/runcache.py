@@ -11,13 +11,15 @@ only simulates machines it has never seen.
 Keying
 ------
 A cache entry is addressed by ``(app, scale, config fingerprint,
-CACHE_FORMAT_VERSION)``.  The fingerprint hashes **every**
-``SystemConfig`` field (plus any per-run application-input overrides),
-so two configs that differ in any parameter can never alias.  The
-format version is baked into the file name; bump
-:data:`CACHE_FORMAT_VERSION` whenever simulator *behaviour* changes
-(not just the payload layout), which atomically invalidates every
-stale entry — see CONTRIBUTING.md.
+simulator source digest, CACHE_FORMAT_VERSION)``, all baked into the
+file name.  The fingerprint hashes **every** ``SystemConfig`` field
+(plus any per-run application-input overrides), so two configs that
+differ in any parameter can never alias.  The source digest
+(:func:`source_digest`) hashes every module of the package outside
+``experiments/`` and ``verify/``, so any change to the simulated model
+orphans every entry it could have made stale, while edits to report
+code keep reusing cached runs.  Bump :data:`CACHE_FORMAT_VERSION` only
+when the payload layout changes — see CONTRIBUTING.md.
 
 The cache is **disabled by default** so unit tests always exercise the
 live simulator; the CLI (``repro-experiments``) and the benchmark
@@ -27,6 +29,7 @@ harness (``benchmarks/conftest.py``) enable it explicitly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -36,14 +39,21 @@ from typing import Dict, Optional
 
 from ..system.config import SystemConfig
 
-#: bump when a code change alters simulation results or payload layout;
-#: every existing cache entry becomes unreachable (stale files are
-#: removed by ``clear()`` or by hand)
+#: bump when the payload layout changes (simulator changes are caught by
+#: the source digest); every existing entry becomes unreachable, and
+#: ``prune()`` removes it
 CACHE_FORMAT_VERSION = 3  # v3: RunRecord payloads carry a metrics registry
+
+#: the package whose source keys every entry (``src/repro``)
+PACKAGE_DIR = pathlib.Path(__file__).resolve().parents[1]
+
+#: subpackages that never change a simulated run: the report code and
+#: the protocol checkers
+_UNKEYED = ("experiments", "verify")
 
 _enabled = False
 
-#: statistics for the current process (prewarm/CLI reporting)
+#: statistics for the current process (CLI reporting)
 hits = 0
 misses = 0
 stores = 0
@@ -108,13 +118,34 @@ def _jsonable(value):
     return value
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest(package: pathlib.Path = PACKAGE_DIR) -> str:
+    """Hex sha256 over every ``*.py`` under ``package`` outside
+    ``experiments/`` and ``verify/``: the simulator's source."""
+    digest = hashlib.sha256()
+    files = sorted(
+        (path.relative_to(package).as_posix(), path)
+        for path in package.rglob("*.py")
+        if path.relative_to(package).parts[0] not in _UNKEYED
+    )
+    for name, path in files:
+        source = path.read_bytes()
+        digest.update(f"{name}\0{len(source)}\0".encode())
+        digest.update(source)
+    return digest.hexdigest()
+
+
+def current_suffix() -> str:
+    """File-name suffix of every entry the current code can load."""
+    return f".{source_digest()[:12]}.v{CACHE_FORMAT_VERSION}.json"
+
+
 def entry_path(
     app: str, scale: str, config: SystemConfig,
     app_overrides: Optional[Dict] = None,
 ) -> pathlib.Path:
     digest = config_fingerprint(config, app_overrides)
-    name = f"{app}-{scale}-{digest[:20]}.v{CACHE_FORMAT_VERSION}.json"
-    return cache_dir() / name
+    return cache_dir() / f"{app}-{scale}-{digest[:20]}{current_suffix()}"
 
 
 def load(
@@ -188,26 +219,32 @@ def clear() -> int:
     return removed
 
 
-def prune() -> int:
-    """Remove stale files only: old-format entries and orphaned temps.
+def classify(name: str) -> Optional[str]:
+    """``"current"``, ``"stale"`` or ``"tmp"`` for a cache file name.
 
-    Keeps every current-version (``.v{CACHE_FORMAT_VERSION}.json``)
-    entry; drops entries written by older/newer format versions (which
-    :func:`load` can never return) and ``*.tmp`` droppings left by
-    stores that died between ``mkstemp`` and ``os.replace``.  Returns
-    the number of files removed.
+    Current entries end in :func:`current_suffix`; any other ``*.json``
+    was written by another format version or simulator source, so
+    :func:`load` can never return it.  ``*.tmp`` files are droppings of
+    stores that died between ``mkstemp`` and ``os.replace``.
+    """
+    if name.endswith(".tmp"):
+        return "tmp"
+    if name.endswith(current_suffix()):
+        return "current"
+    return "stale" if name.endswith(".json") else None
+
+
+def prune() -> int:
+    """Remove stale entries and orphaned temps, keeping current entries.
+
+    Returns the number of files removed.
     """
     directory = cache_dir()
     removed = 0
     if not directory.is_dir():
         return removed
-    keep_suffix = f".v{CACHE_FORMAT_VERSION}.json"
     for path in directory.iterdir():
-        name = path.name
-        stale = name.endswith(".tmp") or (
-            name.endswith(".json") and not name.endswith(keep_suffix)
-        )
-        if not stale:
+        if classify(path.name) not in ("stale", "tmp"):
             continue
         try:
             path.unlink()
@@ -218,5 +255,5 @@ def prune() -> int:
 
 
 def stats() -> Dict[str, int]:
-    """Per-process cache counters (for CLI/prewarm reporting)."""
+    """Per-process cache counters (for CLI reporting)."""
     return {"hits": hits, "misses": misses, "stores": stores}

@@ -1,9 +1,13 @@
-"""One runner per paper table/figure (see DESIGN.md experiment index).
+"""The paper's tables and figures (see DESIGN.md experiment index).
 
-Each runner returns an :class:`ExperimentResult` whose ``text`` prints
-the same rows/series the paper reports and whose ``data`` carries the raw
-numbers for programmatic checks (the test suite asserts the paper's
-qualitative claims against these).
+Each experiment is a pair: a ``runs_*(scale)`` function declaring every
+simulation it needs, as ``label -> (app, config, app overrides)``, and
+a ``render_*(scale, records)`` function that reads those runs'
+:class:`~repro.experiments.common.RunRecord` s by label and returns
+``(text, data)``: ``text`` prints the same rows/series the paper
+reports and ``data`` carries the raw numbers for programmatic checks
+(the test suite asserts the paper's qualitative claims against these).
+``registry.py`` pairs them under the experiment's id and titles.
 """
 
 from __future__ import annotations
@@ -18,16 +22,26 @@ from ..system.presets import (
     netcache_config,
     switch_cache_config,
 )
-from .common import APP_ORDER, APP_SCALES, ExperimentResult, RunRecord, run
+from .common import APP_ORDER, APP_SCALES, grid
 
 #: switch-cache sizes swept by the paper's evaluation (bytes per switch)
 SC_SIZES = (512, 1024, 2048, 4096)
 
 
+def no_runs(scale: str) -> Dict:
+    """T1/T2 tabulate static parameters; they need no simulation."""
+    return {}
+
+
+def base_runs(scale: str) -> Dict:
+    """Every app on the base machine (F3, F4, F5), labelled by app."""
+    return {name: (name, base_config(), None) for name in APP_ORDER}
+
+
 # ----------------------------------------------------------------------
 # T1 — CAESAR access operations and delays (static)
 # ----------------------------------------------------------------------
-def exp_t1(scale: str = "quick") -> ExperimentResult:
+def render_t1(scale: str, records: Dict):
     from ..core.switchcache import SwitchCacheGeometry
 
     rows = []
@@ -51,13 +65,13 @@ def exp_t1(scale: str = "quick") -> ExperimentResult:
         ("operation", "data width", "resources", "cycles"), rows,
         title="CAESAR switch-cache access operations and delays",
     )
-    return ExperimentResult("T1", "CAESAR access delays", text, {"rows": rows})
+    return text, {"rows": rows}
 
 
 # ----------------------------------------------------------------------
 # T2 — simulation parameters and application inputs (static)
 # ----------------------------------------------------------------------
-def exp_t2(scale: str = "full") -> ExperimentResult:
+def render_t2(scale: str, records: Dict):
     cfg = SystemConfig()
     param_rows = [
         ("processors", cfg.num_nodes),
@@ -83,21 +97,18 @@ def exp_t2(scale: str = "full") -> ExperimentResult:
         + format_table(("application", "input"), app_rows,
                        title=f"Application inputs (scale={scale})")
     )
-    return ExperimentResult(
-        "T2", "Simulation parameters", text,
-        {"params": param_rows, "apps": app_rows},
-    )
+    return text, {"params": param_rows, "apps": app_rows}
 
 
 # ----------------------------------------------------------------------
 # F3 — read sharing pattern
 # ----------------------------------------------------------------------
-def exp_f3(scale: str = "quick") -> ExperimentResult:
+def render_f3(scale: str, records: Dict):
     data: Dict[str, Dict[int, float]] = {}
     lines: List[str] = []
     buckets = (1, 2, 4, 8, 16)
     for name in APP_ORDER:
-        record = run(name, scale, base_config())
+        record = records[name]
         histogram = record.stats.sharing_histogram(16)
         total = sum(histogram.values()) or 1
         # bucketize: 1, 2, 3-4, 5-8, 9-16 readers
@@ -116,17 +127,17 @@ def exp_f3(scale: str = "quick") -> ExperimentResult:
             )
         )
     text = "Fraction of L2-miss reads to blocks read by k processors\n" + "\n".join(lines)
-    return ExperimentResult("F3", "Read sharing pattern", text, data)
+    return text, data
 
 
 # ----------------------------------------------------------------------
 # F4 — ideal global cache (Sec. 2.2 motivation)
 # ----------------------------------------------------------------------
-def exp_f4(scale: str = "quick") -> ExperimentResult:
+def render_f4(scale: str, records: Dict):
     rows = []
     data = {}
     for name in APP_ORDER:
-        record = run(name, scale, base_config())
+        record = records[name]
         rate = record.stats.ideal_global_hit_rate()
         data[name] = rate
         rows.append((name, record.stats.shared_reads(), percent(rate)))
@@ -134,17 +145,17 @@ def exp_f4(scale: str = "quick") -> ExperimentResult:
         ("app", "L2-miss reads", "ideal global-cache hit rate"), rows,
         title="Upper bound: reads an infinite shared network cache could serve",
     )
-    return ExperimentResult("F4", "Ideal global cache", text, data)
+    return text, data
 
 
 # ----------------------------------------------------------------------
 # F5 — base-system remote read latency breakdown (Sec. 2.1)
 # ----------------------------------------------------------------------
-def exp_f5(scale: str = "quick") -> ExperimentResult:
+def render_f5(scale: str, records: Dict):
     rows = []
     data = {}
     for name in APP_ORDER:
-        record = run(name, scale, base_config())
+        record = records[name]
         means = record.stats.breakdown_means()
         data[name] = means
         rows.append(
@@ -165,18 +176,23 @@ def exp_f5(scale: str = "quick") -> ExperimentResult:
         rows,
         title="Remote read latency breakdown, base system (cycles)",
     )
-    return ExperimentResult("F5", "Latency breakdown", text, data)
+    return text, data
 
 
 # ----------------------------------------------------------------------
 # E1 — read service distribution: base vs switch cache
 # ----------------------------------------------------------------------
-def exp_e1(scale: str = "quick") -> ExperimentResult:
+def runs_e1(scale: str) -> Dict:
+    return grid({"base": base_config(),
+                 "sc": switch_cache_config(size=2 * KB)})
+
+
+def render_e1(scale: str, records: Dict):
     rows = []
     data = {}
     for name in APP_ORDER:
-        for config in (base_config(), switch_cache_config(size=2 * KB)):
-            record = run(name, scale, config)
+        for tag in ("base", "sc"):
+            record = records[(name, tag)]
             dist = record.stats.service_distribution()
             data[(name, record.config_label)] = dist
             rows.append(
@@ -195,22 +211,26 @@ def exp_e1(scale: str = "quick") -> ExperimentResult:
         rows,
         title="Where reads are served",
     )
-    return ExperimentResult("E1", "Read service distribution", text, data)
+    return text, data
 
 
 # ----------------------------------------------------------------------
 # E2 — reduction in reads served at remote memory (claim C1, <= 45 %)
 # ----------------------------------------------------------------------
-def exp_e2(scale: str = "quick") -> ExperimentResult:
+def runs_e2(scale: str) -> Dict:
+    configs = {"base": base_config()}
+    configs.update((size, switch_cache_config(size=size)) for size in SC_SIZES)
+    return grid(configs)
+
+
+def render_e2(scale: str, records: Dict):
     rows = []
     data: Dict[str, Dict[int, float]] = {}
     for name in APP_ORDER:
-        base = run(name, scale, base_config())
-        base_remote = base.stats.reads_at_remote_memory()
+        base_remote = records[(name, "base")].stats.reads_at_remote_memory()
         reductions = {}
         for size in SC_SIZES:
-            record = run(name, scale, switch_cache_config(size=size))
-            remote = record.stats.reads_at_remote_memory()
+            remote = records[(name, size)].stats.reads_at_remote_memory()
             reductions[size] = (1 - remote / base_remote) if base_remote else 0.0
         data[name] = reductions
         rows.append(
@@ -222,24 +242,31 @@ def exp_e2(scale: str = "quick") -> ExperimentResult:
         rows,
         title="Reduction in reads served at remote memory",
     )
-    return ExperimentResult("E2", "Remote read reduction", text, data)
+    return text, data
 
 
 # ----------------------------------------------------------------------
 # E3 — average remote read latency: base vs NC vs SC
+# E4 — read stall time normalized to base (claim C3, <= 35 % reduction)
 # ----------------------------------------------------------------------
-def exp_e3(scale: str = "quick") -> ExperimentResult:
-    configs = (
+E3_E4_TAGS = ("base", "nc", "sc")
+
+
+def runs_e3_e4(scale: str) -> Dict:
+    return grid(dict(zip(E3_E4_TAGS, (
         base_config(),
         netcache_config(),
         switch_cache_config(size=2 * KB),
-    )
+    ))))
+
+
+def render_e3(scale: str, records: Dict):
     rows = []
     data = {}
     for name in APP_ORDER:
         row = [name]
-        for config in configs:
-            record = run(name, scale, config)
+        for tag in E3_E4_TAGS:
+            record = records[(name, tag)]
             latency = record.stats.mean_remote_read_latency()
             data[(name, record.config_label)] = latency
             row.append(f"{latency:.0f}")
@@ -249,32 +276,18 @@ def exp_e3(scale: str = "quick") -> ExperimentResult:
         rows,
         title="Mean remote read latency (cycles)",
     )
-    return ExperimentResult("E3", "Remote read latency", text, data)
+    return text, data
 
 
-# ----------------------------------------------------------------------
-# E4 — read stall time normalized to base (claim C3, <= 35 % reduction)
-# ----------------------------------------------------------------------
-def exp_e4(scale: str = "quick") -> ExperimentResult:
-    configs = (
-        base_config(),
-        netcache_config(),
-        switch_cache_config(size=2 * KB),
-    )
+def render_e4(scale: str, records: Dict):
     rows = []
     data = {}
     for name in APP_ORDER:
-        base_stall = None
+        base_stall = records[(name, "base")].stats.total_read_stall() or 1
         row = [name]
-        for config in configs:
-            record = run(name, scale, config)
-            stall = sum(
-                node_stall
-                for node_stall in [record.stats.total_read_stall()]
-            )
-            if base_stall is None:
-                base_stall = stall or 1
-            normalized = stall / base_stall
+        for tag in E3_E4_TAGS:
+            record = records[(name, tag)]
+            normalized = record.stats.total_read_stall() / base_stall
             data[(name, record.config_label)] = normalized
             row.append(f"{normalized:.3f}")
         rows.append(tuple(row))
@@ -283,23 +296,29 @@ def exp_e4(scale: str = "quick") -> ExperimentResult:
         rows,
         title="Read stall time (normalized to base)",
     )
-    return ExperimentResult("E4", "Read stall time", text, data)
+    return text, data
 
 
 # ----------------------------------------------------------------------
 # E5 — normalized execution time (claim C2, <= 20 % improvement)
 # ----------------------------------------------------------------------
-def exp_e5(scale: str = "quick") -> ExperimentResult:
+def runs_e5(scale: str) -> Dict:
+    configs = {"base": base_config(), "NC": netcache_config()}
+    configs.update((size, switch_cache_config(size=size)) for size in SC_SIZES)
+    return grid(configs)
+
+
+def render_e5(scale: str, records: Dict):
     rows = []
     data: Dict[str, Dict[str, float]] = {}
     for name in APP_ORDER:
-        base = run(name, scale, base_config())
+        base = records[(name, "base")]
         entries: Dict[str, float] = {"base": 1.0}
-        nc = run(name, scale, netcache_config())
-        entries["NC"] = nc.exec_time / base.exec_time
+        entries["NC"] = records[(name, "NC")].exec_time / base.exec_time
         for size in SC_SIZES:
-            record = run(name, scale, switch_cache_config(size=size))
-            entries[f"SC-{size}"] = record.exec_time / base.exec_time
+            entries[f"SC-{size}"] = (
+                records[(name, size)].exec_time / base.exec_time
+            )
         data[name] = entries
         rows.append(
             (name, base.exec_time, f"{entries['NC']:.3f}")
@@ -310,46 +329,56 @@ def exp_e5(scale: str = "quick") -> ExperimentResult:
         rows,
         title="Execution time normalized to base",
     )
-    return ExperimentResult("E5", "Normalized execution time", text, data)
+    return text, data
 
 
 # ----------------------------------------------------------------------
 # E6 — switch-cache size sensitivity (claim C4: 512 B already helps)
 # ----------------------------------------------------------------------
-def exp_e6(scale: str = "quick") -> ExperimentResult:
-    sizes = (512, 1024, 2048, 4096, 8192)
+E6_SIZES = (512, 1024, 2048, 4096, 8192)
+
+
+def runs_e6(scale: str) -> Dict:
+    configs = {"base": base_config()}
+    configs.update((size, switch_cache_config(size=size)) for size in E6_SIZES)
+    return grid(configs)
+
+
+def render_e6(scale: str, records: Dict):
     lines = []
     data: Dict[str, Dict[int, float]] = {}
     for name in APP_ORDER:
-        base = run(name, scale, base_config())
-        improvements = {}
-        for size in sizes:
-            record = run(name, scale, switch_cache_config(size=size))
-            improvements[size] = 1 - record.exec_time / base.exec_time
+        base = records[(name, "base")]
+        improvements = {
+            size: 1 - records[(name, size)].exec_time / base.exec_time
+            for size in E6_SIZES
+        }
         data[name] = improvements
         lines.append(
-            format_series(name, list(sizes), [improvements[s] for s in sizes])
+            format_series(name, list(E6_SIZES),
+                          [improvements[s] for s in E6_SIZES])
         )
     text = (
         "Execution-time improvement vs switch-cache size (bytes/switch)\n"
         + "\n".join(lines)
     )
-    return ExperimentResult("E6", "Cache size sensitivity", text, data)
+    return text, data
 
 
 # ----------------------------------------------------------------------
 # E7 — CAESAR vs CAESAR+ (banked data arrays)
 # ----------------------------------------------------------------------
-def exp_e7(scale: str = "quick") -> ExperimentResult:
+def runs_e7(scale: str) -> Dict:
+    return grid({"CAESAR": switch_cache_config(size=2 * KB, banks=1),
+                 "CAESAR+": caesar_plus_config(size=2 * KB)})
+
+
+def render_e7(scale: str, records: Dict):
     rows = []
     data = {}
     for name in APP_ORDER:
-        for config in (
-            switch_cache_config(size=2 * KB, banks=1),
-            caesar_plus_config(size=2 * KB),
-        ):
-            record = run(name, scale, config)
-            label = "CAESAR+" if config.switch_cache_banks > 1 else "CAESAR"
+        for label in ("CAESAR", "CAESAR+"):
+            record = records[(name, label)]
             data[(name, label)] = {
                 "exec": record.exec_time,
                 "data_queue": record.mean_data_queue,
@@ -372,21 +401,26 @@ def exp_e7(scale: str = "quick") -> ExperimentResult:
         rows,
         title="CAESAR (1 bank) vs CAESAR+ (2 interleaved banks)",
     )
-    return ExperimentResult("E7", "CAESAR vs CAESAR+", text, data)
+    return text, data
 
 
 # ----------------------------------------------------------------------
 # E8 — data-array output width
 # ----------------------------------------------------------------------
-def exp_e8(scale: str = "quick") -> ExperimentResult:
-    widths = (64, 128, 256)
+E8_WIDTHS = (64, 128, 256)
+
+
+def runs_e8(scale: str) -> Dict:
+    return grid({width: switch_cache_config(size=2 * KB, width_bits=width)
+                 for width in E8_WIDTHS})
+
+
+def render_e8(scale: str, records: Dict):
     rows = []
     data = {}
     for name in APP_ORDER:
-        for width in widths:
-            record = run(
-                name, scale, switch_cache_config(size=2 * KB, width_bits=width)
-            )
+        for width in E8_WIDTHS:
+            record = records[(name, width)]
             data[(name, width)] = {
                 "exec": record.exec_time,
                 "data_queue": record.mean_data_queue,
@@ -406,18 +440,22 @@ def exp_e8(scale: str = "quick") -> ExperimentResult:
         rows,
         title="Switch-cache data-array output width",
     )
-    return ExperimentResult("E8", "Output width", text, data)
+    return text, data
 
 
 # ----------------------------------------------------------------------
 # E9 — switch-cache hits by MIN stage
 # ----------------------------------------------------------------------
-def exp_e9(scale: str = "quick") -> ExperimentResult:
+def runs_e9(scale: str) -> Dict:
+    return {name: (name, switch_cache_config(size=2 * KB), None)
+            for name in APP_ORDER}
+
+
+def render_e9(scale: str, records: Dict):
     lines = []
     data = {}
     for name in APP_ORDER:
-        record = run(name, scale, switch_cache_config(size=2 * KB))
-        by_stage = record.switch_hits_by_stage
+        by_stage = records[name].switch_hits_by_stage
         total = sum(by_stage.values()) or 1
         shares = {s: by_stage.get(s, 0) / total for s in range(4)}
         data[name] = shares
@@ -429,4 +467,4 @@ def exp_e9(scale: str = "quick") -> ExperimentResult:
             )
         )
     text = "Share of switch-cache hits by MIN stage (0 = nearest processors)\n" + "\n".join(lines)
-    return ExperimentResult("E9", "Hits by stage", text, data)
+    return text, data

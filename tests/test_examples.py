@@ -7,7 +7,6 @@ are exercised indirectly by the experiment harness instead.
 
 import importlib.util
 import pathlib
-import sys
 
 import pytest
 

@@ -1,10 +1,16 @@
 """Tests for the experiment harness (registry, static tables, CLI)."""
 
+import dataclasses
+
 import pytest
 
-from repro.experiments import APP_ORDER, APP_SCALES, EXPERIMENTS, make_app, run_experiment
+from repro.experiments import (
+    APP_ORDER, APP_SCALES, EXPERIMENTS, make_app, run_experiments,
+)
+from repro.experiments import common, runcache
 from repro.experiments.cli import build_parser, main
 from repro.experiments.common import RunRecord, run
+from repro.experiments.runners import no_runs
 from repro.system.presets import base_config
 
 
@@ -16,9 +22,10 @@ class TestRegistry:
         assert set(EXPERIMENTS) == expected
 
     def test_every_entry_has_title_and_runner(self):
-        for exp_id, (title, runner) in EXPERIMENTS.items():
-            assert title
-            assert callable(runner)
+        for exp_id, exp in EXPERIMENTS.items():
+            assert exp.exp_id == exp_id
+            assert exp.title and exp.result_title
+            assert callable(exp.runs) and callable(exp.render)
 
     def test_app_scales_cover_all_apps(self):
         for scale in ("quick", "full"):
@@ -32,7 +39,7 @@ class TestRegistry:
 
 class TestStaticExperiments:
     def test_t1_rows(self):
-        result = run_experiment("T1")
+        (result,), _counters = run_experiments(["T1"])
         assert result.exp_id == "T1"
         assert "snoop" in result.text
         # wider output width -> fewer cycles
@@ -40,7 +47,7 @@ class TestStaticExperiments:
         assert hits["256-bit"] < hits["128-bit"] < hits["64-bit"]
 
     def test_t2_lists_all_apps(self):
-        result = run_experiment("T2")
+        (result,), _counters = run_experiments(["T2"])
         for name in APP_ORDER:
             assert name in result.text
         assert "release consistency" in result.text
@@ -59,7 +66,53 @@ class TestRunMemoization:
         assert first is second
 
 
+class RecordingRecords(dict):
+    """The records a render sees, noting every label it reads."""
+
+    def __init__(self, records):
+        super().__init__(records)
+        self.read = set()
+
+    def __getitem__(self, label):
+        self.read.add(label)
+        return super().__getitem__(label)
+
+
+class TestDeclarations:
+    def test_renders_read_exactly_their_declared_runs(self):
+        # shares the in-process memo with test_claims, which runs first;
+        # 133 distinct runs: runs shared between experiments count once
+        results, counters = run_experiments(list(EXPERIMENTS))
+        assert counters["runs"] == 133
+        for (exp_id, exp), result in zip(EXPERIMENTS.items(), results):
+            runs = exp.runs("quick")
+            records = RecordingRecords({
+                label: run(app, "quick", config, overrides)
+                for label, (app, config, overrides) in runs.items()
+            })
+            text, _data = exp.render("quick", records)
+            assert records.read == set(runs), exp_id
+            assert (result.exp_id, result.text) == (exp_id, text)
+
+    def test_render_reading_an_undeclared_run_raises(self, monkeypatch):
+        def simulate(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("an undeclared run was simulated")
+
+        monkeypatch.setattr(common, "execute", simulate)
+        monkeypatch.setitem(EXPERIMENTS, "F3", dataclasses.replace(
+            EXPERIMENTS["F3"], runs=no_runs))
+        with pytest.raises(KeyError):
+            run_experiments(["F3"])
+
+
 class TestCli:
+    @pytest.fixture(autouse=True)
+    def disk_cache_stays_off(self):
+        # `main` enables the disk cache unless --no-cache; later tests
+        # must keep simulating live
+        yield
+        runcache.set_enabled(False)
+
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
@@ -82,3 +135,19 @@ class TestCli:
         assert args.scale == "full"
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--scale", "huge"])
+
+    def test_parallel_run_prints_the_serial_reports(self, capsys,
+                                                    monkeypatch):
+        bodies = []
+        for jobs in ("1", "2"):
+            monkeypatch.setattr(common, "_CACHE", {})  # simulate every run
+            assert main(["run", "--exp", "F3", "--exp", "E9", "--no-cache",
+                         "--jobs", jobs]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].startswith(
+                "runs: 12 distinct (0 memoized, 0 from disk cache, "
+                f"12 simulated, jobs={jobs})"
+            )
+            bodies.append(lines[1:])
+        assert bodies[0] == bodies[1]
+        assert "== E9: Hits by stage ==" in bodies[0]

@@ -6,7 +6,6 @@ copies, version values, and the whole-machine coherence audit.
 """
 
 from repro.cache.states import DirState, LineState
-from repro.network.message import MsgKind
 
 from conftest import (
     ScriptedApp,
