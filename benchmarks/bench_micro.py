@@ -146,13 +146,26 @@ def _sor_loops():
     return code
 
 
+def _gs_runs():
+    # GS's update of each row it owns: an ``rr`` over the row, then a
+    # ``wr`` over it, each compiled to a one-slot loop
+    code = []
+    for i in range(GRID_ROWS):
+        row = i * GRID_PITCH
+        code += (OP_LOOP, GRID_ROWS, 1, SLOT_R, row, 8,
+                 OP_LOOP, GRID_ROWS, 1, SLOT_W, row, 8)
+    return code
+
+
 @pytest.mark.parametrize("loops, ops", [
     (_mm_loops, GRID_ROWS * GRID_ROWS * 2),
     (_sor_loops, (GRID_ROWS - 2) * 15 * 6),
-], ids=["mm-body", "sor-body"])
+    (_gs_runs, GRID_ROWS * GRID_ROWS * 2),
+], ids=["mm-body", "sor-body", "gs-runs"])
 def test_processor_loop_per_element(benchmark, loops, ops):
     """OP_LOOP bodies over L1-resident data: every iteration runs slot by
-    slot, so this is the cost of the path every app loop takes."""
+    slot, so this is the cost of the path every app loop takes.  The
+    stride runs (gs-runs) are one-slot loops."""
     code = loops()
 
     def setup():

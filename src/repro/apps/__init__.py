@@ -7,7 +7,7 @@ from .ge import GaussianElimination
 from .gs import GramSchmidt
 from .mm import MatrixMultiply
 from .sor import RedBlackSOR
-from .synthetic import HotBlock, PingPong, PrivateWork, SharedReaders, UniformRandom
+from .synthetic import HotBlock, PrivateWork, SharedReaders, UniformRandom
 from .trace import TraceApplication, TraceRecorder
 
 PAPER_APPS = {
@@ -32,7 +32,6 @@ __all__ = [
     "RedBlackSOR",
     "SixStepFFT",
     "SharedReaders",
-    "PingPong",
     "PrivateWork",
     "UniformRandom",
     "HotBlock",

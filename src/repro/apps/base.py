@@ -18,9 +18,9 @@ the elementary vocabulary plus ``('rr', base, stride, count)`` /
 ``('wr', base, stride, count)`` stride runs and
 ``('loop', iters, body)`` fixed-slot loops — which the op-stream
 compiler (:mod:`repro.apps.opstream`, DESIGN.md §13) lowers to
-integer-coded superops; the elementary ``ops`` stream is then derived
-by expansion, so both front-end modes execute the same stream by
-construction.
+integer-coded loop instructions (a stride run is a one-slot loop); the
+elementary ``ops`` stream is then derived by expansion, so both forms
+describe the same stream by construction.
 """
 
 from __future__ import annotations

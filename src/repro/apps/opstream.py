@@ -1,42 +1,36 @@
-"""Op-stream compiler: integer-coded op arrays with stride superops.
+"""Op-stream compiler: integer-coded op arrays with loop instructions.
 
 The op generators in this package are *execution-driven*: they resume
 once per simulated memory operation, which makes the Python generator
 machinery itself — frame resume, tuple allocation, interpreter dispatch
 — the dominant front-end cost after the engine (DESIGN.md §9) and state
-kernel (§10) passes.  This module lowers any
-operation stream to flat integer-coded *chunks* (plain Python lists) the
-processor consumes with indexed loads, and fuses the regular access
-patterns of the partitioned-matrix kernels into *superops* the processor
-expands arithmetically:
+kernel (§10) passes.  This module lowers any operation stream to flat
+integer-coded *chunks* (plain Python lists) the processor consumes with
+indexed loads.  There are two kinds of memory and work instruction:
 
-``OP_R_RUN/OP_W_RUN base stride count``
-    a constant-stride read/write run (``read_row``,
-    ``touch_every_block``, a normalization sweep);
+``OP_R addr`` / ``OP_W addr`` / ``OP_WORK cycles``
+    one elementary op.  These opcodes equal the loop slot kinds
+    ``SLOT_R``/``SLOT_W``/``SLOT_WORK``, so the processor runs each as a
+    one-slot loop body, once;
 
 ``OP_LOOP iters nslots (kind a b) ...``
     ``iters`` repetitions of a fixed slot pattern — the inner loops of
     FWA/GE/GS/SOR/MM, where each iteration touches a few addresses that
-    each advance by a constant stride (work slots allowed);
-
-``OP_WORK cycles count``
-    ``count`` adjacent ``('work', cycles)`` ops of equal cost.  Only
-    equal-cost neighbors fuse: the processor re-expands the count
-    arithmetically, so per-op quantum yields — and therefore the event
-    sequence — stay bit-identical to executing the ops one by one.
+    each advance by a constant stride (work slots allowed).  A
+    ``('rr', base, stride, count)`` / ``('wr', ...)`` stride run is a
+    one-slot loop.
 
 Applications describe their streams through :meth:`Application.macro_ops`
 (plain ops plus ``('rr', base, stride, count)`` / ``('wr', ...)`` /
-``('loop', iters, body)`` macros); generators without a macro form are
-compiled op by op through the same peephole, which rediscovers runs from
-the elementary stream.  Compilation is streaming — chunks are emitted as
-the source generator is consumed, so peak memory stays flat regardless
-of stream length.
+``('loop', iters, body)`` macros); generators without a macro form
+compile one instruction per op.  Compilation is streaming — chunks are
+emitted as the source generator is consumed, so peak memory stays flat
+regardless of stream length.
 
-Every fused stream is bit-identical to its *elementary* encoding (one
-instruction per op, so no bulk-retirement path can fire) — same stats,
-same timing, same value traces — which the differential suite in
-tests/test_opstream_differential.py pins against frozen digests.
+Every compiled stream is bit-identical to its *elementary* encoding
+(one instruction per op) — same stats, same timing, same value traces —
+which the differential suite in tests/test_opstream_differential.py
+pins against frozen digests.
 """
 
 from __future__ import annotations
@@ -54,26 +48,20 @@ Op = Tuple
 #: opcodes (word 0 of each instruction)
 OP_R = 0        # [OP_R, addr]
 OP_W = 1        # [OP_W, addr]
-OP_WORK = 2     # [OP_WORK, cycles, count]  (count equal-cost ops merged)
+OP_WORK = 2     # [OP_WORK, cycles]
 OP_BARRIER = 3  # [OP_BARRIER, id]
 OP_LOCK = 4     # [OP_LOCK, id]
 OP_UNLOCK = 5   # [OP_UNLOCK, id]
-OP_R_RUN = 6    # [OP_R_RUN, base, stride, count]
-OP_W_RUN = 7    # [OP_W_RUN, base, stride, count]
-OP_LOOP = 8     # [OP_LOOP, iters, nslots, (kind, a, b) * nslots]
+OP_LOOP = 6     # [OP_LOOP, iters, nslots, (kind, a, b) * nslots]
 
-#: loop slot kinds: (SLOT_R|SLOT_W, base, stride) or (SLOT_WORK, cycles, 0)
-SLOT_R = 0
-SLOT_W = 1
-SLOT_WORK = 2
+#: loop slot kinds: (SLOT_R|SLOT_W, base, stride) or (SLOT_WORK, cycles, 0).
+#: An elementary op's opcode is its slot kind.
+SLOT_R = OP_R
+SLOT_W = OP_W
+SLOT_WORK = OP_WORK
 
 #: default chunk capacity in words; instructions never straddle a chunk
 CHUNK_WORDS = 16384
-
-#: default cap on the element count of one emitted run superop; a longer
-#: fused run is split into several instructions (keeps any one decode
-#: step bounded and gives the chunk-boundary tests a handle)
-MAX_RUN = 1 << 20
 
 _SYNC_OPCODE = {"barrier": OP_BARRIER, "lock": OP_LOCK, "unlock": OP_UNLOCK}
 _SLOT_KIND = {"r": SLOT_R, "w": SLOT_W, "work": SLOT_WORK}
@@ -96,15 +84,6 @@ def row_pitch(matrix) -> int:
         if bases[k] - bases[k - 1] != pitch:
             return 0
     return pitch
-
-
-def elems_in_block(addr: int, stride: int, block_size: int) -> int:
-    """How many elements of a positive-stride run starting at ``addr``
-    fall in ``addr``'s block (of any size)."""
-    if stride <= 0:
-        raise ConfigError(f"elems_in_block needs a positive stride, got {stride}")
-    block_end = addr // block_size * block_size + block_size
-    return (block_end - addr + stride - 1) // stride
 
 
 # ---------------------------------------------------------------------------
@@ -143,127 +122,46 @@ def expand_macro(macro_iter: Iterable[Op]) -> Iterator[Op]:
 def compile_chunks(
     macro_iter: Iterable[Op],
     chunk_words: int = CHUNK_WORDS,
-    max_run: int = MAX_RUN,
 ) -> Iterator[List[int]]:
     """Lower a (macro or elementary) op stream to integer-coded chunks.
 
-    The peephole fuses adjacent elementary ops as they stream through:
-    consecutive equal-cost ``('work', n)`` merge into one ``OP_WORK``
-    with a repeat count; consecutive same-kind ``r``/``w`` ops whose
-    addresses advance by a constant stride (any stride, including
-    zero) collapse into one run superop.  Explicit macros
-    (``rr``/``wr``/``loop``) pass through unfused.  Chunks are plain
-    lists of ints — the elements are created once here and only
+    Each elementary op compiles to one two-word instruction; an
+    ``rr``/``wr`` run of two or more elements to a one-slot ``OP_LOOP``
+    and a ``loop`` macro to an ``OP_LOOP`` of its slots.  Chunks are
+    plain lists of ints — the elements are created once here and only
     referenced by the consumer — and are yielded as they fill, so
     compilation streams with bounded memory.
     """
     if chunk_words < 16:
         raise ConfigError(f"chunk_words {chunk_words} too small for one loop op")
-    if max_run < 2:
-        raise ConfigError(f"max_run must be at least 2, got {max_run}")
     out: List[int] = []
-    append = out.append
-    # pending fusion window: exactly one of
-    #   run_count  > 0 — a same-kind r/w stride run (run_kind/base/stride/last)
-    #   work_count > 0 — a summed work op
-    run_kind = run_base = run_stride = run_last = run_count = 0
-    work_cycles = work_count = 0
-
-    def flush_run() -> None:
-        nonlocal run_count
-        if run_count == 1:
-            append(OP_R if run_kind == SLOT_R else OP_W)
-            append(run_base)
-        elif run_count:
-            base, left = run_base, run_count
-            while left > max_run:
-                append(OP_R_RUN if run_kind == SLOT_R else OP_W_RUN)
-                append(base)
-                append(run_stride)
-                append(max_run)
-                base += run_stride * max_run
-                left -= max_run
-            append(OP_R_RUN if run_kind == SLOT_R else OP_W_RUN)
-            append(base)
-            append(run_stride)
-            append(left)
-        run_count = 0
-
-    def flush_work() -> None:
-        nonlocal work_cycles, work_count
-        if work_count:
-            append(OP_WORK)
-            append(work_cycles)
-            append(work_count)
-        work_cycles = work_count = 0
-
     for op in macro_iter:
         code = op[0]
-        if code == "r" or code == "w":
-            kind = SLOT_R if code == "r" else SLOT_W
-            addr = op[1]
-            if run_count:
-                if kind == run_kind:
-                    if run_count == 1:
-                        run_stride = addr - run_base
-                        run_last = addr
-                        run_count = 2
-                        continue
-                    if addr == run_last + run_stride:
-                        run_last = addr
-                        run_count += 1
-                        continue
-                flush_run()
-            else:
-                flush_work()
-            run_kind, run_base, run_last, run_count = kind, addr, addr, 1
-            run_stride = 0
-        elif code == "work":
-            flush_run()
-            if work_count and op[1] != work_cycles:
-                flush_work()
-            work_cycles = op[1]
-            work_count += 1
+        kind = _SLOT_KIND.get(code)
+        if kind is not None:
+            out += (kind, op[1])
+        elif code == "rr" or code == "wr":
+            _, base, stride, count = op
+            kind = SLOT_R if code == "rr" else SLOT_W
+            if count == 1:
+                out += (kind, base)
+            elif count:
+                out += (OP_LOOP, count, 1, kind, base, stride)
+        elif code == "loop":
+            _, iters, body = op
+            if iters and body:
+                out += (OP_LOOP, iters, len(body))
+                for slot in body:
+                    out += (_SLOT_KIND[slot[0]], slot[1],
+                            slot[2] if slot[0] != "work" else 0)
         else:
-            flush_run()
-            flush_work()
-            if code == "rr" or code == "wr":
-                _, base, stride, count = op
-                if count == 1:
-                    append(OP_R if code == "rr" else OP_W)
-                    append(base)
-                elif count:
-                    left = count
-                    while left:
-                        n = left if left <= max_run else max_run
-                        append(OP_R_RUN if code == "rr" else OP_W_RUN)
-                        append(base)
-                        append(stride)
-                        append(n)
-                        base += stride * n
-                        left -= n
-            elif code == "loop":
-                _, iters, body = op
-                if iters and body:
-                    append(OP_LOOP)
-                    append(iters)
-                    append(len(body))
-                    for slot in body:
-                        append(_SLOT_KIND[slot[0]])
-                        append(slot[1])
-                        append(slot[2] if slot[0] != "work" else 0)
-            else:
-                opcode = _SYNC_OPCODE.get(code)
-                if opcode is None:
-                    raise SimulationError(f"unknown op {op!r}")
-                append(opcode)
-                append(op[1])
+            opcode = _SYNC_OPCODE.get(code)
+            if opcode is None:
+                raise SimulationError(f"unknown op {op!r}")
+            out += (opcode, op[1])
         if len(out) >= chunk_words:
             yield out
             out = []
-            append = out.append
-    flush_run()
-    flush_work()
     if out:
         yield out
 
@@ -296,16 +194,8 @@ def expand_chunks(chunks: Iterable[List[int]]) -> Iterator[Op]:
                 yield ("w", code[ip + 1])
                 ip += 2
             elif opcode == OP_WORK:
-                cycles, count = code[ip + 1], code[ip + 2]
-                for _ in range(count):
-                    yield ("work", cycles)
-                ip += 3
-            elif opcode == OP_R_RUN or opcode == OP_W_RUN:
-                kind = "r" if opcode == OP_R_RUN else "w"
-                base, stride, count = code[ip + 1], code[ip + 2], code[ip + 3]
-                for k in range(count):
-                    yield (kind, base + k * stride)
-                ip += 4
+                yield ("work", code[ip + 1])
+                ip += 2
             elif opcode == OP_LOOP:
                 iters, nslots = code[ip + 1], code[ip + 2]
                 body = code[ip + 3:ip + 3 + 3 * nslots]

@@ -5,8 +5,6 @@ paths deterministically in unit/property tests and to demonstrate the
 switch-cache mechanism in isolation:
 
 * :class:`SharedReaders` — one producer, N-1 consumers (maximal sharing).
-* :class:`PingPong` — two processors alternate ownership of one block
-  (recalls, upgrades, writebacks).
 * :class:`UniformRandom` — seeded random traffic over a shared array.
 * :class:`HotBlock` — all processors read one block, the owner rewrites
   it, repeat (stresses invalidation and the corrective-INV race).
@@ -50,35 +48,6 @@ class SharedReaders(Application):
         yield ("barrier", barriers.next())
         for _round in range(self.rounds):
             yield ("rr", base, stride, count)
-            yield ("barrier", barriers.next())
-
-
-class PingPong(Application):
-    """Two processors bounce ownership of a handful of blocks."""
-
-    name = "ping-pong"
-
-    def __init__(self, rounds: int = 10, blocks: int = 2) -> None:
-        self.rounds = rounds
-        self.blocks = blocks
-        self.data = None
-
-    def setup(self, machine) -> None:
-        self.data = Vector(
-            machine.space,
-            self.blocks * machine.config.block_size // 8,
-            interleave=True,
-        )
-
-    def ops(self, proc_id: int, machine) -> Iterator[Op]:
-        barriers = BarrierSequencer(self.name)
-        words_per_block = machine.config.block_size // 8
-        for round_no in range(self.rounds):
-            if proc_id == round_no % 2:
-                for b in range(self.blocks):
-                    addr = self.data.addr(b * words_per_block)
-                    yield ("r", addr)
-                    yield ("w", addr)
             yield ("barrier", barriers.next())
 
 

@@ -34,7 +34,14 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..errors import NetworkError
 from ..sim.engine import Simulator
 from .fabric import FabricStats
-from .message import Message, MessagePool, MsgKind
+from .message import (
+    INTERCEPTABLE,
+    SNOOPS_SWITCH_CACHES,
+    SWITCH_CACHEABLE,
+    Message,
+    MessagePool,
+    MsgKind,
+)
 from .topology import BminTopology
 
 DeliverFn = Callable[[Message], None]
@@ -297,16 +304,16 @@ class FlitNetwork:
         if engine is None:
             return False
         msg = worm.msg
-        kind = msg.kind
+        code = msg.kind.code
         # the pump drives the clock one cycle at a time, so the header's
         # arrival is exactly the simulator clock the hooks read
-        if kind.snoops_switch_caches:
+        if SNOOPS_SWITCH_CACHES[code]:
             engine.snoop(msg)
             return False
-        if kind.switch_cacheable:
+        if SWITCH_CACHEABLE[code]:
             engine.try_deposit(msg)
             return False
-        if kind.interceptable:
+        if INTERCEPTABLE[code]:
             served = engine.try_intercept(msg)
             if served is None:
                 return False

@@ -14,10 +14,9 @@ flit-level *timing*: per-hop serialization is ``flits * cycles_per_flit``.
 Integer-coded kinds and the message pool (DESIGN.md §10)
 --------------------------------------------------------
 Every :class:`MsgKind` member carries a small-int ``code`` (its header
-type field), and the kind predicates — ``carries_data``,
-``switch_cacheable``, ``interceptable``, ``snoops_switch_caches`` — are
-precomputed index-by-code tuples, so hot sites pay one tuple subscript
-instead of an enum property call.
+type field), and the kind predicates are index-by-code tuples —
+:data:`CARRIES_DATA`, :data:`SWITCH_CACHEABLE`, :data:`INTERCEPTABLE`,
+:data:`SNOOPS_SWITCH_CACHES` — so hot sites pay one tuple subscript.
 
 :class:`MessagePool` owns message identity for one machine: ids come
 from a per-pool counter, so two machines in one process (differential
@@ -65,32 +64,6 @@ class MsgKind(enum.Enum):
     # continues to the home node as this 1-flit directory update
     DIR_UPDATE = "dir_update"
 
-    @property
-    def carries_data(self) -> bool:
-        return CARRIES_DATA[self.code]
-
-    @property
-    def switch_cacheable(self) -> bool:
-        """Only clean shared data is deposited into switch caches."""
-        return SWITCH_CACHEABLE[self.code]
-
-    @property
-    def interceptable(self) -> bool:
-        """Requests a switch cache may serve directly."""
-        return INTERCEPTABLE[self.code]
-
-    @property
-    def snoops_switch_caches(self) -> bool:
-        """Messages that purge matching switch-cache blocks as they pass.
-
-        Invalidations cover all sharer paths.  Ownership transfers
-        (RECALL_X en route to an owner) and writebacks do not create new
-        stale copies but RECALL (M->S downgrade) does not purge.  The
-        conservative set here matches the paper: invalidation traffic
-        snoops; everything else passes untouched.
-        """
-        return SNOOPS_SWITCH_CACHES[self.code]
-
 
 for _code, _kind in enumerate(MsgKind):
     _kind.code = _code
@@ -105,10 +78,18 @@ _DATA_KINDS = frozenset(
     }
 )
 
-#: index-by-code predicate tables (the hot-path form of the properties)
+#: index-by-code kind predicates
 CARRIES_DATA: Tuple[bool, ...] = tuple(k in _DATA_KINDS for k in MsgKind)
+#: only clean shared data is deposited into switch caches
 SWITCH_CACHEABLE: Tuple[bool, ...] = tuple(k is MsgKind.DATA_S for k in MsgKind)
+#: the requests a switch cache may serve directly
 INTERCEPTABLE: Tuple[bool, ...] = tuple(k is MsgKind.READ for k in MsgKind)
+#: the messages that purge matching switch-cache blocks as they pass.
+#: Invalidations cover all sharer paths.  Ownership transfers (RECALL_X
+#: en route to an owner) and writebacks do not create new stale copies,
+#: and RECALL (M->S downgrade) does not purge.  The conservative set
+#: matches the paper: invalidation traffic snoops; everything else
+#: passes untouched.
 SNOOPS_SWITCH_CACHES: Tuple[bool, ...] = tuple(k is MsgKind.INV for k in MsgKind)
 
 #: fallback id stream for messages built outside any pool

@@ -7,16 +7,15 @@ The processor executes an application's operation stream:
 instructions RSIM would execute);
 ``('barrier', k)`` / ``('lock', k)`` / ``('unlock', k)`` — synchronization.
 
-The stream arrives compiled into integer-coded chunks with stride
-superops (:mod:`repro.apps.opstream`, DESIGN.md §13).
-:meth:`Processor._run` is a short decode loop that hands each superop
-to one handler: :meth:`~Processor._stride` for loads and stores
-(``OP_R``/``OP_W`` and their runs), :meth:`~Processor._work` for
-``OP_WORK`` and :meth:`~Processor._loop` for ``OP_LOOP``.  The
-resumable state (local time, ops, ``ip``, run and loop progress) lives
-on the processor; a handler runs from hoisted locals, writes its
-progress and its hit counts back once when it returns, and a handler
-that leaves the loop simply says so.
+The stream arrives compiled into integer-coded chunks
+(:mod:`repro.apps.opstream`, DESIGN.md §13).  :meth:`Processor._run` is
+a short decode loop, and :meth:`~Processor._loop` is the one handler
+that retires loads, stores and work: an ``OP_LOOP`` runs its body, and
+an elementary ``OP_R``/``OP_W``/``OP_WORK`` runs as a one-slot body,
+once.  The resumable state (local time, ops, ``ip``, loop progress)
+lives on the processor; the handler runs from hoisted locals, writes
+its progress and its hit counts back once when it returns, and says
+whether it left the loop.
 
 **Fast-forward on hits.**  Cache hits and local work advance a *local
 clock* without touching the event queue; the processor re-enters the
@@ -41,11 +40,7 @@ from ..apps.opstream import (
     OP_BARRIER,
     OP_LOCK,
     OP_LOOP,
-    OP_R,
-    OP_R_RUN,
     OP_UNLOCK,
-    OP_W,
-    OP_W_RUN,
     OP_WORK,
 )
 from ..cache.states import CODE_EXCLUSIVE, LineState
@@ -86,16 +81,12 @@ class Processor:
         self.done = False
         self.finish_time: Optional[int] = None
         # the chunk cursor plus the progress of a partially executed
-        # superop (DESIGN.md §13.2): a miss, a full write buffer or a
-        # quantum yield suspends a run or loop mid-flight, and _run
-        # resumes it element-exact
+        # loop (DESIGN.md §13.2): a miss, a full write buffer or a
+        # quantum yield suspends it mid-flight, and _run resumes it
+        # element-exact
         self._chunks: Optional[Iterator[List[int]]] = None
         self._code: List[int] = []
         self._ip = 0
-        self._run_op = OP_R_RUN  # opcode of the suspended run, or OP_WORK
-        self._run_addr = 0       # its next address (OP_WORK: cycles per op)
-        self._run_stride = 0
-        self._run_left = 0       # elements still to retire (0: none)
         # the loop body, one list per slot field: kind, next address
         # (work slots: cycles) and stride
         self._kinds: List[int] = []
@@ -133,15 +124,6 @@ class Processor:
         # at which the processor yields: ``sim.now`` is constant for the
         # whole loop, as no events fire inside it.
         limit = self.sim.now + self.quantum
-        left = self._run_left
-        if left:  # resume a suspended run
-            self._run_left = 0
-            if self._run_op == OP_WORK:
-                if self._work(self._run_addr, left, limit):
-                    return
-            elif self._stride(self._run_op, self._run_addr, self._run_stride,
-                              left, limit):
-                return
         iters = self._loop_iters
         if iters:  # resume a suspended loop
             self._loop_iters = 0
@@ -169,16 +151,14 @@ class Processor:
                 self._addrs = code[first + 1:ip:3]
                 self._strides = code[first + 2:ip:3]
                 exited = self._loop(code[first - 2], 0, limit)
-            elif opcode == OP_R_RUN or opcode == OP_W_RUN:
-                ip += 4
-                exited = self._stride(opcode, code[ip - 3], code[ip - 2],
-                                      code[ip - 1], limit)
-            elif opcode == OP_WORK:
-                ip += 3
-                exited = self._work(code[ip - 2], code[ip - 1], limit)
-            elif opcode == OP_R or opcode == OP_W:
+            elif opcode <= OP_WORK:
+                # OP_R/OP_W/OP_WORK are their own slot kinds: a one-slot
+                # body run once.  It never reaches a second address, so
+                # the stride list may alias the address list
+                self._kinds = code[ip:ip + 1]
                 ip += 2
-                exited = self._stride(opcode, code[ip - 1], 0, 1, limit)
+                self._addrs = self._strides = code[ip - 1:ip]
+                exited = self._loop(1, 0, limit)
             else:
                 # synchronization (or a bad opcode): cold exits
                 self._ip = ip + 2
@@ -198,186 +178,11 @@ class Processor:
                 return
 
     # ------------------------------------------------------------------
-    # superop handlers (DESIGN.md §13.2).  Each retires elements exactly
-    # as the elementary stream would: same costs, counters, LRU ticks
-    # and exits.  Per element it pays only for what the element
-    # changes; the hit counts, the L1's LRU clock and the retired ops
-    # are written back once, when the handler returns.
+    # the element handler (DESIGN.md §13.2): every load, store and work
+    # op retires here, one element at a time.  Per element it pays only
+    # for what the element changes; the hit counts, the L1's LRU clock
+    # and the retired ops are written back once, when it returns.
     # ------------------------------------------------------------------
-    def _stride(self, op: int, addr: int, stride: int, left: int,
-                limit: int) -> bool:
-        """Retire ``left`` loads or stores from ``addr`` on, ``stride``
-        apart (``op`` is ``OP_R``/``OP_R_RUN`` or ``OP_W``/``OP_W_RUN``)."""
-        node = self.node
-        wb = node.write_buffer
-        entries = wb._entries
-        draining = wb._draining
-        wb_mask = wb._neg_mask
-        time = self.time
-        if op == OP_W_RUN or op == OP_W:
-            store_cycles = self.store_cycles
-            wb_block = wb.block_size
-            kick_drain = node.kick_drain
-            todo = left
-            merged = 0
-            while left:
-                block = addr & wb_mask
-                if block != draining and block in entries:
-                    # coalesce into the pending entry
-                    entries[block] += 1
-                    merged += 1
-                elif not wb.push(addr):
-                    break  # full buffer: retry this store after a drain
-                time += store_cycles
-                left -= 1
-                addr += stride
-                if not node._draining:
-                    kick_drain()
-                    draining = wb._draining
-                # with a drain in flight, no kick can pop this entry: the
-                # rest of the block's stores are pure merges, retired in
-                # one step up to the quantum boundary
-                if (left and stride > 0 and block != draining
-                        and addr - block < wb_block):
-                    k = (block + wb_block - addr + stride - 1) // stride
-                    if k > left:
-                        k = left
-                    if store_cycles:
-                        m = (limit - time + store_cycles - 1) // store_cycles
-                        if k > m:
-                            k = m
-                    if k > 0:
-                        entries[block] += k
-                        merged += k
-                        time += k * store_cycles
-                        left -= k
-                        addr += stride * k
-                if time >= limit:
-                    break
-            self.time = time
-            self.ops_executed += todo - left
-            wb.stores_retired += merged
-            wb.stores_merged += merged
-            if left:
-                self._run_op, self._run_addr = op, addr
-                self._run_stride, self._run_left = stride, left
-            if time >= limit:
-                self._yield()
-                return True
-            if left:
-                self._wait_wb()
-                return True
-            return False
-        # loads: one probe per cache block of a hit run (the L1 and the
-        # write buffer share the config's block size).  k = elements from
-        # addr in the block, capped at the run length and the quantum
-        # boundary (retiring the op that crosses it yields, as checking
-        # after every element would)
-        hierarchy = node.hierarchy
-        l1 = hierarchy.l1
-        l1_slot = l1._slot.get
-        l1_states = l1._states
-        l1_lrus = l1._lrus
-        l1_shift = l1._block_shift
-        tick = l1._tick
-        l1_cycles = self.l1_cycles
-        trace_values = self.trace_values
-        cap = limit + l1_cycles - 1
-        low = l1.block_size - 1
-        reach = low + stride
-        hit_wb = hit_l1 = hit_l2 = 0
-        missed = None
-        while left:
-            if stride > 0:
-                k = (reach - (addr & low)) // stride
-                if k > left:
-                    k = left
-            else:
-                k = 1
-            if l1_cycles:
-                m = (cap - time) // l1_cycles
-                if k > m:
-                    k = m
-            block = addr & wb_mask
-            if block in entries or block == draining:
-                # forwarded from pending stores (no value trace)
-                hit_wb += k
-                time += k * l1_cycles
-            else:
-                i = l1_slot(addr >> l1_shift)
-                if i is not None and l1_states[i]:
-                    # the L1 is true LRU: one bump per element, the final
-                    # tick wins
-                    tick += k
-                    l1_lrus[i] = tick
-                    hit_l1 += k
-                    if trace_values:
-                        data = l1._data[i]
-                        value_trace = self.value_trace
-                        a = addr
-                        for _ in range(k):
-                            time += l1_cycles
-                            value_trace.append(("r", a, data, time))
-                            a += stride
-                    else:
-                        time += k * l1_cycles
-                else:
-                    l1.misses += 1
-                    data = hierarchy.l2.lookup_data(addr)
-                    if data is None:
-                        # completes on the reply; step past it first
-                        missed = addr
-                        left -= 1
-                        addr += stride
-                        break
-                    # L1 refill; the rest of the block hits L1 next
-                    l1._tick = tick
-                    l1.insert(addr, _SHARED, data)
-                    tick += 1
-                    k = 1
-                    hit_l2 += 1
-                    time += self.l2_cycles
-                    if trace_values:
-                        self.value_trace.append(("r", addr, data, time))
-            left -= k
-            addr += stride * k
-            if time >= limit:
-                break
-        self.time = time
-        l1._tick = tick
-        l1.hits += hit_l1
-        self.ops_executed += hit_wb + hit_l1 + hit_l2
-        node.stats.add_read_hits(node.node_id, hit_wb, hit_l1, hit_l2)
-        if left:
-            self._run_op, self._run_addr = op, addr
-            self._run_stride, self._run_left = stride, left
-        if missed is not None:
-            self._start_read_miss(missed)
-            return True
-        if time >= limit:
-            self._yield()
-            return True
-        return False
-
-    def _work(self, cycles: int, count: int, limit: int) -> bool:
-        """Charge ``count`` work ops of ``cycles`` each, up to the yield."""
-        time = self.time
-        k = count
-        if cycles:
-            m = (limit - time + cycles - 1) // cycles
-            if k > m:
-                k = m
-        time += k * cycles
-        self.time = time
-        self.ops_executed += k
-        if time >= limit:
-            if k < count:
-                self._run_op, self._run_addr = OP_WORK, cycles
-                self._run_left = count - k
-            self._yield()
-            return True
-        return False
-
     def _loop(self, iters: int, s: int, limit: int) -> bool:
         """Run the body slot by slot from slot ``s``, for ``iters``
         iterations (the current one included; DESIGN.md §13.2)."""

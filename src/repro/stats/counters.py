@@ -77,16 +77,12 @@ class MachineStats:
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def record_read_hit(self, node: int, category: str) -> None:
-        self.read_counts[category] += 1
-        self.per_node_reads[node] += 1
-        # hits are effectively free relative to misses; latency ~1-10 is
-        # accounted by the processor's local clock, not recorded here
-
     def add_read_hits(self, node: int, wb: int, l1: int, l2: int) -> None:
-        """Bulk form of :meth:`record_read_hit` — the processor's
-        fast-forward loop batches hit counts in locals and flushes them
-        here when it leaves the loop."""
+        """Count read hits in the write buffer, L1 and L2.  The
+        processor's fast-forward loop batches them in locals and flushes
+        them here when it leaves the loop.  Hits are effectively free
+        relative to misses: their latency is accounted by the
+        processor's local clock, not recorded here."""
         counts = self.read_counts
         counts["wb"] += wb
         counts["l1"] += l1

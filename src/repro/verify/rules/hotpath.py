@@ -70,12 +70,9 @@ HOT_REGIONS: Dict[str, FrozenSet[str]] = {
         "CaesarEngine.snoop", "CaesarEngine.try_deposit",
         "CaesarEngine.try_intercept",
     }),
-    # the processor front end: the chunk decode loop and its superop
-    # handlers (DESIGN.md §13.2)
-    "node/processor.py": frozenset({
-        "Processor._run", "Processor._stride", "Processor._work",
-        "Processor._loop",
-    }),
+    # the processor front end: the chunk decode loop and its element
+    # handler (DESIGN.md §13.2)
+    "node/processor.py": frozenset({"Processor._run", "Processor._loop"}),
     # the store path: the write buffer, the drain engine and the node's
     # message router
     "cache/writebuffer.py": frozenset({"WriteBuffer.push"}),

@@ -47,7 +47,7 @@ class TestOpGenerators:
 class TestStatsExport:
     def test_to_dict_is_json_serializable(self):
         stats = MachineStats(4)
-        stats.record_read_hit(0, "l1")
+        stats.add_read_hits(0, 0, 1, 0)
         stats.record_finish(0, 10)
         stats.record_finish(1, 20)
         stats.record_finish(2, 20)

@@ -15,8 +15,8 @@ from repro.stats.latency import (
 
 def stats_with_reads():
     stats = MachineStats(4)
-    stats.record_read_hit(0, "l1")
-    stats.record_read_hit(0, "l1")
+    stats.add_read_hits(0, 0, 1, 0)
+    stats.add_read_hits(0, 0, 1, 0)
     txn = Transaction("read", 0x40, 1, 0, 64, 0)
     txn.completed_at = 100
     txn.served_by = "remote_mem"

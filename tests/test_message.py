@@ -1,37 +1,46 @@
 """Unit tests for the wire-level message model."""
 
-from repro.network.message import FLIT_BYTES, Message, MsgKind, flits_for
+from repro.network.message import (
+    CARRIES_DATA,
+    FLIT_BYTES,
+    INTERCEPTABLE,
+    SNOOPS_SWITCH_CACHES,
+    SWITCH_CACHEABLE,
+    Message,
+    MsgKind,
+    flits_for,
+)
 
 
 class TestKinds:
     def test_data_kinds_carry_data(self):
-        assert MsgKind.DATA_S.carries_data
-        assert MsgKind.DATA_X.carries_data
-        assert MsgKind.RECALL_REPLY.carries_data
-        assert MsgKind.WRITEBACK.carries_data
+        assert CARRIES_DATA[MsgKind.DATA_S.code]
+        assert CARRIES_DATA[MsgKind.DATA_X.code]
+        assert CARRIES_DATA[MsgKind.RECALL_REPLY.code]
+        assert CARRIES_DATA[MsgKind.WRITEBACK.code]
 
     def test_control_kinds_do_not_carry_data(self):
         for kind in (MsgKind.READ, MsgKind.READX, MsgKind.UPGRADE,
                      MsgKind.INV, MsgKind.INV_ACK, MsgKind.UPGR_ACK,
                      MsgKind.RECALL, MsgKind.RECALL_X, MsgKind.DIR_UPDATE):
-            assert not kind.carries_data
+            assert not CARRIES_DATA[kind.code]
 
     def test_only_clean_shared_data_is_switch_cacheable(self):
-        assert MsgKind.DATA_S.switch_cacheable
+        assert SWITCH_CACHEABLE[MsgKind.DATA_S.code]
         for kind in MsgKind:
             if kind is not MsgKind.DATA_S:
-                assert not kind.switch_cacheable
+                assert not SWITCH_CACHEABLE[kind.code]
 
     def test_only_reads_interceptable(self):
-        assert MsgKind.READ.interceptable
-        assert not MsgKind.READX.interceptable
-        assert not MsgKind.UPGRADE.interceptable
+        assert INTERCEPTABLE[MsgKind.READ.code]
+        assert not INTERCEPTABLE[MsgKind.READX.code]
+        assert not INTERCEPTABLE[MsgKind.UPGRADE.code]
 
     def test_only_invalidations_snoop(self):
-        assert MsgKind.INV.snoops_switch_caches
+        assert SNOOPS_SWITCH_CACHES[MsgKind.INV.code]
         for kind in MsgKind:
             if kind is not MsgKind.INV:
-                assert not kind.snoops_switch_caches
+                assert not SNOOPS_SWITCH_CACHES[kind.code]
 
 
 class TestFlits:

@@ -1,9 +1,9 @@
 """Unit tests for the op-stream compiler (apps/opstream.py).
 
-The peephole is the part of the front end with real logic — run
-detection, equal-cost work merging, chunking, run splitting — so it is
-pinned here op by op; the end-to-end bit-identity of fused and
-elementary streams lives in tests/test_opstream_differential.py.
+The encoding is pinned here op by op — one instruction per elementary
+op, one ``OP_LOOP`` per macro, chunking and ``expand_chunks`` round
+trips; the end-to-end bit-identity of compiled and elementary streams
+lives in tests/test_opstream_differential.py.
 """
 
 import pytest
@@ -14,16 +14,13 @@ from repro.apps.opstream import (
     OP_LOCK,
     OP_LOOP,
     OP_R,
-    OP_R_RUN,
     OP_UNLOCK,
     OP_W,
-    OP_W_RUN,
     OP_WORK,
     SLOT_R,
     SLOT_W,
     SLOT_WORK,
     compile_chunks,
-    elems_in_block,
     expand_chunks,
     expand_macro,
     row_pitch,
@@ -44,17 +41,12 @@ def roundtrip(ops, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# work merging
+# elementary ops
 # ---------------------------------------------------------------------------
-
-def test_equal_cost_work_ops_merge():
-    code = compile_flat([("work", 5)] * 7)
-    assert code == [OP_WORK, 5, 7]
-
 
 def test_unequal_cost_work_ops_stay_separate():
     code = compile_flat([("work", 5), ("work", 5), ("work", 9)])
-    assert code == [OP_WORK, 5, 2, OP_WORK, 9, 1]
+    assert code == [OP_WORK, 5, OP_WORK, 5, OP_WORK, 9]
 
 
 def test_work_merge_is_order_preserving_around_accesses():
@@ -62,49 +54,16 @@ def test_work_merge_is_order_preserving_around_accesses():
     assert roundtrip(ops) == ops
 
 
-# ---------------------------------------------------------------------------
-# stride-run detection
-# ---------------------------------------------------------------------------
-
-def test_constant_stride_reads_fuse_into_a_run():
-    code = compile_flat([("r", 0), ("r", 8), ("r", 16), ("r", 24)])
-    assert code == [OP_R_RUN, 0, 8, 4]
-
-
-def test_constant_stride_writes_fuse_into_a_run():
-    code = compile_flat([("w", 100), ("w", 110), ("w", 120)])
-    assert code == [OP_W_RUN, 100, 10, 3]
-
-
-def test_zero_stride_run_is_a_run():
-    # repeated touches of one address are a stride-0 run
-    code = compile_flat([("r", 64)] * 5)
-    assert code == [OP_R_RUN, 64, 0, 5]
-
-
-def test_negative_stride_run_is_a_run():
-    code = compile_flat([("r", 24), ("r", 16), ("r", 8)])
-    assert code == [OP_R_RUN, 24, -8, 3]
-
-
 def test_single_access_stays_elementary():
     assert compile_flat([("r", 8)]) == [OP_R, 8]
     assert compile_flat([("w", 8)]) == [OP_W, 8]
 
 
-def test_broken_stride_splits_the_run():
-    code = compile_flat([("r", 0), ("r", 8), ("r", 16), ("r", 100)])
-    assert code == [OP_R_RUN, 0, 8, 3, OP_R, 100]
-
-
-def test_kind_change_splits_the_run():
-    code = compile_flat([("r", 0), ("r", 8), ("w", 16), ("w", 24)])
-    assert code == [OP_R_RUN, 0, 8, 2, OP_W_RUN, 16, 8, 2]
-
-
-def test_sync_op_flushes_pending_fusion():
-    code = compile_flat([("r", 0), ("r", 8), ("barrier", 3), ("work", 1)])
-    assert code == [OP_R_RUN, 0, 8, 2, OP_BARRIER, 3, OP_WORK, 1, 1]
+def test_constant_stride_elementary_ops_are_not_fused():
+    code = compile_flat([("r", 0), ("r", 8), ("barrier", 3), ("w", 16),
+                         ("w", 24), ("work", 1), ("work", 1)])
+    assert code == [OP_R, 0, OP_R, 8, OP_BARRIER, 3, OP_W, 16, OP_W, 24,
+                    OP_WORK, 1, OP_WORK, 1]
 
 
 def test_lock_unlock_encode():
@@ -117,8 +76,20 @@ def test_lock_unlock_encode():
 # ---------------------------------------------------------------------------
 
 def test_rr_macro_passes_through():
-    assert compile_flat([("rr", 0, 8, 6)]) == [OP_R_RUN, 0, 8, 6]
-    assert compile_flat([("wr", 32, 4, 3)]) == [OP_W_RUN, 32, 4, 3]
+    # a stride run is a one-slot loop
+    assert compile_flat([("rr", 0, 8, 6)]) == [OP_LOOP, 6, 1, SLOT_R, 0, 8]
+    assert compile_flat([("wr", 32, 4, 3)]) == [OP_LOOP, 3, 1, SLOT_W, 32, 4]
+
+
+def test_zero_stride_run_is_a_run():
+    # repeated touches of one address are a stride-0 run
+    assert compile_flat([("rr", 64, 0, 5)]) == [OP_LOOP, 5, 1, SLOT_R, 64, 0]
+    assert roundtrip([("rr", 64, 0, 5)]) == [("r", 64)] * 5
+
+
+def test_negative_stride_run_is_a_run():
+    assert compile_flat([("wr", 24, -8, 3)]) == [OP_LOOP, 3, 1, SLOT_W, 24, -8]
+    assert roundtrip([("wr", 24, -8, 3)]) == [("w", 24), ("w", 16), ("w", 8)]
 
 
 def test_rr_macro_of_one_lowers_to_elementary():
@@ -158,28 +129,8 @@ def test_expand_macro_matches_expand_chunks():
 
 
 # ---------------------------------------------------------------------------
-# run splitting and chunking
+# chunking
 # ---------------------------------------------------------------------------
-
-def test_long_fused_run_splits_at_max_run():
-    ops = [("r", 8 * k) for k in range(10)]
-    code = compile_flat(iter(ops), max_run=4)
-    assert code == [
-        OP_R_RUN, 0, 8, 4,
-        OP_R_RUN, 32, 8, 4,
-        OP_R_RUN, 64, 8, 2,
-    ]
-    assert roundtrip(ops, max_run=4) == ops
-
-
-def test_long_macro_run_splits_at_max_run():
-    code = compile_flat([("wr", 0, 8, 9)], max_run=4)
-    assert code == [
-        OP_W_RUN, 0, 8, 4,
-        OP_W_RUN, 32, 8, 4,
-        OP_W_RUN, 64, 8, 1,
-    ]
-
 
 def test_instructions_never_straddle_chunks():
     ops = []
@@ -196,17 +147,16 @@ def test_instructions_never_straddle_chunks():
 
 
 def test_default_chunk_capacity_is_bounded():
+    # two words per op: 3 * CHUNK_WORDS words in three full chunks
     ops = [("r", 64 * k) for k in range(0, 3 * CHUNK_WORDS, 2)]
-    # stride is constant, so this fuses to a handful of words
     chunks = list(compile_chunks(iter(ops)))
-    assert len(chunks) == 1 and len(chunks[0]) == 4
+    assert [len(chunk) for chunk in chunks] == [CHUNK_WORDS] * 3
+    assert list(expand_chunks(chunks)) == ops
 
 
 def test_chunk_words_floor_is_enforced():
     with pytest.raises(ConfigError):
         list(compile_chunks(iter([]), chunk_words=8))
-    with pytest.raises(ConfigError):
-        list(compile_chunks(iter([]), max_run=1))
 
 
 def test_unknown_op_raises():
@@ -217,27 +167,6 @@ def test_unknown_op_raises():
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def test_elems_in_block_power_of_two():
-    assert elems_in_block(0, 8, 64) == 8
-    assert elems_in_block(56, 8, 64) == 1
-    assert elems_in_block(60, 8, 64) == 1  # partial element still counts
-
-
-def test_elems_in_block_non_power_of_two():
-    # write-buffer blocks may be any size
-    assert elems_in_block(0, 8, 48) == 6
-    assert elems_in_block(50, 8, 48) == 6  # block [48, 96)
-
-
-def test_elems_in_block_stride_larger_than_block():
-    assert elems_in_block(0, 128, 64) == 1
-
-
-def test_elems_in_block_rejects_bad_stride():
-    with pytest.raises(ConfigError):
-        elems_in_block(0, 0, 64)
-
 
 class _FakeMatrix:
     def __init__(self, bases, row_bytes=64):

@@ -1,18 +1,18 @@
-"""Differential: fused op streams vs their elementary encoding.
+"""Differential: compiled op streams vs their elementary encoding.
 
-The compiler (DESIGN.md §13) fuses app streams into stride runs, loops
-and repeated work ops, and the processor retires a hit run a cache block
-at a time.  Both promise *bit identity* with executing the ops one by
-one: same statistics, same simulated timing, same value and write
-traces, same event count, same final cache arrays, the same exits
-from the processor loop and the same write-buffer counters.  Each test
-runs one workload twice on the same processor loop — once on the
-compiled stream, once on an *elementary* stream with one instruction
-per op, so no bulk-retirement path can fire — and compares complete
-run fingerprints.  The fused run must also reproduce a frozen digest
-(``fixtures/opstream_digests.json``), recorded when a separate
-generator-driven front end and the object state models still existed
-and all three agreed on every cell.
+The compiler (DESIGN.md §13) lowers app streams to loops — stride runs
+are one-slot loops — while an elementary op is one instruction that the
+processor runs as a one-slot body, once.  Both promise *bit identity*
+with executing the ops one by one: same statistics, same simulated
+timing, same value and write traces, same event count, same final
+cache arrays, the same exits from the processor loop and the same
+write-buffer counters.  Each test runs one workload twice on the same
+processor loop — once on the compiled stream, once on an *elementary*
+stream with one instruction per op, so no loop resumes across elements
+— and compares complete run fingerprints.  The compiled run must also
+reproduce a frozen digest (``fixtures/opstream_digests.json``),
+recorded when a separate generator-driven front end and the object
+state models still existed and all three agreed on every cell.
 
 The small app scales here keep the whole matrix in tier-1 time; at full
 scale, ``perfbench/pins.json`` pins the statistics on every CI run.
@@ -83,7 +83,7 @@ def elementary_stream(app, proc_id, machine, work_extra=0):
         elif kind == "w":
             code += (OP_W, op[1])
         elif kind == "work":
-            code += (OP_WORK, op[1] + work_extra, 1)
+            code += (OP_WORK, op[1] + work_extra)
         else:
             code += (_SYNC_OPCODE[kind], op[1])
     yield code
@@ -190,7 +190,7 @@ def test_paper_kernels_bit_identical(request, app_name, switch, protocol,
 @pytest.mark.parametrize("app_name", sorted(SMALL_SCALE))
 def test_paper_kernels_bit_identical_at_odd_quantum(app_name, monkeypatch):
     # a quantum of 37 cycles puts yields mid-block inside hit runs and
-    # write merges, where an off-by-one in a bulk step's quantum cap
+    # write merges, where an off-by-one in the loop's resume point
     # shifts an exit by one element, often with no other visible effect
     # (exits only: the matrix cells compare the caches; no frozen digest:
     # these cells are newer than the fixture)
@@ -210,8 +210,8 @@ def test_synthetic_alias_pattern_bit_identical(monkeypatch):
 
 
 def test_synthetic_irregular_stream_bit_identical(monkeypatch):
-    # seeded-random streams defeat the peephole almost everywhere:
-    # exercises the elementary-op decode paths
+    # seeded-random streams have no macro form: both runs take the
+    # elementary-op decode path
     assert_fused_matches_elementary(
         "random", _config("msi", "off"),
         lambda: UniformRandom(ops_per_proc=150), monkeypatch,

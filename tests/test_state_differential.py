@@ -34,9 +34,6 @@ from repro.coherence.directory import Directory
 from repro.errors import ProtocolError
 from repro.network.message import (
     CARRIES_DATA,
-    INTERCEPTABLE,
-    SNOOPS_SWITCH_CACHES,
-    SWITCH_CACHEABLE,
     Message,
     MessagePool,
     MsgKind,
@@ -266,12 +263,7 @@ def test_sorted_sharers_is_ascending():
 # message kinds and the worm pool
 # ----------------------------------------------------------------------
 def test_kind_tables_match_properties():
-    for kind in MsgKind:
-        assert kind.carries_data == CARRIES_DATA[kind.code]
-        assert kind.switch_cacheable == SWITCH_CACHEABLE[kind.code]
-        assert kind.interceptable == INTERCEPTABLE[kind.code]
-        assert kind.snoops_switch_caches == SNOOPS_SWITCH_CACHES[kind.code]
-    data_kinds = {k for k in MsgKind if k.carries_data}
+    data_kinds = {k for k in MsgKind if CARRIES_DATA[k.code]}
     assert data_kinds == {
         MsgKind.DATA_S, MsgKind.DATA_X, MsgKind.DATA_E,
         MsgKind.RECALL_REPLY, MsgKind.WRITEBACK,

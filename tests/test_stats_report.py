@@ -19,9 +19,9 @@ def read_txn(node=1, home=0, addr=0x40, served_by="remote_mem", stage=None,
 class TestMachineStats:
     def test_read_hit_recording(self):
         stats = MachineStats(4)
-        stats.record_read_hit(0, "l1")
-        stats.record_read_hit(0, "l2")
-        stats.record_read_hit(1, "wb")
+        stats.add_read_hits(0, 0, 1, 0)
+        stats.add_read_hits(0, 0, 0, 1)
+        stats.add_read_hits(1, 1, 0, 0)
         assert stats.read_counts["l1"] == 1
         assert stats.total_reads() == 3
         assert stats.per_node_reads[0] == 2
@@ -41,7 +41,7 @@ class TestMachineStats:
 
     def test_remote_reads_classification(self):
         stats = MachineStats(4)
-        stats.record_read_hit(0, "l1")
+        stats.add_read_hits(0, 0, 1, 0)
         stats.record_read_txn(0, read_txn(served_by="local_mem"), 60)
         stats.record_read_txn(0, read_txn(served_by="remote_mem"), 120)
         stats.record_read_txn(0, read_txn(served_by="owner"), 150)
@@ -52,7 +52,7 @@ class TestMachineStats:
 
     def test_service_distribution_sums_to_one(self):
         stats = MachineStats(4)
-        stats.record_read_hit(0, "l1")
+        stats.add_read_hits(0, 0, 1, 0)
         stats.record_read_txn(0, read_txn(), 100)
         dist = stats.service_distribution()
         assert abs(sum(dist.values()) - 1.0) < 1e-9
@@ -110,7 +110,7 @@ class TestMachineStats:
         # come entirely from the switch class, not divide by zero on the
         # empty memory classes
         stats = MachineStats(4)
-        stats.record_read_hit(0, "l1")
+        stats.add_read_hits(0, 0, 1, 0)
         stats.record_read_txn(0, read_txn(served_by="switch", stage=1), 40)
         stats.record_read_txn(1, read_txn(served_by="switch", stage=2), 60)
         assert stats.mean_remote_read_latency() == 50.0
@@ -119,7 +119,7 @@ class TestMachineStats:
 
     def test_mean_remote_read_latency_no_remote_reads(self):
         stats = MachineStats(4)
-        stats.record_read_hit(0, "l1")
+        stats.add_read_hits(0, 0, 1, 0)
         assert stats.mean_remote_read_latency() == 0.0
 
 
@@ -131,7 +131,7 @@ class TestPayloadRoundTrip:
         num_procs = 8
         stats = MachineStats(num_procs)
         for proc in range(num_procs):
-            stats.record_read_hit(proc, "l1")
+            stats.add_read_hits(proc, 0, 1, 0)
             stats.record_read_txn(
                 proc, read_txn(node=proc, addr=0x40, data=0), 50 + proc
             )
