@@ -2,21 +2,26 @@
 
 These are true pytest-benchmark measurements (many iterations): cache
 array probes, BMIN route computation, machine construction, switch-cache
-engine operations, the event engine itself, and the processor front end's
-per-element loop.  They guard against performance regressions that would
-make the paper-scale experiments impractically slow.
+engine operations, the event engine itself, the processor front end's
+per-element loop, and the statistics recorded per read miss.  They guard
+against performance regressions that would make the paper-scale
+experiments impractically slow.
 """
+
+import random
 
 import pytest
 
 from repro.apps.opstream import OP_LOOP, SLOT_R, SLOT_W, SLOT_WORK
 from repro.cache.array import CacheArray
 from repro.cache.states import LineState
+from repro.coherence.messages import Transaction
 from repro.core.caesar import CaesarEngine
 from repro.core.switchcache import SwitchCacheGeometry
 from repro.network.message import Message, MsgKind
 from repro.network.topology import BminTopology
 from repro.sim.engine import Simulator
+from repro.stats.counters import MachineStats
 from repro.system.machine import Machine
 from repro.system.presets import base_config, switch_cache_config
 
@@ -112,6 +117,33 @@ def test_caesar_deposit_then_hit(benchmark):
         return served
 
     assert benchmark(deposit_and_intercept) == 64
+
+
+def test_record_read_txn(benchmark):
+    """The per-miss cost of the sharing analysis: 4,096 remote read
+    misses from 16 processors over 512 blocks, each block's version
+    advancing now and then, as writes between the reads would."""
+    rng = random.Random(1)
+    txns = []
+    versions = {}
+    for _ in range(4096):
+        proc = rng.randrange(16)
+        addr = rng.randrange(512) * 64
+        if rng.random() < 0.1:
+            versions[addr] = versions.get(addr, 0) + 1
+        txn = Transaction("read", addr, proc, addr // 64 % 16, 64, 0)
+        txn.served_by = "remote_mem"
+        txn.data = versions.get(addr, 0)
+        txns.append((proc, txn))
+
+    def record_all():
+        stats = MachineStats(16)
+        record = stats.record_read_txn
+        for proc, txn in txns:
+            record(proc, txn, 100)
+        return stats.ideal_global_hits + stats.ideal_global_misses
+
+    assert benchmark(record_all) == len(txns)
 
 
 #: an 8 KB grid of 32 rows x 32 eight-byte elements: one L1 way's worth

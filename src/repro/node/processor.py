@@ -372,7 +372,7 @@ class Processor:
 
     def _sync_rmw(self, op: Op, is_barrier: bool) -> None:
         kind, sync_id = op[0], op[1]
-        addr = self.node.sync_addr(kind if kind != "lock" else "lock", sync_id)
+        addr = self.node.sync_addr(kind, sync_id)
         self._rmw(addr, lambda: self._sync_arrived(op, is_barrier))
 
     def _rmw(self, addr: int, then: Callable[[], None]) -> None:
@@ -427,6 +427,13 @@ class Processor:
     # termination
     # ------------------------------------------------------------------
     def _begin_finish(self) -> None:
+        # the stream is spent: drop the chunk iterator, the last chunk and
+        # the loop body, so a finished machine holds only what its
+        # statistics and checks read (DESIGN.md §13.2).  Done here, not
+        # in _run, to keep the decode loop free of allocations
+        self._chunks = None
+        self._code, self._kinds, self._addrs, self._strides = [], [], [], []
+
         def finished() -> None:
             if not self.done:
                 self.done = True

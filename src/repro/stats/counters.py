@@ -44,6 +44,16 @@ BREAKDOWN_COMPONENTS = (
 )
 
 
+def _popcount(mask: int) -> int:
+    # int.bit_count() is Python 3.10+
+    return bin(mask).count("1")
+
+
+def _bits(mask: int) -> List[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 class MachineStats:
     """Aggregated statistics for one simulation run."""
 
@@ -67,10 +77,13 @@ class MachineStats:
         self.per_node_reads: List[int] = [0] * num_nodes
         # sharing analysis (paper Fig. 3 / Sec. 2.2): which processors read
         # each block (at L2-miss granularity), and whether an ideal global
-        # cache could have served each read (same block+version seen before)
-        self.block_readers: Dict[int, set] = {}
+        # cache could have served each read (same block+version seen
+        # before).  Both are presence masks per block, as in the full-map
+        # directory: bit p of block_readers[addr] is processor p, and bit
+        # 0 of _seen_versions[addr] is version None, bit v+1 version v
+        self.block_readers: Dict[int, int] = {}
         self.block_read_counts: Dict[int, int] = {}
-        self._seen_versions: set = set()
+        self._seen_versions: Dict[int, int] = {}
         self.ideal_global_hits = 0
         self.ideal_global_misses = 0
 
@@ -102,13 +115,17 @@ class MachineStats:
             )
         if category in ("remote_mem", "owner"):
             self._record_breakdown(txn)
-        self.block_readers.setdefault(txn.addr, set()).add(node)
-        self.block_read_counts[txn.addr] = self.block_read_counts.get(txn.addr, 0) + 1
-        key = (txn.addr, txn.data)
-        if key in self._seen_versions:
+        addr = txn.addr
+        readers = self.block_readers
+        readers[addr] = readers.get(addr, 0) | (1 << node)
+        self.block_read_counts[addr] = self.block_read_counts.get(addr, 0) + 1
+        data = txn.data
+        bit = 1 if data is None else 2 << data
+        seen = self._seen_versions.get(addr, 0)
+        if seen & bit:
             self.ideal_global_hits += 1
         else:
-            self._seen_versions.add(key)
+            self._seen_versions[addr] = seen | bit
             self.ideal_global_misses += 1
 
     def _record_breakdown(self, txn: Transaction) -> None:
@@ -209,7 +226,7 @@ class MachineStats:
         """
         histogram: Dict[int, int] = {k: 0 for k in range(1, max_degree + 1)}
         for block, readers in self.block_readers.items():
-            degree = min(len(readers), max_degree)
+            degree = min(_popcount(readers), max_degree)
             histogram[degree] += self.block_read_counts[block]
         return histogram
 
@@ -217,7 +234,7 @@ class MachineStats:
         if not self.block_readers:
             return 0.0
         weighted = sum(
-            len(readers) * self.block_read_counts[block]
+            _popcount(readers) * self.block_read_counts[block]
             for block, readers in self.block_readers.items()
         )
         total = sum(self.block_read_counts.values())
@@ -253,15 +270,17 @@ class MachineStats:
             "finish_times": sorted(self.finish_times.items()),
             "per_node_reads": list(self.per_node_reads),
             "block_readers": [
-                [addr, sorted(readers)]
+                [addr, _bits(readers)]
                 for addr, readers in sorted(self.block_readers.items())
             ],
             "block_read_counts": sorted(self.block_read_counts.items()),
-            "seen_versions": sorted(
-                (list(v) for v in self._seen_versions),
-                # data may be None; sort it before any integer version
-                key=lambda v: (v[0], v[1] is not None, v[1] or 0),
-            ),
+            # [addr, version] pairs; version None (bit 0) sorts before
+            # every integer version
+            "seen_versions": [
+                [addr, i - 1 if i else None]
+                for addr, seen in sorted(self._seen_versions.items())
+                for i in _bits(seen)
+            ],
             "ideal_global_hits": self.ideal_global_hits,
             "ideal_global_misses": self.ideal_global_misses,
         }
@@ -284,12 +303,16 @@ class MachineStats:
         stats.finish_times = {int(k): v for k, v in payload["finish_times"]}
         stats.per_node_reads = list(payload["per_node_reads"])
         stats.block_readers = {
-            int(addr): set(readers) for addr, readers in payload["block_readers"]
+            int(addr): sum(1 << r for r in readers)
+            for addr, readers in payload["block_readers"]
         }
         stats.block_read_counts = {
             int(k): v for k, v in payload["block_read_counts"]
         }
-        stats._seen_versions = {tuple(v) for v in payload["seen_versions"]}
+        seen = stats._seen_versions
+        for addr, version in payload["seen_versions"]:
+            seen[addr] = seen.get(addr, 0) | (
+                1 if version is None else 2 << version)
         stats.ideal_global_hits = payload["ideal_global_hits"]
         stats.ideal_global_misses = payload["ideal_global_misses"]
         return stats

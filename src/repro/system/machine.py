@@ -99,7 +99,7 @@ class Machine:
                 pool=self.pool,
             )
         if config.switch_caches_enabled:
-            self.fabric.install_cache_engines(self._make_engine)
+            self._install_switch_caches()
         self.space = AddressSpace(config.num_nodes, config.block_size)
         self.stats = MachineStats(
             config.num_nodes * config.procs_per_node, metrics=metrics
@@ -135,7 +135,9 @@ class Machine:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    def _make_engine(self, switch_id) -> CaesarEngine:
+    def _install_switch_caches(self) -> None:
+        """Embed a CAESAR engine in every switch.  The engines share one
+        geometry and one policy: neither changes after construction."""
         cfg = self.config
         geometry = SwitchCacheGeometry(
             size=cfg.switch_cache_size,
@@ -150,7 +152,9 @@ class Machine:
             deposit_threshold=cfg.switch_cache_deposit_threshold,
             enabled_stages=cfg.switch_cache_stages,
         )
-        return CaesarEngine(self.sim, switch_id, geometry, policy)
+        self.fabric.install_cache_engines(
+            lambda switch_id: CaesarEngine(self.sim, switch_id, geometry, policy)
+        )
 
     def sync_addr(self, kind: str, sync_id: int) -> int:
         """Block-aligned address of a synchronization variable."""

@@ -25,6 +25,13 @@ class TestAssembly:
         sc = Machine(tiny_config(switch_cache_size=512))
         assert all(s.cache_engine is not None for s in sc.fabric.switches.values())
 
+    def test_switch_caches_share_geometry_and_policy(self):
+        machine = Machine(switch_cache_config(16))
+        engines = [s.cache_engine for s in machine.fabric.switches.values()]
+        assert len(engines) == 32
+        assert len({id(e.geo) for e in engines}) == 1
+        assert len({id(e.policy) for e in engines}) == 1
+
     def test_netcache_installed_only_when_enabled(self):
         base = Machine(tiny_config())
         assert all(n.netcache is None for n in base.nodes)

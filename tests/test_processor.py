@@ -49,6 +49,22 @@ class TestExecution:
         assert machine.nodes[1].l2ctrl.reads_issued == 1
 
 
+class TestFinish:
+    def test_finished_processor_holds_no_stream(self):
+        # a read miss, a work op and a lock on every processor but one,
+        # whose stream is empty
+        script = [("r", ("blk", 0)), ("work", 5), ("lock", 0), ("unlock", 0)]
+        machine, _stats = run_scripted(
+            {p: script for p in range(3)}, blocks=1, home=0,
+        )
+        for node in machine.nodes:
+            proc = node.processor
+            assert proc.done
+            assert proc._chunks is None
+            assert proc._code == []
+            assert proc._kinds == proc._addrs == proc._strides == []
+
+
 class TestFastForward:
     def test_quantum_bounds_run_ahead(self):
         # a long pure-compute stream must still yield to the event queue:

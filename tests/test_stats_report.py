@@ -1,5 +1,7 @@
 """Tests for statistics aggregation and report rendering."""
 
+import json
+
 from repro.coherence.messages import Transaction
 from repro.stats.counters import MachineStats
 from repro.stats.latency import breakdown_table, format_bars, service_bars
@@ -162,6 +164,62 @@ class TestPayloadRoundTrip:
         assert rebuilt.to_payload() == stats.to_payload()
         assert rebuilt.to_dict() == stats.to_dict()
         assert len(stats.finish_times) == 8  # one per proc, not per node
+
+
+#: (reader, block, version): a None version, a version above 62 and
+#: readers that read the same block (and version) twice
+SHARING_READS = (
+    (3, 0x80, None),
+    (1, 0x80, 70),
+    (1, 0x80, 70),
+    (0, 0x40, 2),
+    (2, 0x40, 0),
+    (0, 0x40, 2),
+    (3, 0x80, 0),
+)
+
+
+def sharing_stats():
+    stats = MachineStats(4)
+    for reader, addr, version in SHARING_READS:
+        stats.record_read_txn(
+            reader, read_txn(node=reader, addr=addr, data=version), 10)
+    return stats
+
+
+class TestSharingPayload:
+    def test_block_readers_layout(self):
+        payload = sharing_stats().to_payload()
+        assert payload["block_readers"] == [[0x40, [0, 2]], [0x80, [1, 3]]]
+        assert payload["block_read_counts"] == [(0x40, 3), (0x80, 4)]
+
+    def test_seen_versions_layout(self):
+        stats = sharing_stats()
+        assert stats.to_payload()["seen_versions"] == [
+            [0x40, 0], [0x40, 2], [0x80, None], [0x80, 0], [0x80, 70],
+        ]
+        assert (stats.ideal_global_hits, stats.ideal_global_misses) == (2, 5)
+
+    def test_derived_quantities_survive_round_trip(self):
+        stats = sharing_stats()
+        rebuilt = MachineStats.from_payload(stats.to_payload())
+        assert rebuilt.to_payload() == stats.to_payload()
+        assert rebuilt.sharing_histogram(4) == stats.sharing_histogram(4) == {
+            1: 0, 2: 7, 3: 0, 4: 0}
+        assert rebuilt.mean_sharing_degree() == stats.mean_sharing_degree() == 2.0
+        assert rebuilt.ideal_global_hit_rate() == stats.ideal_global_hit_rate()
+        assert rebuilt.ideal_global_hit_rate() == 2 / 7
+
+    def test_round_trip_through_json(self):
+        # the run cache stores the payload as JSON text
+        stats = sharing_stats()
+        payload = json.loads(json.dumps(stats.to_payload()))
+        rebuilt = MachineStats.from_payload(payload)
+        assert rebuilt.sharing_histogram(4) == stats.sharing_histogram(4)
+        assert rebuilt.ideal_global_hit_rate() == stats.ideal_global_hit_rate()
+        # a version already seen before the round trip is an ideal hit
+        rebuilt.record_read_txn(2, read_txn(node=2, addr=0x80, data=70), 10)
+        assert rebuilt.ideal_global_hits == 3
 
 
 class TestZeroReadRendering:
