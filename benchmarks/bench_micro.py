@@ -17,7 +17,6 @@ from repro.cache.array import CacheArray
 from repro.cache.states import LineState
 from repro.coherence.messages import Transaction
 from repro.core.caesar import CaesarEngine
-from repro.core.switchcache import SwitchCacheGeometry
 from repro.network.message import Message, MsgKind
 from repro.network.topology import BminTopology
 from repro.sim.engine import Simulator
@@ -100,9 +99,11 @@ def test_event_engine_throughput(benchmark):
 
 
 def test_caesar_deposit_then_hit(benchmark):
+    config = switch_cache_config(16)
+
     def deposit_and_intercept():
         sim = Simulator()
-        engine = CaesarEngine(sim, (1, 0), SwitchCacheGeometry(size=2048))
+        engine = CaesarEngine(sim, (1, 0), config)
         served = 0
         for block in range(64):
             addr = block * 64

@@ -321,7 +321,7 @@ class HomeController:
 
     def _start_dir_update(self, txn: HomeTxn) -> None:
         self.dir_updates += 1
-        requester = txn.msg.payload.get("requester", txn.msg.src)
+        requester = txn.requester
         served = txn.msg.payload.get("sc_version")
         entry = self.directory.entry(txn.block)
         stale = entry.state is DirState.MODIFIED or (

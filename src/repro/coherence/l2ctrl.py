@@ -98,7 +98,8 @@ class NodeController:
         block = self._block(addr)
         home = self.home_of(block)
         txn = Transaction(
-            "read", block, self.node_id, home, self.block_size, self.sim.now, callback
+            "read", block, self.node_id, home, self.block_size, self.sim.now,
+            callback, self._pool.next_txn_id(),
         )
         self.reads_issued += 1
         if block in self._mshr:
@@ -129,7 +130,8 @@ class NodeController:
             kind, txn_kind = MsgKind.READX, "write"
             self.writes_issued += 1
         txn = Transaction(
-            txn_kind, block, self.node_id, home, self.block_size, self.sim.now, callback
+            txn_kind, block, self.node_id, home, self.block_size, self.sim.now,
+            callback, self._pool.next_txn_id(),
         )
         if block in self._mshr:
             raise ProtocolError(

@@ -9,12 +9,9 @@ breakdowns (Figure-5-style) are computed and the service classification
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional
 
 from ..network.message import Message
-
-_txn_ids = itertools.count()
 
 
 class Transaction:
@@ -47,10 +44,12 @@ class Transaction:
         block_size: int,
         issued_at: int,
         callback: Optional[Callable[["Transaction"], None]] = None,
+        txn_id: int = -1,
     ) -> None:
         if kind not in ("read", "write", "upgrade"):
             raise ValueError(f"bad transaction kind {kind!r}")
-        self.id = next(_txn_ids)
+        # drawn from the machine's MessagePool (-1: a standalone record)
+        self.id = txn_id
         self.kind = kind
         self.addr = addr
         self.node = node

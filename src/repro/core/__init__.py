@@ -1,11 +1,9 @@
 """The paper's contribution: CAESAR switch caches."""
 
-from .caesar import CaesarEngine
-from .policy import CachingPolicy
-from .switchcache import SwitchCacheGeometry
+from .caesar import TAG_CYCLES, CaesarEngine, data_cycles
 
 __all__ = [
+    "TAG_CYCLES",
     "CaesarEngine",
-    "CachingPolicy",
-    "SwitchCacheGeometry",
+    "data_cycles",
 ]

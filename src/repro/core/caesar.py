@@ -1,36 +1,64 @@
 """CAESAR: the CAche Embedded Switch ARchitecture engine.
 
 One :class:`CaesarEngine` lives inside each switch of a switch-cache
-interconnect.  The fabric calls exactly three hooks as worm headers arrive,
-each timed off the simulator clock (the header-arrival cycle):
+interconnect, built from the :class:`~repro.system.config.SystemConfig`
+it models (paper Section 3.3 and Table 1), which validates its fields.
+It runs at the switch clock (200 MHz), so all delays are system cycles:
 
-* :meth:`snoop` — an INV worm passes: purge a matching block (the tag
-  array's second port, so never skipped and never delaying the worm).
-* :meth:`try_deposit` — a DATA_S worm passes: opportunistically capture
-  the block as it streams through the switch.
-* :meth:`try_intercept` — a READ worm arrives: probe the cache; on a hit
-  return the data and the time at which the fabricated reply's header can
-  start (tag check + data-array streaming); on a miss or a policy bypass
-  return None and the worm is forwarded untouched.
+* **Dual-ported tag array** (like the Pentium's on-chip cache [1]): snoop
+  requests probe tags on their own port, so they never contend with
+  regular requests.  A regular tag access takes :data:`TAG_CYCLES`.
+* **Single data array** (base CAESAR) or **2/4 interleaved banks**
+  (CAESAR+, like the R10000/Pentium-Pro L1s [21][28]): consecutive
+  blocks map to different banks, so requests to different banks overlap.
+* **Configurable output width**: a ``width``-bit data port streams one
+  block in :func:`data_cycles` = ``block_size*8 / width`` cycles (32-byte
+  blocks through a 64-bit port: 4 cycles, the paper's Pentium-Pro example).
 
-The engine keeps the per-switch statistics the evaluation section reports
-(hits by request, deposits, bypasses, snoop purges).
+Each regular tag access and each block streamed through a data bank is
+one :meth:`~repro.sim.resource.Timeline.reserve` grant.
+
+The caching policy is the paper's: a switch cache holds only **clean
+shared** data (DATA_S replies), intercepts only reads, and purges on
+every invalidation that passes.  Two thresholds keep a busy engine from
+ever slowing the switch: a read is forwarded unchecked when the tag port
+is backed up beyond ``switch_cache_bypass_threshold`` cycles, and a
+passing block is not deposited when its bank is backed up beyond
+``switch_cache_deposit_threshold``.  ``switch_cache_stages`` limits
+caching to some MIN stages.  Snoops are never skipped: correctness
+depends on them.
+
+The fabric calls the three hooks as worm headers arrive, timed off the
+simulator clock: :meth:`~CaesarEngine.snoop` for an INV,
+:meth:`~CaesarEngine.try_deposit` for a DATA_S and
+:meth:`~CaesarEngine.try_intercept` for a READ, which on a hit returns
+the data and the cycle the fabricated reply's header can start.  The
+engine keeps the per-switch statistics the evaluation section reports.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..cache.array import CacheArray
 from ..cache.states import LineState
 from ..network.message import Message
 from ..sim.engine import Simulator
 from ..sim.resource import Timeline
-from .policy import CachingPolicy
-from .switchcache import SwitchCacheGeometry
+
+if TYPE_CHECKING:
+    from ..system.config import SystemConfig
+
+#: cycles of one regular tag access (and of one snoop-port probe)
+TAG_CYCLES = 1
 
 #: hoisted member: deposits always install clean shared copies
 _SHARED = LineState.SHARED
+
+
+def data_cycles(block_size: int, width_bits: int) -> int:
+    """Cycles to stream one block through a ``width_bits``-wide data port."""
+    return (block_size * 8) // width_bits
 
 
 class CaesarEngine:
@@ -40,45 +68,39 @@ class CaesarEngine:
         self,
         sim: Simulator,
         switch_id: Tuple[int, int],
-        geometry: SwitchCacheGeometry,
-        policy: Optional[CachingPolicy] = None,
+        config: SystemConfig,
     ) -> None:
         self.sim = sim
         self._tracer = sim.tracer  # installed before construction
         self.switch_id = switch_id
         self.stage = switch_id[0]
-        self.geo = geometry
-        self.policy = policy if policy is not None else CachingPolicy()
+        block_size = config.block_size
+        banks = config.switch_cache_banks
         name = f"sc{switch_id}"
         self.array = CacheArray(
-            geometry.size, geometry.block_size, geometry.assoc, name=name,
-            replacement=geometry.replacement,
+            config.switch_cache_size, block_size, config.switch_cache_assoc,
+            name=name, replacement=config.switch_cache_replacement,
         )
         # the regular tag port and one data port per bank.  Snoops use the
         # tag array's second port, which nothing else contends for, so it
         # needs no grant state: a snoop never delays a request or a worm
         self.tag_port = Timeline(sim, f"{name}.tag")
         self.data_ports = [
-            Timeline(sim, f"{name}.data{b}") for b in range(geometry.banks)
+            Timeline(sim, f"{name}.data{b}") for b in range(banks)
         ]
         # whether this stage caches: a disabled engine still snoops
-        self.enabled = self.policy.stage_enabled(self.stage)
+        stages = config.switch_cache_stages
+        self.enabled = stages is None or self.stage in stages
         # same tracer track as the owning switch (see Switch.trace_track)
         self.trace_track = f"switch{switch_id[0]}.{switch_id[1]}"
-        # hot-path hoists: policy thresholds and geometry are fixed after
-        # construction, so the fabric hooks below read them (and the
-        # array's methods) without chasing attribute chains.  The hooks
-        # inline Timeline.reserve's grant arithmetic — kept in lockstep
-        # with repro.sim.resource.Timeline — because a worm passes a
-        # switch engine once per hop and the nested calls dominate the
-        # engine's cost when tracing is off.
-        self._bypass_threshold = self.policy.bypass_threshold
-        self._deposit_threshold = self.policy.deposit_threshold
-        self._tag_cycles = geometry.tag_cycles
-        self._data_cycles = geometry.data_cycles
-        self._block_size = geometry.block_size
+        self._bypass_threshold = config.switch_cache_bypass_threshold
+        self._deposit_threshold = config.switch_cache_deposit_threshold
+        self._data_cycles = data_cycles(
+            block_size, config.switch_cache_width_bits
+        )
+        self._block_size = block_size
         # banks is 1/2/4, so interleaved bank selection is a mask
-        self._bank_mask = geometry.banks - 1
+        self._bank_mask = banks - 1
         self._lookup_data = self.array.lookup_data
         self._insert = self.array.insert
         self._invalidate = self.array.invalidate
@@ -116,27 +138,13 @@ class CaesarEngine:
         port = self.data_ports[(addr // self._block_size) & self._bank_mask]
         # a deposit is pure opportunism: skip it when the bank is backed
         # up beyond the policy's threshold
-        if port._free_at - now > self._deposit_threshold:
+        if port.free_at() - now > self._deposit_threshold:
             self.deposit_skips += 1
             return False
         # tag update, then the full-block data-bank occupancy starting
         # no earlier than the tag grant
-        tag_port = self.tag_port
-        tag_cycles = self._tag_cycles
-        start = tag_port._free_at
-        if start < now:
-            start = now
-        tag_port._free_at = start + tag_cycles
-        tag_port.reservations += 1
-        tag_port.queued_cycles += start - now
-        tag_done = start + tag_cycles
-        data_cycles = self._data_cycles
-        dstart = port._free_at
-        if dstart < tag_done:
-            dstart = tag_done
-        port._free_at = dstart + data_cycles
-        port.reservations += 1
-        port.queued_cycles += dstart - tag_done
+        tag_done = self.tag_port.reserve(TAG_CYCLES) + TAG_CYCLES
+        port.reserve(self._data_cycles, tag_done)
         victim = self._insert(addr, _SHARED, msg.data)
         self.deposits += 1
         tracer = self._tracer
@@ -156,41 +164,22 @@ class CaesarEngine:
             return None
         now = self.sim.now
         tag_port = self.tag_port
+        addr = msg.addr
         # a read is forwarded unchecked when the tag port is backed up
         # beyond the policy's threshold
-        if tag_port._free_at - now > self._bypass_threshold:
+        if tag_port.free_at() - now > self._bypass_threshold:
             self.bypasses += 1
             tracer = self._tracer
             if tracer is not None:
                 tracer.instant(
-                    self.trace_track, "sc_bypass", now, {"addr": msg.addr}
+                    self.trace_track, "sc_bypass", now, {"addr": addr}
                 )
             return None
         self.lookups += 1
         # tag check, then (on a hit) the block streams through the
         # addressed data bank
-        tag_cycles = self._tag_cycles
-        start = tag_port._free_at
-        if start < now:
-            start = now
-        tag_port._free_at = start + tag_cycles
-        tag_port.reservations += 1
-        tag_port.queued_cycles += start - now
-        addr = msg.addr
+        tag_done = tag_port.reserve(TAG_CYCLES) + TAG_CYCLES
         data = self._lookup_data(addr)
-        done = tag_done = start + tag_cycles
-        if data is not None:
-            port = self.data_ports[
-                (addr // self._block_size) & self._bank_mask
-            ]
-            data_cycles = self._data_cycles
-            dstart = port._free_at
-            if dstart < tag_done:
-                dstart = tag_done
-            port._free_at = dstart + data_cycles
-            port.reservations += 1
-            port.queued_cycles += dstart - tag_done
-            done = dstart + data_cycles
         tracer = self._tracer
         if tracer is not None:
             tracer.instant(
@@ -201,7 +190,9 @@ class CaesarEngine:
             self.misses += 1
             return None
         self.hits += 1
-        return data, done
+        port = self.data_ports[(addr // self._block_size) & self._bank_mask]
+        stream = self._data_cycles
+        return data, port.reserve(stream, tag_done) + stream
 
     # ------------------------------------------------------------------
     # introspection
@@ -216,6 +207,6 @@ class CaesarEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<CaesarEngine sw={self.switch_id} {self.geo.describe()} "
+            f"<CaesarEngine sw={self.switch_id} "
             f"hits={self.hits}/{self.lookups}>"
         )

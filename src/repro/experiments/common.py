@@ -191,10 +191,7 @@ def execute(
     machine = Machine(config, metrics=metrics)
     stats = machine.run(make_app(app_name, scale, app_overrides))
     tag_qs, data_qs = [], []
-    for switch in machine.fabric.switches.values():
-        engine = switch.cache_engine
-        if engine is None:
-            continue
+    for engine in machine.fabric.cache_engines:
         tag_qs.append(engine.tag_port.mean_queueing_delay())
         for port in engine.data_ports:
             data_qs.append(port.mean_queueing_delay())

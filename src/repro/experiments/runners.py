@@ -42,25 +42,22 @@ def base_runs(scale: str) -> Dict:
 # T1 — CAESAR access operations and delays (static)
 # ----------------------------------------------------------------------
 def render_t1(scale: str, records: Dict):
-    from ..core.switchcache import SwitchCacheGeometry
+    from ..core.caesar import TAG_CYCLES, data_cycles
 
     rows = []
     for width in (64, 128, 256):
-        geo = SwitchCacheGeometry(size=2048, block_size=64, output_width_bits=width)
+        block_cycles = TAG_CYCLES + data_cycles(64, width)
         rows.append(
-            ("regular read hit", f"{width}-bit", "tag + data",
-             geo.tag_cycles + geo.data_cycles)
+            ("regular read hit", f"{width}-bit", "tag + data", block_cycles)
         )
         rows.append(
-            ("regular read miss", f"{width}-bit", "tag", geo.tag_cycles)
+            ("regular read miss", f"{width}-bit", "tag", TAG_CYCLES)
         )
         rows.append(
-            ("reply deposit", f"{width}-bit", "tag + data",
-             geo.tag_cycles + geo.data_cycles)
+            ("reply deposit", f"{width}-bit", "tag + data", block_cycles)
         )
-    geo = SwitchCacheGeometry(size=2048, block_size=64)
-    rows.append(("snoop probe (miss)", "-", "snoop tag port", geo.tag_cycles))
-    rows.append(("snoop purge (hit)", "-", "snoop tag port", 2 * geo.tag_cycles))
+    rows.append(("snoop probe (miss)", "-", "snoop tag port", TAG_CYCLES))
+    rows.append(("snoop purge (hit)", "-", "snoop tag port", 2 * TAG_CYCLES))
     text = format_table(
         ("operation", "data width", "resources", "cycles"), rows,
         title="CAESAR switch-cache access operations and delays",

@@ -50,6 +50,7 @@ from .switch import Switch
 from .topology import BminTopology, SwitchId
 
 if TYPE_CHECKING:
+    from ..core.caesar import CaesarEngine
     from ..trace.tracer import Tracer
 
 DeliverFn = Callable[[Message], None]
@@ -78,23 +79,21 @@ class FabricStats:
 
     __slots__ = (
         "msgs_injected", "msgs_delivered", "flits_injected", "switch_hits",
-        "switch_replies", "dir_updates", "hits_by_stage",
+        "hits_by_stage",
     )
 
     def __init__(self) -> None:
         self.msgs_injected = 0
         self.msgs_delivered = 0
         self.flits_injected = 0
+        # each hit sends one switch reply and turns its READ into one
+        # DIR_UPDATE, so this one counter counts all three
         self.switch_hits = 0
-        self.switch_replies = 0
-        self.dir_updates = 0
         # defaultdict: the hot recording path is a bare increment
         self.hits_by_stage: Dict[int, int] = defaultdict(int)
 
     def record_switch_hit(self, stage: int) -> None:
         self.switch_hits += 1
-        self.switch_replies += 1
-        self.dir_updates += 1
         self.hits_by_stage[stage] += 1
 
 
@@ -104,7 +103,7 @@ class Fabric:
     __slots__ = (
         "sim", "topo", "switch_delay", "cycles_per_flit", "stats",
         "switches", "_inject_links", "_handlers", "_tracer", "_routes",
-        "pool", "_record_route", "_hop_fns",
+        "pool", "_record_route", "_hop_fns", "cache_engines",
     )
 
     def __init__(
@@ -139,6 +138,8 @@ class Fabric:
         self.pool = pool if pool is not None else MessagePool()
         self.stats = FabricStats()
         self.switches: Dict[SwitchId, Switch] = {}
+        # the embedded CAESAR engines, in switch order
+        self.cache_engines: List[CaesarEngine] = []
         self._inject_links: Dict[int, Link] = {}
         # indexed by node id: a flat list beats a dict probe on the
         # delivery path (one per worm); None = no NI attached yet
@@ -202,15 +203,19 @@ class Fabric:
         """Register the delivery callback for a node's NI receive module."""
         self._handlers[node] = handler
 
-    def install_cache_engines(self, factory: Callable[[SwitchId], object]) -> None:
-        """Embed a cache engine in every switch (``factory`` may return None)."""
-        embedded = False
+    def install_cache_engines(
+        self, factory: Callable[[SwitchId], Optional[CaesarEngine]]
+    ) -> None:
+        """Embed a cache engine in every switch (``factory`` may return
+        None) and list the engines in ``cache_engines``."""
+        engines = self.cache_engines = []
         for sid, switch in self.switches.items():
             engine = factory(sid)
             switch.embed(engine)
-            embedded = embedded or engine is not None
+            if engine is not None:
+                engines.append(engine)
         fns = self._hop_fns = [self._hop] * len(MsgKind)
-        if embedded:
+        if engines:
             fns[_INV.code] = self._hop_snoop
             fns[_DATA_S.code] = self._hop_deposit
             fns[_READ.code] = self._hop_intercept
@@ -462,7 +467,6 @@ class Fabric:
         # staleness even after an intervening writer has written back
         msg.kind = MsgKind.DIR_UPDATE
         msg.flits = 1
-        msg.payload["requester"] = msg.src
         msg.payload["sc_version"] = data
         self._forward(msg, hop, header_at=now)
 
@@ -471,14 +475,11 @@ class Fabric:
     # ------------------------------------------------------------------
     def switch_cache_blocks(self) -> List[Tuple[SwitchId, int, int]]:
         """All (switch, block_addr, version) resident in switch caches."""
-        found = []
-        for sid, switch in self.switches.items():
-            engine = switch.cache_engine
-            if engine is None:
-                continue
-            for addr, line in engine.array.resident_blocks():
-                found.append((sid, addr, line.data))
-        return found
+        return [
+            (engine.switch_id, addr, line.data)
+            for engine in self.cache_engines
+            for addr, line in engine.array.resident_blocks()
+        ]
 
     def utilization_by_stage(self) -> Dict[int, float]:
         """Mean output-link utilization per MIN stage (0..stages-1)."""

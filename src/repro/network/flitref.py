@@ -13,13 +13,16 @@ flit-level wormhole network with
   blocked, so backpressure propagates upstream,
 * per-output-link serialization of one flit per ``cycles_per_flit``.
 
-It exposes the same ``inject``/handler interface as ``Fabric`` and can
-drive full machine runs on switch-cache-free configurations
+It exposes the same ``inject``/handler interface as ``Fabric``, embeds
+CAESAR engines the same way (the engines run their hooks as a header
+reaches their switch, and a hit is served from the switch), and drives
+full machine runs, with or without switch caches
 (``SystemConfig(network_model="flit")``).  ``tests/test_flit_reference.py``
 and experiment A8 check that the production model tracks this reference
 on microbenchmarks (within one cycle) and on end-to-end application runs
-(GE within 0.5 %) — the evidence behind the "who-wins conclusions are
-unaffected" claim in DESIGN.md.
+(GE within 0.5 % on a base machine and 1 % with 1 KB switch caches) —
+the evidence behind the "who-wins conclusions are unaffected" claim in
+DESIGN.md.
 
 The implementation pumps once per cycle while flits are in flight,
 roughly an order of magnitude slower than the message-level fabric; use
@@ -29,7 +32,7 @@ it for validation, not production sweeps.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import NetworkError
 from ..sim.engine import Simulator
@@ -43,6 +46,9 @@ from .message import (
     MsgKind,
 )
 from .topology import BminTopology
+
+if TYPE_CHECKING:
+    from ..core.caesar import CaesarEngine
 
 DeliverFn = Callable[[Message], None]
 
@@ -67,18 +73,6 @@ class _Worm:
         self.flits_left = msg.flits
         self.ready_at = 0
         self.hooked_at = None  # last vertex whose engine hooks ran
-
-
-class _SwitchSlot:
-    """Holder giving the flit network the same per-switch engine slot
-    interface as :class:`repro.network.switch.Switch`."""
-
-    __slots__ = ("id", "stage", "cache_engine")
-
-    def __init__(self, sid) -> None:
-        self.id = sid
-        self.stage = sid[0]
-        self.cache_engine = None
 
 
 class _Channel:
@@ -122,11 +116,9 @@ class FlitNetwork:
         self.switch_delay = switch_delay
         self._handlers: Dict[int, DeliverFn] = {}
         self.stats = FabricStats()
-        # lightweight per-switch holders so cache engines can be embedded
-        # exactly as in the message-level fabric
-        self.switches: Dict = {
-            sid: _SwitchSlot(sid) for sid in topology.switches()
-        }
+        # the embedded CAESAR engines, in switch order and by switch id
+        self.cache_engines: List[CaesarEngine] = []
+        self._engine_at: Dict[Tuple[int, int], CaesarEngine] = {}
         self._inject_wait_sum = 0
         # channels keyed by (src_vertex, dst_vertex)
         self.channels: Dict[Tuple[Port, Port], _Channel] = {}
@@ -141,14 +133,11 @@ class FlitNetwork:
     # ------------------------------------------------------------------
     def switch_cache_blocks(self):
         """All (switch, block_addr, version) resident in switch caches."""
-        found = []
-        for sid, slot in self.switches.items():
-            engine = slot.cache_engine
-            if engine is None:
-                continue
-            for addr, line in engine.array.resident_blocks():
-                found.append((sid, addr, line.data))
-        return found
+        return [
+            (engine.switch_id, addr, line.data)
+            for engine in self.cache_engines
+            for addr, line in engine.array.resident_blocks()
+        ]
 
     def injection_queue_delay(self) -> float:
         if self.stats.msgs_injected == 0:
@@ -157,8 +146,9 @@ class FlitNetwork:
 
     def install_cache_engines(self, factory) -> None:
         """Embed a CAESAR engine in every switch (as in Fabric)."""
-        for sid, slot in self.switches.items():
-            slot.cache_engine = factory(sid)
+        engines = (factory(sid) for sid in self.topo.switches())
+        self.cache_engines = [e for e in engines if e is not None]
+        self._engine_at = {e.switch_id: e for e in self.cache_engines}
 
     def _build(self) -> None:
         for sid in self.topo.switches():
@@ -299,8 +289,7 @@ class FlitNetwork:
         if worm.hooked_at == at:
             return False  # hooks already ran at this switch
         worm.hooked_at = at
-        slot = self.switches.get(at[1:])
-        engine = slot.cache_engine if slot is not None else None
+        engine = self._engine_at.get(at[1:])
         if engine is None:
             return False
         msg = worm.msg
@@ -347,8 +336,7 @@ class FlitNetwork:
                 dst=msg.dst,
                 addr=msg.addr,
                 flits=1,
-                payload={"requester": msg.src,
-                         "sc_version": data,
+                payload={"sc_version": data,
                          "proc": msg.payload.get("proc")},
                 transaction=msg.transaction,
             )

@@ -181,18 +181,28 @@ class Message:
 
 
 class MessagePool:
-    """Per-machine message identity: one private, reproducible id stream.
+    """Per-machine identity: private, reproducible id streams.
 
     Every protocol message drawn from one pool gets the next id in that
-    machine's stream, and its default flit count from its kind.
+    machine's message stream, and its default flit count from its kind.
+    Coherence transactions are numbered from a second stream of the same
+    pool (:meth:`next_txn_id`), so a run's trace does not depend on what
+    else the process has simulated.
     """
 
-    __slots__ = ("block_size", "_next_id", "_data_flits")
+    __slots__ = ("block_size", "_next_id", "_data_flits", "_next_txn_id")
 
     def __init__(self, block_size: int = 64, start_id: int = 0) -> None:
         self.block_size = block_size
         self._data_flits = 1 + block_size // FLIT_BYTES
         self._next_id = start_id
+        self._next_txn_id = 0
+
+    def next_txn_id(self) -> int:
+        """The next id in this pool's transaction stream."""
+        txn_id = self._next_txn_id
+        self._next_txn_id = txn_id + 1
+        return txn_id
 
     def make(
         self,

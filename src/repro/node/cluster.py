@@ -60,13 +60,7 @@ class ProcStack:
             node_id=proc_id,
         )
         self.write_buffer = WriteBuffer(config.write_buffer_entries, block)
-        self.processor = Processor(
-            sim, self,
-            l1_cycles=config.l1_hit_cycles,
-            l2_cycles=config.l2_hit_cycles,
-            quantum=config.quantum,
-            trace_values=config.trace_values,
-        )
+        self.processor = Processor(sim, self, config)
         self._wb_waiters: List[Callable[[], None]] = []
         self._draining = False
         self._drain_started = 0
@@ -123,12 +117,9 @@ class ProcStack:
         else:
             self.issue_write(block, self._drain_owned)
 
-    def _drain_owned(self, txn) -> None:
-        self._apply_store(
-            txn.addr if isinstance(txn, Transaction) else txn
-        )
-        if isinstance(txn, Transaction):
-            self.stats.record_write_txn(self.proc_id, txn)
+    def _drain_owned(self, txn: Transaction) -> None:
+        self._apply_store(txn.addr)
+        self.stats.record_write_txn(self.proc_id, txn)
         self._drain_done()
 
     def _apply_store(self, block: int) -> None:
@@ -214,7 +205,7 @@ class ClusterBus:
         start = self.wire.reserve(self.bus_cycles)
         self.sim.call_at(start + self.bus_cycles, self._execute, op)
 
-    def _complete(self, op: _BusOp, result=None) -> None:
+    def _complete(self, op: _BusOp, result: Transaction) -> None:
         del self._active[op.block]
         # promote the next queued op *before* running the callback: the
         # callback may resume a processor that synchronously submits a new
@@ -336,6 +327,7 @@ class ClusterBus:
             "read" if kind == "read" else "write",
             op.block, op.stack.proc_id, self.node.node_id,
             self.node.config.block_size, op.enqueued,
+            txn_id=self.node._pool.next_txn_id(),
         )
         txn.completed_at = self.sim.now
         txn.served_by = served_by

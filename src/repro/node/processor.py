@@ -54,6 +54,9 @@ Op = Tuple
 #: metaclass lookup per access)
 _SHARED = LineState.SHARED
 
+#: cycles a store takes to retire into the write buffer
+STORE_CYCLES = 1
+
 
 class Processor:
     """One in-order processor executing an operation stream."""
@@ -62,21 +65,16 @@ class Processor:
         self,
         sim: Simulator,
         node,  # ProcStack (late-bound to avoid an import cycle)
-        l1_cycles: int = 1,
-        l2_cycles: int = 10,
-        store_cycles: int = 1,
-        quantum: int = 500,
-        trace_values: bool = False,
+        config,  # SystemConfig (ditto)
     ) -> None:
         # keep under 30 instance attributes: from 30 on, CPython 3.11
         # gives each instance a 1.6 KB dict of its own (no shared keys)
         self.sim = sim
         self.node = node
-        self.l1_cycles = l1_cycles
-        self.l2_cycles = l2_cycles
-        self.store_cycles = store_cycles
-        self.quantum = quantum
-        self.trace_values = trace_values
+        self.l1_cycles = config.l1_hit_cycles
+        self.l2_cycles = config.l2_hit_cycles
+        self.quantum = config.quantum
+        self.trace_values = config.trace_values
         self.time = 0  # local clock (>= sim.now except never behind on entry)
         self.done = False
         self.finish_time: Optional[int] = None
@@ -205,7 +203,7 @@ class Processor:
         l1_shift = l1._block_shift
         tick = l1._tick
         l1_cycles = self.l1_cycles
-        store_cycles = self.store_cycles
+        store_cycles = STORE_CYCLES
         trace_values = self.trace_values
         value_trace = self.value_trace
         time = self.time

@@ -92,6 +92,27 @@ class SystemConfig:
             )
         if self.switch_cache_size < 0 or self.netcache_size < 0:
             raise ConfigError("cache sizes must be non-negative")
+        if self.switch_cache_size > 0:
+            # the CAESAR organization (repro.core.caesar); the engine's
+            # cache array checks its own size and associativity.  Banks
+            # are selected by masking the block number
+            if self.switch_cache_banks not in (1, 2, 4):
+                raise ConfigError(
+                    f"switch_cache_banks must be 1, 2 or 4, "
+                    f"got {self.switch_cache_banks}"
+                )
+            width = self.switch_cache_width_bits
+            block_bits = self.block_size * 8
+            if width <= 0 or width % 8 or block_bits % width:
+                raise ConfigError(
+                    f"switch_cache_width_bits must be a positive multiple "
+                    f"of 8 dividing the {block_bits}-bit block, got {width}"
+                )
+            for name in ("switch_cache_bypass_threshold",
+                         "switch_cache_deposit_threshold"):
+                value = getattr(self, name)
+                if value < 0:
+                    raise ConfigError(f"{name} must be >= 0, got {value}")
         stages = self.switch_cache_stages
         if stages is not None:
             # a stage the BMIN lacks (or no stage at all) would leave

@@ -20,8 +20,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..apps.opstream import compile_stream
 from ..cache.states import DirState
 from ..core.caesar import CaesarEngine
-from ..core.policy import CachingPolicy
-from ..core.switchcache import SwitchCacheGeometry
 from ..errors import DeadlockError, SimulationError
 from ..network.fabric import Fabric
 from ..network.flitref import FlitNetwork
@@ -99,7 +97,9 @@ class Machine:
                 pool=self.pool,
             )
         if config.switch_caches_enabled:
-            self._install_switch_caches()
+            self.fabric.install_cache_engines(
+                lambda switch_id: CaesarEngine(self.sim, switch_id, config)
+            )
         self.space = AddressSpace(config.num_nodes, config.block_size)
         self.stats = MachineStats(
             config.num_nodes * config.procs_per_node, metrics=metrics
@@ -133,29 +133,8 @@ class Machine:
             self.sanitizer.attach_machine(self)
 
     # ------------------------------------------------------------------
-    # construction helpers
+    # run-time callbacks
     # ------------------------------------------------------------------
-    def _install_switch_caches(self) -> None:
-        """Embed a CAESAR engine in every switch.  The engines share one
-        geometry and one policy: neither changes after construction."""
-        cfg = self.config
-        geometry = SwitchCacheGeometry(
-            size=cfg.switch_cache_size,
-            block_size=cfg.block_size,
-            assoc=cfg.switch_cache_assoc,
-            banks=cfg.switch_cache_banks,
-            output_width_bits=cfg.switch_cache_width_bits,
-            replacement=cfg.switch_cache_replacement,
-        )
-        policy = CachingPolicy(
-            bypass_threshold=cfg.switch_cache_bypass_threshold,
-            deposit_threshold=cfg.switch_cache_deposit_threshold,
-            enabled_stages=cfg.switch_cache_stages,
-        )
-        self.fabric.install_cache_engines(
-            lambda switch_id: CaesarEngine(self.sim, switch_id, geometry, policy)
-        )
-
     def sync_addr(self, kind: str, sync_id: int) -> int:
         """Block-aligned address of a synchronization variable."""
         key = (kind, sync_id)
@@ -186,10 +165,7 @@ class Machine:
         sc_blocks = 0
         sc_hits = 0
         sc_lookups = 0
-        for switch in self.fabric.switches.values():
-            engine = switch.cache_engine
-            if engine is None:
-                continue
+        for engine in self.fabric.cache_engines:
             occupancy = engine.occupancy()
             sc_blocks += occupancy
             sc_hits += engine.hits
@@ -407,10 +383,7 @@ class Machine:
             "lookups": 0, "hits": 0, "misses": 0, "bypasses": 0,
             "deposits": 0, "deposit_skips": 0, "snoops": 0, "purges": 0,
         }
-        for switch in self.fabric.switches.values():
-            engine = switch.cache_engine
-            if engine is None:
-                continue
+        for engine in self.fabric.cache_engines:
             for key in totals:
                 totals[key] += getattr(engine, key)
         return totals

@@ -148,15 +148,12 @@ class Sanitizer:
         entry = home.directory.peek(block)
         if entry is None:
             return
-        for switch in machine.fabric.switches.values():
-            engine = switch.cache_engine
-            if engine is None:
-                continue
+        for engine in machine.fabric.cache_engines:
             line = engine.array.probe(block)
             if line is not None and line.data > entry.version:
                 self.violation(
                     "switch",
-                    f"block {block:#x}: switch {switch.id} copy "
+                    f"block {block:#x}: switch {engine.switch_id} copy "
                     f"v{line.data} ahead of home image v{entry.version}",
                 )
 

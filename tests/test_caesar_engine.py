@@ -4,18 +4,17 @@ import random
 
 import pytest
 
-from repro.core.caesar import CaesarEngine
-from repro.core.policy import CachingPolicy
-from repro.core.switchcache import SwitchCacheGeometry
+from repro.core.caesar import TAG_CYCLES, CaesarEngine, data_cycles
 from repro.network.message import Message, MsgKind
 from repro.sim.engine import Simulator
 from repro.sim.resource import Timeline
+from repro.system.presets import switch_cache_config
 
 
-def make_engine(sim=None, policy=None, **geo_kw):
+def make_engine(sim=None, **config_kw):
+    """A stage-1 engine of a 16-node machine with 2 KB switch caches."""
     sim = sim if sim is not None else Simulator()
-    geo = SwitchCacheGeometry(size=2048, **geo_kw)
-    return CaesarEngine(sim, (1, 0), geo, policy=policy)
+    return CaesarEngine(sim, (1, 0), switch_cache_config(16, **config_kw))
 
 
 def reply(addr, data=1):
@@ -39,14 +38,14 @@ class TestDeposit:
         assert line is not None and line.data == 9
 
     def test_deposit_skipped_when_bank_backed_up(self):
-        engine = make_engine(policy=CachingPolicy(deposit_threshold=0))
+        engine = make_engine(switch_cache_deposit_threshold=0)
         engine.try_deposit(reply(0x40))
         # the first deposit occupied the data bank; the next must skip
         assert not engine.try_deposit(reply(0x80))
         assert engine.deposit_skips == 1
 
     def test_deposit_disabled_stage(self):
-        engine = make_engine(policy=CachingPolicy(enabled_stages={0, 2, 3}))
+        engine = make_engine(stages={0, 2, 3})
         # engine is at stage 1 which is excluded
         assert not engine.try_deposit(reply(0x40))
         assert engine.array.occupancy() == 0
@@ -72,7 +71,7 @@ class TestIntercept:
 
     def test_bypass_when_tag_port_congested(self):
         sim = Simulator()
-        engine = make_engine(sim, policy=CachingPolicy(bypass_threshold=0))
+        engine = make_engine(sim, switch_cache_bypass_threshold=0)
         engine.try_deposit(reply(0x40))
         # deposit reserved the tag port; a read arriving in the same cycle
         # sees backlog > 0 and bypasses rather than queueing
@@ -81,7 +80,8 @@ class TestIntercept:
         assert engine.lookups == 0
 
     def test_disabled_stage_never_intercepts(self):
-        engine = make_engine(policy=CachingPolicy(enabled_stages=set()))
+        # the engine's stage 1 lies outside the caching stages
+        engine = make_engine(stages={0})
         engine.try_deposit(reply(0x40))
         assert engine.try_intercept(read(0x40)) is None
 
@@ -102,8 +102,8 @@ class TestSnoop:
 
     def test_snoop_never_skipped_even_when_busy(self):
         sim = Simulator()
-        engine = make_engine(sim, policy=CachingPolicy(bypass_threshold=0,
-                                                       deposit_threshold=0))
+        engine = make_engine(sim, switch_cache_bypass_threshold=0,
+                             switch_cache_deposit_threshold=0)
         engine.try_deposit(reply(0x40))
         # ports are busy, yet the snoop must still purge (correctness)
         engine.snoop(inv(0x40))
@@ -135,14 +135,14 @@ class TestStats:
 
 class TestPolicy:
     def test_defaults_enable_all_stages(self):
-        policy = CachingPolicy()
+        config = switch_cache_config(16)
         for stage in range(4):
-            assert policy.stage_enabled(stage)
+            assert CaesarEngine(Simulator(), (stage, 0), config).enabled
 
     def test_should_check_threshold(self):
         # each miss holds the tag port one cycle; a read probes while the
         # backlog is at most the threshold and bypasses once it exceeds it
-        engine = make_engine(policy=CachingPolicy(bypass_threshold=4))
+        engine = make_engine(switch_cache_bypass_threshold=4)
         for _ in range(4):
             assert engine.try_intercept(read(0x40)) is None
         assert engine.tag_port.free_at() == 4  # backlog exactly 4
@@ -153,7 +153,7 @@ class TestPolicy:
 
     def test_should_deposit_threshold(self):
         sim = Simulator()
-        engine = make_engine(sim, policy=CachingPolicy(deposit_threshold=16))
+        engine = make_engine(sim, switch_cache_deposit_threshold=16)
         engine.try_deposit(reply(0x40))
         engine.try_deposit(reply(0x80))
         bank = engine.data_ports[0]
@@ -166,18 +166,18 @@ class TestPolicy:
         assert engine.deposits == 3
 
     def test_stage_filter(self):
-        policy = CachingPolicy(enabled_stages={2, 3})
-        assert not policy.stage_enabled(0)
-        assert policy.stage_enabled(3)
+        config = switch_cache_config(16, stages={2, 3})
+        assert not CaesarEngine(Simulator(), (0, 0), config).enabled
+        assert CaesarEngine(Simulator(), (3, 0), config).enabled
 
 
 class TestGrantLockstep:
-    """The hooks inline Timeline.reserve: fuzz them against the real one.
+    """Fuzz the hooks against a reference engine built from the ports.
 
-    A reference engine built from ``Timeline.reserve`` calls (a tag
-    grant, then, for a deposit or a hit, a data-bank grant no earlier
-    than the tag's end) must see the same ready times, bypasses, skips
-    and port counters as the hooks over the same fuzzed stream.
+    A reference built from ``Timeline.reserve`` calls (a tag grant,
+    then, for a deposit or a hit, a data-bank grant no earlier than the
+    tag's end) must see the same ready times, bypasses, skips and port
+    counters as the hooks over the same fuzzed stream.
     """
 
     @staticmethod
@@ -189,11 +189,13 @@ class TestGrantLockstep:
     def test_hooks_match_timeline_reserve(self, seed, banks):
         rng = random.Random(seed)
         sim = Simulator()
-        geo = SwitchCacheGeometry(size=512, banks=banks,
-                                  output_width_bits=rng.choice((64, 128)))
-        policy = CachingPolicy(bypass_threshold=rng.randrange(0, 3),
-                               deposit_threshold=rng.randrange(0, 20))
-        engine = CaesarEngine(sim, (1, 0), geo, policy=policy)
+        config = switch_cache_config(
+            16, size=512, banks=banks, width_bits=rng.choice((64, 128)),
+            switch_cache_bypass_threshold=rng.randrange(0, 3),
+            switch_cache_deposit_threshold=rng.randrange(0, 20),
+        )
+        engine = CaesarEngine(sim, (1, 0), config)
+        stream = data_cycles(64, config.switch_cache_width_bits)
         tag = Timeline(sim, "ref.tag")
         data = [Timeline(sim, f"ref.data{b}") for b in range(banks)]
         for _ in range(200):
@@ -203,20 +205,22 @@ class TestGrantLockstep:
             bank = data[(addr // 64) % banks]
             kind = rng.choice(("deposit", "read", "inv"))
             if kind == "deposit":
-                want = bank.free_at() - sim.now <= policy.deposit_threshold
+                threshold = config.switch_cache_deposit_threshold
+                want = bank.free_at() - sim.now <= threshold
                 if want:
-                    tag_done = tag.reserve(geo.tag_cycles) + geo.tag_cycles
-                    bank.reserve(geo.data_cycles, earliest=tag_done)
+                    tag_done = tag.reserve(TAG_CYCLES) + TAG_CYCLES
+                    bank.reserve(stream, earliest=tag_done)
                 assert engine.try_deposit(reply(addr)) == want
             elif kind == "read":
-                checked = tag.free_at() - sim.now <= policy.bypass_threshold
+                threshold = config.switch_cache_bypass_threshold
+                checked = tag.free_at() - sim.now <= threshold
                 want = None
                 if checked:
-                    tag_done = tag.reserve(geo.tag_cycles) + geo.tag_cycles
+                    tag_done = tag.reserve(TAG_CYCLES) + TAG_CYCLES
                     line = engine.array.probe(addr)  # no LRU side effect
                     if line is not None:
-                        start = bank.reserve(geo.data_cycles, earliest=tag_done)
-                        want = (line.data, start + geo.data_cycles)
+                        start = bank.reserve(stream, earliest=tag_done)
+                        want = (line.data, start + stream)
                 assert engine.try_intercept(read(addr)) == want
             else:
                 engine.snoop(inv(addr))

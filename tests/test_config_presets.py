@@ -71,6 +71,25 @@ class TestValidation:
         with pytest.raises(ConfigError, match=field):
             SystemConfig(**{field: value})
 
+    # each of these used to construct and then fail inside Machine (a
+    # bank count or width) or run with a threshold no engine can meet
+    @pytest.mark.parametrize("field, value", [
+        ("switch_cache_banks", 3),
+        ("switch_cache_width_bits", 48),
+        ("switch_cache_width_bits", 60),
+        ("switch_cache_bypass_threshold", -1),
+        ("switch_cache_deposit_threshold", -1),
+    ])
+    def test_bad_caesar_organization_rejected_at_construction(
+        self, field, value
+    ):
+        with pytest.raises(ConfigError, match=field):
+            SystemConfig(switch_cache_size=2048, **{field: value})
+
+    def test_caesar_fields_unchecked_without_switch_caches(self):
+        # no engine is built, so the organization is not checked
+        assert SystemConfig(switch_cache_banks=3).label() == "base"
+
     def test_zero_latencies_allowed(self):
         cfg = SystemConfig(l1_hit_cycles=0, switch_delay=0, cycles_per_flit=1,
                            write_buffer_entries=1)

@@ -10,6 +10,7 @@ import pytest
 from repro.apps import GaussianElimination, UniformRandom
 from repro.system.config import SystemConfig
 from repro.system.machine import Machine
+from repro.trace import Tracer
 
 
 def snapshot(stats):
@@ -37,6 +38,20 @@ CONFIGS = {
                                switch_cache_size=512,
                                switch_cache_replacement="random"),
 }
+
+
+def test_traced_runs_write_identical_traces():
+    # transaction ids are numbered per machine, so a second traced run
+    # in the same process writes the same trace, txn ids included
+    traces = []
+    for _ in range(2):
+        tracer = Tracer()
+        machine = Machine(SystemConfig(**CONFIGS["switch-cache"]),
+                          tracer=tracer)
+        machine.run(GaussianElimination(n=8))
+        traces.append(tracer.events)
+    assert any("txn" in event.get("args", {}) for event in traces[0])
+    assert traces[0] == traces[1]
 
 
 @pytest.mark.parametrize("label", sorted(CONFIGS))

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.core.caesar import CaesarEngine
-from repro.core.policy import CachingPolicy
-from repro.core.switchcache import SwitchCacheGeometry
 from repro.errors import NetworkError
 from repro.network.fabric import Fabric
 from repro.network.message import Message, MsgKind, flits_for
@@ -22,7 +20,7 @@ def make_fabric(n=16, with_caches=False):
         fabric.attach_node(node, lambda m, nid=node: inbox[nid].append(m))
     if with_caches:
         fabric.install_cache_engines(
-            lambda sid: CaesarEngine(sim, sid, SwitchCacheGeometry(size=2048))
+            lambda sid: CaesarEngine(sim, sid, switch_cache_config(n))
         )
     return sim, fabric, inbox
 
@@ -122,7 +120,7 @@ class TestSwitchCacheIntegration:
         # the original request arrived at the home as a DIR_UPDATE
         updates = [m for m in inbox[15] if m.kind is MsgKind.DIR_UPDATE]
         assert updates == [request]
-        assert request.payload["requester"] == 1
+        assert request.src == 1
 
     def test_inv_purges_deposited_copies(self):
         sim, fabric, inbox = make_fabric(with_caches=True)
@@ -315,8 +313,7 @@ class TestHopHandlers:
         sim, fabric, inbox = make_fabric()
         fabric.install_cache_engines(
             lambda sid: CaesarEngine(
-                sim, sid, SwitchCacheGeometry(size=2048),
-                CachingPolicy(enabled_stages={2, 3}),
+                sim, sid, switch_cache_config(16, stages={2, 3}),
             )
         )
         send(fabric, MsgKind.DATA_S, 15, 0, addr=0x80, data=3)
@@ -334,8 +331,7 @@ class TestHopHandlers:
         fabric = Fabric(sim, BminTopology(16))
         fabric.install_cache_engines(
             lambda sid: None if sid[0] == 3 else CaesarEngine(
-                sim, sid, SwitchCacheGeometry(size=2048),
-                CachingPolicy(enabled_stages={1}),
+                sim, sid, switch_cache_config(16, stages={1}),
             )
         )
         for (stage, _row), switch in fabric.switches.items():

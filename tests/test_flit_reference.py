@@ -12,12 +12,12 @@ same microbenchmark workloads on both models and check the claim:
 import pytest
 
 from repro.core.caesar import CaesarEngine
-from repro.core.switchcache import SwitchCacheGeometry
 from repro.network.fabric import Fabric
 from repro.network.flitref import FlitNetwork
 from repro.network.message import Message, MessagePool, MsgKind, flits_for
 from repro.network.topology import BminTopology
 from repro.sim.engine import Simulator
+from repro.system.presets import switch_cache_config
 
 
 def run_workload(model_cls, traffic, n=16):
@@ -159,7 +159,7 @@ class TestSwitchReplyLength:
             network.attach_node(node, inbox[node].append)
         network.install_cache_engines(
             lambda sid: CaesarEngine(
-                sim, sid, SwitchCacheGeometry(size=2048, block_size=32)
+                sim, sid, switch_cache_config(16, block_size=32)
             )
         )
         data_flits = flits_for(MsgKind.DATA_S, 32)
@@ -257,8 +257,8 @@ class TestEndToEndFlitMode:
 
         machine = Machine(SystemConfig(num_nodes=4, network_model="flit",
                                        switch_cache_size=512))
-        engines = [slot.cache_engine
-                   for slot in machine.fabric.switches.values()]
+        engines = machine.fabric.cache_engines
+        assert len(engines) == 4  # 2 stages x 2 rows
         assert all(e is not None for e in engines)
 
     def test_bad_network_model_rejected(self):

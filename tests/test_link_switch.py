@@ -184,7 +184,7 @@ class TestGrantLockstep:
         and a plain one, so each per-kind hop callback takes its turn.
         """
         from repro.core.caesar import CaesarEngine
-        from repro.core.switchcache import SwitchCacheGeometry
+        from repro.system.presets import switch_cache_config
         from repro.verify.sanitize import (
             SanitizedFabric,
             SanitizedSimulator,
@@ -203,7 +203,7 @@ class TestGrantLockstep:
         kinds = [MsgKind.READ]
         if caches:
             fabric.install_cache_engines(
-                lambda sid: CaesarEngine(sim, sid, SwitchCacheGeometry())
+                lambda sid: CaesarEngine(sim, sid, switch_cache_config(4))
             )
             kinds = [MsgKind.DATA_S, MsgKind.INV, MsgKind.READ,
                      MsgKind.DATA_X]

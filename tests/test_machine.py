@@ -26,11 +26,21 @@ class TestAssembly:
         assert all(s.cache_engine is not None for s in sc.fabric.switches.values())
 
     def test_switch_caches_share_geometry_and_policy(self):
-        machine = Machine(switch_cache_config(16))
-        engines = [s.cache_engine for s in machine.fabric.switches.values()]
+        # every engine is built from the machine's one config, and the
+        # fabric lists them in switch order
+        machine = Machine(switch_cache_config(
+            16, size=1024, banks=2, switch_cache_deposit_threshold=8,
+        ))
+        engines = machine.fabric.cache_engines
+        assert engines == [
+            s.cache_engine for s in machine.fabric.switches.values()
+        ]
         assert len(engines) == 32
-        assert len({id(e.geo) for e in engines}) == 1
-        assert len({id(e.policy) for e in engines}) == 1
+        assert {
+            (e.array.size, len(e.data_ports), e._bypass_threshold,
+             e._deposit_threshold, e.enabled)
+            for e in engines
+        } == {(1024, 2, 4, 8, True)}
 
     def test_netcache_installed_only_when_enabled(self):
         base = Machine(tiny_config())

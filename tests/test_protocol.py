@@ -273,7 +273,7 @@ class TestMessageAccounting:
         assert machine.sim.pending == 0
         assert (machine.fabric.stats.msgs_injected
                 == machine.fabric.stats.msgs_delivered
-                + machine.fabric.stats.switch_replies)
+                + machine.fabric.stats.switch_hits)
 
     def test_outstanding_mshrs_empty_at_end(self):
         machine, _stats = run_scripted(

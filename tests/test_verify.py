@@ -70,8 +70,7 @@ def _bad_dir_update(monkeypatch):
 
     def register_anyway(self, txn):
         self.dir_updates += 1
-        requester = txn.msg.payload.get("requester", txn.msg.src)
-        self.directory.add_sharer(txn.block, requester)
+        self.directory.add_sharer(txn.block, txn.requester)
         self.sim.call(DIR_CYCLES, self._complete, txn)
 
     monkeypatch.setattr(HomeController, "_start_dir_update", register_anyway)
