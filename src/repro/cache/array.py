@@ -39,6 +39,34 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+def check_geometry(
+    size: int, block_size: int, assoc: int, name: str = "cache"
+) -> int:
+    """Validate a set-associative geometry; returns its set count.
+
+    ``block_size`` and the set count must be powers of two (blocks and
+    sets are selected by masking) and ``size`` a positive multiple of
+    ``block_size * assoc``.  :class:`CacheArray` and
+    :class:`~repro.system.config.SystemConfig` share this one check, so
+    a config that constructs builds every cache its machine asks for.
+    """
+    if block_size <= 0 or not _is_power_of_two(block_size):
+        raise ConfigError(
+            f"{name} block_size must be a power of two, got {block_size}"
+        )
+    if assoc <= 0:
+        raise ConfigError(f"{name} assoc must be positive, got {assoc}")
+    if size <= 0 or size % (block_size * assoc) != 0:
+        raise ConfigError(
+            f"{name} size {size} not a multiple of block_size*assoc "
+            f"({block_size}*{assoc})"
+        )
+    num_sets = size // (block_size * assoc)
+    if not _is_power_of_two(num_sets):
+        raise ConfigError(f"{name} set count {num_sets} is not a power of two")
+    return num_sets
+
+
 #: hoisted decode table and codes (module-level lookups in hot methods)
 _DECODE = LINE_STATE_BY_CODE
 _CODE_SHARED = LineState.SHARED.code
@@ -139,18 +167,7 @@ class CacheArray:
         self.replacement = replacement
         self._lru = replacement == "lru"  # hot-path flag (no str compare)
         self._rng = _random.Random(seed) if replacement == "random" else None
-        if block_size <= 0 or not _is_power_of_two(block_size):
-            raise ConfigError(f"block_size must be a power of two, got {block_size}")
-        if assoc <= 0:
-            raise ConfigError(f"assoc must be positive, got {assoc}")
-        if size <= 0 or size % (block_size * assoc) != 0:
-            raise ConfigError(
-                f"cache size {size} not a multiple of block_size*assoc "
-                f"({block_size}*{assoc})"
-            )
-        num_sets = size // (block_size * assoc)
-        if not _is_power_of_two(num_sets):
-            raise ConfigError(f"set count {num_sets} is not a power of two")
+        num_sets = check_geometry(size, block_size, assoc, name or "cache")
         self.size = size
         self.block_size = block_size
         self.assoc = assoc

@@ -32,13 +32,12 @@ switch on, which is exactly the request's traversed prefix, reversed.
 Each worm's per-hop callback is chosen once, when it enters the fabric
 (DESIGN.md §10.4): :meth:`Fabric._hop` (grant only), ``_hop_snoop``,
 ``_hop_deposit`` or ``_hop_intercept`` by kind, or :meth:`Fabric._arrive`
-when the route trace is recorded (tracing or SCSan).  Every one of them
-ends in ``_hop``, the one inlined copy of the link grant arithmetic.
+when a tracer is attached.  Every one of them ends in ``_hop``, the one
+inlined copy of the link grant arithmetic.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -79,7 +78,6 @@ class FabricStats:
 
     __slots__ = (
         "msgs_injected", "msgs_delivered", "flits_injected", "switch_hits",
-        "hits_by_stage",
     )
 
     def __init__(self) -> None:
@@ -89,12 +87,6 @@ class FabricStats:
         # each hit sends one switch reply and turns its READ into one
         # DIR_UPDATE, so this one counter counts all three
         self.switch_hits = 0
-        # defaultdict: the hot recording path is a bare increment
-        self.hits_by_stage: Dict[int, int] = defaultdict(int)
-
-    def record_switch_hit(self, stage: int) -> None:
-        self.switch_hits += 1
-        self.hits_by_stage[stage] += 1
 
 
 class Fabric:
@@ -103,7 +95,7 @@ class Fabric:
     __slots__ = (
         "sim", "topo", "switch_delay", "cycles_per_flit", "stats",
         "switches", "_inject_links", "_handlers", "_tracer", "_routes",
-        "pool", "_record_route", "_hop_fns", "cache_engines",
+        "pool", "_hop_fns", "cache_engines",
     )
 
     def __init__(
@@ -124,11 +116,6 @@ class Fabric:
         # captured once: Machine installs the tracer on the simulator
         # before any component is built, and never swaps it mid-run
         self._tracer = sim.tracer
-        # the per-hop route trace costs one list append per hop on the
-        # hottest path; it only feeds the tracer's hop attribution and
-        # test introspection, so it is recorded only when tracing (or,
-        # via SanitizedFabric, sanitizing) is enabled.
-        self._record_route = sim.tracer is not None
         self.topo = topology
         self.switch_delay = switch_delay
         self.cycles_per_flit = cycles_per_flit
@@ -227,7 +214,7 @@ class Fabric:
         until :meth:`_serve_from_switch` rewrites a READ in flight (both
         worms it leaves pick again through :meth:`_forward`).
         """
-        if self._record_route:
+        if self._tracer is not None:
             fn = self._arrive
         else:
             fn = self._hop_fns[msg.kind.code]
@@ -329,17 +316,18 @@ class Fabric:
         self._hop(msg, hop)
 
     def _arrive(self, msg: Message, hop: int) -> None:
-        """The recorded hop (tracing or SCSan): log it, then hook and grant.
+        """The traced hop: emit the tracer's ``hop`` instant, then hook
+        and grant.
 
         Runs the same per-kind callback an untraced worm takes, so a
         traced run grants, deposits and serves exactly as an untraced one.
         """
-        switch = msg.hops[hop][0]
-        msg.trace.append(switch.id)
+        # _pick_hop picks this hop only with a tracer attached; the guard
+        # marks the args dict as traced-only for the P-ALLOC gate
         tracer = self._tracer
         if tracer is not None:
             tracer.instant(
-                switch.trace_track, "hop", self.sim.now,
+                msg.hops[hop][0].trace_track, "hop", self.sim.now,
                 {"msg": msg.id, "kind": msg.kind.value, "addr": msg.addr},
             )
         self._hop_fns[msg.kind.code](msg, hop)
@@ -415,7 +403,7 @@ class Fabric:
         """A READ hit in ``switch``'s cache: reply + directory update."""
         now = self.sim.now
         stage = switch.stage
-        self.stats.record_switch_hit(stage)
+        self.stats.switch_hits += 1
         tracer = self._tracer
         if tracer is not None:
             tracer.instant(
@@ -459,8 +447,6 @@ class Fabric:
         # symmetry that is the tail of the home-to-requester route, from
         # the serving switch on
         hops = reply.hops = self.route(msg.dst, msg.src)
-        if self._record_route:
-            reply.trace.append(switch.id)
         self._forward(reply, len(hops) - 1 - hop, header_at=ready_at)
         # the request continues to the home as a 1-flit directory update;
         # it carries the version the switch served so the home can detect

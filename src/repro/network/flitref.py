@@ -196,7 +196,7 @@ class FlitNetwork:
     def _schedule_pump(self) -> None:
         if not self._pump_scheduled:
             self._pump_scheduled = True
-            self.sim.schedule(1, self._pump)
+            self.sim.call(1, self._pump)
 
     def _pump(self) -> None:
         self._pump_scheduled = False
@@ -309,7 +309,7 @@ class FlitNetwork:
             data, ready_at = served
             # consume the 1-flit request at this switch
             vc.popleft()
-            self.stats.record_switch_hit(at[1])
+            self.stats.switch_hits += 1
             index = worm.hops.index(at)
             # reply retraces the traversed prefix back to the source
             reply = self.pool.make(

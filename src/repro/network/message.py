@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 
 class MsgKind(enum.Enum):
@@ -57,9 +57,6 @@ class MsgKind(enum.Enum):
     RECALL_X = "recall_x"      # home -> owner: invalidate and return data
     RECALL_REPLY = "recall_reply"  # owner -> home: recalled data
     WRITEBACK = "writeback"    # owner -> home: evicted dirty block
-    # writebacks are currently fire-and-forget; WB_ACK is reserved for an
-    # acknowledged-writeback variant  # repro: allow[F-DEAD]
-    WB_ACK = "wb_ack"          # home -> owner
     # the switch-cache bookkeeping message: a READ served by a switch cache
     # continues to the home node as this 1-flit directory update
     DIR_UPDATE = "dir_update"
@@ -110,9 +107,7 @@ class Message:
     """One worm in flight.
 
     ``hops`` is the worm's resolved route, ``((switch, out_link), ...)``,
-    set by the fabric when the worm enters it.  ``trace`` accumulates the
-    (stage, row) of every switch the header has traversed, recorded only
-    when a tracer or the sanitizer asks for it.
+    set by the fabric when the worm enters it.
     """
 
     __slots__ = (
@@ -127,7 +122,6 @@ class Message:
         "created_at",
         "injected_at",
         "delivered_at",
-        "trace",
         "hops",
         "on_hop",
         "transaction",
@@ -156,7 +150,6 @@ class Message:
         self.created_at: int = -1
         self.injected_at: int = -1
         self.delivered_at: int = -1
-        self.trace: List[Tuple[int, int]] = []
         # the route resolved to ((switch, out-link), ...) hop objects by
         # the fabric at injection, so per-hop forwarding is pure indexing
         self.hops: Optional[Tuple[Any, ...]] = None

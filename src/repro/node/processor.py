@@ -107,7 +107,7 @@ class Processor:
     def start(self, chunks: Iterable[List[int]]) -> None:
         """Begin executing an integer-coded chunk stream (DESIGN.md §13)."""
         self._chunks = iter(chunks)
-        self.sim.schedule(0, self._resume)
+        self.sim.call(0, self._resume)
 
     def _resume(self) -> None:
         """(Re-)enter the execution loop at global time."""
@@ -364,7 +364,7 @@ class Processor:
                 node.wait_wb_change(check)
 
         if self.time > self.sim.now:
-            self.sim.at(self.time, check)
+            self.sim.call_at(self.time, check)
         else:
             check()
 
@@ -379,7 +379,7 @@ class Processor:
         hierarchy = node.hierarchy
         if hierarchy.l2.lookup_state(addr) >= CODE_EXCLUSIVE:
             hierarchy.perform_write(addr, hierarchy.l2.probe_data(addr) + 1)
-            self.sim.schedule(2, then)
+            self.sim.call(2, then)
         else:
             def owned(txn: Transaction) -> None:
                 hierarchy.perform_write(addr, hierarchy.l2.probe_data(addr) + 1)

@@ -56,7 +56,7 @@ class BarrierManager:
                     {"barrier": barrier_id, "procs": len(released)},
                 )
             for _node, fn in released:
-                self.sim.schedule(self.wakeup_cycles, fn)
+                self.sim.call(self.wakeup_cycles, fn)
 
     def waiting_at(self, barrier_id: int) -> int:
         return len(self._waiting.get(barrier_id, []))
@@ -79,7 +79,7 @@ class LockManager:
         self.acquires += 1
         if lock_id not in self._holder:
             self._holder[lock_id] = node_id
-            self.sim.schedule(0, resume)
+            self.sim.call(0, resume)
         else:
             self.contended_acquires += 1
             self._queue.setdefault(lock_id, deque()).append((node_id, resume))
@@ -102,7 +102,7 @@ class LockManager:
                     "sync", "lock_handoff", self.sim.now,
                     {"lock": lock_id, "from": node_id, "to": next_node},
                 )
-            self.sim.schedule(self.handoff_cycles, resume)
+            self.sim.call(self.handoff_cycles, resume)
         else:
             del self._holder[lock_id]
 

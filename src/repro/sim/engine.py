@@ -48,8 +48,7 @@ class Simulator:
         sim.call(4, port.grant, msg)            # relative delay, no lambda
         sim.call_at(sim.now + latency, self._finish, txn)
 
-    (``schedule``/``at`` remain as zero-argument conveniences.)  The
-    engine never advances past ``horizon`` (if set): events beyond it
+    The engine never advances past ``horizon`` (if set): events beyond it
     stay queued, and the run loops return instead of firing them.
     """
 
@@ -75,16 +74,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: int, callback: Callback) -> None:
-        """Schedule ``callback`` to fire ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self.call_at(self.now + delay, callback)
-
-    def at(self, time: int, callback: Callback) -> None:
-        """Schedule ``callback`` at absolute cycle ``time`` (>= now)."""
-        self.call_at(time, callback)
-
     def call(self, delay: int, fn: Callback, *args: Any) -> None:
         """Schedule ``fn(*args)`` ``delay`` cycles from now, closure-free."""
         if delay < 0:
@@ -96,6 +85,8 @@ class Simulator:
 
         ``Fabric._hop`` inlines this push for the next hop of a worm;
         keep the two in lockstep (sequence number, peak, past check).
+        They are the only pushes onto the heap, so their past check is
+        what keeps the clock from ever moving backwards.
         """
         if time < self.now:
             raise SimulationError(

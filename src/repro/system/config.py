@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Set
 
+from ..cache.array import check_geometry
 from ..errors import ConfigError
 from ..network.topology import stage_count
 
@@ -92,10 +93,21 @@ class SystemConfig:
             )
         if self.switch_cache_size < 0 or self.netcache_size < 0:
             raise ConfigError("cache sizes must be non-negative")
+        # every cache the machine builds must have a buildable geometry
+        block = self.block_size
+        check_geometry(self.l1_size, block, self.l1_assoc, "l1")
+        check_geometry(self.l2_size, block, self.l2_assoc, "l2")
+        if self.netcache_size > 0:
+            check_geometry(
+                self.netcache_size, block, self.netcache_assoc, "netcache"
+            )
         if self.switch_cache_size > 0:
-            # the CAESAR organization (repro.core.caesar); the engine's
-            # cache array checks its own size and associativity.  Banks
-            # are selected by masking the block number
+            check_geometry(
+                self.switch_cache_size, block, self.switch_cache_assoc,
+                "switch_cache",
+            )
+            # the CAESAR organization (repro.core.caesar).  Banks are
+            # selected by masking the block number
             if self.switch_cache_banks not in (1, 2, 4):
                 raise ConfigError(
                     f"switch_cache_banks must be 1, 2 or 4, "

@@ -15,7 +15,10 @@ directory, and directory ownership must be exact.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from functools import partial
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union,
+)
 
 from ..apps.opstream import compile_stream
 from ..cache.states import DirState
@@ -35,6 +38,7 @@ from .config import SystemConfig
 if TYPE_CHECKING:
     from ..trace.metrics import MetricsRegistry
     from ..trace.tracer import Tracer
+    from ..verify.sanitize import Sanitizer
 
 
 class Machine:
@@ -51,51 +55,31 @@ class Machine:
         self.metrics = metrics
         if sanitize is None:
             sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
-        if sanitize:
-            from ..verify.sanitize import (
-                SanitizedFabric,
-                SanitizedSimulator,
-                Sanitizer,
-            )
-
-            self.sanitizer: Optional[Sanitizer] = Sanitizer()
-            self.sim: Simulator = SanitizedSimulator(self.sanitizer)
-        else:
-            self.sanitizer = None
-            self.sim = Simulator()
+        self.sim = Simulator()
         # installed before any component is built, so every hook sees it
         self.sim.tracer = tracer
         # one message pool per machine: a single message-id stream shared
         # by the fabric and every controller
         self.pool = MessagePool(config.block_size)
         self.topology = BminTopology(config.num_nodes)
+        self.sanitizer: Optional[Sanitizer] = None
+        fabric_cls: Callable[..., Union[Fabric, FlitNetwork]] = Fabric
+        if sanitize:
+            from ..verify.sanitize import SanitizedFabric, Sanitizer
+
+            self.sanitizer = Sanitizer()
+            fabric_cls = partial(SanitizedFabric, self.sanitizer)
         if config.network_model == "flit":
-            # the flit-granularity reference model has no sanitized
-            # variant; SCSan still covers engine, coherence, and sync
-            self.fabric = FlitNetwork(
-                self.sim,
-                self.topology,
-                cycles_per_flit=config.cycles_per_flit,
-                switch_delay=config.switch_delay,
-                pool=self.pool,
-            )
-        elif self.sanitizer is not None:
-            self.fabric = SanitizedFabric(
-                self.sanitizer,
-                self.sim,
-                self.topology,
-                switch_delay=config.switch_delay,
-                cycles_per_flit=config.cycles_per_flit,
-                pool=self.pool,
-            )
-        else:
-            self.fabric = Fabric(
-                self.sim,
-                self.topology,
-                switch_delay=config.switch_delay,
-                cycles_per_flit=config.cycles_per_flit,
-                pool=self.pool,
-            )
+            # the flit-granularity reference model has no ledger; SCSan
+            # still covers coherence and sync
+            fabric_cls = FlitNetwork
+        self.fabric = fabric_cls(
+            self.sim,
+            self.topology,
+            switch_delay=config.switch_delay,
+            cycles_per_flit=config.cycles_per_flit,
+            pool=self.pool,
+        )
         if config.switch_caches_enabled:
             self.fabric.install_cache_engines(
                 lambda switch_id: CaesarEngine(self.sim, switch_id, config)
@@ -188,7 +172,7 @@ class Machine:
                 tracer.counter(f"home{node.node_id}", "mem_backlog", now,
                                backlog)
         if self._done_count < self.num_procs:
-            self.sim.schedule(metrics.sample_interval, self._sample_metrics)
+            self.sim.call(metrics.sample_interval, self._sample_metrics)
 
     # ------------------------------------------------------------------
     # processor/node helpers
@@ -219,7 +203,7 @@ class Machine:
             stack.processor.start(compile_stream(app, stack.proc_id, self))
         metrics = self.metrics
         if metrics is not None and metrics.sample_interval:
-            self.sim.schedule(metrics.sample_interval, self._sample_metrics)
+            self.sim.call(metrics.sample_interval, self._sample_metrics)
         self.sim.horizon = max_cycles
         if self._done_count < self._num_procs:
             self.sim.run_until_stop()

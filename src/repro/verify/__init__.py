@@ -23,8 +23,8 @@ explorer smoke, aggregated exit code).  The individual analyzers:
   layer hooked into :class:`~repro.system.machine.Machine`
   (``--sanitize`` on the CLIs, ``REPRO_SANITIZE=1`` in the
   environment) that re-checks the same invariants during live
-  simulation plus flit conservation, event-time monotonicity, and
-  write-buffer drain-before-release ordering.
+  simulation plus flit conservation and write-buffer
+  drain-before-release ordering.
 """
 
 from .framework import (
@@ -37,7 +37,7 @@ from .framework import (
     run_rules,
 )
 from .explore import Exploration, Failure, explore
-from .sanitize import SanitizedFabric, SanitizedSimulator, Sanitizer
+from .sanitize import SanitizedFabric, Sanitizer
 
 __all__ = [
     "AnalysisContext",
@@ -47,7 +47,6 @@ __all__ = [
     "Report",
     "Rule",
     "SanitizedFabric",
-    "SanitizedSimulator",
     "Sanitizer",
     "all_rules",
     "explore",

@@ -28,7 +28,7 @@ Four structural rules ride along:
   simulator's profile.  Enums, exceptions and dataclasses are exempt,
   by the same test P-NOSLOTS uses.
 * **L (lambda scheduling)** — scheduling a ``lambda`` through
-  ``sim.schedule``/``at``/``call``/``call_at`` allocates a function
+  ``sim.call``/``call_at`` allocates a function
   object and closure cells per event, where the engine queues ``fn`` +
   ``args`` directly (DESIGN.md §9): ``sim.call(delay, self._finish, txn)``.
 * **B (bitmask sharers)** — coherence modules must not declare
@@ -102,7 +102,7 @@ HOST_ENTROPY_CALLS = frozenset({
 _SET_OPERATORS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 
 #: scheduling methods whose callback argument must not be a lambda (rule L)
-SCHEDULING_METHODS = frozenset({"schedule", "at", "call", "call_at"})
+SCHEDULING_METHODS = frozenset({"call", "call_at"})
 
 #: annotation heads that make a sharer field set-typed (rule B)
 _SET_TYPES = frozenset({"Set", "set", "FrozenSet", "frozenset", "MutableSet"})

@@ -52,7 +52,7 @@ HOT_REGIONS: Dict[str, FrozenSet[str]] = {
         "Simulator.run_until_stop",
     }),
     # the per-worm hop path: injection, the per-kind hop callbacks and
-    # their shared grant (_hop), the recorded hop, delivery
+    # their shared grant (_hop), the traced hop, delivery
     "network/fabric.py": frozenset({
         "Fabric.inject", "Fabric._pick_hop", "Fabric._hop",
         "Fabric._hop_snoop", "Fabric._hop_deposit", "Fabric._hop_intercept",

@@ -50,7 +50,6 @@ LANE_BY_KIND: Dict[str, str] = {
     "UPGR_ACK": "reply",
     "INV_ACK": "reply",
     "RECALL_REPLY": "reply",
-    "WB_ACK": "reply",
 }
 
 

@@ -11,7 +11,6 @@ scripted races), plus the kernel-level properties beneath them:
 * **Flit conservation** — every worm injected into (or fabricated
   inside) the fabric is delivered exactly once; nothing is dropped or
   duplicated.  Checked with a ledger keyed on message identity.
-* **Engine integrity** — event times never move the clock backwards.
 * **Drain-before-release** — a processor arriving at a barrier or
   releasing a lock must have an empty write buffer (the fence semantics
   :mod:`repro.node.processor` promises).
@@ -25,35 +24,40 @@ environment (the pytest hook).  Violations raise
 :class:`~repro.errors.SanitizerError` at the detection point, so the
 offending event is at the top of the traceback.
 
+SCSan is an overlay, not a second implementation: a sanitized machine
+runs the plain :class:`~repro.sim.engine.Simulator` and the fabric's
+own per-hop callbacks.  The ledger lives in a :class:`Fabric` subclass
+that wraps only injection, mid-fabric entry and delivery; the other
+checks wrap the NIs' dispatchers and the sync managers.  That event
+times never move the clock backwards needs no check here: every push
+onto the event heap (``Simulator.call_at`` and its inlined copy in
+``Fabric._hop``) rejects a past time.
+
 The fabric ledger covers the message-granularity :class:`Fabric`; the
 flit-granularity reference model (``network_model="flit"``) runs with
-the coherence, engine, and sync checks only.
+the coherence and sync checks only.
 """
 
 from __future__ import annotations
 
-from heapq import heappop
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from ..errors import SanitizerError
 from ..network.fabric import Fabric
 from ..network.message import Message
-from ..sim.engine import Callback, Simulator
 
 
 class Sanitizer:
     """Shared state for one machine's runtime checks.
 
-    One instance is threaded through the sanitized engine, the sanitized
-    fabric, and the wrappers installed on the machine's NIs and sync
-    managers.  ``violations`` keeps everything detected (for reporting);
-    detection also raises immediately so the failing event is on the
-    stack.
+    One instance is shared by the sanitized fabric and the wrappers
+    installed on the machine's NIs and sync managers.  ``violations``
+    keeps everything detected (for reporting); detection also raises
+    immediately so the failing event is on the stack.
     """
 
     def __init__(self) -> None:
         self.violations: List[str] = []
-        self.events_checked = 0
         self.deliveries_checked = 0
         self.sync_checks = 0
         self._machine = None
@@ -186,65 +190,6 @@ class Sanitizer:
             )
 
 
-class SanitizedSimulator(Simulator):
-    """Engine overlay: a monotonic-clock check on every fired event.
-
-    Re-implements the run loops in terms of a checked single step.  The
-    base class inlines these loops for speed; the sanitized variant
-    trades that for a check per event, preserving the exact semantics
-    of :meth:`Simulator.run` and :meth:`Simulator.run_until_stop` (the
-    machine's main loop): events after ``until`` or the horizon stay
-    queued.
-    """
-
-    def __init__(self, sanitizer: Sanitizer,
-                 horizon: Optional[int] = None) -> None:
-        super().__init__(horizon)
-        self._san = sanitizer
-
-    # -- checked firing -------------------------------------------------
-    def _fire(self, time: int, fn: Callback, args: Tuple[Any, ...]) -> None:
-        san = self._san
-        if time < self.now:
-            san.violation(
-                "engine",
-                f"event t={time} would move the clock backwards "
-                f"from {self.now}",
-            )
-        self.now = time
-        self._events_fired += 1
-        san.events_checked += 1
-        fn(*args)
-
-    def _step(self, limit: Optional[int]) -> bool:
-        heap = self._heap
-        if not heap or (limit is not None and heap[0][0] > limit):
-            return False
-        time, _, fn, args = heappop(heap)
-        self._fire(time, fn, args)
-        return True
-
-    # -- run loops (same external semantics as the base class) ----------
-    def step(self) -> bool:
-        return self._step(self.horizon)
-
-    def run(self, until: Optional[int] = None) -> int:
-        limit = self._limit(until)
-        while self._step(limit):
-            pass
-        if until is not None and limit is not None and limit > self.now:
-            self.now = limit
-        return self.now
-
-    def run_until_stop(self) -> int:
-        try:
-            while not self._stop and self.step():
-                pass
-            return self.now
-        finally:
-            self._stop = False
-
-
 class SanitizedFabric(Fabric):
     """Fabric overlay: a conservation ledger over every worm.
 
@@ -259,10 +204,6 @@ class SanitizedFabric(Fabric):
         super().__init__(*args, **kwargs)
         self._san = sanitizer
         self._ledger: Dict[int, Message] = {}
-        # the base fabric records the per-hop route trace only when a
-        # tracer is attached; sanitized runs force it on so violation
-        # reports and the end-of-run audit can show where a worm has been
-        self._record_route = True
 
     def in_flight(self) -> List[Message]:
         return list(self._ledger.values())

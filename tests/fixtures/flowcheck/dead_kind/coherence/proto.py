@@ -1,4 +1,7 @@
-"""Fixture: WB_ACK is declared but never sent nor handled (F-DEAD)."""
+"""Fixture: WB_ACK is declared but never sent nor handled (F-DEAD).
+
+The real lane table has no WB_ACK, so the kind is unlaned too (C-NOLANE).
+"""
 
 
 class MsgKind:

@@ -1,4 +1,7 @@
-"""Fixture: WB_ACK has a handler arm but is never sent (F-ORPHAN)."""
+"""Fixture: WB_ACK has a handler arm but is never sent (F-ORPHAN).
+
+The real lane table has no WB_ACK, so the kind is unlaned too (C-NOLANE).
+"""
 
 
 class MsgKind:

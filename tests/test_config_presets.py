@@ -47,6 +47,23 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SystemConfig(netcache_size=-1)
 
+    # each of these used to construct and then fail only inside
+    # Machine's cache arrays
+    @pytest.mark.parametrize("overrides, match", [
+        ({"switch_cache_size": 1000}, "switch_cache size 1000"),
+        ({"switch_cache_size": 2048, "switch_cache_assoc": 3},
+         "switch_cache size 2048"),
+        ({"switch_cache_size": 2048, "switch_cache_assoc": 0},
+         "switch_cache assoc"),
+        ({"netcache_size": 1000}, "netcache size 1000"),
+        ({"l1_size": 1000}, "l1 size 1000"),
+        ({"l2_size": 96 * KB}, "l2 set count 384"),
+    ], ids=["sc-size", "sc-assoc3", "sc-assoc0", "nc-size", "l1-size",
+            "l2-sets"])
+    def test_unbuildable_cache_geometry_rejected(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            SystemConfig(num_nodes=4, **overrides)
+
     def test_quantum_positive(self):
         with pytest.raises(ConfigError):
             SystemConfig(quantum=0)
@@ -87,8 +104,12 @@ class TestValidation:
             SystemConfig(switch_cache_size=2048, **{field: value})
 
     def test_caesar_fields_unchecked_without_switch_caches(self):
-        # no engine is built, so the organization is not checked
+        # no engine (and no network cache) is built, so neither's
+        # organization or geometry is checked
         assert SystemConfig(switch_cache_banks=3).label() == "base"
+        assert SystemConfig(
+            switch_cache_assoc=3, netcache_assoc=0
+        ).label() == "base"
 
     def test_zero_latencies_allowed(self):
         cfg = SystemConfig(l1_hit_cycles=0, switch_delay=0, cycles_per_flit=1,

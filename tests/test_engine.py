@@ -16,7 +16,7 @@ def test_initial_state():
 def test_schedule_and_run_advances_clock():
     sim = Simulator()
     fired = []
-    sim.schedule(10, lambda: fired.append(sim.now))
+    sim.call(10, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [10]
     assert sim.now == 10
@@ -25,9 +25,9 @@ def test_schedule_and_run_advances_clock():
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []
-    sim.schedule(30, lambda: order.append("c"))
-    sim.schedule(10, lambda: order.append("a"))
-    sim.schedule(20, lambda: order.append("b"))
+    sim.call(30, lambda: order.append("c"))
+    sim.call(10, lambda: order.append("a"))
+    sim.call(20, lambda: order.append("b"))
     sim.run()
     assert order == ["a", "b", "c"]
 
@@ -36,7 +36,7 @@ def test_same_cycle_events_fire_in_schedule_order():
     sim = Simulator()
     order = []
     for tag in "abcde":
-        sim.schedule(5, lambda t=tag: order.append(t))
+        sim.call(5, lambda t=tag: order.append(t))
     sim.run()
     assert order == list("abcde")
 
@@ -44,23 +44,23 @@ def test_same_cycle_events_fire_in_schedule_order():
 def test_at_absolute_time():
     sim = Simulator()
     fired = []
-    sim.at(42, lambda: fired.append(sim.now))
+    sim.call_at(42, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [42]
 
 
 def test_at_in_past_raises():
     sim = Simulator()
-    sim.schedule(10, lambda: None)
+    sim.call(10, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
-        sim.at(5, lambda: None)
+        sim.call_at(5, lambda: None)
 
 
 def test_negative_delay_raises():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.schedule(-1, lambda: None)
+        sim.call(-1, lambda: None)
 
 
 def test_nested_scheduling_from_callback():
@@ -69,9 +69,9 @@ def test_nested_scheduling_from_callback():
 
     def first():
         trail.append(("first", sim.now))
-        sim.schedule(5, lambda: trail.append(("second", sim.now)))
+        sim.call(5, lambda: trail.append(("second", sim.now)))
 
-    sim.schedule(3, first)
+    sim.call(3, first)
     sim.run()
     assert trail == [("first", 3), ("second", 8)]
 
@@ -84,8 +84,8 @@ def test_step_returns_false_on_empty_queue():
 def test_step_fires_exactly_one_event():
     sim = Simulator()
     fired = []
-    sim.schedule(1, lambda: fired.append("a"))
-    sim.schedule(2, lambda: fired.append("b"))
+    sim.call(1, lambda: fired.append("a"))
+    sim.call(2, lambda: fired.append("b"))
     assert sim.step() is True
     assert fired == ["a"]
 
@@ -93,8 +93,8 @@ def test_step_fires_exactly_one_event():
 def test_run_until_stops_before_later_events():
     sim = Simulator()
     fired = []
-    sim.schedule(5, lambda: fired.append(5))
-    sim.schedule(50, lambda: fired.append(50))
+    sim.call(5, lambda: fired.append(5))
+    sim.call(50, lambda: fired.append(50))
     sim.run(until=10)
     assert fired == [5]
     assert sim.now == 10
@@ -110,9 +110,9 @@ def test_run_until_stop_exits_on_request():
         count.append(sim.now)
         if len(count) % 5 == 0:
             sim.request_stop()
-        sim.schedule(1, tick)
+        sim.call(1, tick)
 
-    sim.schedule(0, tick)
+    sim.call(0, tick)
     assert sim.run_until_stop() == 4
     assert len(count) == 5
     assert sim.pending == 1  # the next tick stays queued
@@ -123,16 +123,16 @@ def test_run_until_stop_exits_on_request():
 def test_horizon_stops_run():
     sim = Simulator(horizon=100)
     fired = []
-    sim.schedule(50, lambda: fired.append(50))
-    sim.schedule(150, lambda: fired.append(150))
+    sim.call(50, lambda: fired.append(50))
+    sim.call(150, lambda: fired.append(150))
     sim.run()
     assert fired == [50]
 
 
 def test_pending_counts_live_events_only():
     sim = Simulator()
-    sim.schedule(1, lambda: None)
-    sim.schedule(2, lambda: None)
+    sim.call(1, lambda: None)
+    sim.call(2, lambda: None)
     assert sim.pending == 2
     sim.step()  # a fired event is no longer pending
     assert sim.pending == 1
@@ -141,24 +141,24 @@ def test_pending_counts_live_events_only():
 def test_next_event_time():
     sim = Simulator()
     assert sim.next_event_time() is None
-    sim.schedule(7, lambda: None)
+    sim.call(7, lambda: None)
     assert sim.next_event_time() == 7
 
 
 def test_events_fired_counter():
     sim = Simulator()
     for i in range(4):
-        sim.schedule(i, lambda: None)
+        sim.call(i, lambda: None)
     sim.run()
     assert sim.events_fired == 4
 
 
 def test_zero_delay_fires_at_current_time():
     sim = Simulator()
-    sim.schedule(10, lambda: None)
+    sim.call(10, lambda: None)
     sim.run()
     fired = []
-    sim.schedule(0, lambda: fired.append(sim.now))
+    sim.call(0, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [10]
 
@@ -171,10 +171,10 @@ def test_determinism_across_identical_runs():
         def spawn(depth):
             trail.append((sim.now, depth))
             if depth < 4:
-                sim.schedule(2, lambda: spawn(depth + 1))
-                sim.schedule(2, lambda: spawn(depth + 1))
+                sim.call(2, lambda: spawn(depth + 1))
+                sim.call(2, lambda: spawn(depth + 1))
 
-        sim.schedule(0, lambda: spawn(0))
+        sim.call(0, lambda: spawn(0))
         sim.run()
         return trail
 
@@ -183,7 +183,7 @@ def test_determinism_across_identical_runs():
 
 def test_callback_exception_propagates():
     sim = Simulator()
-    sim.schedule(1, lambda: (_ for _ in ()).throw(ValueError("boom")))
+    sim.call(1, lambda: (_ for _ in ()).throw(ValueError("boom")))
     with pytest.raises(ValueError):
         sim.run()
 
@@ -207,15 +207,8 @@ def test_peak_pending_high_water():
     assert sim.pending == 0
 
 
-def _sanitized():
-    from repro.verify.sanitize import SanitizedSimulator, Sanitizer
-
-    return SanitizedSimulator(Sanitizer(), horizon=100)
-
-
 engines = pytest.mark.parametrize(
-    "make", [lambda: Simulator(horizon=100), _sanitized],
-    ids=["base", "sanitized"],
+    "make", [lambda: Simulator(horizon=100)], ids=["base"],
 )
 
 
@@ -224,8 +217,8 @@ engines = pytest.mark.parametrize(
 def test_horizon_leaves_later_events_queued(make, loop):
     sim = make()
     fired = []
-    sim.schedule(50, lambda: fired.append(50))
-    sim.schedule(150, lambda: fired.append(150))
+    sim.call(50, lambda: fired.append(50))
+    sim.call(150, lambda: fired.append(150))
     assert getattr(sim, loop)() == 50
     assert fired == [50]
     assert sim.pending == 1 and sim.next_event_time() == 150
@@ -237,7 +230,7 @@ def test_horizon_leaves_later_events_queued(make, loop):
 def test_run_until_is_capped_by_horizon(make):
     sim = make()
     fired = []
-    sim.schedule(150, lambda: fired.append(150))
+    sim.call(150, lambda: fired.append(150))
     assert sim.run(until=200) == 100  # the clock never passes the horizon
     assert fired == [] and sim.pending == 1
 
@@ -246,6 +239,4 @@ def test_scheduling_returns_no_handle():
     sim = Simulator()
     assert sim.call(1, int) is None
     assert sim.call_at(2, int) is None
-    assert sim.schedule(3, int) is None
-    assert sim.at(4, int) is None
-    assert sim.pending == 4
+    assert sim.pending == 2

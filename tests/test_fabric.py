@@ -10,11 +10,18 @@ from repro.network.topology import BminTopology
 from repro.sim.engine import Simulator
 from repro.system.machine import Machine
 from repro.system.presets import switch_cache_config
+from repro.trace import Tracer
+from repro.verify.sanitize import SanitizedFabric, Sanitizer
 
 
-def make_fabric(n=16, with_caches=False):
+def make_fabric(n=16, with_caches=False, traced=False, sanitized=False):
     sim = Simulator()
-    fabric = Fabric(sim, BminTopology(n))
+    # the fabric reads the tracer once, at construction, as in a Machine
+    sim.tracer = Tracer() if traced else None
+    if sanitized:
+        fabric = SanitizedFabric(Sanitizer(), sim, BminTopology(n))
+    else:
+        fabric = Fabric(sim, BminTopology(n))
     inbox = {node: [] for node in range(n)}
     for node in range(n):
         fabric.attach_node(node, lambda m, nid=node: inbox[nid].append(m))
@@ -23,6 +30,16 @@ def make_fabric(n=16, with_caches=False):
             lambda sid: CaesarEngine(sim, sid, switch_cache_config(n))
         )
     return sim, fabric, inbox
+
+
+def traced_route(fabric, msg):
+    """The switch ids of the ``hop`` instants traced for ``msg``."""
+    by_track = {sw.trace_track: sid for sid, sw in fabric.switches.items()}
+    return [
+        by_track[event["track"]]
+        for event in fabric.sim.tracer.events_named("hop")
+        if event["args"]["msg"] == msg.id
+    ]
 
 
 def send(fabric, kind, src, dst, addr=0x40, data=None, block=64):
@@ -44,21 +61,12 @@ class TestBasicDelivery:
         with pytest.raises(NetworkError):
             send(fabric, MsgKind.READ, 3, 3)
 
-    def test_route_trace_not_recorded_by_default(self):
-        # the per-hop trace append is pure hot-path overhead when nobody
-        # reads it: with no tracer (and no sanitizer) it stays empty
-        sim, fabric, _inbox = make_fabric()
-        msg = send(fabric, MsgKind.READ, 2, 13)
-        sim.run()
-        assert msg.trace == []
-        assert [sw.id for sw, _ in msg.hops] == fabric.topo.path(2, 13)
-
     def test_trace_matches_topology_path(self):
-        sim, fabric, _inbox = make_fabric()
-        fabric._record_route = True  # as an attached tracer or SCSan would
+        sim, fabric, _inbox = make_fabric(traced=True)
         msg = send(fabric, MsgKind.READ, 2, 13)
         sim.run()
-        assert msg.trace == fabric.topo.path(2, 13)
+        assert traced_route(fabric, msg) == fabric.topo.path(2, 13)
+        assert [sw.id for sw, _ in msg.hops] == fabric.topo.path(2, 13)
 
     def test_uncontended_latency_formula(self):
         sim, fabric, _inbox = make_fabric()
@@ -173,14 +181,16 @@ class TestSwitchCacheIntegration:
         assert request.flits == 1
 
     def test_stage_attribution(self):
-        sim, fabric, _inbox = make_fabric(with_caches=True)
+        sim, fabric, inbox = make_fabric(with_caches=True)
         send(fabric, MsgKind.DATA_S, 15, 0, addr=0x40, data=7)
         sim.run()
         send(fabric, MsgKind.READ, 1, 15, addr=0x40)
         sim.run()
-        assert sum(fabric.stats.hits_by_stage.values()) == 1
-        (stage,) = fabric.stats.hits_by_stage
+        assert fabric.stats.switch_hits == 1
+        reply, = [m for m in inbox[1] if m.payload.get("served_by")]
+        stage = reply.payload["served_stage"]
         assert 0 <= stage < fabric.topo.stages
+        assert fabric.switches[reply.payload["served_switch"]].stage == stage
 
     def test_intercept_only_for_reads(self):
         sim, fabric, inbox = make_fabric(with_caches=True)
@@ -222,21 +232,28 @@ class TestRouteResolution:
                     assert self._same_objects(got, want), (src, dst, hop)
 
     def test_traced_switch_reply_walks_the_mirrored_suffix(self):
-        sim, fabric, inbox = make_fabric(with_caches=True)
-        fabric._record_route = True  # as an attached tracer or SCSan would
+        sim, fabric, inbox = make_fabric(with_caches=True, traced=True)
         send(fabric, MsgKind.DATA_S, 15, 0, addr=0x40, data=7)
         sim.run()
-        send(fabric, MsgKind.READ, 5, 15, addr=0x40)
+        read = send(fabric, MsgKind.READ, 5, 15, addr=0x40)
         sim.run()
         reply, = [m for m in inbox[5] if m.payload.get("served_by")]
         path = fabric.topo.path(5, 15)
         hop = path.index(reply.payload["served_switch"])
         assert hop > 0  # the reply has switches to walk back through
+        # the READ is served at path[hop] and continues to the home as a
+        # DIR_UPDATE under the same id; the fabricated reply enters at
+        # the serving switch, so its traced hops start one switch back
+        assert traced_route(fabric, read) == path
+        hit, = sim.tracer.events_named("sc_hit")
+        assert hit["args"]["requester"] == 5
+        assert hit["track"] == fabric.switches[path[hop]].trace_track
         mirror = fabric.route(15, 5)
         assert reply.hops is mirror
         suffix = mirror[len(mirror) - 1 - hop:]
-        assert reply.trace == [sw.id for sw, _ in suffix]
-        assert reply.trace == path[hop::-1]
+        walked = [path[hop]] + traced_route(fabric, reply)
+        assert walked == [sw.id for sw, _ in suffix]
+        assert walked == path[hop::-1]
 
     def test_fresh_fabric_and_machine_resolve_nothing(self):
         _sim, fabric, _inbox = make_fabric(with_caches=True)
@@ -291,16 +308,21 @@ class TestHopHandlers:
     def _expected(mode, kind):
         if mode == "traced":
             return "_arrive"
-        if mode == "caches":
+        if mode in ("caches", "sanitized"):
             return TestHopHandlers.HOOKED.get(kind, "_hop")
         return "_hop"
 
-    @pytest.mark.parametrize("mode", ("plain", "caches", "traced"))
+    @pytest.mark.parametrize(
+        "mode", ("plain", "caches", "traced", "sanitized")
+    )
     @pytest.mark.parametrize("kind", list(MsgKind), ids=lambda k: k.name)
     def test_inject_schedules_the_kind_handler(self, mode, kind):
-        sim, fabric, _inbox = make_fabric(with_caches=mode != "plain")
-        if mode == "traced":
-            fabric._record_route = True  # as an attached tracer or SCSan
+        # SCSan takes the same per-kind callbacks as an unsanitized
+        # fabric; only an attached tracer routes every hop via _arrive
+        sim, fabric, _inbox = make_fabric(
+            with_caches=mode != "plain", traced=mode == "traced",
+            sanitized=mode == "sanitized",
+        )
         msg = send(fabric, kind, 2, 13)
         (_time, _seq, fn, args), = sim._heap
         want = getattr(fabric, self._expected(mode, kind))

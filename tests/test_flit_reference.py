@@ -130,9 +130,9 @@ class TestReferenceMechanics:
                     if len(vc) > network.vc_depth:
                         overfull.append(len(vc))
             if network.delivered < 9:
-                sim.schedule(1, check)
+                sim.call(1, check)
 
-        sim.schedule(1, check)
+        sim.call(1, check)
         sim.run()
         assert network.delivered == 9
         assert overfull == []

@@ -245,7 +245,7 @@ class TestUmbrella:
         payload = json.loads(out.read_text())
         assert payload["exit_code"] == 0
         assert payload["static"]["findings"] == []
-        assert payload["static"]["suppressed"] == 1
+        assert payload["static"]["suppressed"] == 0
         assert len(payload["static"]["rules"]) == len(all_rules())
         cells = [
             ("msi", False), ("msi", True), ("mesi", False), ("mesi", True),

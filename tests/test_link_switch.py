@@ -132,15 +132,16 @@ class TestGrantLockstep:
     """Grant arithmetic lives in a hand-inlined copy besides Link.reserve.
 
     ``Fabric._hop`` inlines the reservation for the per-hop path; every
-    per-kind hop callback (and the recorded ``_arrive``) ends there.
+    per-kind hop callback (and the traced ``_arrive``) ends there.
     These property tests drive fuzzed (flits, earliest, free_at) streams
     through a real fabric route and through reference ``Link.reserve``
     calls with the same tuples, asserting identical (grant, tail_done)
     timing and identical link counters — so the copy cannot drift
     apart silently.  Each stream also runs through the SCSan overlay
-    (``SanitizedSimulator`` + ``SanitizedFabric``), whose ``_forward`` and
-    ``_deliver`` overrides must leave the grant timing untouched, and
-    through switch-cache engines, whose hooked kinds must too.
+    (a plain ``Simulator`` + ``SanitizedFabric``), whose ``inject``,
+    ``_forward`` and ``_deliver`` overrides must leave the grant timing
+    untouched, and through switch-cache engines, whose hooked kinds
+    must too.
     """
 
     SWITCH_DELAY = 4
@@ -185,18 +186,12 @@ class TestGrantLockstep:
         """
         from repro.core.caesar import CaesarEngine
         from repro.system.presets import switch_cache_config
-        from repro.verify.sanitize import (
-            SanitizedFabric,
-            SanitizedSimulator,
-            Sanitizer,
-        )
+        from repro.verify.sanitize import SanitizedFabric, Sanitizer
 
+        sim = Simulator()
         if sanitize == "on":
-            san = Sanitizer()
-            sim = SanitizedSimulator(san)
-            fabric = SanitizedFabric(san, sim, BminTopology(4))
+            fabric = SanitizedFabric(Sanitizer(), sim, BminTopology(4))
         else:
-            sim = Simulator()
             fabric = Fabric(sim, BminTopology(4))
         for node in range(4):
             fabric.attach_node(node, lambda m: None)

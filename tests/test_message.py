@@ -80,4 +80,4 @@ class TestMessage:
         assert msg.created_at == -1
         assert msg.injected_at == -1
         assert msg.delivered_at == -1
-        assert msg.trace == []
+        assert msg.hops is None and msg.on_hop is None

@@ -250,7 +250,7 @@ class TestMachineIntegration:
         assert plain_stats.exec_time == traced_stats.exec_time
         assert plain_stats.to_dict() == traced_stats.to_dict()
 
-    #: the fabric's hop callbacks (the recorded one first)
+    #: the fabric's hop callbacks (the traced one first)
     HOP_FNS = ("_arrive", "_hop", "_hop_snoop", "_hop_deposit",
                "_hop_intercept")
 
@@ -261,7 +261,7 @@ class TestMachineIntegration:
     ], ids=["all-stages", "partial-stage", "caesar-plus"])
     def test_tracing_is_timing_transparent_per_config(self, overrides,
                                                       monkeypatch):
-        # a traced run takes the recorded hop (_arrive), which runs the
+        # a traced run takes the traced hop (_arrive), which runs the
         # same per-kind callback an untraced run takes directly: the
         # per-kind call counts and every statistic must agree
         calls = Counter()

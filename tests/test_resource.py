@@ -24,7 +24,7 @@ class TestTimeline:
 
     def test_earliest_in_past_is_clamped_to_now(self):
         sim = Simulator()
-        sim.schedule(50, lambda: None)
+        sim.call(50, lambda: None)
         sim.run()
         tl = Timeline(sim)
         assert tl.reserve(10, earliest=5) == 50
