@@ -322,14 +322,11 @@ class Fabric:
         Runs the same per-kind callback an untraced worm takes, so a
         traced run grants, deposits and serves exactly as an untraced one.
         """
-        # _pick_hop picks this hop only with a tracer attached; the guard
-        # marks the args dict as traced-only for the P-ALLOC gate
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.instant(
-                msg.hops[hop][0].trace_track, "hop", self.sim.now,
-                {"msg": msg.id, "kind": msg.kind.value, "addr": msg.addr},
-            )
+        # _pick_hop picks this hop only with a tracer attached
+        self._tracer.instant(
+            msg.hops[hop][0].trace_track, "hop", self.sim.now,
+            {"msg": msg.id, "kind": msg.kind.value, "addr": msg.addr},
+        )
         self._hop_fns[msg.kind.code](msg, hop)
 
     def _forward(self, msg: Message, hop: int, header_at: int) -> None:

@@ -16,7 +16,9 @@ Integer-coded kinds and the message pool (DESIGN.md §10)
 Every :class:`MsgKind` member carries a small-int ``code`` (its header
 type field), and the kind predicates are index-by-code tuples —
 :data:`CARRIES_DATA`, :data:`SWITCH_CACHEABLE`, :data:`INTERCEPTABLE`,
-:data:`SNOOPS_SWITCH_CACHES` — so hot sites pay one tuple subscript.
+:data:`SNOOPS_SWITCH_CACHES` — so hot sites pay one tuple subscript.  Each kind's deadlock-freedom lane
+is declared here too, in :data:`REQUEST_LANE`, :data:`FORWARD_LANE` and
+:data:`REPLY_LANE`.
 
 :class:`MessagePool` owns message identity for one machine: ids come
 from a per-pool counter, so two machines in one process (differential
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
 
 class MsgKind(enum.Enum):
@@ -64,6 +66,23 @@ class MsgKind(enum.Enum):
 
 for _code, _kind in enumerate(MsgKind):
     _kind.code = _code
+
+#: Virtual-channel lanes for protocol deadlock freedom (DESIGN.md §11.3):
+#: handling a kind may only generate kinds on a later lane, in the order
+#: request < forward < reply, unless the edge is whitelisted in
+#: ``verify/rules/lane_whitelist.py``.  Every kind sits in exactly one
+#: table; flowcheck reads these tables from the source it analyses.
+REQUEST_LANE: FrozenSet[MsgKind] = frozenset({
+    MsgKind.READ, MsgKind.READX, MsgKind.UPGRADE, MsgKind.WRITEBACK,
+    MsgKind.DIR_UPDATE,
+})
+FORWARD_LANE: FrozenSet[MsgKind] = frozenset({
+    MsgKind.INV, MsgKind.RECALL, MsgKind.RECALL_X,
+})
+REPLY_LANE: FrozenSet[MsgKind] = frozenset({
+    MsgKind.DATA_S, MsgKind.DATA_X, MsgKind.DATA_E, MsgKind.UPGR_ACK,
+    MsgKind.INV_ACK, MsgKind.RECALL_REPLY,
+})
 
 _DATA_KINDS = frozenset(
     {

@@ -1,17 +1,18 @@
 """Correctness tooling for the simulator (``repro.verify``).
 
 Run everything at once with ``python -m repro.verify`` (static rules +
-explorer smoke, aggregated exit code).  The individual analyzers:
+explorer smoke, aggregated exit code); ``--static-only`` runs the static
+gate alone.  The individual analyzers:
 
-* :mod:`repro.verify.flowcheck` — the static analysis gate: every rule
-  of the unified framework (:mod:`repro.verify.framework`) over the
-  source tree.  Handler exhaustiveness (F-*) and lane-dependency
-  deadlock freedom (C-*) over the extracted MsgKind send/receive graph,
-  hot-path purity (P-*) for the inlined regions, and determinism
+* flowcheck, the static analysis gate: every rule of the unified
+  framework (:mod:`repro.verify.framework`, rules under
+  :mod:`repro.verify.rules`) over one source tree.  Handler
+  exhaustiveness (F-*) and lane-dependency deadlock freedom (C-*) over
+  the MsgKind send/receive graph and the lane tables read from that
+  tree, hot-path purity (P-*) for the inlined regions, and determinism
   (W/R/S/H/L/B/N) over the kernel packages.  Any unsuppressed finding
   fails; a single finding is silenced in place with
   ``# repro: allow[RULE-ID]``.
-  Run as ``python -m repro.verify.flowcheck``.
 
 * :mod:`repro.verify.explore` — delay-bounded exploration of the real
   protocol handlers: each built-in script runs on a sanitized 4-node

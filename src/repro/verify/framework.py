@@ -14,11 +14,13 @@ have to reimplement:
   Suppressions are the one way to exempt a finding: deliberate and
   reviewable, and their count is reported so they cannot rot silently.
 * **Output** — stable human-readable lines plus a machine-readable JSON
-  report (the umbrella's is uploaded as a CI artifact).
+  report (``python -m repro.verify --json``, uploaded as a CI artifact).
 
-Exit-code policy (shared by ``python -m repro.verify.flowcheck`` and the
-``python -m repro.verify`` umbrella): 0 when there are no unsuppressed
-findings, 1 when there are, 2 on usage errors.
+Rules read every protocol fact they check from the scanned tree, so a
+fixture tree is judged by its own declarations.  Exit-code policy of
+the one entry point, ``python -m repro.verify`` (:mod:`.__main__`): 0
+when there are no unsuppressed findings, 1 when there are, 2 on usage
+errors.
 """
 
 from __future__ import annotations

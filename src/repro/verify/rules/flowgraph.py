@@ -25,6 +25,10 @@ three kinds of evidence, all read straight from the AST:
   handler can cause to be sent.  Entering another dispatcher during the
   DFS re-selects the arm for the kind being traced, so ``receive ->
   _enqueue -> _start`` does not smear one request's sends onto another.
+* **in-flight handlers** — a bound method stored in an index-by-code
+  table (the fabric's ``fns[_READ.code] = self._hop_intercept``)
+  handles that kind, like a ``receive`` arm does.
+* **lanes** — read from the enum module's tables named in LANE_TABLES.
 
 The graph is built once per :class:`~repro.verify.framework.AnalysisContext`
 and cached; the exhaustiveness and lane rules both consume it.
@@ -56,17 +60,18 @@ ROUTER_NAME = "_dispatch"
 
 #: router-arm call bases -> the receiver class they forward to.  Covers
 #: both ``self.home_ctrl.receive(msg)`` (attribute) and ``ctrl.receive(msg)``
-#: (a local picked from ``self._netctrls``).
+#: (a local picked from ``self._netctrls``).  A base missing here fails
+#: F-UNHANDLED, so a rename cannot silently unhook a receiver.
 RECEIVER_ATTRS: Dict[str, str] = {
     "home_ctrl": "HomeController",
     "ctrl": "NodeController",
-    "l2ctrl": "NodeController",
 }
 
-#: handlers that consume a kind outside any ``receive``-style dispatcher:
-#: the fabric intercepts READ worms in-flight (switch-cache service)
-EXTRA_HANDLERS: Dict[Tuple[str, str], Tuple[str, ...]] = {
-    ("network/fabric.py", "Fabric._serve_from_switch"): ("READ",),
+#: the enum module's lane tables, in lane order (request < forward < reply)
+LANE_TABLES: Dict[str, str] = {
+    "REQUEST_LANE": "request",
+    "FORWARD_LANE": "forward",
+    "REPLY_LANE": "reply",
 }
 
 #: one source location: (repo-relative path, line)
@@ -92,7 +97,7 @@ class FuncInfo:
     """Sends, call candidates, and (for dispatchers) arms of one function."""
 
     __slots__ = ("rel_path", "cls", "name", "qualname", "lineno",
-                 "sends", "calls", "arms")
+                 "sends", "calls", "arms", "table_handlers")
 
     def __init__(self, rel_path: str, cls: Optional[str], name: str,
                  lineno: int) -> None:
@@ -106,6 +111,8 @@ class FuncInfo:
         self.sends: List[Tuple[str, int]] = []
         self.calls: Set[str] = set()
         self.arms: List[Arm] = []
+        #: (kind, method) for each ``TABLE[kind.code] = self.method``
+        self.table_handlers: List[Tuple[str, str]] = []
 
     @property
     def is_dispatcher(self) -> bool:
@@ -115,8 +122,9 @@ class FuncInfo:
 class FlowGraph:
     """The extracted protocol graph for one scanned tree."""
 
-    __slots__ = ("kinds", "kind_lines", "enum_path", "sends", "funcs",
-                 "methods", "module_fns", "receivers", "routers", "edges")
+    __slots__ = ("kinds", "kind_lines", "enum_path", "lanes", "sends",
+                 "funcs", "methods", "module_fns", "receivers", "routers",
+                 "in_flight", "edges")
 
     def __init__(self) -> None:
         #: MsgKind member names in declaration order
@@ -124,6 +132,8 @@ class FlowGraph:
         #: member name -> declaration line (for F-DEAD / C-NOLANE sites)
         self.kind_lines: Dict[str, int] = {}
         self.enum_path: str = ""
+        #: member name -> lane name, from the enum module's LANE_TABLES
+        self.lanes: Dict[str, str] = {}
         #: kind -> every site where it is sent/mentioned as a message kind
         self.sends: Dict[str, List[Site]] = {}
         self.funcs: Dict[Tuple[str, str], FuncInfo] = {}
@@ -134,6 +144,8 @@ class FlowGraph:
         #: receiver class -> (FuncInfo, {handled kind -> arm line})
         self.receivers: Dict[str, Tuple[FuncInfo, Dict[str, int]]] = {}
         self.routers: List[FuncInfo] = []
+        #: (handler, kind) for each bound method stored in a by-code table
+        self.in_flight: List[Tuple[FuncInfo, str]] = []
         #: (src kind, dst kind) -> first send site establishing the edge
         self.edges: Dict[Tuple[str, str], Site] = {}
 
@@ -148,11 +160,8 @@ class FlowGraph:
                 if arm.kinds:
                     for kind in arm.kinds:
                         handled.setdefault(kind, (router.rel_path, arm.lineno))
-        for (rel_path, qualname), kinds in EXTRA_HANDLERS.items():
-            fn = self.funcs.get((rel_path, qualname))
-            if fn is not None:
-                for kind in kinds:
-                    handled.setdefault(kind, (fn.rel_path, fn.lineno))
+        for fn, kind in self.in_flight:
+            handled.setdefault(kind, (fn.rel_path, fn.lineno))
         return handled
 
 
@@ -330,6 +339,18 @@ def _scan_function(
 
     _scan_region(shared, consts, aliases, kinds,
                  info.sends, info.calls, [])
+    for node in ast.walk(fn_node):
+        # TABLE[<kind>.code] = self.<method>: the method handles the kind
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Subscript)
+                and isinstance(node.targets[0].slice, ast.Attribute)
+                and node.targets[0].slice.attr == "code"
+                and isinstance(node.value, ast.Attribute)
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id == "self"):
+            for kind in _resolve_kind(node.targets[0].slice.value, consts,
+                                      aliases, kinds):
+                info.table_handlers.append((kind, node.value.attr))
 
     cursor = chain
     while cursor is not None:
@@ -494,6 +515,12 @@ def build_flowgraph(ctx: AnalysisContext) -> FlowGraph:
 
     for module in modules:
         aliases, tables = _scan_module_level(module, kinds)
+        if module.rel_path == enum_path:
+            for kind in members:
+                for table, lane in LANE_TABLES.items():
+                    if kind in tables.get(table, ()):
+                        graph.lanes[kind] = lane
+                        break
         fns: List[Tuple[Optional[str], ast.FunctionDef]] = []
         for node in module.tree.body:
             if isinstance(node, ast.FunctionDef):
@@ -538,6 +565,14 @@ def build_flowgraph(ctx: AnalysisContext) -> FlowGraph:
             graph.routers.append(info)
     graph.routers.sort(key=lambda fn: (fn.rel_path, fn.lineno))
 
+    # in-flight handlers: bound methods stored in a by-code table
+    for info in graph.funcs.values():
+        methods = graph.methods.get(info.cls, {}) if info.cls else {}
+        for kind, method in info.table_handlers:
+            handler = methods.get(method)
+            if handler is not None:
+                graph.in_flight.append((handler, kind))
+
     # edges: kind handled -> kinds its handling can send
     entries: List[Tuple[FuncInfo, str]] = []
     for info in graph.funcs.values():
@@ -545,11 +580,7 @@ def build_flowgraph(ctx: AnalysisContext) -> FlowGraph:
             if arm.kinds:
                 for kind in arm.kinds:
                     entries.append((info, kind))
-    for (rel_path, qualname), extra_kinds in EXTRA_HANDLERS.items():
-        fn = graph.funcs.get((rel_path, qualname))
-        if fn is not None:
-            for kind in extra_kinds:
-                entries.append((fn, kind))
+    entries.extend(graph.in_flight)
     entries.sort(key=lambda e: (e[0].rel_path, e[0].lineno, e[1]))
     for info, kind in entries:
         reached: List[Tuple[str, Site]] = []

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 #: (source kind, generated kind) -> justification.  Keep justifications
-#: to one line; they are echoed by ``flowcheck --list-whitelist``.
+#: to one line; ``python -m repro.verify --list-whitelist`` echoes them.
 WHITELIST: Dict[Tuple[str, str], str] = {
     # -- switch-cache interception (PR 2 race-fix family) --------------
     ("READ", "DIR_UPDATE"):

@@ -2,13 +2,16 @@
 
 Every :class:`MsgKind` is assigned a virtual *lane* — request (0),
 forward (1), or reply (2) — mirroring the virtual-channel classes a
-CC-NUMA fabric needs for protocol-level deadlock freedom.  The
+CC-NUMA fabric needs for protocol-level deadlock freedom.  The lanes
+are declared next to the enum, in its module's ``REQUEST_LANE``,
+``FORWARD_LANE`` and ``REPLY_LANE`` tables, and read from the analysed
+tree (:attr:`FlowGraph.lanes`).  The
 sufficient condition checked here is the classic one: **handling a
 message on lane L may only generate messages on lanes > L**.  If every
 edge is strictly increasing, a full reply buffer can always drain
 without waiting on requests, so no buffer-dependency cycle exists.
 
-* **C-NOLANE** — a declared kind missing from the lane table (the table
+* **C-NOLANE** — a kind the tree declares in no lane table (the lanes
   must stay total or the other rules silently skip edges).
 * **C-SAMELANE** — a handler generates a message on its own lane.
 * **C-BACKWARD** — a handler generates a message on an *earlier* lane
@@ -28,28 +31,12 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from ..framework import AnalysisContext, Finding, Rule, register
-from .flowgraph import FlowGraph, build_flowgraph
+from .flowgraph import LANE_TABLES, FlowGraph, build_flowgraph
 from .lane_whitelist import WHITELIST
 
 #: lane priorities: handling lane L may only generate lanes > L
-LANE_ORDER: Dict[str, int] = {"request": 0, "forward": 1, "reply": 2}
-
-#: the total kind -> lane assignment (C-NOLANE keeps it total)
-LANE_BY_KIND: Dict[str, str] = {
-    "READ": "request",
-    "READX": "request",
-    "UPGRADE": "request",
-    "WRITEBACK": "request",
-    "DIR_UPDATE": "request",
-    "INV": "forward",
-    "RECALL": "forward",
-    "RECALL_X": "forward",
-    "DATA_S": "reply",
-    "DATA_X": "reply",
-    "DATA_E": "reply",
-    "UPGR_ACK": "reply",
-    "INV_ACK": "reply",
-    "RECALL_REPLY": "reply",
+LANE_ORDER: Dict[str, int] = {
+    lane: i for i, lane in enumerate(LANE_TABLES.values())
 }
 
 
@@ -58,11 +45,11 @@ def _checked_edges(
 ) -> List[Tuple[str, str, Tuple[str, int]]]:
     """Non-whitelisted edges with lanes assigned, in kind-code order."""
     order = {kind: i for i, kind in enumerate(graph.kinds)}
+    lanes = graph.lanes
     edges = [
         (src, dst, site)
         for (src, dst), site in graph.edges.items()
-        if (src, dst) not in WHITELIST
-        and src in LANE_BY_KIND and dst in LANE_BY_KIND
+        if (src, dst) not in WHITELIST and src in lanes and dst in lanes
     ]
     edges.sort(key=lambda e: (order.get(e[0], 99), order.get(e[1], 99)))
     return edges
@@ -74,15 +61,16 @@ class UnknownLaneRule(Rule):
 
     def run(self, ctx: AnalysisContext) -> List[Finding]:
         graph = build_flowgraph(ctx)
+        tables = "/".join(LANE_TABLES)
         return [
             Finding(
                 "C-NOLANE", graph.enum_path, graph.kind_lines[kind],
-                f"MsgKind.{kind} has no lane assignment in "
-                f"LANE_BY_KIND (verify/rules/lanes.py) — the "
-                f"deadlock-freedom rules cannot classify its edges",
+                f"MsgKind.{kind} is in no lane table ({tables}) of "
+                f"{graph.enum_path} — the deadlock-freedom rules "
+                f"cannot classify its edges",
             )
             for kind in graph.kinds
-            if kind not in LANE_BY_KIND
+            if kind not in graph.lanes
         ]
 
 
@@ -94,8 +82,8 @@ class SameLaneRule(Rule):
         graph = build_flowgraph(ctx)
         findings: List[Finding] = []
         for src, dst, (path, line) in _checked_edges(graph):
-            src_lane = LANE_BY_KIND[src]
-            if src_lane == LANE_BY_KIND[dst]:
+            src_lane = graph.lanes[src]
+            if src_lane == graph.lanes[dst]:
                 findings.append(Finding(
                     "C-SAMELANE", path, line,
                     f"handling MsgKind.{src} generates MsgKind.{dst} on "
@@ -114,7 +102,7 @@ class BackwardLaneRule(Rule):
         graph = build_flowgraph(ctx)
         findings: List[Finding] = []
         for src, dst, (path, line) in _checked_edges(graph):
-            src_lane, dst_lane = LANE_BY_KIND[src], LANE_BY_KIND[dst]
+            src_lane, dst_lane = graph.lanes[src], graph.lanes[dst]
             if LANE_ORDER[dst_lane] < LANE_ORDER[src_lane]:
                 findings.append(Finding(
                     "C-BACKWARD", path, line,

@@ -4,7 +4,8 @@
   would take has no arm for it.  With per-node routers (``_dispatch``)
   present, each sent kind is pushed through every router: the first arm
   whose guard covers the kind decides where it lands (a forwarded
-  ``<recv>.receive(...)`` target must have an arm for it; a local
+  ``<recv>.receive(...)`` target must resolve, through
+  ``RECEIVER_ATTRS``, to a receiver with an arm for it; a local
   ``self._on_x`` arm counts as handled; a raising else rejects it).
   Without routers, any receiver arm anywhere suffices.
 * **F-ORPHAN** — a kind has a handler arm but is never sent: the arm is
@@ -43,11 +44,17 @@ def _route_findings(
         # decides, mirroring the runtime elif chain
         if arm.router_targets:
             findings: List[Finding] = []
-            for attr, _line in arm.router_targets:
+            for attr, line in arm.router_targets:
                 cls = RECEIVER_ATTRS.get(attr)
                 receiver = graph.receivers.get(cls) if cls is not None else None
                 if receiver is None:
-                    continue  # unverifiable target: assume handled
+                    findings.append(Finding(
+                        "F-UNHANDLED", router.rel_path, line,
+                        f"MsgKind.{kind} is routed by {router.qualname} "
+                        f"to {attr}.receive, which RECEIVER_ATTRS does "
+                        f"not resolve to a receiver class",
+                    ))
+                    continue
                 fn, arm_kinds = receiver
                 if kind not in arm_kinds:
                     findings.append(Finding(

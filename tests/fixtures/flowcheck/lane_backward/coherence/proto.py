@@ -10,6 +10,10 @@ class MsgKind:
     DATA_S = "data_s"
 
 
+REQUEST_LANE = frozenset({MsgKind.READ})
+REPLY_LANE = frozenset({MsgKind.DATA_S})
+
+
 class HomeController:
     def receive(self, msg):
         if msg.kind == MsgKind.READ:

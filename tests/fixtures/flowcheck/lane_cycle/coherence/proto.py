@@ -10,6 +10,9 @@ class MsgKind:
     READX = "readx"
 
 
+REQUEST_LANE = frozenset({MsgKind.READ, MsgKind.READX})
+
+
 class HomeController:
     def receive(self, msg):
         if msg.kind == MsgKind.READ:

@@ -1,4 +1,4 @@
-"""Fixture: PING has no entry in LANE_BY_KIND (C-NOLANE)."""
+"""Fixture: PING is declared in no lane table (C-NOLANE)."""
 
 
 class MsgKind:

@@ -5,6 +5,9 @@ class MsgKind:
     READ = "read"
 
 
+REQUEST_LANE = frozenset({MsgKind.READ})
+
+
 class HomeController:
     def receive(self, msg):
         if msg.kind == MsgKind.READ:

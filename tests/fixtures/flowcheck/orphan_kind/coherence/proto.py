@@ -1,13 +1,14 @@
-"""Fixture: WB_ACK has a handler arm but is never sent (F-ORPHAN).
-
-The real lane table has no WB_ACK, so the kind is unlaned too (C-NOLANE).
-"""
+"""Fixture: WB_ACK has a handler arm but is never sent (F-ORPHAN)."""
 
 
 class MsgKind:
     READ = "read"
     DATA_S = "data_s"
     WB_ACK = "wb_ack"
+
+
+REQUEST_LANE = frozenset({MsgKind.READ})
+REPLY_LANE = frozenset({MsgKind.DATA_S, MsgKind.WB_ACK})
 
 
 class HomeController:

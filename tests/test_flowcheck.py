@@ -11,11 +11,13 @@ protocol rather than vacuously passing:
   still exists in the real tree's flow graph, so justifications cannot
   outlive the edge they justify;
 * **seeded mutations** — deleting a handler arm, adding a reply->request
-  edge, and inserting an allocation into ``Fabric._arrive`` each turn
-  the real tree red with the expected rule and a nonzero exit code.
+  edge, renaming a router's receiver, moving a kind to another lane, and
+  inserting an allocation into ``Fabric._hop_intercept`` each turn the
+  real tree red with the expected rule and a nonzero exit code, while
+  renaming the switch-cache service keeps its edge.
 
-The umbrella ``python -m repro.verify`` is covered here too: it passes
-on the real tree and fails on a mutated one.
+Every gate run goes through the one entry point, ``python -m
+repro.verify`` (``--static-only`` for the static stage alone).
 """
 
 import json
@@ -24,13 +26,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.verify import flowcheck
+from repro.network import message
 from repro.verify.__main__ import main as verify_main
 from repro.verify.explore import SCRIPTS
 from repro.verify.framework import all_rules, load_context, run_rules
-from repro.verify.rules.flowgraph import build_flowgraph
+from repro.verify.rules.flowgraph import LANE_TABLES, build_flowgraph
 from repro.verify.rules.lane_whitelist import WHITELIST
-from repro.verify.rules.lanes import LANE_BY_KIND, LANE_ORDER
+from repro.verify.rules.lanes import LANE_ORDER
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "flowcheck"
 REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -78,7 +80,7 @@ class TestFixtures:
 # ----------------------------------------------------------------------
 class TestRealTree:
     def test_flowcheck_is_clean_against_baseline(self, capsys):
-        assert flowcheck.main([str(REPO_SRC)]) == 0
+        assert verify_main([str(REPO_SRC), "--static-only"]) == 0
         assert "[ok]" in capsys.readouterr().out
 
     def test_whitelist_entries_are_live_edges(self):
@@ -93,10 +95,10 @@ class TestRealTree:
     def test_whitelist_only_covers_non_increasing_edges(self):
         # a strictly increasing edge needs no exemption; an entry for one
         # would mask a future regression of that edge
+        lanes = build_flowgraph(load_context(REPO_SRC)).lanes
         for src, dst in sorted(WHITELIST):
             assert (
-                LANE_ORDER[LANE_BY_KIND[dst]]
-                <= LANE_ORDER[LANE_BY_KIND[src]]
+                LANE_ORDER[lanes[dst]] <= LANE_ORDER[lanes[src]]
             ), f"{src} -> {dst} is lane-increasing; drop the entry"
 
     def test_node_router_resolves_its_home_table(self):
@@ -115,21 +117,44 @@ class TestRealTree:
 
     def test_lane_table_is_total_over_real_kinds(self):
         graph = build_flowgraph(load_context(REPO_SRC))
-        assert set(graph.kinds) == set(LANE_BY_KIND)
+        assert set(graph.kinds) == set(graph.lanes)
+        # the lanes read from the source are the tables the module builds
+        for table, lane in LANE_TABLES.items():
+            assert {kind.name for kind in getattr(message, table)} == {
+                kind for kind, got in graph.lanes.items() if got == lane
+            }, table
 
 
 # ----------------------------------------------------------------------
 # seeded mutations on the real tree
 # ----------------------------------------------------------------------
-def _mutated_tree(tmp_path, rel, old, new):
+def _copied_tree(tmp_path):
     root = tmp_path / "repro"
     shutil.copytree(
         REPO_SRC, root, ignore=shutil.ignore_patterns("__pycache__")
     )
+    return root
+
+
+def _mutated_tree(tmp_path, rel, old, new):
+    root = _copied_tree(tmp_path)
     target = root / rel
     text = target.read_text()
     assert old in text, f"mutation anchor not found in {rel}"
     target.write_text(text.replace(old, new))
+    return root
+
+
+def _renamed_tree(tmp_path, old, new):
+    """A copy of the real tree with identifier ``old`` renamed everywhere."""
+    root = _copied_tree(tmp_path)
+    renamed = 0
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        if old in text:
+            path.write_text(text.replace(old, new))
+            renamed += 1
+    assert renamed, f"{old} not found in the tree"
     return root
 
 
@@ -146,7 +171,7 @@ class TestSeededMutations:
             f.rule == "F-UNHANDLED" and "WRITEBACK" in f.message
             for f in report.findings
         ), "\n".join(str(f) for f in report.findings)
-        assert flowcheck.main([str(root)]) == 1
+        assert verify_main([str(root), "--static-only"]) == 1
         capsys.readouterr()
 
     def test_dropping_a_home_kind_from_the_router_is_caught(
@@ -160,7 +185,53 @@ class TestSeededMutations:
             f.rule == "F-UNHANDLED" and "INV_ACK" in f.message
             for f in report.findings
         ), "\n".join(str(f) for f in report.findings)
-        assert flowcheck.main([str(root)]) == 1
+        assert verify_main([str(root), "--static-only"]) == 1
+        capsys.readouterr()
+
+    def test_unresolved_router_target_is_caught(self, tmp_path, capsys):
+        # the router's home arm now calls a receiver flowcheck cannot
+        # resolve; it must not be taken as handling every home kind
+        root = _renamed_tree(tmp_path, "home_ctrl", "home_controller")
+        report = run_rules(root)
+        unhandled = [f for f in report.findings if f.rule == "F-UNHANDLED"]
+        assert unhandled and all(
+            f.path == "node/node.py" and "home_controller" in f.message
+            for f in unhandled
+        ), "\n".join(str(f) for f in report.findings)
+        assert any("WRITEBACK" in f.message for f in unhandled)
+        assert verify_main([str(root), "--static-only"]) == 1
+        capsys.readouterr()
+
+    def test_moving_a_kind_to_a_later_lane_is_caught(self, tmp_path, capsys):
+        # INV on the reply lane: its INV_ACK becomes a same-lane edge
+        root = _mutated_tree(
+            tmp_path, "network/message.py",
+            "    MsgKind.INV, MsgKind.RECALL, MsgKind.RECALL_X,\n"
+            "})\n"
+            "REPLY_LANE: FrozenSet[MsgKind] = frozenset({\n",
+            "    MsgKind.RECALL, MsgKind.RECALL_X,\n"
+            "})\n"
+            "REPLY_LANE: FrozenSet[MsgKind] = frozenset({\n"
+            "    MsgKind.INV,\n",
+        )
+        report = run_rules(root)
+        assert any(
+            f.rule == "C-SAMELANE" and f.path == "node/node.py"
+            and "MsgKind.INV generates MsgKind.INV_ACK" in f.message
+            for f in report.findings
+        ), "\n".join(str(f) for f in report.findings)
+        assert verify_main([str(root), "--static-only"]) == 1
+        capsys.readouterr()
+
+    def test_renamed_switch_service_keeps_its_edge(self, tmp_path, capsys):
+        # the READ handler is found through the fabric's hop table, not
+        # by the name of the method that serves the hit
+        root = _renamed_tree(tmp_path, "_serve_from_switch", "_serve_hit")
+        graph = build_flowgraph(load_context(root))
+        assert ("READ", "DIR_UPDATE") in graph.edges
+        assert graph.edges.keys() == build_flowgraph(
+            load_context(REPO_SRC)).edges.keys()
+        assert verify_main([str(root), "--static-only"]) == 0
         capsys.readouterr()
 
     def test_reply_to_request_edge_is_caught(self, tmp_path, capsys):
@@ -176,22 +247,22 @@ class TestSeededMutations:
             and "UPGR_ACK" in f.message and "READ" in f.message
             for f in report.findings
         ), "\n".join(str(f) for f in report.findings)
-        assert flowcheck.main([str(root)]) == 1
+        assert verify_main([str(root), "--static-only"]) == 1
         capsys.readouterr()
 
-    def test_allocation_in_fabric_arrive_is_caught(self, tmp_path, capsys):
+    def test_allocation_in_fabric_hop_is_caught(self, tmp_path, capsys):
         root = _mutated_tree(
             tmp_path, "network/fabric.py",
-            "    def _arrive(self, msg: Message, hop: int) -> None:\n",
-            "    def _arrive(self, msg: Message, hop: int) -> None:\n"
+            "    def _hop_intercept(self, msg: Message, hop: int) -> None:\n",
+            "    def _hop_intercept(self, msg: Message, hop: int) -> None:\n"
             "        scratch = [msg]\n",
         )
         report = run_rules(root)
         assert any(
-            f.rule == "P-ALLOC" and "_arrive" in f.message
+            f.rule == "P-ALLOC" and "_hop_intercept" in f.message
             for f in report.findings
         ), "\n".join(str(f) for f in report.findings)
-        assert flowcheck.main([str(root)]) == 1
+        assert verify_main([str(root), "--static-only"]) == 1
         capsys.readouterr()
 
 
@@ -201,12 +272,15 @@ class TestSeededMutations:
 class TestFramework:
     def test_json_report_is_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        assert flowcheck.main(
-            [str(FIXTURES / "lane_unknown"), "--json", str(out)]
+        assert verify_main(
+            [str(FIXTURES / "lane_unknown"), "--static-only",
+             "--json", str(out)]
         ) == 1
         payload = json.loads(out.read_text())
-        assert payload["version"] == 2
-        assert [f["rule"] for f in payload["findings"]] == ["C-NOLANE"]
+        assert payload["static"]["version"] == 2
+        assert [f["rule"] for f in payload["static"]["findings"]] == [
+            "C-NOLANE"
+        ]
         capsys.readouterr()
 
     def test_rule_ids_are_unique_and_ordered(self):
@@ -228,6 +302,19 @@ class TestUmbrella:
     def test_real_tree_passes(self, capsys):
         assert verify_main([str(REPO_SRC), "--static-only"]) == 0
         assert "verify: static [ok]" in capsys.readouterr().out
+
+    def test_list_rules_names_every_rule(self, capsys):
+        assert verify_main(["--list-rules"]) == 0
+        listed = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split()[0] for line in listed] == [
+            rule.id for rule in all_rules()
+        ]
+
+    def test_missing_root_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            verify_main(["/no/such/dir", "--static-only"])
+        assert exc.value.code == 2
+        assert "not a directory" in capsys.readouterr().err
 
     def test_deleted_handler_arm_fails(self, tmp_path, capsys):
         root = _mutated_tree(

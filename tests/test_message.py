@@ -3,7 +3,10 @@
 from repro.network.message import (
     CARRIES_DATA,
     FLIT_BYTES,
+    FORWARD_LANE,
     INTERCEPTABLE,
+    REPLY_LANE,
+    REQUEST_LANE,
     SNOOPS_SWITCH_CACHES,
     SWITCH_CACHEABLE,
     Message,
@@ -41,6 +44,11 @@ class TestKinds:
         for kind in MsgKind:
             if kind is not MsgKind.INV:
                 assert not SNOOPS_SWITCH_CACHES[kind.code]
+
+    def test_lanes_partition_the_kinds(self):
+        lanes = (REQUEST_LANE, FORWARD_LANE, REPLY_LANE)
+        assert sum(len(lane) for lane in lanes) == len(MsgKind)
+        assert set().union(*lanes) == set(MsgKind)
 
 
 class TestFlits:
