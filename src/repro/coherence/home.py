@@ -282,12 +282,12 @@ class HomeController:
             start, done = self.memory.read()
             txn.mem_wait = max(0, start - self.sim.now - self.memory.bus_cycles)
             txn.mem_done = done
-            self.sim.call_at(done, self._write_maybe_finish, txn, True)
+            self.sim.call_at(done, self._write_maybe_finish, txn)
         else:
             txn.mem_done = self.sim.now + DIR_CYCLES
-            self.sim.call_at(txn.mem_done, self._write_maybe_finish, txn, True)
+            self.sim.call_at(txn.mem_done, self._write_maybe_finish, txn)
 
-    def _write_maybe_finish(self, txn: HomeTxn, mem_ready: bool = False) -> None:
+    def _write_maybe_finish(self, txn: HomeTxn) -> None:
         if txn.finished:
             return
         if txn.acks_needed > 0:
@@ -457,7 +457,7 @@ class HomeController:
             else:
                 entry.version = version
             txn.mem_done = self.sim.now
-            self._write_maybe_finish(txn, mem_ready=True)
+            self._write_maybe_finish(txn)
 
     # ------------------------------------------------------------------
     # helpers

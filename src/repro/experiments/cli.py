@@ -6,9 +6,9 @@ Examples::
     repro-experiments run --exp E5
     repro-experiments run --all --scale full --jobs 8
     repro-experiments run --all --no-cache     # force fresh simulations
-    repro-experiments run --exp E5 --profile   # wall-clock + cProfile top-N
     repro-experiments cache                    # on-disk cache inventory
     repro-experiments cache --prune            # drop stale/tmp cache files
+    repro-experiments cache --clear            # delete every cache file
 
 Completed simulations are persisted in the on-disk run cache
 (``results/.runcache/``) and reused across invocations; the runs the
@@ -71,18 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="do not read or write the on-disk run cache",
     )
     run_p.add_argument(
-        "--clear-cache", action="store_true",
-        help="delete the on-disk run cache before running",
-    )
-    run_p.add_argument(
         "--sanitize", action="store_true",
         help="run every simulation with SCSan runtime invariant checks "
              "(sets REPRO_SANITIZE=1 so parallel workers inherit it)",
-    )
-    run_p.add_argument(
-        "--profile", action="store_true",
-        help="profile the experiment run with cProfile and print the "
-             "top functions by cumulative time",
     )
     cache_p = sub.add_parser(
         "cache", help="inspect or clean the on-disk run cache"
@@ -140,13 +131,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "cache":
         return _cache_command(args)
-    if args.clear_cache:
-        removed = runcache.clear()
-        print(f"run cache cleared ({removed} entries)")
     exp_ids = list(EXPERIMENTS) if args.all else (args.exp or [])
     if not exp_ids:
-        if args.clear_cache:
-            return 0
         print("nothing to run: pass --all or --exp <id>", file=sys.stderr)
         return 2
     unknown = [e for e in exp_ids if e not in EXPERIMENTS]
@@ -161,17 +147,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     json_dir = pathlib.Path(args.json) if args.json else None
     if json_dir is not None:
         json_dir.mkdir(parents=True, exist_ok=True)
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
     started = time.time()
     results, counters = run_experiments(exp_ids, args.scale, args.jobs)
     elapsed = time.time() - started
-    if profiler is not None:
-        profiler.disable()
     print(
         f"runs: {counters['runs']} distinct ({counters['memo']} memoized, "
         f"{counters['disk']} from disk cache, {counters['executed']} "
@@ -190,15 +168,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             (json_dir / f"{result.exp_id}.json").write_text(
                 json.dumps(payload, indent=2)
             )
-    if profiler is not None:
-        import io
-        import pstats
-
-        buffer = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buffer)
-        stats.sort_stats("cumulative").print_stats(25)
-        print(f"profile: experiment run took {elapsed:.2f}s wall-clock")
-        print(buffer.getvalue())
     if not args.no_cache:
         cache = runcache.stats()
         print(

@@ -2,14 +2,14 @@
 
 Experiments come in two scales:
 
-* ``quick`` — small inputs for CI and the pytest-benchmark harness
-  (each simulation finishes in roughly a second);
+* ``quick`` — small inputs for CI and the tests (each simulation
+  finishes in roughly a second);
 * ``full``  — the paper-scale inputs used to produce EXPERIMENTS.md
   (larger-than-L2 working sets, which is where the remote-access
   phenomena the paper reports fully develop).
 
 Runs are memoized per process: most experiments reuse the same
-(base, network-cache, switch-cache) simulations, so a full harness pass
+(base, network-cache, switch-cache) simulations, so ``run --all``
 executes each distinct machine exactly once.  Below the in-process memo
 sits the **on-disk run cache** (:mod:`repro.experiments.runcache`):
 completed runs persist across processes, keyed by the full config.
@@ -87,10 +87,8 @@ class RunRecord:
     app: str
     scale: str
     config_label: str
-    exec_time: int
     stats: MachineStats
     switch_totals: Dict[str, int]
-    switch_hits_by_stage: Dict[int, int]
     mean_tag_queue: float
     mean_data_queue: float
     ni_queue: float
@@ -98,6 +96,10 @@ class RunRecord:
     #: latency histograms etc. collected during the run (None for
     #: records cached before the metrics layer existed)
     metrics: Optional[MetricsRegistry] = None
+
+    @property
+    def exec_time(self) -> Optional[int]:
+        return self.stats.exec_time
 
     # ------------------------------------------------------------------
     # serialization: process-pool transport and the on-disk run cache
@@ -108,10 +110,8 @@ class RunRecord:
             "app": self.app,
             "scale": self.scale,
             "config_label": self.config_label,
-            "exec_time": self.exec_time,
             "stats": self.stats.to_payload(),
             "switch_totals": dict(self.switch_totals),
-            "switch_hits_by_stage": sorted(self.switch_hits_by_stage.items()),
             "mean_tag_queue": self.mean_tag_queue,
             "mean_data_queue": self.mean_data_queue,
             "ni_queue": self.ni_queue,
@@ -128,12 +128,8 @@ class RunRecord:
             app=payload["app"],
             scale=payload["scale"],
             config_label=payload["config_label"],
-            exec_time=payload["exec_time"],
             stats=MachineStats.from_payload(payload["stats"]),
             switch_totals=dict(payload["switch_totals"]),
-            switch_hits_by_stage={
-                int(k): v for k, v in payload["switch_hits_by_stage"]
-            },
             mean_tag_queue=payload["mean_tag_queue"],
             mean_data_queue=payload["mean_data_queue"],
             ni_queue=payload["ni_queue"],
@@ -199,10 +195,8 @@ def execute(
         app=app_name,
         scale=scale,
         config_label=config.label(),
-        exec_time=stats.exec_time,
         stats=stats,
         switch_totals=machine.switch_cache_stats(),
-        switch_hits_by_stage=dict(stats.switch_hits_by_stage),
         mean_tag_queue=sum(tag_qs) / len(tag_qs) if tag_qs else 0.0,
         mean_data_queue=sum(data_qs) / len(data_qs) if data_qs else 0.0,
         ni_queue=machine.fabric.injection_queue_delay(),

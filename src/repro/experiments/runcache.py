@@ -1,12 +1,12 @@
 """On-disk cache of completed simulation runs.
 
-The experiment harness re-simulates the same (app, scale, config)
+``repro-experiments`` re-simulates the same (app, scale, config)
 machines every time a figure is regenerated.  Each run is a pure
 function of its inputs (the engine is deterministic), so completed
 :class:`~repro.experiments.common.RunRecord` payloads are persisted
 under ``results/.runcache/`` and reused across processes and across
-days: regenerating one figure, or re-running the benchmark harness,
-only simulates machines it has never seen.
+days: regenerating one figure, or every figure, only simulates
+machines it has never seen.
 
 Keying
 ------
@@ -22,8 +22,7 @@ code keep reusing cached runs.  Bump :data:`CACHE_FORMAT_VERSION` only
 when the payload layout changes — see CONTRIBUTING.md.
 
 The cache is **disabled by default** so unit tests always exercise the
-live simulator; the CLI (``repro-experiments``) and the benchmark
-harness (``benchmarks/conftest.py``) enable it explicitly.
+live simulator; the CLI (``repro-experiments``) enables it explicitly.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from ..system.config import SystemConfig
 #: bump when the payload layout changes (simulator changes are caught by
 #: the source digest); every existing entry becomes unreachable, and
 #: ``prune()`` removes it
-CACHE_FORMAT_VERSION = 3  # v3: RunRecord payloads carry a metrics registry
+CACHE_FORMAT_VERSION = 4  # v4: exec_time and hits by stage only inside stats
 
 #: the package whose source keys every entry (``src/repro``)
 PACKAGE_DIR = pathlib.Path(__file__).resolve().parents[1]

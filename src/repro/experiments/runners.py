@@ -452,7 +452,7 @@ def render_e9(scale: str, records: Dict):
     lines = []
     data = {}
     for name in APP_ORDER:
-        by_stage = records[name].switch_hits_by_stage
+        by_stage = records[name].stats.switch_hits_by_stage
         total = sum(by_stage.values()) or 1
         shares = {s: by_stage.get(s, 0) / total for s in range(4)}
         data[name] = shares

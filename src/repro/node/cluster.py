@@ -119,7 +119,7 @@ class ProcStack:
 
     def _drain_owned(self, txn: Transaction) -> None:
         self._apply_store(txn.addr)
-        self.stats.record_write_txn(self.proc_id, txn)
+        self.stats.record_write_txn(txn)
         self._drain_done()
 
     def _apply_store(self, block: int) -> None:

@@ -12,10 +12,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import inspect
+import os
 import sys
 from typing import List, Optional
 
 from .apps import PAPER_APPS, TraceApplication, TraceRecorder
+from .errors import ConfigError
 from .stats.counters import READ_CATEGORIES
 from .stats.report import format_table, percent
 from .system.machine import Machine
@@ -76,12 +79,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_params(pairs: List[str]) -> dict:
+def _parse_params(parser: argparse.ArgumentParser, app: str,
+                  pairs: List[str]) -> dict:
+    accepted = inspect.signature(PAPER_APPS[app]).parameters
     params = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"bad --param {pair!r}: expected K=V")
+            parser.error(f"bad --param {pair!r}: expected K=V")
         key, value = pair.split("=", 1)
+        if key not in accepted:
+            parser.error(f"--param {key}: {app} takes "
+                         f"{', '.join(accepted) or 'no parameters'}")
         try:
             params[key] = int(value)
         except ValueError:
@@ -102,11 +110,15 @@ def _make_config(args):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.replay:
+        if not os.path.isfile(args.replay):
+            parser.error(f"--replay: no such file: {args.replay}")
         app = TraceApplication(args.replay)
     else:
-        app = PAPER_APPS[args.app](**_parse_params(args.param))
+        app = PAPER_APPS[args.app](
+            **_parse_params(parser, args.app, args.param))
     recorder = None
     if args.record:
         recorder = TraceRecorder(app)
@@ -123,12 +135,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         metrics = MetricsRegistry(sample_interval=args.sample_interval)
 
-    config = _make_config(args)
-    machine = Machine(
-        config, sanitize=True if args.sanitize else None,
-        tracer=tracer, metrics=metrics,
-    )
-    stats = machine.run(app)
+    try:
+        config = _make_config(args)
+        machine = Machine(
+            config, sanitize=True if args.sanitize else None,
+            tracer=tracer, metrics=metrics,
+        )
+        # a replayed trace checks its processor count against the machine
+        stats = machine.run(app)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     print(f"design: {config.label()}   nodes: {config.num_nodes}"
           f" x {config.procs_per_node} procs   protocol: {config.protocol}")

@@ -150,7 +150,7 @@ class MachineStats:
         )
         self.breakdown_count += 1
 
-    def record_write_txn(self, node: int, txn: Transaction) -> None:
+    def record_write_txn(self, txn: Transaction) -> None:
         if txn.kind == "upgrade":
             self.upgrades_completed += 1
         else:

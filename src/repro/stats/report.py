@@ -1,4 +1,4 @@
-"""Plain-text table/series rendering for the benchmark harness.
+"""Plain-text table/series rendering for the experiment reports.
 
 Every experiment runner prints its result through these helpers so the
 rows/series the paper reports come out in a uniform, diff-friendly form.

@@ -105,6 +105,17 @@ class TestDeclarations:
             run_experiments(["F3"])
 
 
+class TestNetworkModelAgreement:
+    def test_a8_fabric_within_ten_percent_of_flit_reference(self):
+        # the network models must agree within a few percent on every
+        # microbenchmark and end-to-end run
+        (result,), _counters = run_experiments(["A8"])
+        assert result.data
+        for label, entry in result.data.items():
+            ratio = entry["fabric"] / entry["flit_ref"]
+            assert 0.9 <= ratio <= 1.1, (label, entry)
+
+
 class TestCli:
     @pytest.fixture(autouse=True)
     def disk_cache_stays_off(self):

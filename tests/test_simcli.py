@@ -26,6 +26,46 @@ class TestParser:
             main(["--app", "GE", "--param", "nonsense"])
 
 
+class TestUsageErrors:
+    """Bad input exits 2 with a one-line ``repro-sim: error:``, no traceback."""
+
+    def _usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err.splitlines()[-1]
+
+    def test_nodes_not_a_power_of_two(self, capsys):
+        line = self._usage_error(["--app", "GE", "--nodes", "3"], capsys)
+        assert line == ("repro-sim: error: num_nodes must be a power of two "
+                        ">= 2, got 3")
+
+    def test_unknown_app_param(self, capsys):
+        line = self._usage_error(["--app", "GE", "--param", "bogus=1"], capsys)
+        assert line == "repro-sim: error: --param bogus: GE takes n, work_per_elem"
+
+    def test_switch_cache_size_not_a_set_multiple(self, capsys):
+        line = self._usage_error(
+            ["--app", "GE", "--design", "sc", "--sc-size", "1000"], capsys)
+        assert line.startswith("repro-sim: error: switch_cache size 1000 ")
+
+    def test_missing_replay_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "none.trace")
+        line = self._usage_error(["--replay", missing], capsys)
+        assert line == f"repro-sim: error: --replay: no such file: {missing}"
+
+    def test_replay_on_too_few_nodes(self, tmp_path, capsys):
+        trace = str(tmp_path / "ge.trace")
+        assert main(["--app", "GE", "--param", "n=8", "--nodes", "4",
+                     "--record", trace]) == 0
+        capsys.readouterr()
+        line = self._usage_error(["--replay", trace, "--nodes", "2"], capsys)
+        assert line == ("repro-sim: error: trace references processor 3 but "
+                        "the machine has 2 nodes")
+
+
 class TestRuns:
     def test_base_run(self, capsys):
         rc = main(["--app", "GE", "--param", "n=8", "--nodes", "4"])

@@ -74,10 +74,10 @@ class TestMachineStats:
         stats = MachineStats(4)
         txn = Transaction("write", 0x40, 1, 0, 64, 0)
         txn.completed_at = 200
-        stats.record_write_txn(1, txn)
+        stats.record_write_txn(txn)
         up = Transaction("upgrade", 0x80, 1, 0, 64, 0)
         up.completed_at = 100
-        stats.record_write_txn(1, up)
+        stats.record_write_txn(up)
         assert stats.writes_completed == 1
         assert stats.upgrades_completed == 1
         assert stats.write_latency == 300
