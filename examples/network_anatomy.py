@@ -59,8 +59,8 @@ def show_hotspot() -> None:
     hot = []
     for sid, switch in fabric.switches.items():
         for neighbor, link in switch.outputs().items():
-            if link.msgs:
-                hot.append((str(sid), str(neighbor), link.msgs,
+            if link.reservations:
+                hot.append((str(sid), str(neighbor), link.reservations,
                             f"{link.mean_queueing_delay():.1f}"))
     hot.sort(key=lambda r: -float(r[3]))
     print(format_table(

@@ -184,11 +184,8 @@ class NodeController:
         txn.reply_msg = msg
         txn.data = msg.data
         served_by = msg.payload.get("served_by", "home_mem")
-        if served_by == "switch":
-            txn.served_by = "switch"
-            txn.served_stage = msg.payload.get("served_stage")
-        elif served_by == "owner":
-            txn.served_by = "owner"
+        if served_by == "switch" or served_by == "owner":
+            txn.served_by = served_by
         else:
             txn.served_by = "local_mem" if txn.home == self.node_id else "remote_mem"
         if txn.pending_inval:

@@ -27,7 +27,6 @@ class Transaction:
         "issued_at",
         "completed_at",
         "served_by",
-        "served_stage",
         "pending_inval",
         "callback",
         "data",
@@ -60,7 +59,6 @@ class Transaction:
         # where the read was ultimately served:
         # 'local_mem' | 'remote_mem' | 'owner' | 'netcache' | 'switch'
         self.served_by: Optional[str] = None
-        self.served_stage: Optional[int] = None
         self.pending_inval = False
         self.callback = callback
         self.data: Optional[int] = None

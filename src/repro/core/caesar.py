@@ -33,7 +33,9 @@ simulator clock: :meth:`~CaesarEngine.snoop` for an INV,
 :meth:`~CaesarEngine.try_deposit` for a DATA_S and
 :meth:`~CaesarEngine.try_intercept` for a READ, which on a hit returns
 the data and the cycle the fabricated reply's header can start.  The
-engine keeps the per-switch statistics the evaluation section reports.
+engine keeps the per-switch statistics the evaluation section reports;
+its ``hits`` are the simulator's one count of switch-cache hits, which
+the fabric's ``stats.switch_hits`` and the machine's hits by stage sum.
 """
 
 from __future__ import annotations
@@ -107,7 +109,6 @@ class CaesarEngine:
         # statistics
         self.lookups = 0
         self.hits = 0
-        self.misses = 0
         self.bypasses = 0
         self.deposits = 0
         self.deposit_skips = 0
@@ -187,7 +188,6 @@ class CaesarEngine:
                 {"addr": addr, "hit": data is not None},
             )
         if data is None:
-            self.misses += 1
             return None
         self.hits += 1
         port = self.data_ports[(addr // self._block_size) & self._bank_mask]
@@ -197,9 +197,14 @@ class CaesarEngine:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+    @property
+    def misses(self) -> int:
+        """Lookups that found no block (bypassed reads are no lookups)."""
+        return self.lookups - self.hits
+
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        lookups = self.lookups
+        return self.hits / lookups if lookups else 0.0
 
     def occupancy(self) -> int:
         """Valid blocks currently resident in this switch's cache."""

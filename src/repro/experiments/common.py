@@ -93,9 +93,8 @@ class RunRecord:
     mean_data_queue: float
     ni_queue: float
     coherence_violations: int
-    #: latency histograms etc. collected during the run (None for
-    #: records cached before the metrics layer existed)
-    metrics: Optional[MetricsRegistry] = None
+    #: the latency histograms collected during the run
+    metrics: MetricsRegistry
 
     @property
     def exec_time(self) -> Optional[int]:
@@ -116,9 +115,7 @@ class RunRecord:
             "mean_data_queue": self.mean_data_queue,
             "ni_queue": self.ni_queue,
             "coherence_violations": self.coherence_violations,
-            "metrics": (
-                self.metrics.to_payload() if self.metrics is not None else None
-            ),
+            "metrics": self.metrics.to_payload(),
         }
 
     @classmethod
@@ -134,10 +131,7 @@ class RunRecord:
             mean_data_queue=payload["mean_data_queue"],
             ni_queue=payload["ni_queue"],
             coherence_violations=payload["coherence_violations"],
-            metrics=(
-                MetricsRegistry.from_payload(payload["metrics"])
-                if payload.get("metrics") is not None else None
-            ),
+            metrics=MetricsRegistry.from_payload(payload["metrics"]),
         )
 
 

@@ -41,7 +41,7 @@ from ..system.config import SystemConfig
 #: bump when the payload layout changes (simulator changes are caught by
 #: the source digest); every existing entry becomes unreachable, and
 #: ``prune()`` removes it
-CACHE_FORMAT_VERSION = 4  # v4: exec_time and hits by stage only inside stats
+CACHE_FORMAT_VERSION = 5  # v5: metrics hold histograms and series only
 
 #: the package whose source keys every entry (``src/repro``)
 PACKAGE_DIR = pathlib.Path(__file__).resolve().parents[1]

@@ -1,8 +1,11 @@
-"""Wormhole-routed bidirectional MIN substrate."""
+"""Wormhole-routed bidirectional MIN substrate.
+
+Every link is a :class:`~repro.sim.resource.Timeline`; the switch-cache
+engines it embeds live in :mod:`repro.core.caesar`.
+"""
 
 from .fabric import Fabric, FabricStats
 from .flitref import FlitNetwork
-from .link import Link
 from .message import FLIT_BYTES, Message, MsgKind, flits_for
 from .switch import Switch
 from .topology import BminTopology
@@ -11,7 +14,6 @@ __all__ = [
     "Fabric",
     "FabricStats",
     "FlitNetwork",
-    "Link",
     "FLIT_BYTES",
     "Message",
     "MsgKind",

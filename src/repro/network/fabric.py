@@ -33,7 +33,8 @@ Each worm's per-hop callback is chosen once, when it enters the fabric
 (DESIGN.md §10.4): :meth:`Fabric._hop` (grant only), ``_hop_snoop``,
 ``_hop_deposit`` or ``_hop_intercept`` by kind, or :meth:`Fabric._arrive`
 when a tracer is attached.  Every one of them ends in ``_hop``, the one
-inlined copy of the link grant arithmetic.
+inlined copy of :meth:`~repro.sim.resource.Timeline.reserve`: every link
+is a ``Timeline``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigError, NetworkError, SimulationError
 from ..sim.engine import Simulator
-from .link import Link
+from ..sim.resource import Timeline
 from .message import Message, MessagePool, MsgKind
 from .switch import Switch
 from .topology import BminTopology, SwitchId
@@ -57,7 +58,7 @@ DeliverFn = Callable[[Message], None]
 HopFn = Callable[[Message, int], None]
 
 #: one resolved route hop: (switch, out-link toward the next hop / the node)
-Hop = Tuple[Switch, Link]
+Hop = Tuple[Switch, Timeline]
 
 #: request kinds that open a flow arrow toward their eventual reply
 _FLOW_REQUESTS = frozenset(
@@ -74,19 +75,29 @@ _DATA_S = MsgKind.DATA_S      # switch_cacheable
 _READ = MsgKind.READ          # interceptable
 
 class FabricStats:
-    """Aggregate network statistics."""
+    """Aggregate network statistics.
+
+    ``msgs_injected``/``flits_injected`` count NI injections only.  Each
+    switch-cache hit sends one switch reply and turns its READ into one
+    DIR_UPDATE, so at quiescence ``msgs_delivered == msgs_injected +
+    switch_hits``; the hits are the embedded engines' own count.
+    """
 
     __slots__ = (
-        "msgs_injected", "msgs_delivered", "flits_injected", "switch_hits",
+        "msgs_injected", "msgs_delivered", "flits_injected", "cache_engines",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, cache_engines: List[CaesarEngine]) -> None:
         self.msgs_injected = 0
         self.msgs_delivered = 0
         self.flits_injected = 0
-        # each hit sends one switch reply and turns its READ into one
-        # DIR_UPDATE, so this one counter counts all three
-        self.switch_hits = 0
+        # the network's engine list, shared, not copied
+        self.cache_engines = cache_engines
+
+    @property
+    def switch_hits(self) -> int:
+        """Reads served by switch caches: the engines' hits, summed."""
+        return sum(engine.hits for engine in self.cache_engines)
 
 
 class Fabric:
@@ -123,11 +134,11 @@ class Fabric:
         # whole machine draws one message-id stream; standalone fabrics
         # (unit tests, examples) get a private pool
         self.pool = pool if pool is not None else MessagePool()
-        self.stats = FabricStats()
         self.switches: Dict[SwitchId, Switch] = {}
         # the embedded CAESAR engines, in switch order
         self.cache_engines: List[CaesarEngine] = []
-        self._inject_links: Dict[int, Link] = {}
+        self.stats = FabricStats(self.cache_engines)
+        self._inject_links: Dict[int, Timeline] = {}
         # indexed by node id: a flat list beats a dict probe on the
         # delivery path (one per worm); None = no NI attached yet
         self._handlers: List[Optional[DeliverFn]] = (
@@ -156,9 +167,7 @@ class Fabric:
         for node in range(self.topo.num_nodes):
             sw = self.switches[self.topo.node_switch(node)]
             sw.add_output(node)
-            self._inject_links[node] = Link(
-                self.sim, f"ni{node}->sw", cycles_per_flit=self.cycles_per_flit
-            )
+            self._inject_links[node] = Timeline(self.sim, f"ni{node}->sw")
 
     def route(self, src: int, dst: int) -> Tuple[Hop, ...]:
         """The ``((switch, out_link), ...)`` hops from node ``src`` to ``dst``.
@@ -195,7 +204,8 @@ class Fabric:
     ) -> None:
         """Embed a cache engine in every switch (``factory`` may return
         None) and list the engines in ``cache_engines``."""
-        engines = self.cache_engines = []
+        engines = self.cache_engines
+        engines.clear()
         for sid, switch in self.switches.items():
             engine = factory(sid)
             switch.embed(engine)
@@ -233,8 +243,9 @@ class Fabric:
             msg.created_at = sim.now
         hops = self._routes.get((msg.src, msg.dst))
         msg.hops = hops if hops is not None else self.route(msg.src, msg.dst)
-        link = self._inject_links[msg.src]
-        grant, _tail = link.reserve(msg.flits, earliest=sim.now)
+        grant = self._inject_links[msg.src].reserve(
+            msg.flits * self.cycles_per_flit
+        )
         msg.injected_at = grant
         self.stats.msgs_injected += 1
         self.stats.flits_injected += msg.flits
@@ -248,7 +259,7 @@ class Fabric:
         """A header at hop ``hop``: grant the output link, move on.
 
         The plain hop, and the tail of every other hop callback: the one
-        inlined copy of :meth:`Link.reserve`'s grant arithmetic (held
+        inlined copy of :meth:`Timeline.reserve`'s grant arithmetic (held
         equal to it by ``TestGrantLockstep``), followed by
         :meth:`Simulator.call_at`'s push — same sequence number, same
         peak bookkeeping, same past-time check — straight onto the heap.
@@ -259,17 +270,16 @@ class Fabric:
         now = sim.now
         hops = msg.hops
         link = hops[hop][1]
-        flits = msg.flits
         cycles_per_flit = self.cycles_per_flit
-        duration = flits * cycles_per_flit
+        duration = msg.flits * cycles_per_flit
         request_at = now + self.switch_delay
         grant = link._free_at
         if grant < request_at:
             grant = request_at
         link._free_at = grant + duration
+        link.reservations += 1
         link.queued_cycles += grant - request_at
-        link.msgs += 1
-        link.flits += flits
+        link.busy_cycles += duration
         hop += 1
         if hop == len(hops):
             time = grant + duration
@@ -338,14 +348,12 @@ class Fabric:
         register the fabricated reply.
         """
         hops = msg.hops
-        link = hops[hop][1]
-        grant, tail_done = link.reserve(
-            msg.flits, header_at + self.switch_delay
-        )
+        duration = msg.flits * self.cycles_per_flit
+        grant = hops[hop][1].reserve(duration, header_at + self.switch_delay)
         next_hop = hop + 1
         call_at = self.sim.call_at
         if next_hop == len(hops):
-            call_at(tail_done, self._deliver, msg)
+            call_at(grant + duration, self._deliver, msg)
         else:
             call_at(
                 grant + self.cycles_per_flit, self._pick_hop(msg), msg,
@@ -399,13 +407,12 @@ class Fabric:
     ) -> None:
         """A READ hit in ``switch``'s cache: reply + directory update."""
         now = self.sim.now
-        stage = switch.stage
-        self.stats.switch_hits += 1
         tracer = self._tracer
         if tracer is not None:
             tracer.instant(
                 switch.trace_track, "sc_hit", now,
-                {"addr": msg.addr, "requester": msg.src, "stage": stage},
+                {"addr": msg.addr, "requester": msg.src,
+                 "stage": switch.stage},
             )
             # an intercepted request never reaches _deliver, so its leg
             # span and flow arrow are recorded here: the leg truthfully
@@ -432,7 +439,6 @@ class Fabric:
             data=data,  # flits default to the pool's block, as for every DATA_S
             payload={
                 "served_by": "switch",
-                "served_stage": stage,
                 "served_switch": switch.id,
                 "proc": msg.payload.get("proc"),
             },
@@ -483,10 +489,11 @@ class Fabric:
         rows = []
         for sid, switch in self.switches.items():
             for neighbor, link in switch.outputs().items():
-                if link.msgs:
-                    rows.append(
-                        (sid, neighbor, link.msgs, link.mean_queueing_delay())
-                    )
+                if link.reservations:
+                    rows.append((
+                        sid, neighbor, link.reservations,
+                        link.mean_queueing_delay(),
+                    ))
         rows.sort(key=lambda r: (-r[3], -r[2]))
         return rows[:top]
 

@@ -115,9 +115,9 @@ class FlitNetwork:
         self.cycles_per_flit = cycles_per_flit
         self.switch_delay = switch_delay
         self._handlers: Dict[int, DeliverFn] = {}
-        self.stats = FabricStats()
         # the embedded CAESAR engines, in switch order and by switch id
         self.cache_engines: List[CaesarEngine] = []
+        self.stats = FabricStats(self.cache_engines)
         self._engine_at: Dict[Tuple[int, int], CaesarEngine] = {}
         self._inject_wait_sum = 0
         # channels keyed by (src_vertex, dst_vertex)
@@ -127,7 +127,6 @@ class FlitNetwork:
         self._worm_vc: Dict[int, Tuple[_Channel, int]] = {}
         self._inject_queues: Dict[int, Deque[_Worm]] = {}
         self._pump_scheduled = False
-        self.delivered = 0
         self._build()
 
     # ------------------------------------------------------------------
@@ -140,6 +139,8 @@ class FlitNetwork:
         ]
 
     def injection_queue_delay(self) -> float:
+        """Mean NI injection queueing delay (cycles), as Fabric counts it:
+        switch-originated worms do not enter through an NI."""
         if self.stats.msgs_injected == 0:
             return 0.0
         return self._inject_wait_sum / self.stats.msgs_injected
@@ -147,7 +148,7 @@ class FlitNetwork:
     def install_cache_engines(self, factory) -> None:
         """Embed a CAESAR engine in every switch (as in Fabric)."""
         engines = (factory(sid) for sid in self.topo.switches())
-        self.cache_engines = [e for e in engines if e is not None]
+        self.cache_engines[:] = [e for e in engines if e is not None]
         self._engine_at = {e.switch_id: e for e in self.cache_engines}
 
     def _build(self) -> None:
@@ -272,7 +273,8 @@ class FlitNetwork:
             is_header = worm.flits_left == worm.msg.flits
             if is_header and worm.msg.injected_at < 0:
                 worm.msg.injected_at = now
-                self._inject_wait_sum += now - worm.msg.created_at
+                if vertex[0] == "node":
+                    self._inject_wait_sum += now - worm.msg.created_at
             is_tail = worm.flits_left == 1
             self._transmit(worm, channel, vc_index, is_header, is_tail)
             worm.flits_left -= 1
@@ -309,7 +311,6 @@ class FlitNetwork:
             data, ready_at = served
             # consume the 1-flit request at this switch
             vc.popleft()
-            self.stats.switch_hits += 1
             index = worm.hops.index(at)
             # reply retraces the traversed prefix back to the source
             reply = self.pool.make(
@@ -320,7 +321,6 @@ class FlitNetwork:
                 data=data,  # flits default to the pool's block, as for every DATA_S
                 payload={
                     "served_by": "switch",
-                    "served_stage": at[1],
                     "served_switch": at[1:],
                     "proc": msg.payload.get("proc"),
                 },
@@ -347,12 +347,13 @@ class FlitNetwork:
         return False
 
     def _inject_at(self, vertex: Port, msg: Message, hops, not_before=None):
-        """Queue a switch-originated worm for transmission from ``vertex``."""
+        """Queue a switch-originated worm for transmission from ``vertex``.
+
+        It is no NI injection, so ``stats`` does not count it.
+        """
         worm = _Worm(msg, hops)
         if not_before is not None:
             worm.ready_at = not_before
-        self.stats.msgs_injected += 1
-        self.stats.flits_injected += msg.flits
         self._inject_queues[vertex].append(worm)
         self._schedule_pump()
 
@@ -373,7 +374,6 @@ class FlitNetwork:
 
     def _deliver(self, worm: _Worm, node: int) -> None:
         worm.msg.delivered_at = self.sim.now
-        self.delivered += 1
         self.stats.msgs_delivered += 1
         handler = self._handlers.get(node)
         if handler is None:

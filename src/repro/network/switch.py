@@ -4,10 +4,18 @@ The base switch is a 4x4 bidirectional crossbar: two left-side links
 (toward the nodes) and two right-side links (toward higher stages), each
 bidirectional.  Internally it arbitrates among 8 virtual-channel candidates
 with the Spider age technique [10]; at message granularity this is FIFO
-grant order on each output link, which :class:`~repro.network.link.Link`
-provides.  Crossing the switch — arbitration plus traversal to the link
-transmitter — costs the fabric-wide ``switch_delay`` (4 cycles in the
-paper), which :class:`~repro.network.fabric.Fabric` adds on every hop.
+grant order on each output link.  Crossing the switch — arbitration plus
+traversal to the link transmitter — costs the fabric-wide
+``switch_delay`` (4 cycles in the paper), which
+:class:`~repro.network.fabric.Fabric` adds on every hop.
+
+A link is a 16-bit-wide wire clocked at the switch frequency, so one
+8-byte flit crosses it in ``cycles_per_flit`` (= 64/16 = 4) cycles
+(Cavallino [6]).  Each direction is its own link, because the BMIN's
+forward (requests) and backward (replies) traffic never contend for
+wires.  A link is a :class:`~repro.sim.resource.Timeline`: a worm of L
+flits holds it for ``L * cycles_per_flit`` cycles, granted in request
+order.
 
 A switch optionally embeds a cache engine (CAESAR, see
 :mod:`repro.core.caesar`); the fabric invokes the engine's hooks as worms
@@ -22,7 +30,7 @@ from typing import Callable, Dict, Hashable, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import NetworkError
 from ..sim.engine import Simulator
-from .link import Link
+from ..sim.resource import Timeline
 from .message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -48,7 +56,7 @@ class Switch:
         self.stage = switch_id[0]
         self.cycles_per_flit = cycles_per_flit
         # outgoing links keyed by neighbor: a SwitchId tuple or an int node id
-        self._out: Dict[Hashable, Link] = {}
+        self._out: Dict[Hashable, Timeline] = {}
         self.cache_engine: Optional["CaesarEngine"] = None
         # the engine's fabric hooks, bound by embed(); None = skip
         self.snoop: Optional[Callable[[Message], None]] = None
@@ -73,36 +81,35 @@ class Switch:
                 self.deposit = engine.try_deposit
                 self.intercept = engine.try_intercept
 
-    def add_output(self, neighbor: Hashable) -> Link:
+    def add_output(self, neighbor: Hashable) -> Timeline:
         """Create the outgoing link toward ``neighbor`` (switch id or node)."""
         if neighbor in self._out:
             raise NetworkError(f"duplicate output {self.id} -> {neighbor}")
-        link = Link(
-            self.sim,
-            name=f"sw{self.id}->{neighbor}",
-            cycles_per_flit=self.cycles_per_flit,
+        link = self._out[neighbor] = Timeline(
+            self.sim, f"sw{self.id}->{neighbor}"
         )
-        self._out[neighbor] = link
         return link
 
-    def output_to(self, neighbor: Hashable) -> Link:
+    def output_to(self, neighbor: Hashable) -> Timeline:
         link = self._out.get(neighbor)
         if link is None:
             raise NetworkError(f"switch {self.id} has no output to {neighbor}")
         return link
 
-    def outputs(self) -> Dict[Hashable, Link]:
+    def outputs(self) -> Dict[Hashable, Timeline]:
         return dict(self._out)
 
     # every worm this switch routes is carried by exactly one of its
-    # output links, so the routing statistics are the links' own counts
+    # output links, so the routing statistics are the links' own counts:
+    # one grant per worm, held cycles_per_flit cycles per flit
     @property
     def msgs_routed(self) -> int:
-        return sum(link.msgs for link in self._out.values())
+        return sum(link.reservations for link in self._out.values())
 
     @property
     def flits_routed(self) -> int:
-        return sum(link.flits for link in self._out.values())
+        busy = sum(link.busy_cycles for link in self._out.values())
+        return busy // self.cycles_per_flit
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Switch {self.id} outs={list(self._out)}>"

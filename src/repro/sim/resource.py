@@ -4,8 +4,10 @@
 bank, a cache data array).  Callers *reserve* an occupancy interval and
 are told when their turn starts.  Reservations are granted in request
 order (FIFO), which matches the age-based arbitration of the Spider-style
-switches at message granularity.  A timeline records queueing-delay
-statistics, which the paper's latency-breakdown figures report directly.
+switches at message granularity, so every fabric link is one too.  A
+timeline counts its grants, the cycles they waited and the cycles they
+held it: queueing delay (which the paper's latency-breakdown figures
+report directly) and utilization derive from those three counters.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ class Timeline:
     caller is responsible for scheduling its own completion event.
     """
 
-    __slots__ = ("sim", "name", "_free_at", "reservations", "queued_cycles")
+    __slots__ = (
+        "sim", "name", "_free_at", "reservations", "queued_cycles",
+        "busy_cycles",
+    )
 
     def __init__(self, sim: Simulator, name: str = "") -> None:
         self.sim = sim
@@ -31,6 +36,7 @@ class Timeline:
         self._free_at = 0
         self.reservations = 0
         self.queued_cycles = 0
+        self.busy_cycles = 0
 
     def reserve(self, duration: int, earliest: Optional[int] = None) -> int:
         """Reserve ``duration`` cycles; returns the start cycle of the grant.
@@ -50,6 +56,7 @@ class Timeline:
         self._free_at = start + duration
         self.reservations += 1
         self.queued_cycles += start - request_at
+        self.busy_cycles += duration
         return start
 
     def free_at(self) -> int:
@@ -58,6 +65,13 @@ class Timeline:
 
     def is_busy(self) -> bool:
         return self._free_at > self.sim.now
+
+    def utilization(self) -> float:
+        """Busy fraction of elapsed simulated time (0 if time has not advanced)."""
+        now = self.sim.now
+        if now == 0:
+            return 0.0
+        return min(1.0, self.busy_cycles / now)
 
     def mean_queueing_delay(self) -> float:
         if self.reservations == 0:

@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-limit", type=int, default=2_000_000,
                         help="max recorded trace events (default 2000000)")
     parser.add_argument("--metrics", metavar="FILE",
-                        help="write counters/histograms/time-series JSON")
+                        help="write histograms/time-series JSON")
     parser.add_argument("--sample-interval", type=int, default=1000,
                         help="metrics sampling period in cycles "
                              "(default 1000; used with --metrics)")
@@ -194,8 +194,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         with open(args.metrics, "w") as handle:
             _json.dump(metrics.to_payload(), handle, indent=1)
-        print(f"metrics: {len(metrics.counters)} counters, "
-              f"{len(metrics.histograms)} histograms, "
+        print(f"metrics: {len(metrics.histograms)} histograms, "
               f"{len(metrics.series_map)} series -> {args.metrics}")
     return 0
 

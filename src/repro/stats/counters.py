@@ -109,10 +109,6 @@ class MachineStats:
         self.per_node_reads[node] += 1
         if self._metrics is not None:
             self._metrics.histogram("read_latency/" + category).observe(stall)
-        if category == "switch" and txn.served_stage is not None:
-            self.switch_hits_by_stage[txn.served_stage] = (
-                self.switch_hits_by_stage.get(txn.served_stage, 0) + 1
-            )
         if category in ("remote_mem", "owner"):
             self._record_breakdown(txn)
         addr = txn.addr

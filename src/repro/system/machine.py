@@ -221,6 +221,14 @@ class Machine:
             )
         # let in-flight traffic (writebacks, late invalidations) quiesce
         self.sim.run(until=max_cycles)
+        # the engines count the hits; the stats keep their per-stage sums
+        by_stage: Dict[int, int] = {}
+        for engine in self.fabric.cache_engines:
+            if engine.hits:
+                by_stage[engine.stage] = (
+                    by_stage.get(engine.stage, 0) + engine.hits
+                )
+        self.stats.switch_hits_by_stage = by_stage
         if self.sanitizer is not None:
             self.sanitizer.final_check(self)
         if self.stats.exec_time is None:

@@ -10,8 +10,8 @@ It has three parts:
   is guarded by a single ``sim.tracer is not None`` check, so a run with
   tracing disabled pays one attribute load per hook site and allocates
   nothing (the *no-op fast path*).
-* :class:`~repro.trace.metrics.MetricsRegistry` — counters, gauges,
-  log-bucketed latency histograms, and sampled time series.  Histogram
+* :class:`~repro.trace.metrics.MetricsRegistry` — log-bucketed
+  latency histograms and sampled time series.  Histogram
   sums are exact, so per-class means reconcile bit-for-bit with
   :meth:`repro.stats.counters.MachineStats.mean_latency` — the two
   layers validate each other.
@@ -22,13 +22,11 @@ It has three parts:
 See DESIGN.md §8 for the event taxonomy and the overhead budget.
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, TimeSeries
+from .metrics import Histogram, MetricsRegistry, TimeSeries
 from .tracer import Tracer
 from .export import chrome_trace, write_chrome_trace, write_jsonl
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "TimeSeries",

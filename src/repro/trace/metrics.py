@@ -1,4 +1,4 @@
-"""Counters, gauges, log-bucketed histograms, and sampled time series.
+"""Log-bucketed histograms and sampled time series.
 
 A :class:`MetricsRegistry` is the quantitative half of the observability
 layer: where the tracer answers "what happened to this transaction", the
@@ -11,38 +11,14 @@ Histograms are log-bucketed (bucket *k* holds values whose integer part
 has bit length *k*, i.e. ``[2**(k-1), 2**k - 1]``; bucket 0 holds zero),
 but ``total``/``count`` are exact sums — the mean is **not** an estimate,
 which is what lets the self-validation test require bit-equality with
-``MachineStats.mean_latency``.
+``MachineStats.mean_latency``.  A histogram's exact ``count`` is also
+the registry's only counter: the simulator's counts live on the
+components that produce them (``MachineStats``, the engines, the links).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-
-class Gauge:
-    """A last-write-wins instantaneous value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 class Histogram:
@@ -106,12 +82,9 @@ class MetricsRegistry:
     harness adds no simulator events and cannot perturb event ordering.
     """
 
-    __slots__ = ("counters", "gauges", "histograms", "series_map",
-                 "sample_interval")
+    __slots__ = ("histograms", "series_map", "sample_interval")
 
     def __init__(self, sample_interval: Optional[int] = None) -> None:
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.series_map: Dict[str, TimeSeries] = {}
         self.sample_interval = sample_interval
@@ -119,18 +92,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # get-or-create accessors
     # ------------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        instrument = self.counters.get(name)
-        if instrument is None:
-            instrument = self.counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self.gauges.get(name)
-        if instrument is None:
-            instrument = self.gauges[name] = Gauge(name)
-        return instrument
-
     def histogram(self, name: str) -> Histogram:
         instrument = self.histograms.get(name)
         if instrument is None:
@@ -149,13 +110,6 @@ class MetricsRegistry:
     def to_payload(self) -> Dict[str, Any]:
         """Complete JSON-serializable state, deterministically ordered."""
         return {
-            "counters": {
-                name: self.counters[name].value
-                for name in sorted(self.counters)
-            },
-            "gauges": {
-                name: self.gauges[name].value for name in sorted(self.gauges)
-            },
             "histograms": {
                 name: {
                     "count": hist.count,
@@ -176,10 +130,6 @@ class MetricsRegistry:
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "MetricsRegistry":
         registry = cls()
-        for name, value in payload.get("counters", {}).items():
-            registry.counter(name).value = value
-        for name, value in payload.get("gauges", {}).items():
-            registry.gauge(name).value = value
         for name, data in payload.get("histograms", {}).items():
             hist = registry.histogram(name)
             hist.count = data["count"]

@@ -74,7 +74,7 @@ ORDER_SENSITIVE = (
 
 #: modules whose classes must declare __slots__ (rule H)
 HOT_MODULES = frozenset({
-    "sim/engine.py", "sim/resource.py", "network/link.py",
+    "sim/engine.py", "sim/resource.py",
     "network/switch.py", "network/fabric.py", "network/message.py",
     "trace/tracer.py", "trace/metrics.py",
 })

@@ -15,8 +15,11 @@ scripted races), plus the kernel-level properties beneath them:
   releasing a lock must have an empty write buffer (the fence semantics
   :mod:`repro.node.processor` promises).
 * **Final audit** — at end of run the ledger is empty, write buffers
-  are empty, and the whole-system coherence audit
-  (:meth:`~repro.system.machine.Machine.check_coherence`) is clean.
+  are empty, the whole-system coherence audit
+  (:meth:`~repro.system.machine.Machine.check_coherence`) is clean, and
+  every switch-cache hit reconciles: the engines' total ``hits``, the
+  reads the statistics classed ``switch`` and the DIR_UPDATEs the homes
+  applied are one number.
 
 Enable with ``Machine(config, sanitize=True)``, ``--sanitize`` on the
 ``repro-sim``/``repro-experiments`` CLIs, or ``REPRO_SANITIZE=1`` in the
@@ -174,6 +177,18 @@ class Sanitizer:
                     f"[fabric] {msg.kind.name} for {msg.addr:#x} "
                     f"({msg.src}->{msg.dst}, {msg.flits} flits) never delivered"
                 )
+        # each hit is one read served by a switch and one DIR_UPDATE
+        identity = {
+            "CAESAR hits": fabric.stats.switch_hits,
+            "read_counts['switch']": machine.stats.read_counts["switch"],
+            "sum of home_ctrl.dir_updates": sum(
+                node.home_ctrl.dir_updates for node in machine.nodes
+            ),
+        }
+        if len(set(identity.values())) != 1:
+            problems.append(
+                f"[stats] switch-hit reconciliation broken: {identity}"
+            )
         for stack in machine.stacks():
             if not stack.write_buffer.is_empty():
                 problems.append(

@@ -188,9 +188,11 @@ class TestSwitchCacheIntegration:
         sim.run()
         assert fabric.stats.switch_hits == 1
         reply, = [m for m in inbox[1] if m.payload.get("served_by")]
-        stage = reply.payload["served_stage"]
+        stage = reply.payload["served_switch"][0]
         assert 0 <= stage < fabric.topo.stages
-        assert fabric.switches[reply.payload["served_switch"]].stage == stage
+        # the one hit is counted once, by the serving switch's engine
+        hits = {e.switch_id: e.hits for e in fabric.cache_engines if e.hits}
+        assert hits == {reply.payload["served_switch"]: 1}
 
     def test_intercept_only_for_reads(self):
         sim, fabric, inbox = make_fabric(with_caches=True)
@@ -344,7 +346,7 @@ class TestHopHandlers:
         sim.run()
         assert read.kind is MsgKind.DIR_UPDATE and read in inbox[15]
         reply, = [m for m in inbox[0] if m.payload.get("served_by")]
-        assert reply.payload["served_stage"] == 2
+        assert reply.payload["served_switch"][0] == 2
         assert read.on_hop == fabric._hop
         assert reply.on_hop == fabric._hop_deposit
 
@@ -378,7 +380,7 @@ class TestHopHandlers:
         assert (a.delivered_at, b.delivered_at) == (92, 128)
         up = fabric.route(0, 15)[0][1]
         assert up is fabric.route(1, 15)[0][1]
-        assert (up.queued_cycles, up.msgs) == (36, 2)
+        assert (up.queued_cycles, up.reservations) == (36, 2)
         assert sum(
             link.queued_cycles
             for switch in fabric.switches.values()

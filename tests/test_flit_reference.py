@@ -129,12 +129,12 @@ class TestReferenceMechanics:
                 for vc in channel.vcs:
                     if len(vc) > network.vc_depth:
                         overfull.append(len(vc))
-            if network.delivered < 9:
+            if network.stats.msgs_delivered < 9:
                 sim.call(1, check)
 
         sim.call(1, check)
         sim.run()
-        assert network.delivered == 9
+        assert network.stats.msgs_delivered == 9
         assert overfull == []
 
     def test_reference_rejects_local_messages(self):
@@ -172,6 +172,35 @@ class TestSwitchReplyLength:
         reply, = [m for m in inbox[1] if m.kind is MsgKind.DATA_S]
         assert reply.payload["served_by"] == "switch"
         assert reply.flits == data_flits
+
+
+class TestInjectionAccounting:
+    @pytest.mark.parametrize("model_cls", (Fabric, FlitNetwork),
+                             ids=("fabric", "flit"))
+    def test_switch_worms_are_not_ni_injections(self, model_cls):
+        # one switch hit: the reply and the DIR_UPDATE enter mid-network,
+        # so both models count the two NI injections only
+        sim = Simulator()
+        network = model_cls(sim, BminTopology(16))
+        for node in range(16):
+            network.attach_node(node, lambda msg: None)
+        network.install_cache_engines(
+            lambda sid: CaesarEngine(sim, sid, switch_cache_config(16))
+        )
+        fill = Message(MsgKind.DATA_S, 15, 0, 0x40, 9, data=7)
+        network.inject(fill)
+        sim.run()
+        read = Message(MsgKind.READ, 1, 15, 0x40, 1)
+        network.inject(read)
+        sim.run()
+        stats = network.stats
+        assert stats.switch_hits == 1
+        assert (stats.msgs_injected, stats.flits_injected) == (2, 10)
+        assert stats.msgs_delivered == 3
+        if model_cls is FlitNetwork:
+            # the reply's wait for the SRAM stream is no NI queueing
+            waits = [m.injected_at - m.created_at for m in (fill, read)]
+            assert network.injection_queue_delay() == sum(waits) / 2
 
 
 class TestFlitPacing:

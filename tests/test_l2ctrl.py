@@ -95,9 +95,8 @@ class TestReads:
         h = Harness()
         txn = h.issue_read()
         h.deliver(MsgKind.DATA_S, data=0,
-                  payload={"served_by": "switch", "served_stage": 2})
+                  payload={"served_by": "switch", "served_switch": (2, 0)})
         assert txn.served_by == "switch"
-        assert txn.served_stage == 2
 
 
 class TestLateInvalidation:

@@ -1,4 +1,11 @@
-"""Unit tests for links and the crossbar switch timing model (per-hop grants)."""
+"""Unit tests for links and the crossbar switch timing model (per-hop grants).
+
+A link is a :class:`~repro.sim.resource.Timeline` (its FIFO grant
+arithmetic is tested in ``test_resource.py``); these tests pin what the
+network adds on top: a worm of ``flits`` flits holds its link for
+``flits * cycles_per_flit`` cycles, and the fabric's inlined hop grant
+stays in lockstep with ``Timeline.reserve``.
+"""
 
 import random
 
@@ -6,42 +13,52 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.network.fabric import Fabric
-from repro.network.link import Link
 from repro.network.message import Message, MsgKind
 from repro.network.switch import Switch
 from repro.network.topology import BminTopology
 from repro.sim.engine import Simulator
+from repro.sim.resource import Timeline
 
 
 class TestLink:
+    """The switch's output links, driven as the fabric drives them."""
+
+    CYCLES_PER_FLIT = 4
+
+    @staticmethod
+    def _link():
+        switch = Switch(Simulator(), (0, 0))
+        return switch, switch.add_output(1)
+
+    def _send(self, link, flits, earliest=None):
+        """Reserve ``link`` for a worm; returns (grant, tail_done)."""
+        duration = flits * self.CYCLES_PER_FLIT
+        grant = link.reserve(duration, earliest)
+        return grant, grant + duration
+
     def test_serialization_time(self):
-        sim = Simulator()
-        link = Link(sim, "l", cycles_per_flit=4)
-        grant, tail = link.reserve(flits=9, earliest=0)
-        assert grant == 0
-        assert tail == 36
+        _switch, link = self._link()
+        assert isinstance(link, Timeline)
+        assert self._send(link, flits=9, earliest=0) == (0, 36)
 
     def test_fifo_grants(self):
-        sim = Simulator()
-        link = Link(sim, "l", cycles_per_flit=4)
-        g1, t1 = link.reserve(2, earliest=0)
-        g2, t2 = link.reserve(2, earliest=0)
-        assert (g1, t1) == (0, 8)
-        assert (g2, t2) == (8, 16)
+        _switch, link = self._link()
+        assert self._send(link, 2, earliest=0) == (0, 8)
+        assert self._send(link, 2, earliest=0) == (8, 16)
 
     def test_earliest_respected(self):
-        sim = Simulator()
-        link = Link(sim, "l")
-        grant, _tail = link.reserve(1, earliest=100)
+        _switch, link = self._link()
+        grant, _tail = self._send(link, 1, earliest=100)
         assert grant == 100
 
     def test_stats(self):
-        sim = Simulator()
-        link = Link(sim, "l")
-        link.reserve(3, earliest=0)
-        link.reserve(2, earliest=0)
-        assert link.msgs == 2
-        assert link.flits == 5
+        switch, link = self._link()
+        self._send(link, 3, earliest=0)
+        self._send(link, 2, earliest=0)
+        assert (link.reservations, link.busy_cycles) == (2, 20)
+        assert (switch.msgs_routed, switch.flits_routed) == (2, 5)
+        link.sim.now = 40
+        assert link.utilization() == 0.5
 
 
 class TestSwitch:
@@ -129,12 +146,12 @@ class TestSwitch:
 
 
 class TestGrantLockstep:
-    """Grant arithmetic lives in a hand-inlined copy besides Link.reserve.
+    """Grant arithmetic lives in a hand-inlined copy besides Timeline.reserve.
 
     ``Fabric._hop`` inlines the reservation for the per-hop path; every
     per-kind hop callback (and the traced ``_arrive``) ends there.
     These property tests drive fuzzed (flits, earliest, free_at) streams
-    through a real fabric route and through reference ``Link.reserve``
+    through a real fabric route and through reference ``Timeline.reserve``
     calls with the same tuples, asserting identical (grant, tail_done)
     timing and identical link counters — so the copy cannot drift
     apart silently.  Each stream also runs through the SCSan overlay
@@ -148,7 +165,7 @@ class TestGrantLockstep:
     CYCLES_PER_FLIT = 4
 
     def _reference(self, worms, eject_busy_until=0):
-        """Chained Link.reserve over the same (flits, inject_at) stream.
+        """Chained Timeline.reserve over the same (flits, inject_at) stream.
 
         ``free_at`` on the ejection link is fuzzed two ways: an initial
         planted occupancy (``eject_busy_until``) and, for every later
@@ -156,24 +173,25 @@ class TestGrantLockstep:
         same contended values the fabric's inlined copies see.
         """
         sim = Simulator()
-        inj = Link(sim, "ref-inj", cycles_per_flit=self.CYCLES_PER_FLIT)
-        ej = Link(sim, "ref-ej", cycles_per_flit=self.CYCLES_PER_FLIT)
+        inj = Timeline(sim, "ref-inj")
+        ej = Timeline(sim, "ref-ej")
         ej._free_at = eject_busy_until
         timings = []
         for flits, inject_at in worms:
-            g_inj, _ = inj.reserve(flits, earliest=inject_at)
+            duration = flits * self.CYCLES_PER_FLIT
+            g_inj = inj.reserve(duration, earliest=inject_at)
             header_at = g_inj + self.CYCLES_PER_FLIT
-            grant, tail = ej.reserve(
-                flits, earliest=header_at + self.SWITCH_DELAY
+            grant = ej.reserve(
+                duration, earliest=header_at + self.SWITCH_DELAY
             )
-            timings.append((g_inj, grant, tail))
+            timings.append((g_inj, grant, grant + duration))
         return timings, self._counters(inj), self._counters(ej)
 
     @staticmethod
     def _counters(link):
         return (
-            link._free_at, link.queued_cycles, link.msgs, link.flits,
-            link.mean_queueing_delay(),
+            link._free_at, link.queued_cycles, link.reservations,
+            link.busy_cycles, link.mean_queueing_delay(),
         )
 
     def _fabric_run(self, worms, sanitize="off", eject_busy_until=0,
@@ -256,7 +274,7 @@ class TestGrantLockstep:
         assert self._fabric_run(worms, sanitize, busy, caches=True) == want
 
     def test_shared_grant_matches_link_reserve(self):
-        # Fabric._hop itself, against Link.reserve, over fuzzed fabric
+        # Fabric._hop itself, against Timeline.reserve, over fuzzed fabric
         # timing, link backlog, clock and hop position: same grant, same
         # counters, and one heap entry carrying the next callback
         rng = random.Random(2024)
@@ -273,11 +291,13 @@ class TestGrantLockstep:
             link = msg.hops[hop][1]
             link._free_at = rng.randrange(0, 80)
             sim.now = rng.randrange(0, 80)
-            ref = Link(sim, "ref", cycles_per_flit=cycles_per_flit)
+            ref = Timeline(sim, "ref")
             ref._free_at = link._free_at
-            grant, tail = ref.reserve(
-                msg.flits, earliest=sim.now + fabric.switch_delay
+            duration = msg.flits * cycles_per_flit
+            grant = ref.reserve(
+                duration, earliest=sim.now + fabric.switch_delay
             )
+            tail = grant + duration
             fabric._hop(msg, hop)
             (time, seq, fn, args), = sim._heap
             if hop + 1 == len(msg.hops):

@@ -240,10 +240,6 @@ def test_payload_carries_metrics_histograms(isolated_caches):
     assert payload["metrics"]["histograms"]
     rebuilt = RunRecord.from_payload(payload)
     assert rebuilt.metrics.to_payload() == record.metrics.to_payload()
-    # pre-metrics payloads (no key at all) rebuild with metrics=None
-    legacy = dict(payload)
-    del legacy["metrics"]
-    assert RunRecord.from_payload(legacy).metrics is None
 
 
 # ----------------------------------------------------------------------

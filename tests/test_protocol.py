@@ -5,6 +5,8 @@ script, lets the system quiesce, and checks directory state, cached
 copies, version values, and the whole-machine coherence audit.
 """
 
+import pytest
+
 from repro.cache.states import DirState, LineState
 
 from conftest import (
@@ -263,17 +265,31 @@ class TestWriteBufferSemantics:
 
 
 class TestMessageAccounting:
-    def test_no_stray_messages_after_quiesce(self):
+    @pytest.mark.parametrize("network_model", ("message", "flit"))
+    @pytest.mark.parametrize("switch_cache_size", (0, 1024),
+                             ids=("base", "switch_cache"))
+    def test_no_stray_messages_after_quiesce(self, switch_cache_size,
+                                             network_model):
+        # proc 3's read of block 0 passes the switch that proc 1's reply
+        # filled: with switch caches it is the run's one switch hit
         machine, _stats = run_scripted(
-            {p: [("r", ("blk", p % 2)), ("w", ("blk", p % 2))]
-             for p in range(4)},
+            {
+                1: [("r", ("blk", 0)), ("barrier", 1), ("w", ("blk", 1))],
+                3: [("barrier", 1), ("r", ("blk", 0)), ("w", ("blk", 0))],
+                0: [("r", ("blk", 1)), ("barrier", 1)],
+                2: [("barrier", 1), ("r", ("blk", 1)), ("r", ("blk", 0))],
+            },
+            tiny_config(switch_cache_size=switch_cache_size,
+                        network_model=network_model),
             blocks=2,
             home=0,
         )
+        stats = machine.fabric.stats
         assert machine.sim.pending == 0
-        assert (machine.fabric.stats.msgs_injected
-                == machine.fabric.stats.msgs_delivered
-                + machine.fabric.stats.switch_hits)
+        assert stats.switch_hits == (1 if switch_cache_size else 0)
+        # a hit adds two deliveries (the switch's reply and the
+        # DIR_UPDATE its READ became) for the one NI injection it consumed
+        assert stats.msgs_delivered == stats.msgs_injected + stats.switch_hits
 
     def test_outstanding_mshrs_empty_at_end(self):
         machine, _stats = run_scripted(

@@ -55,6 +55,19 @@ class TestTimeline:
         tl.reserve(7)
         assert tl.free_at() == 17
         assert tl.reservations == 2
+        assert tl.busy_cycles == 17
+
+    def test_utilization_is_busy_share_of_elapsed_time(self):
+        sim = Simulator()
+        tl = Timeline(sim)
+        assert tl.utilization() == 0.0  # no time has passed
+        tl.reserve(10)
+        tl.reserve(5, earliest=30)  # the idle gap is not busy time
+        sim.now = 60
+        assert tl.busy_cycles == 15
+        assert tl.utilization() == 0.25
+        sim.now = 10  # reserved beyond now: capped at fully busy
+        assert tl.utilization() == 1.0
 
     def test_queueing_delay_statistics(self):
         sim = Simulator()

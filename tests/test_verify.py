@@ -494,6 +494,29 @@ class TestSanitizerMutations:
             machine.run(ScriptedApp(scripts, blocks=24, home=3))
         assert dropped, "mutation test vacuous: no WRITEBACK was dropped"
 
+    @pytest.mark.parametrize("counter", ("engine", "stats", "home"))
+    def test_switch_hit_miscount_detected(self, counter):
+        """One switch hit counted twice by any one of its three
+        counters breaks the end-of-run reconciliation."""
+        scripts = {
+            1: [("r", ("blk", 0)), ("barrier", 1)],
+            3: [("barrier", 1), ("r", ("blk", 0))],
+            0: [("barrier", 1)],
+            2: [("barrier", 1)],
+        }
+        machine = Machine(_sc_config(), sanitize=True)
+        if counter == "engine":
+            machine.fabric.cache_engines[0].hits = 1
+        elif counter == "stats":
+            machine.stats.read_counts["switch"] = 1
+        else:
+            machine.nodes[0].home_ctrl.dir_updates = 1
+        with pytest.raises(SanitizerError, match="switch-hit reconciliation"):
+            machine.run(ScriptedApp(scripts, blocks=1, home=0))
+        assert machine.stats.read_counts["switch"] >= 1, (
+            "mutation test vacuous: no read was served by a switch"
+        )
+
     def test_double_injection_detected(self):
         machine = Machine(tiny_config(), sanitize=True)
         msg = MessagePool(machine.config.block_size).make(
