@@ -130,8 +130,11 @@ class CacheArray:
     not touch the replacement state), or ``'random'`` (seeded, so runs
     stay deterministic).
 
-    Set ``s`` owns slots ``[s*assoc, (s+1)*assoc)`` of four flat parallel
-    lists.  ``_tags[slot] == -1`` marks an empty slot; occupied slots form
+    A set owns ``assoc`` contiguous slots of four flat parallel lists,
+    starting at ``_base[s]``.  The lists start empty and a set's slice is
+    appended at its first fill (:meth:`_open_set`), so a machine pays only
+    for the sets its run touches; ``_base[s] == -1`` marks a set never
+    filled.  ``_tags[slot] == -1`` marks an empty slot; occupied slots form
     an unsorted prefix of the set.  A new block takes the next free slot,
     an evicted one is overwritten in place, and an invalidated one is
     filled by the set's last occupied way.  LRU and FIFO evict the
@@ -149,7 +152,7 @@ class CacheArray:
         "replacement", "_lru", "_rng", "size", "block_size", "assoc",
         "num_sets", "name", "_tick", "hits", "misses", "evictions",
         "invalidations",
-        "_tags", "_states", "_data", "_lrus", "_occ", "_occupied",
+        "_tags", "_states", "_data", "_lrus", "_base", "_occ", "_occupied",
         "_set_mask", "_set_bits", "_block_shift", "_victim_range", "_slot",
     )
 
@@ -179,12 +182,15 @@ class CacheArray:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        slots = self.num_sets * assoc
-        self._tags: List[int] = [-1] * slots
-        self._states: List[int] = [0] * slots
-        self._data: List[int] = [0] * slots
-        self._lrus: List[int] = [0] * slots
-        self._occ: List[int] = [0] * self.num_sets
+        # slot storage grows a set at a time (_open_set); the lists are
+        # only ever extended or emptied in place, never rebound, because
+        # Processor._loop holds them across inserts
+        self._tags: List[int] = []
+        self._states: List[int] = []
+        self._data: List[int] = []
+        self._lrus: List[int] = []
+        self._base: List[int] = [-1] * num_sets
+        self._occ: List[int] = [0] * num_sets
         self._occupied = 0
         self._set_mask = self.num_sets - 1
         self._set_bits = self.num_sets.bit_length() - 1
@@ -312,7 +318,7 @@ class CacheArray:
             return None
         set_idx = block & self._set_mask
         assoc = self.assoc
-        base = set_idx * assoc
+        base = self._base[set_idx]
         n = self._occ[set_idx]
         tags = self._tags
         states = self._states
@@ -320,6 +326,8 @@ class CacheArray:
         lrus = self._lrus
         victim_info = None
         if n < assoc:
+            if base < 0:  # the set's first fill (a full set is open)
+                base = self._open_set(set_idx)
             i = base + n
             self._occ[set_idx] = n + 1
             self._occupied += 1
@@ -350,6 +358,20 @@ class CacheArray:
         lrus[i] = tick
         slot[block] = i
         return victim_info
+
+    def _open_set(self, set_idx: int) -> int:
+        """Append ``assoc`` empty slots for ``set_idx``; returns its base.
+
+        Cold: runs once per set, at the set's first fill.
+        """
+        assoc = self.assoc
+        base = len(self._tags)
+        self._tags.extend([-1] * assoc)
+        self._states.extend([0] * assoc)
+        self._data.extend([0] * assoc)
+        self._lrus.extend([0] * assoc)
+        self._base[set_idx] = base
+        return base
 
     def _random_victim(self, rng: _random.Random, base: int) -> int:
         """Slot of the seeded random victim in the full set at ``base``.
@@ -383,7 +405,7 @@ class CacheArray:
         former = (_DECODE[code], datas[i])
         set_idx = block & self._set_mask
         n = self._occ[set_idx] - 1
-        last = set_idx * self.assoc + n
+        last = self._base[set_idx] + n
         tags = self._tags
         del slot[block]
         if i != last:
@@ -401,8 +423,10 @@ class CacheArray:
         return former
 
     def clear(self) -> None:
-        slots = self.num_sets * self.assoc
-        self._tags[:] = [-1] * slots
+        """Empty the array back to its just-built state: no slots."""
+        for column in (self._tags, self._states, self._data, self._lrus):
+            column.clear()
+        self._base[:] = [-1] * self.num_sets
         self._occ[:] = [0] * self.num_sets
         self._occupied = 0
         self._slot.clear()
@@ -412,12 +436,12 @@ class CacheArray:
     # ------------------------------------------------------------------
     def resident_blocks(self) -> Iterator[Tuple[int, LineView]]:
         """Yield ``(block_start_addr, line)`` for every valid line."""
-        assoc = self.assoc
         tags = self._tags
         states = self._states
-        for set_idx in range(self.num_sets):
-            base = set_idx * assoc
-            for i in range(base, base + self._occ[set_idx]):
+        occ = self._occ
+        # set-major order; a set never filled has occupancy 0
+        for set_idx, base in enumerate(self._base):
+            for i in range(base, base + occ[set_idx]):
                 if states[i]:
                     block = tags[i] * self.num_sets + set_idx
                     yield block * self.block_size, LineView(self, i)

@@ -78,18 +78,16 @@ class CaesarEngine:
         self.stage = switch_id[0]
         block_size = config.block_size
         banks = config.switch_cache_banks
-        name = f"sc{switch_id}"
         self.array = CacheArray(
             config.switch_cache_size, block_size, config.switch_cache_assoc,
-            name=name, replacement=config.switch_cache_replacement,
+            name=f"sc{switch_id}",
+            replacement=config.switch_cache_replacement,
         )
         # the regular tag port and one data port per bank.  Snoops use the
         # tag array's second port, which nothing else contends for, so it
         # needs no grant state: a snoop never delays a request or a worm
-        self.tag_port = Timeline(sim, f"{name}.tag")
-        self.data_ports = [
-            Timeline(sim, f"{name}.data{b}") for b in range(banks)
-        ]
+        self.tag_port = Timeline(sim)
+        self.data_ports = [Timeline(sim) for _ in range(banks)]
         # whether this stage caches: a disabled engine still snoops
         stages = config.switch_cache_stages
         self.enabled = stages is None or self.stage in stages

@@ -89,9 +89,7 @@ class RunRecord:
     config_label: str
     stats: MachineStats
     switch_totals: Dict[str, int]
-    mean_tag_queue: float
     mean_data_queue: float
-    ni_queue: float
     coherence_violations: int
     #: the latency histograms collected during the run
     metrics: MetricsRegistry
@@ -111,9 +109,7 @@ class RunRecord:
             "config_label": self.config_label,
             "stats": self.stats.to_payload(),
             "switch_totals": dict(self.switch_totals),
-            "mean_tag_queue": self.mean_tag_queue,
             "mean_data_queue": self.mean_data_queue,
-            "ni_queue": self.ni_queue,
             "coherence_violations": self.coherence_violations,
             "metrics": self.metrics.to_payload(),
         }
@@ -127,9 +123,7 @@ class RunRecord:
             config_label=payload["config_label"],
             stats=MachineStats.from_payload(payload["stats"]),
             switch_totals=dict(payload["switch_totals"]),
-            mean_tag_queue=payload["mean_tag_queue"],
             mean_data_queue=payload["mean_data_queue"],
-            ni_queue=payload["ni_queue"],
             coherence_violations=payload["coherence_violations"],
             metrics=MetricsRegistry.from_payload(payload["metrics"]),
         )
@@ -180,20 +174,18 @@ def execute(
     metrics = MetricsRegistry()
     machine = Machine(config, metrics=metrics)
     stats = machine.run(make_app(app_name, scale, app_overrides))
-    tag_qs, data_qs = [], []
-    for engine in machine.fabric.cache_engines:
-        tag_qs.append(engine.tag_port.mean_queueing_delay())
-        for port in engine.data_ports:
-            data_qs.append(port.mean_queueing_delay())
+    data_qs = [
+        port.mean_queueing_delay()
+        for engine in machine.fabric.cache_engines
+        for port in engine.data_ports
+    ]
     return RunRecord(
         app=app_name,
         scale=scale,
         config_label=config.label(),
         stats=stats,
         switch_totals=machine.switch_cache_stats(),
-        mean_tag_queue=sum(tag_qs) / len(tag_qs) if tag_qs else 0.0,
         mean_data_queue=sum(data_qs) / len(data_qs) if data_qs else 0.0,
-        ni_queue=machine.fabric.injection_queue_delay(),
         coherence_violations=len(machine.check_coherence()),
         metrics=metrics,
     )

@@ -41,7 +41,7 @@ from ..system.config import SystemConfig
 #: bump when the payload layout changes (simulator changes are caught by
 #: the source digest); every existing entry becomes unreachable, and
 #: ``prune()`` removes it
-CACHE_FORMAT_VERSION = 5  # v5: metrics hold histograms and series only
+CACHE_FORMAT_VERSION = 6  # v6: no ni_queue or mean_tag_queue fields
 
 #: the package whose source keys every entry (``src/repro``)
 PACKAGE_DIR = pathlib.Path(__file__).resolve().parents[1]

@@ -30,7 +30,7 @@ class MemoryModule:
         self.node_id = node_id
         self.access_cycles = access_cycles
         self.bus_cycles = bus_cycles
-        self.array = Timeline(sim, f"mem{node_id}")
+        self.array = Timeline(sim)
         # statistics
         self.reads = 0
         self.writes = 0

@@ -41,7 +41,7 @@ class NetworkCache:
         self.node_id = node_id
         self.access_cycles = access_cycles
         self.array = CacheArray(size, block_size, assoc, name=f"nc{node_id}")
-        self.port = Timeline(sim, f"nc{node_id}.port")
+        self.port = Timeline(sim)
         # statistics
         self.hits = 0
         self.misses = 0

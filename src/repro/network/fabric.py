@@ -167,7 +167,7 @@ class Fabric:
         for node in range(self.topo.num_nodes):
             sw = self.switches[self.topo.node_switch(node)]
             sw.add_output(node)
-            self._inject_links[node] = Timeline(self.sim, f"ni{node}->sw")
+            self._inject_links[node] = Timeline(self.sim)
 
     def route(self, src: int, dst: int) -> Tuple[Hop, ...]:
         """The ``((switch, out_link), ...)`` hops from node ``src`` to ``dst``.
@@ -498,8 +498,13 @@ class Fabric:
         return rows[:top]
 
     def injection_queue_delay(self) -> float:
-        """Mean NI injection queueing delay across all nodes (cycles)."""
-        delays = [
-            link.mean_queueing_delay() for link in self._inject_links.values()
-        ]
-        return sum(delays) / len(delays) if delays else 0.0
+        """Mean NI injection queueing delay per injected worm (cycles).
+
+        Weighted by worms, as :class:`FlitNetwork` counts it, so a node
+        that injects nothing does not dilute the mean.
+        """
+        links = self._inject_links.values()
+        worms = sum(link.reservations for link in links)
+        if worms == 0:
+            return 0.0
+        return sum(link.queued_cycles for link in links) / worms

@@ -85,9 +85,7 @@ class Switch:
         """Create the outgoing link toward ``neighbor`` (switch id or node)."""
         if neighbor in self._out:
             raise NetworkError(f"duplicate output {self.id} -> {neighbor}")
-        link = self._out[neighbor] = Timeline(
-            self.sim, f"sw{self.id}->{neighbor}"
-        )
+        link = self._out[neighbor] = Timeline(self.sim)
         return link
 
     def output_to(self, neighbor: Hashable) -> Timeline:

@@ -181,7 +181,7 @@ class ClusterBus:
         self.sim = sim
         self.node = node
         self.bus_cycles = bus_cycles
-        self.wire = Timeline(sim, f"bus{node.node_id}")
+        self.wire = Timeline(sim)
         self._queues: Dict[int, Deque[_BusOp]] = {}
         self._active: Dict[int, _BusOp] = {}
         self._block_mask = -node.config.block_size  # a power of two

@@ -8,6 +8,8 @@ switches at message granularity, so every fabric link is one too.  A
 timeline counts its grants, the cycles they waited and the cycles they
 held it: queueing delay (which the paper's latency-breakdown figures
 report directly) and utilization derive from those three counters.
+A timeline is unnamed: its owner (a link's switch, a node's memory, a
+CAESAR engine) already identifies it.
 """
 
 from __future__ import annotations
@@ -26,13 +28,11 @@ class Timeline:
     """
 
     __slots__ = (
-        "sim", "name", "_free_at", "reservations", "queued_cycles",
-        "busy_cycles",
+        "sim", "_free_at", "reservations", "queued_cycles", "busy_cycles",
     )
 
-    def __init__(self, sim: Simulator, name: str = "") -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.name = name
         self._free_at = 0
         self.reservations = 0
         self.queued_cycles = 0

@@ -7,6 +7,15 @@ from hypothesis import strategies as st
 from repro.cache.array import CacheArray
 from repro.cache.states import LineState
 from repro.errors import ConfigError
+from repro.system.machine import Machine
+from repro.system.presets import caesar_plus_config, switch_cache_config
+
+
+def slots(array):
+    """Slots the array holds; its four parallel lists stay in step."""
+    columns = (array._tags, array._states, array._data, array._lrus)
+    assert len({len(column) for column in columns}) == 1
+    return len(array._tags)
 
 
 class TestGeometry:
@@ -149,6 +158,67 @@ class TestInvalidate:
             array.insert(i * 64, LineState.SHARED, i)
         array.clear()
         assert array.occupancy() == 0
+
+
+class TestSetsOpenOnFirstFill:
+    """A set's ways are allocated at its first fill, not at construction."""
+
+    def test_fresh_array_holds_no_slots(self):
+        array = CacheArray(128 * 1024, 64, 4)
+        assert slots(array) == 0
+        assert array._base == [-1] * array.num_sets
+
+    @pytest.mark.parametrize("make_config",
+                             (switch_cache_config, caesar_plus_config))
+    def test_fresh_machine_arrays_hold_no_slots(self, make_config):
+        machine = Machine(make_config(16))
+        arrays = [array for stack in machine.stacks()
+                  for array in (stack.hierarchy.l1, stack.hierarchy.l2)]
+        arrays += [node.netcache.array for node in machine.nodes
+                   if node.netcache is not None]
+        arrays += [engine.array for engine in machine.fabric.cache_engines]
+        assert len(arrays) > 2 * 16
+        assert [slots(array) for array in arrays] == [0] * len(arrays)
+
+    def test_first_fill_opens_one_set(self):
+        array = CacheArray(1024, 64, 4)  # 4 sets
+        stride = array.num_sets * 64
+        array.insert(0, LineState.SHARED, 0)
+        assert slots(array) == 4
+        for way in range(1, 6):  # fill set 0, then evict from it
+            array.insert(way * stride, LineState.SHARED, way)
+        assert slots(array) == 4 and array.evictions == 2
+        array.insert(64, LineState.SHARED, 9)  # set 1's first fill
+        assert slots(array) == 8
+
+    def test_resident_blocks_stay_set_major(self):
+        array = CacheArray(512, 64, 2)  # 4 sets of 2 ways
+
+        def addr(tag, set_idx):
+            return (tag * array.num_sets + set_idx) * 64
+
+        # sets open in the order 2, 0, 3, so storage order is not set order
+        for tag, set_idx in ((1, 2), (0, 0), (3, 2), (2, 3), (5, 0)):
+            array.insert(addr(tag, set_idx), LineState.SHARED, tag)
+        array.invalidate(addr(1, 2))  # set 2's last way fills the hole
+        array.insert(addr(7, 2), LineState.SHARED, 7)
+        assert slots(array) == 6
+        assert [a for a, _line in array.resident_blocks()] == [
+            addr(0, 0), addr(5, 0), addr(3, 2), addr(7, 2), addr(2, 3),
+        ]
+
+    def test_clear_returns_to_no_slots(self):
+        array = CacheArray(1024, 64, 2)
+        for i in range(8):
+            array.insert(i * 64, LineState.SHARED, i)
+        assert slots(array) == 16
+        array.clear()
+        assert slots(array) == 0
+        assert array._base == [-1] * array.num_sets
+        assert list(array.resident_blocks()) == []
+        array.insert(3 * 64, LineState.SHARED, 5)
+        assert slots(array) == 2
+        assert array.probe_data(3 * 64) == 5
 
 
 class TestIntrospection:

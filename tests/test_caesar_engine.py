@@ -196,8 +196,8 @@ class TestGrantLockstep:
         )
         engine = CaesarEngine(sim, (1, 0), config)
         stream = data_cycles(64, config.switch_cache_width_bits)
-        tag = Timeline(sim, "ref.tag")
-        data = [Timeline(sim, f"ref.data{b}") for b in range(banks)]
+        tag = Timeline(sim)
+        data = [Timeline(sim) for _ in range(banks)]
         for _ in range(200):
             # mostly same-cycle bursts, so the tag port backs up too
             sim.now += rng.choice((0, 0, 1, 3))

@@ -202,6 +202,26 @@ class TestInjectionAccounting:
             waits = [m.injected_at - m.created_at for m in (fill, read)]
             assert network.injection_queue_delay() == sum(waits) / 2
 
+    @pytest.mark.parametrize("model_cls", (Fabric, FlitNetwork),
+                             ids=("fabric", "flit"))
+    def test_injection_delay_is_a_mean_over_worms(self, model_cls):
+        # node 0 injects two back-to-back worms and nodes 1-3 stay idle:
+        # the second waits out the first's flits, and the mean is over the
+        # two worms; idle nodes must not dilute it
+        sim = Simulator()
+        network = model_cls(sim, BminTopology(4))
+        for node in range(4):
+            network.attach_node(node, lambda msg: None)
+        flits = flits_for(MsgKind.DATA_S, 64)
+        worms = [Message(MsgKind.DATA_S, 0, 3, 0x40, flits, data=0)
+                 for _ in range(2)]
+        for msg in worms:
+            network.inject(msg)
+        sim.run()
+        waits = [m.injected_at - m.created_at for m in worms]
+        assert waits[1] - waits[0] == flits * network.cycles_per_flit
+        assert network.injection_queue_delay() == sum(waits) / 2
+
 
 class TestFlitPacing:
     def test_body_flits_spaced_by_link_rate(self):

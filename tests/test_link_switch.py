@@ -173,8 +173,8 @@ class TestGrantLockstep:
         same contended values the fabric's inlined copies see.
         """
         sim = Simulator()
-        inj = Timeline(sim, "ref-inj")
-        ej = Timeline(sim, "ref-ej")
+        inj = Timeline(sim)
+        ej = Timeline(sim)
         ej._free_at = eject_busy_until
         timings = []
         for flits, inject_at in worms:
@@ -291,7 +291,7 @@ class TestGrantLockstep:
             link = msg.hops[hop][1]
             link._free_at = rng.randrange(0, 80)
             sim.now = rng.randrange(0, 80)
-            ref = Timeline(sim, "ref")
+            ref = Timeline(sim)
             ref._free_at = link._free_at
             duration = msg.flits * cycles_per_flit
             grant = ref.reserve(

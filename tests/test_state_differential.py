@@ -131,6 +131,7 @@ def _lockstep_arrays(seed, replacement, ops=600):
         else:
             coded.clear()
             obj.clear()
+            assert coded._tags == [] and set(coded._base) == {-1}, op_idx
         assert _array_observables(coded) == _array_observables(obj), (
             op_idx, "observables",
         )
