@@ -8,7 +8,6 @@ from .gs import GramSchmidt
 from .mm import MatrixMultiply
 from .sor import RedBlackSOR
 from .synthetic import HotBlock, PrivateWork, SharedReaders, UniformRandom
-from .trace import TraceApplication, TraceRecorder
 
 PAPER_APPS = {
     "FWA": FloydWarshall,
@@ -35,7 +34,5 @@ __all__ = [
     "PrivateWork",
     "UniformRandom",
     "HotBlock",
-    "TraceApplication",
-    "TraceRecorder",
     "PAPER_APPS",
 ]

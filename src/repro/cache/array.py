@@ -71,7 +71,6 @@ def check_geometry(
 _DECODE = LINE_STATE_BY_CODE
 _CODE_SHARED = LineState.SHARED.code
 _CODE_MODIFIED = LineState.MODIFIED.code
-_CODE_EXCLUSIVE = LineState.EXCLUSIVE.code
 
 
 class LineView:
@@ -271,11 +270,10 @@ class CacheArray:
         return self._states[i]
 
     def write_owned(self, addr: int, data: int) -> bool:
-        """Commit a store if the copy is writable (E/M); M-promote it."""
+        """Commit a store if the copy is owned (M)."""
         i = self._slot.get(addr >> self._block_shift)
-        if i is None or self._states[i] < _CODE_EXCLUSIVE:
+        if i is None or self._states[i] != _CODE_MODIFIED:
             return False
-        self._states[i] = _CODE_MODIFIED
         self._data[i] = data
         return True
 
@@ -288,9 +286,9 @@ class CacheArray:
         return False
 
     def downgrade_owned(self, addr: int) -> Optional[int]:
-        """M/E -> S; returns the payload, or None if not resident-owned."""
+        """M -> S; returns the payload, or None if not resident-owned."""
         i = self._slot.get(addr >> self._block_shift)
-        if i is None or self._states[i] < _CODE_EXCLUSIVE:
+        if i is None or self._states[i] != _CODE_MODIFIED:
             return None
         self._states[i] = _CODE_SHARED
         return self._data[i]

@@ -37,10 +37,7 @@ class CacheHierarchy:
     # processor-side stores
     # ------------------------------------------------------------------
     def perform_write(self, addr: int, data: int) -> None:
-        """Commit a store to an owned L2 line (and through to L1 if present).
-
-        An EXCLUSIVE line is silently promoted to MODIFIED (MESI).
-        """
+        """Commit a store to an owned L2 line (and through to L1 if present)."""
         if not self.l2.write_owned(addr, data):
             raise KeyError(f"perform_write without ownership of {addr:#x}")
         self.l1.set_data(addr, data)
@@ -64,8 +61,6 @@ class CacheHierarchy:
             victim_addr, victim_state, victim_data = victim
             self.l1.invalidate(victim_addr)
             if victim_state.owned():
-                # M victims carry dirty data home; E victims (MESI) send a
-                # replacement notification so the directory frees the owner
                 dirty_victim = (victim_addr, victim_data)
         if fill_l1:
             # the load that missed passes its data through L1 (clean copy;
@@ -83,7 +78,7 @@ class CacheHierarchy:
         return self.l2.invalidate(addr)
 
     def downgrade(self, addr: int) -> int:
-        """M/E -> S in L2 (remote read hit an owned block); returns the data."""
+        """M -> S in L2 (remote read hit an owned block); returns the data."""
         data = self.l2.downgrade_owned(addr)
         if data is None:
             raise KeyError(f"downgrade without ownership of {addr:#x}")

@@ -6,14 +6,13 @@ Switch caches only ever hold clean shared data, so they reuse ``SHARED``.
 
 Integer codes
 -------------
-Every ``LineState`` member carries a small-int ``code`` (``I=0, S=1, E=2,
-M=3``) so the struct-of-arrays cache kernel (:mod:`repro.cache.array`) can
-store states as plain ints.  The encoding is ordered so the two hot
-predicates become single comparisons::
+Every ``LineState`` member carries a small-int ``code`` (``I=0, S=1,
+M=2``) so the struct-of-arrays cache kernel (:mod:`repro.cache.array`) can
+store states as plain ints.  The two hot predicates are single
+comparisons::
 
-    readable  <=>  code > 0            (anything but INVALID)
-    writable  <=>  code >= CODE_EXCLUSIVE   (EXCLUSIVE or MODIFIED)
-    owned     <=>  code >= CODE_EXCLUSIVE   (same set as writable)
+    resident  <=>  code > 0                  (anything but INVALID)
+    owned     <=>  code == CODE_MODIFIED
 
 ``LINE_STATE_BY_CODE`` is the hoisted decode table back to the enum for
 the object-facing views and victim tuples.
@@ -26,34 +25,17 @@ from typing import Tuple
 
 
 class LineState(enum.Enum):
-    """Coherence state of one cache line.
+    """Coherence state of one cache line."""
 
-    ``EXCLUSIVE`` exists only when the machine runs the MESI protocol
-    extension (``SystemConfig.protocol = "mesi"``): a clean sole copy
-    that may be written without a coherence transaction (silent E -> M).
-    """
-
-    code: int  # small-int encoding (assigned below; I=0, S=1, E=2, M=3)
+    code: int  # small-int encoding (assigned below; I=0, S=1, M=2)
 
     INVALID = "I"
     SHARED = "S"
-    EXCLUSIVE = "E"
     MODIFIED = "M"
-
-    def readable(self) -> bool:
-        """Whether a read can be satisfied from this state."""
-        return self is not LineState.INVALID
-
-    def writable(self) -> bool:
-        """Whether a write can be performed without a coherence action.
-
-        EXCLUSIVE counts: the write silently promotes the line to M.
-        """
-        return self in (LineState.MODIFIED, LineState.EXCLUSIVE)
 
     def owned(self) -> bool:
         """Whether this copy is the block's sole (owner) copy."""
-        return self in (LineState.MODIFIED, LineState.EXCLUSIVE)
+        return self is LineState.MODIFIED
 
 
 for _code, _member in enumerate(LineState):
@@ -65,7 +47,6 @@ LINE_STATE_BY_CODE: Tuple[LineState, ...] = tuple(LineState)
 #: hoisted code constants for the comparison predicates
 CODE_INVALID = LineState.INVALID.code
 CODE_SHARED = LineState.SHARED.code
-CODE_EXCLUSIVE = LineState.EXCLUSIVE.code
 CODE_MODIFIED = LineState.MODIFIED.code
 
 

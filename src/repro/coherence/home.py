@@ -103,7 +103,6 @@ class HomeController:
         memory: MemoryModule,
         send: Callable[[Message, Optional[int]], None],
         block_size: int,
-        protocol: str = "msi",
         pool: Optional[MessagePool] = None,
     ) -> None:
         self.sim = sim
@@ -113,7 +112,6 @@ class HomeController:
         self.memory = memory
         self._send = send
         self.block_size = block_size
-        self.protocol = protocol
         # shared machine-wide pool (one id stream); private when the
         # controller is built standalone in unit tests
         self._pool = pool if pool is not None else MessagePool(block_size)
@@ -128,7 +126,6 @@ class HomeController:
         self.dir_updates = 0
         self.corrective_invs = 0
         self.writebacks = 0
-        self.exclusive_grants = 0
 
     # ------------------------------------------------------------------
     # entry point
@@ -225,15 +222,8 @@ class HomeController:
     def _finish_read_from_memory(self, txn: HomeTxn) -> None:
         entry = self.directory.entry(txn.block)
         self.reads_served += 1
-        if self.protocol == "mesi" and entry.state is DirState.UNOWNED:
-            # MESI: a sole reader gets a clean-exclusive copy so a later
-            # write needs no upgrade; the directory records it as owner
-            self.directory.set_owner(txn.block, txn.requester)
-            self.exclusive_grants += 1
-            self._reply_data(txn, MsgKind.DATA_E, entry.version, served_by="home_mem")
-        else:
-            self.directory.add_sharer(txn.block, txn.requester)
-            self._reply_data(txn, MsgKind.DATA_S, entry.version, served_by="home_mem")
+        self.directory.add_sharer(txn.block, txn.requester)
+        self._reply_data(txn, MsgKind.DATA_S, entry.version, served_by="home_mem")
         self._complete(txn)
 
     def _start_write(self, txn: HomeTxn, upgrade: bool) -> None:

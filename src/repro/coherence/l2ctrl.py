@@ -36,7 +36,6 @@ from ..network.message import Message, MessagePool, MsgKind
 #: ``MsgKind.X`` lookup goes through EnumType.__getattr__ on Python 3.11
 _DATA_S = MsgKind.DATA_S
 _DATA_X = MsgKind.DATA_X
-_DATA_E = MsgKind.DATA_E
 _UPGR_ACK = MsgKind.UPGR_ACK
 
 
@@ -120,7 +119,7 @@ class NodeController:
     def issue_write(
         self, addr: int, callback: Callable[[Transaction], None]
     ) -> Transaction:
-        """Write-buffer drain needs ownership: upgrade or read-exclusive."""
+        """Write-buffer drain needs ownership: upgrade or read-for-ownership."""
         block = self._block(addr)
         home = self.home_of(block)
         if self.hierarchy.state_code(block) == CODE_SHARED:
@@ -157,8 +156,6 @@ class NodeController:
             self._on_data_s(msg)
         elif kind is _DATA_X:
             self._on_data_x(msg)
-        elif kind is _DATA_E:
-            self._on_data_e(msg)
         elif kind is _UPGR_ACK:
             self._on_upgr_ack(msg)
         else:
@@ -205,21 +202,6 @@ class NodeController:
         txn.data = msg.data
         txn.served_by = "home_mem"
         victim = self.hierarchy.fill(txn.addr, LineState.MODIFIED, msg.data)
-        self.spill(victim)
-        self._finish(txn)
-
-    def _on_data_e(self, msg: Message) -> None:
-        txn = self._pop_mshr(msg)
-        txn.reply_msg = msg
-        txn.data = msg.data
-        txn.served_by = "local_mem" if txn.home == self.node_id else "remote_mem"
-        if txn.pending_inval:
-            self.late_invals += 1
-            self._finish(txn)
-            return
-        victim = self.hierarchy.fill(
-            txn.addr, LineState.EXCLUSIVE, msg.data, fill_l1=True
-        )
         self.spill(victim)
         self._finish(txn)
 

@@ -22,7 +22,7 @@ from typing import Dict
 from ..stats.report import format_series, format_table
 from ..system.config import KB, SystemConfig
 from ..system.presets import base_config, switch_cache_config
-from .common import APP_ORDER, grid
+from .common import grid
 
 #: apps with enough sharing to make ablations meaningful
 SHARING_APPS = ("FWA", "GS", "GE", "MM")
@@ -181,52 +181,6 @@ def render_a4(scale: str, records: Dict):
     text = (
         f"A4: GE benefit vs machine size (weak scaling, n = {rows_per_proc}*N)\n"
         + "\n".join(lines)
-    )
-    return text, data
-
-
-def runs_a5(scale: str) -> Dict:
-    return grid({
-        "msi_base": base_config(),
-        "mesi_base": base_config(protocol="mesi"),
-        "msi_sc": switch_cache_config(size=2 * KB),
-        "mesi_sc": switch_cache_config(size=2 * KB, protocol="mesi"),
-    })
-
-
-def render_a5(scale: str, records: Dict):
-    """MSI (the paper's protocol) vs the MESI extension.
-
-    MESI removes upgrade transactions for read-modify-write private data
-    but costs a recall whenever a second reader arrives — for the paper's
-    heavily read-shared kernels that trade-off can go either way, and the
-    FFT/SOR private-heavy kernels should favour MESI.
-    """
-    rows = []
-    data: Dict = {}
-    for name in APP_ORDER:
-        msi_base = records[(name, "msi_base")]
-        mesi_base = records[(name, "mesi_base")]
-        data[name] = {
-            "base": mesi_base.exec_time / msi_base.exec_time,
-            "sc": (records[(name, "mesi_sc")].exec_time
-                   / records[(name, "msi_sc")].exec_time),
-        }
-        rows.append(
-            (
-                name,
-                msi_base.exec_time,
-                f"{data[name]['base']:.3f}",
-                f"{data[name]['sc']:.3f}",
-                mesi_base.stats.upgrades_completed,
-                msi_base.stats.upgrades_completed,
-            )
-        )
-    text = format_table(
-        ("app", "MSI base cycles", "MESI/MSI (base)", "MESI/MSI (SC)",
-         "upgrades (MESI)", "upgrades (MSI)"),
-        rows,
-        title="A5: MSI vs MESI (execution time ratio, lower favours MESI)",
     )
     return text, data
 

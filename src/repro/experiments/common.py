@@ -26,6 +26,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple
 
 from ..apps import PAPER_APPS
+from ..sim.resource import pooled_queueing_delay
 from ..stats.counters import MachineStats
 from ..system.config import SystemConfig
 from ..system.machine import Machine
@@ -174,18 +175,17 @@ def execute(
     metrics = MetricsRegistry()
     machine = Machine(config, metrics=metrics)
     stats = machine.run(make_app(app_name, scale, app_overrides))
-    data_qs = [
-        port.mean_queueing_delay()
-        for engine in machine.fabric.cache_engines
-        for port in engine.data_ports
-    ]
     return RunRecord(
         app=app_name,
         scale=scale,
         config_label=config.label(),
         stats=stats,
         switch_totals=machine.switch_cache_stats(),
-        mean_data_queue=sum(data_qs) / len(data_qs) if data_qs else 0.0,
+        mean_data_queue=pooled_queueing_delay(
+            port
+            for engine in machine.fabric.cache_engines
+            for port in engine.data_ports
+        ),
         coherence_violations=len(machine.check_coherence()),
         metrics=metrics,
     )

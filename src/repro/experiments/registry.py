@@ -70,8 +70,6 @@ EXPERIMENTS: Dict[str, Experiment] = {exp.exp_id: exp for exp in (
                "Associativity ablation", ablations.runs_a3, ablations.render_a3),
     Experiment("A4", "Ablation: system-size scaling",
                "System size scaling", ablations.runs_a4, ablations.render_a4),
-    Experiment("A5", "Ablation: MSI vs MESI protocol",
-               "MSI vs MESI", ablations.runs_a5, ablations.render_a5),
     Experiment("A6", "Ablation: cluster organization (procs per node)",
                "Cluster organization", ablations.runs_a6, ablations.render_a6),
     Experiment("A7", "Ablation: switch-cache replacement policy",

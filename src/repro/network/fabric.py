@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigError, NetworkError, SimulationError
 from ..sim.engine import Simulator
-from ..sim.resource import Timeline
+from ..sim.resource import Timeline, pooled_queueing_delay
 from .message import Message, MessagePool, MsgKind
 from .switch import Switch
 from .topology import BminTopology, SwitchId
@@ -66,7 +66,7 @@ _FLOW_REQUESTS = frozenset(
 )
 #: reply kinds that close a transaction's flow arrow
 _FLOW_REPLIES = frozenset(
-    {MsgKind.DATA_S, MsgKind.DATA_X, MsgKind.DATA_E, MsgKind.UPGR_ACK}
+    {MsgKind.DATA_S, MsgKind.DATA_X, MsgKind.UPGR_ACK}
 )
 
 #: the kinds that run a CAESAR hook at each switch they cross
@@ -503,8 +503,4 @@ class Fabric:
         Weighted by worms, as :class:`FlitNetwork` counts it, so a node
         that injects nothing does not dilute the mean.
         """
-        links = self._inject_links.values()
-        worms = sum(link.reservations for link in links)
-        if worms == 0:
-            return 0.0
-        return sum(link.queued_cycles for link in links) / worms
+        return pooled_queueing_delay(self._inject_links.values())

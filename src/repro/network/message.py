@@ -49,8 +49,7 @@ class MsgKind(enum.Enum):
     UPGRADE = "upgrade"        # S -> M ownership request (no data needed)
     # home -> processor replies (backward direction)
     DATA_S = "data_s"          # data reply, shared/clean (switch-cacheable)
-    DATA_X = "data_x"          # data reply, exclusive (never switch-cached)
-    DATA_E = "data_e"          # MESI: clean-exclusive reply (never switch-cached)
+    DATA_X = "data_x"          # data reply, with ownership (never switch-cached)
     UPGR_ACK = "upgr_ack"      # upgrade acknowledgment
     # coherence actions
     INV = "inv"                # invalidation (snoops switch caches en route)
@@ -80,7 +79,7 @@ FORWARD_LANE: FrozenSet[MsgKind] = frozenset({
     MsgKind.INV, MsgKind.RECALL, MsgKind.RECALL_X,
 })
 REPLY_LANE: FrozenSet[MsgKind] = frozenset({
-    MsgKind.DATA_S, MsgKind.DATA_X, MsgKind.DATA_E, MsgKind.UPGR_ACK,
+    MsgKind.DATA_S, MsgKind.DATA_X, MsgKind.UPGR_ACK,
     MsgKind.INV_ACK, MsgKind.RECALL_REPLY,
 })
 
@@ -88,7 +87,6 @@ _DATA_KINDS = frozenset(
     {
         MsgKind.DATA_S,
         MsgKind.DATA_X,
-        MsgKind.DATA_E,
         MsgKind.RECALL_REPLY,
         MsgKind.WRITEBACK,
     }

@@ -27,7 +27,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..cache.hierarchy import CacheHierarchy
-from ..cache.states import CODE_EXCLUSIVE, LineState
+from ..cache.states import CODE_MODIFIED, LineState
 from ..cache.writebuffer import WriteBuffer
 from ..coherence.l2ctrl import NodeController
 from ..coherence.messages import Transaction
@@ -109,9 +109,9 @@ class ProcStack:
         sim = self.sim
         now = sim.now
         self._drain_started = now
-        # the store probe: an owned (E/M) L2 copy takes the store at
+        # the store probe: an owned (M) L2 copy takes the store at
         # once, any other state needs a write transaction
-        if self.hierarchy.l2.lookup_state(block) >= CODE_EXCLUSIVE:
+        if self.hierarchy.l2.lookup_state(block) == CODE_MODIFIED:
             self._apply_store(block)
             sim.call_at(now + self._l2_write_cycles, self._drain_done)
         else:
@@ -283,7 +283,7 @@ class ClusterBus:
     def _execute_write(self, op: _BusOp) -> None:
         stack, block = op.stack, op.block
         code = stack.hierarchy.l2.probe_state(block)
-        if code >= CODE_EXCLUSIVE:
+        if code == CODE_MODIFIED:
             txn = self._local_txn("write", op, served_by="l2")
             self._complete(op, txn)
             return

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from ..cache.states import CODE_EXCLUSIVE
+from ..cache.states import CODE_MODIFIED
 from ..coherence.directory import Directory
 from ..coherence.home import HomeController
 from ..coherence.l2ctrl import NodeController
@@ -111,7 +111,6 @@ class Node:
             sim, node_id, self.directory, self.memory,
             send=lambda msg, at: self.ni.send(msg, at=at),
             block_size=block,
-            protocol=config.protocol,
             pool=self._pool,
         )
         self.ni.attach(self._dispatch)
@@ -189,7 +188,7 @@ class Node:
         block = (msg.addr // self.config.block_size) * self.config.block_size
         reply = None
         for stack in self.stacks:
-            if stack.hierarchy.state_code(block) >= CODE_EXCLUSIVE:
+            if stack.hierarchy.state_code(block) == CODE_MODIFIED:
                 if msg.kind is MsgKind.RECALL:
                     data = stack.hierarchy.downgrade(block)
                 else:

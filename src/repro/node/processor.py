@@ -43,7 +43,7 @@ from ..apps.opstream import (
     OP_UNLOCK,
     OP_WORK,
 )
-from ..cache.states import CODE_EXCLUSIVE, LineState
+from ..cache.states import CODE_MODIFIED, LineState
 from ..coherence.messages import Transaction
 from ..errors import SimulationError
 from ..sim.engine import Simulator
@@ -377,7 +377,7 @@ class Processor:
         """Read-modify-write the synchronization variable coherently."""
         node = self.node
         hierarchy = node.hierarchy
-        if hierarchy.l2.lookup_state(addr) >= CODE_EXCLUSIVE:
+        if hierarchy.l2.lookup_state(addr) == CODE_MODIFIED:
             hierarchy.perform_write(addr, hierarchy.l2.probe_data(addr) + 1)
             self.sim.call(2, then)
         else:

@@ -14,7 +14,7 @@ CAESAR engine) already identifies it.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from .engine import Simulator
 
@@ -77,3 +77,17 @@ class Timeline:
         if self.reservations == 0:
             return 0.0
         return self.queued_cycles / self.reservations
+
+
+def pooled_queueing_delay(timelines: Iterable[Timeline]) -> float:
+    """Mean queueing delay per grant over several timelines (0 if none).
+
+    Weighted by grants, so a timeline that granted nothing does not
+    dilute the mean.
+    """
+    grants = 0
+    queued = 0
+    for timeline in timelines:
+        grants += timeline.reservations
+        queued += timeline.queued_cycles
+    return queued / grants if grants else 0.0

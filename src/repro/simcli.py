@@ -3,9 +3,7 @@
 Examples::
 
     repro-sim --app GE --param n=32 --design sc --sc-size 2048
-    repro-sim --app FWA --design base --record fwa.trace
-    repro-sim --replay fwa.trace --design nc
-    repro-sim --app MM --design sc --nodes 32 --protocol mesi --verbose
+    repro-sim --app MM --design sc --nodes 32 --verbose
     repro-sim --app GE --design sc --trace ge.json --metrics ge-metrics.json
 """
 
@@ -13,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import os
 import sys
 from typing import List, Optional
 
-from .apps import PAPER_APPS, TraceApplication, TraceRecorder
+from .apps import PAPER_APPS
 from .errors import ConfigError
 from .stats.counters import READ_CATEGORIES
 from .stats.report import format_table, percent
@@ -38,11 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate one workload on a CC-NUMA machine "
                     "(Switch Cache / CAESAR reproduction).",
     )
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--app", choices=sorted(PAPER_APPS),
+    parser.add_argument("--app", choices=sorted(PAPER_APPS), required=True,
                         help="one of the paper's six kernels")
-    source.add_argument("--replay", metavar="FILE",
-                        help="replay a recorded op-trace file")
     parser.add_argument(
         "--param", action="append", default=[], metavar="K=V",
         help="application parameter override (repeatable), e.g. n=32",
@@ -57,9 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="switch-cache bytes per switch (sc/sc+ designs)")
     parser.add_argument("--nc-size", type=int, default=128 * 1024,
                         help="network-cache bytes per node (nc design)")
-    parser.add_argument("--protocol", choices=("msi", "mesi"), default="msi")
-    parser.add_argument("--record", metavar="FILE",
-                        help="record the executed ops to a trace file")
     parser.add_argument("--trace", metavar="FILE", dest="trace_out",
                         help="write a Chrome/Perfetto trace-event JSON file")
     parser.add_argument("--trace-jsonl", metavar="FILE",
@@ -98,8 +89,7 @@ def _parse_params(parser: argparse.ArgumentParser, app: str,
 
 
 def _make_config(args):
-    common = dict(num_nodes=args.nodes, procs_per_node=args.ppn,
-                  protocol=args.protocol)
+    common = dict(num_nodes=args.nodes, procs_per_node=args.ppn)
     if args.design == "base":
         return base_config(**common)
     if args.design == "nc":
@@ -112,17 +102,7 @@ def _make_config(args):
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.replay:
-        if not os.path.isfile(args.replay):
-            parser.error(f"--replay: no such file: {args.replay}")
-        app = TraceApplication(args.replay)
-    else:
-        app = PAPER_APPS[args.app](
-            **_parse_params(parser, args.app, args.param))
-    recorder = None
-    if args.record:
-        recorder = TraceRecorder(app)
-        app = recorder
+    app = PAPER_APPS[args.app](**_parse_params(parser, args.app, args.param))
 
     tracer = None
     if args.trace_out or args.trace_jsonl:
@@ -141,13 +121,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             config, sanitize=True if args.sanitize else None,
             tracer=tracer, metrics=metrics,
         )
-        # a replayed trace checks its processor count against the machine
         stats = machine.run(app)
     except ConfigError as exc:
         parser.error(str(exc))
 
     print(f"design: {config.label()}   nodes: {config.num_nodes}"
-          f" x {config.procs_per_node} procs   protocol: {config.protocol}")
+          f" x {config.procs_per_node} procs")
     print(f"execution time: {stats.exec_time} cycles")
     dist = stats.service_distribution()
     rows = [(cat, stats.read_counts[cat], percent(dist[cat]))
@@ -173,14 +152,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         for problem in problems[:10]:
             print(f"  {problem}", file=sys.stderr)
         return 1
-    if recorder is not None:
-        recorder.save(args.record)
-        total_ops = sum(len(v) for v in recorder.recorded.values())
-        print(f"\nrecorded {total_ops} ops to {args.record}")
     if tracer is not None:
         from .trace import write_chrome_trace, write_jsonl
 
-        label = f"repro-sim {args.app or args.replay} {config.label()}"
+        label = f"repro-sim {args.app} {config.label()}"
         if args.trace_out:
             count = write_chrome_trace(tracer, args.trace_out, label=label)
             note = f" ({tracer.dropped} dropped)" if tracer.dropped else ""

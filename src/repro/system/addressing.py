@@ -75,36 +75,6 @@ class AddressSpace:
     def bytes_allocated(self) -> int:
         return self._next - self.block_size
 
-    # ------------------------------------------------------------------
-    # layout export/restore (used by the trace front-end)
-    # ------------------------------------------------------------------
-    def export_layout(self) -> List[Tuple[int, int, Optional[int]]]:
-        """The allocation map as ``(start, end, fixed_home_or_None)`` rows."""
-        return [
-            (start, end, home)
-            for start, (end, home) in zip(self._starts, self._ranges)
-        ]
-
-    def restore_layout(self, rows: List[Tuple[int, int, Optional[int]]]) -> None:
-        """Recreate a previously exported allocation map.
-
-        Only legal on a fresh space; homes out of range for this machine
-        are rejected (a trace recorded on a larger machine cannot replay
-        on a smaller one).
-        """
-        if self._starts:
-            raise ConfigError("restore_layout on a non-empty address space")
-        last_end = self.block_size
-        for start, end, home in rows:
-            if start < last_end or end <= start:
-                raise ConfigError(f"bad layout row ({start:#x}, {end:#x})")
-            if home is not None and not 0 <= home < self.num_nodes:
-                raise ConfigError(f"layout home {home} out of range")
-            self._starts.append(start)
-            self._ranges.append((end, home))
-            last_end = end
-        self._next = last_end
-
 
 class Matrix:
     """A 2-D array of 8-byte elements laid out row-major in shared memory.

@@ -66,11 +66,6 @@ class SystemConfig:
     netcache_assoc: int = 4
     netcache_access_cycles: int = 12
 
-    # coherence protocol: the paper's MSI, or the MESI extension (adds a
-    # clean-exclusive state with silent E->M upgrade and replacement
-    # notifications so the directory's owner tracking stays exact)
-    protocol: str = "msi"
-
     # synchronization idealizations (see DESIGN.md substitutions)
     barrier_wakeup_cycles: int = 120
     lock_handoff_cycles: int = 80
@@ -140,8 +135,6 @@ class SystemConfig:
             raise ConfigError("quantum must be positive")
         if self.procs_per_node < 1:
             raise ConfigError("procs_per_node must be >= 1")
-        if self.protocol not in ("msi", "mesi"):
-            raise ConfigError(f"protocol must be 'msi' or 'mesi', got {self.protocol!r}")
         if self.switch_cache_replacement not in ("lru", "fifo", "random"):
             raise ConfigError(
                 f"bad switch_cache_replacement {self.switch_cache_replacement!r}"

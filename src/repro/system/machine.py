@@ -272,7 +272,7 @@ class Machine:
                         line = stack.hierarchy.l2.probe(block)
                         if line is None:
                             continue
-                        if line.state.owned():  # MODIFIED or EXCLUSIVE
+                        if line.state.owned():
                             holders_m.append((node.node_id, line.data))
                         else:
                             holders_s.append((node.node_id, line.data))
@@ -354,8 +354,7 @@ class Machine:
 
         lines = [
             f"machine: {self.config.label()}  nodes={self.config.num_nodes}"
-            f" x {self.config.procs_per_node} procs"
-            f"  protocol={self.config.protocol}",
+            f" x {self.config.procs_per_node} procs",
         ]
         if self.stats.exec_time is not None:
             lines.append(f"execution time: {self.stats.exec_time} cycles")

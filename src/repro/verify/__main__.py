@@ -8,8 +8,8 @@ Runs every static and dynamic check the verify suite offers:
    protocol facts the F-* and C-* rules check (kinds, handler arms,
    in-flight handlers, lanes) are read from that tree.
 2. **Explorer smoke** — every built-in script of the delay-bounded
-   explorer (:mod:`repro.verify.explore`) under MSI and MESI, with and
-   without switch caches, over every schedule that holds one delivery
+   explorer (:mod:`repro.verify.explore`), with and without switch
+   caches, over every schedule that holds one delivery
    back: the real handlers under many timings, catching dynamic
    protocol regressions the static passes cannot see.  The full k=2
    exploration runs in ``tests/test_verify.py``.
@@ -44,7 +44,7 @@ from .rules.lane_whitelist import WHITELIST
 #: default scan root: the ``repro`` package this module lives in
 DEFAULT_ROOT = Path(__file__).resolve().parent.parent
 
-#: the smoke's delay bound: k=1 keeps the 12 cells to a few seconds
+#: the smoke's delay bound: k=1 keeps the 6 cells to a few seconds
 SMOKE_K = 1
 
 
@@ -53,21 +53,18 @@ def _run_explorer_smoke() -> List[Dict[str, Any]]:
 
     results: List[Dict[str, Any]] = []
     for name, script in SCRIPTS.items():
-        for protocol in ("msi", "mesi"):
-            for switch in (False, True):
-                result = explore(script, protocol, switch, k=SMOKE_K)
-                results.append({
-                    "script": name,
-                    "protocol": protocol,
-                    "switch": switch,
-                    "schedules": result.schedules,
-                    "failure": (
-                        None if result.failure is None
-                        else str(result.failure)
-                    ),
-                    "ok": result.ok,
-                    "summary": result.summary(),
-                })
+        for switch in (False, True):
+            result = explore(script, switch, k=SMOKE_K)
+            results.append({
+                "script": name,
+                "switch": switch,
+                "schedules": result.schedules,
+                "failure": (
+                    None if result.failure is None else str(result.failure)
+                ),
+                "ok": result.ok,
+                "summary": result.summary(),
+            })
     return results
 
 

@@ -76,8 +76,7 @@ SCRIPTS: Dict[str, Script] = {
     script.name: script
     for script in (
         # nodes 1 and 2 read first, so the home-to-requester paths hold
-        # switch copies (under MESI the second read recalls the first's
-        # E copy).  Node 3's read is then served in the network while
+        # switch copies.  Node 3's read is then served in the network while
         # node 1 upgrades: its DIR_UPDATE races the write at the home.
         # Work ops, not barriers, order the phases: a barrier is itself
         # coherence traffic, and every delivery multiplies the schedules.
@@ -162,11 +161,11 @@ class DelayOverlay:
             self.sim.call_at(queue[0][0], self._release, queue)
 
 
-def config_for(script: Script, protocol: str, switch: bool) -> SystemConfig:
-    """The 4-node machine a script runs on, in one protocol cell."""
+def config_for(script: Script, switch: bool) -> SystemConfig:
+    """The 4-node machine a script runs on, with or without switch caches."""
     base = SystemConfig(
         num_nodes=4, l1_size=1024, l2_size=4096, quantum=100,
-        trace_values=True, protocol=protocol,
+        trace_values=True,
         switch_cache_size=1024 if switch else 0,
     )
     return replace(base, **script.config)
@@ -174,13 +173,12 @@ def config_for(script: Script, protocol: str, switch: bool) -> SystemConfig:
 
 def run_schedule(
     script: Script,
-    protocol: str = "msi",
     switch: bool = True,
     ordinals: Sequence[int] = (),
     hold: int = 0,
 ) -> Tuple[Machine, DelayOverlay, Optional[str]]:
     """Run one schedule; returns the machine, its overlay and any failure."""
-    machine = Machine(config_for(script, protocol, switch), sanitize=True)
+    machine = Machine(config_for(script, switch), sanitize=True)
     overlay = DelayOverlay(machine, ordinals, hold)
     app = ScriptedApp(script.ops, blocks=script.blocks, home=HOME)
     try:
@@ -193,8 +191,8 @@ def run_schedule(
     return machine, overlay, None
 
 
-def _cell(script: str, protocol: str, switch: bool) -> str:
-    return f"{script}[{protocol}/{'switch' if switch else 'no-switch'}]"
+def _cell(script: str, switch: bool) -> str:
+    return f"{script}[{'switch' if switch else 'no-switch'}]"
 
 
 @dataclass(frozen=True)
@@ -202,7 +200,6 @@ class Failure:
     """One failing schedule, with what it takes to replay it exactly."""
 
     script: Script
-    protocol: str
     switch: bool
     ordinals: Tuple[int, ...]
     hold: int
@@ -211,23 +208,22 @@ class Failure:
 
     def replay(self) -> Tuple[Machine, DelayOverlay, Optional[str]]:
         return run_schedule(
-            self.script, self.protocol, self.switch, self.ordinals, self.hold
+            self.script, self.switch, self.ordinals, self.hold
         )
 
     def __str__(self) -> str:
         held = ", ".join(self.held) or "nothing (trunk schedule)"
         return (
-            f"{_cell(self.script.name, self.protocol, self.switch)} holding "
+            f"{_cell(self.script.name, self.switch)} holding "
             f"{held} for {self.hold} cycles: {self.error}"
         )
 
 
 @dataclass
 class Exploration:
-    """The outcome of one script in one protocol cell."""
+    """The outcome of one script with or without switch caches."""
 
     script: str
-    protocol: str
     switch: bool
     deliveries: int = 0
     schedules: int = 0
@@ -240,31 +236,28 @@ class Exploration:
 
     def summary(self) -> str:
         return (
-            f"{_cell(self.script, self.protocol, self.switch)}: "
+            f"{_cell(self.script, self.switch)}: "
             f"{self.deliveries} deliveries, {self.schedules} schedules, "
             f"{'ok' if self.ok else 'FAILED'}"
         )
 
 
 def explore(
-    script: Script, protocol: str = "msi", switch: bool = True, k: int = K
+    script: Script, switch: bool = True, k: int = K
 ) -> Exploration:
     """Run the trunk schedule, then every schedule delaying <= k deliveries.
 
     Schedules run in order of delay count, then hold, then ordinals, and
     the first failing one ends the exploration: it is the smallest.
     """
-    result = Exploration(script.name, protocol, switch)
+    result = Exploration(script.name, switch)
 
     def attempt(ordinals: Tuple[int, ...], hold: int) -> int:
-        _machine, overlay, error = run_schedule(
-            script, protocol, switch, ordinals, hold
-        )
+        _machine, overlay, error = run_schedule(script, switch, ordinals, hold)
         result.schedules += 1
         if error is not None:
             result.failure = Failure(
-                script, protocol, switch, ordinals, hold,
-                tuple(overlay.held), error,
+                script, switch, ordinals, hold, tuple(overlay.held), error,
             )
         return overlay.delivered
 

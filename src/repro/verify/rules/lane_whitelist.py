@@ -57,8 +57,5 @@ WHITELIST: Dict[Tuple[str, str], str] = {
         "buffer — consuming the reply never blocks on the spill",
     ("DATA_X", "WRITEBACK"):
         "reply->request backward: same eviction spill as DATA_S, for "
-        "exclusive fills",
-    ("DATA_E", "WRITEBACK"):
-        "reply->request backward: same eviction spill as DATA_S, for "
-        "MESI clean-exclusive fills",
+        "owned fills",
 }

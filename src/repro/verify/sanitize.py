@@ -6,7 +6,7 @@ while a simulation runs (the delay-bounded explorer,
 scripted races), plus the kernel-level properties beneath them:
 
 * **SWMR** — after every message delivery, at most one processor stack
-  holds an owned (MODIFIED/EXCLUSIVE) copy of the delivered block, and
+  holds an owned (MODIFIED) copy of the delivered block, and
   no switch-cache copy runs ahead of the home directory's image.
 * **Flit conservation** — every worm injected into (or fabricated
   inside) the fabric is delivered exactly once; nothing is dropped or

@@ -110,9 +110,8 @@ class CacheArrayObj:
 
     def write_owned(self, addr: int, data: int) -> bool:
         line = self.probe(addr)
-        if line is None or not line.state.writable():
+        if line is None or not line.state.owned():
             return False
-        line.state = LineState.MODIFIED
         line.data = data
         return True
 

@@ -222,13 +222,6 @@ class TestClusterWithExtras:
         assert_coherent(machine)
         assert_monotonic_reads(machine)
 
-    def test_mesi_with_clusters(self):
-        from repro.apps import GaussianElimination
-
-        machine = Machine(cluster_config(nodes=2, ppn=2, protocol="mesi"))
-        machine.run(GaussianElimination(n=12))
-        assert_coherent(machine)
-
     def test_barriers_count_all_processors(self):
         scripts = {p: [("barrier", 1), ("work", 10)] for p in range(8)}
         machine, _app, stats = run_app(

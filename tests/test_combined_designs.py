@@ -15,13 +15,11 @@ from conftest import assert_coherent, assert_monotonic_reads
 
 COMBOS = {
     "sc+nc": dict(switch_cache_size=1024, netcache_size=4096),
-    "sc+mesi": dict(switch_cache_size=1024, protocol="mesi"),
-    "nc+mesi": dict(netcache_size=4096, protocol="mesi"),
     "sc+cluster": dict(switch_cache_size=1024, num_nodes=2,
                        procs_per_node=2),
     "nc+cluster": dict(netcache_size=4096, num_nodes=2, procs_per_node=2),
     "everything": dict(switch_cache_size=512, netcache_size=2048,
-                       num_nodes=2, procs_per_node=2, protocol="mesi",
+                       num_nodes=2, procs_per_node=2,
                        switch_cache_banks=2,
                        switch_cache_replacement="fifo"),
 }
@@ -96,22 +94,4 @@ class TestDesignInteractions:
         stats = machine.run(MatrixMultiply(n=16))
         assert stats.read_counts["switch"] > 0
         assert stats.read_counts["netcache"] > 0
-        assert_coherent(machine)
-
-    def test_mesi_cluster_silent_upgrade_stays_node_local(self):
-        machine = Machine(SystemConfig(
-            num_nodes=2, procs_per_node=2, l1_size=1024, l2_size=4096,
-            protocol="mesi",
-        ))
-        from conftest import ScriptedApp
-
-        app = ScriptedApp(
-            {0: [("r", ("blk", 0)), ("w", ("blk", 0))]}, blocks=1, home=1
-        )
-        machine.run(app)
-        # E-grant then silent upgrade: no upgrade transaction was issued
-        upgrades = sum(
-            n.l2ctrl.upgrades_issued for n in machine.nodes
-        )
-        assert upgrades == 0
         assert_coherent(machine)

@@ -33,7 +33,6 @@ CONFIGS = {
                      netcache_size=4096),
     "cluster": dict(num_nodes=2, procs_per_node=2, l1_size=1024,
                     l2_size=4096),
-    "mesi": dict(num_nodes=4, l1_size=1024, l2_size=4096, protocol="mesi"),
     "random-replacement": dict(num_nodes=4, l1_size=1024, l2_size=4096,
                                switch_cache_size=512,
                                switch_cache_replacement="random"),

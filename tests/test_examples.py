@@ -24,8 +24,7 @@ def load_example(name):
 def test_examples_directory_complete():
     present = {p.stem for p in EXAMPLES.glob("*.py")}
     assert {"quickstart", "compare_designs", "size_sweep",
-            "custom_workload", "network_anatomy", "clusters",
-            "protocol_study"} <= present
+            "custom_workload", "network_anatomy", "clusters"} <= present
 
 
 def test_network_anatomy_runs(capsys):
@@ -50,7 +49,7 @@ def test_custom_workload_runs(capsys):
 
 
 @pytest.mark.parametrize("name", ["quickstart", "compare_designs",
-                                  "size_sweep", "protocol_study"])
+                                  "size_sweep"])
 def test_slow_examples_are_importable(name):
     """Import (without running main) to catch syntax/API drift cheaply."""
     module = load_example(name)

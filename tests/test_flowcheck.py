@@ -334,14 +334,12 @@ class TestUmbrella:
         assert payload["static"]["findings"] == []
         assert payload["static"]["suppressed"] == 0
         assert len(payload["static"]["rules"]) == len(all_rules())
-        cells = [
-            ("msi", False), ("msi", True), ("mesi", False), ("mesi", True),
-        ]
-        assert [(e["script"], e["protocol"], e["switch"], e["ok"])
+        assert [(e["script"], e["switch"], e["ok"])
                 for e in payload["explore"]] == [
-            (name, protocol, switch, True)
-            for name in SCRIPTS for protocol, switch in cells
+            (name, switch, True)
+            for name in SCRIPTS for switch in (False, True)
         ]
+        assert all("protocol" not in e for e in payload["explore"])
         assert all(e["schedules"] > 30 and e["failure"] is None
                    for e in payload["explore"])
         capsys.readouterr()

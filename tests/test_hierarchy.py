@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.states import CODE_EXCLUSIVE, CODE_SHARED, LineState
+from repro.cache.states import CODE_MODIFIED, CODE_SHARED, LineState
 from repro.system.machine import Machine
 
 from conftest import ScriptedApp, tiny_config
@@ -51,7 +51,7 @@ class TestRead:
 class TestWrite:
     """The store probe (drain and sync RMW): an owned L2 copy takes the
     store at once; a shared copy needs an upgrade, an absent one a
-    read-exclusive."""
+    read-for-ownership."""
 
     def test_write_miss(self):
         h = make_hierarchy()
@@ -60,12 +60,12 @@ class TestWrite:
     def test_write_needs_upgrade_on_shared(self):
         h = make_hierarchy()
         h.fill(0x100, LineState.SHARED, 1)
-        assert h.l2.lookup_state(0x100) == CODE_SHARED < CODE_EXCLUSIVE
+        assert h.l2.lookup_state(0x100) == CODE_SHARED
 
     def test_write_hit_on_modified(self):
         h = make_hierarchy()
         h.fill(0x100, LineState.MODIFIED, 1)
-        assert h.l2.lookup_state(0x100) >= CODE_EXCLUSIVE
+        assert h.l2.lookup_state(0x100) == CODE_MODIFIED
 
     def test_perform_write_updates_l2_and_l1(self):
         h = make_hierarchy()

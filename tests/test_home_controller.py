@@ -293,62 +293,3 @@ class TestErrors:
         # both reads eventually served
         replies = [m for m in h.sent if m.kind is MsgKind.DATA_S]
         assert {m.dst for m in replies} == {1, 2}
-
-
-class TestMesiHome:
-    def make(self):
-        h = Harness()
-        h.home.protocol = "mesi"
-        return h
-
-    def test_unowned_read_grants_exclusive(self):
-        h = self.make()
-        h.deliver(MsgKind.READ, src=2)
-        h.run()
-        reply = h.last(MsgKind.DATA_E)
-        assert reply.dst == 2
-        entry = h.directory.entry(BLOCK)
-        assert entry.state is DirState.MODIFIED and entry.owner == 2
-        assert h.home.exclusive_grants == 1
-
-    def test_shared_read_stays_shared(self):
-        h = self.make()
-        h.directory.add_sharer(BLOCK, 1)
-        h.deliver(MsgKind.READ, src=2)
-        h.run()
-        assert MsgKind.DATA_E not in h.sent_kinds()
-        assert MsgKind.DATA_S in h.sent_kinds()
-
-    def test_second_reader_triggers_recall_of_exclusive(self):
-        h = self.make()
-        h.deliver(MsgKind.READ, src=2)
-        h.run()
-        h.deliver(MsgKind.READ, src=3)
-        h.run()
-        assert h.last(MsgKind.RECALL).dst == 2
-        h.deliver(MsgKind.RECALL_REPLY, src=2, data=0)
-        h.run()
-        reply = h.last(MsgKind.DATA_S)
-        assert reply.dst == 3
-        entry = h.directory.entry(BLOCK)
-        assert entry.state is DirState.SHARED
-        assert entry.sharers == {2, 3}
-
-    def test_clean_replacement_notification_frees_owner(self):
-        h = self.make()
-        h.deliver(MsgKind.READ, src=2)
-        h.run()
-        h.deliver(MsgKind.WRITEBACK, src=2, data=0)
-        h.run()
-        entry = h.directory.entry(BLOCK)
-        assert entry.state is DirState.UNOWNED
-        # a later reader gets a fresh exclusive grant
-        h.deliver(MsgKind.READ, src=3)
-        h.run()
-        assert h.last(MsgKind.DATA_E).dst == 3
-
-    def test_msi_harness_never_sends_data_e(self):
-        h = Harness()
-        h.deliver(MsgKind.READ, src=2)
-        h.run()
-        assert MsgKind.DATA_E not in h.sent_kinds()

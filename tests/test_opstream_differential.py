@@ -43,7 +43,7 @@ from repro.system.presets import base_config, switch_cache_config
 
 #: small instances of the six paper kernels — big enough to cross
 #: block/chunk boundaries and fill the write buffer, small enough that
-#: the 48-cell matrix stays cheap
+#: the 24-cell matrix stays cheap
 SMALL_SCALE = {
     "FWA": {"n": 12},
     "GS": {"n_vectors": 8, "length": 12},
@@ -59,13 +59,13 @@ FROZEN = json.loads(
     .read_text()
 )
 
-#: app x switch cache x protocol x value tracing
+#: app x switch cache x value tracing (the ids keep the "msi" tag their
+#: frozen digests are keyed on)
 MATRIX = [
-    pytest.param(app, switch, protocol, traced,
-                 id=f"{app}-{switch}-{protocol}" + ("-traced" if traced else ""))
+    pytest.param(app, switch, traced,
+                 id=f"{app}-{switch}-msi" + ("-traced" if traced else ""))
     for app in sorted(SMALL_SCALE)
     for switch in ("off", "on")
-    for protocol in ("mesi", "msi")
     for traced in (False, True)
 ]
 
@@ -89,9 +89,9 @@ def elementary_stream(app, proc_id, machine, work_extra=0):
     yield code
 
 
-def _config(protocol, switch, traced=False):
+def _config(switch, traced=False):
     maker = switch_cache_config if switch == "on" else base_config
-    return maker(4, protocol=protocol, trace_values=traced)
+    return maker(4, trace_values=traced)
 
 
 def run_cell(config, app):
@@ -176,12 +176,18 @@ def assert_fused_matches_elementary(cell, config, app_factory, monkeypatch,
     return fused_extra
 
 
-@pytest.mark.parametrize("app_name, switch, protocol, traced", MATRIX)
-def test_paper_kernels_bit_identical(request, app_name, switch, protocol,
-                                     traced, monkeypatch):
+def test_frozen_digests_are_exactly_the_cells_looked_up():
+    # a digest no cell reads would never fail, only rot: the matrix
+    # cells plus the two synthetic cells below
+    assert set(FROZEN) == {p.id for p in MATRIX} | {"alias", "random"}
+
+
+@pytest.mark.parametrize("app_name, switch, traced", MATRIX)
+def test_paper_kernels_bit_identical(request, app_name, switch, traced,
+                                     monkeypatch):
     # traced cells also record every read's value and retire time
     assert_fused_matches_elementary(
-        request.node.callspec.id, _config(protocol, switch, traced),
+        request.node.callspec.id, _config(switch, traced),
         lambda: make_app(app_name, "quick", SMALL_SCALE[app_name]),
         monkeypatch,
     )
@@ -195,7 +201,7 @@ def test_paper_kernels_bit_identical_at_odd_quantum(app_name, monkeypatch):
     # (exits only: the matrix cells compare the caches; no frozen digest:
     # these cells are newer than the fixture)
     assert_fused_matches_elementary(
-        None, _config("msi", "on").replaced(quantum=37),
+        None, _config("on").replaced(quantum=37),
         lambda: make_app(app_name, "quick", SMALL_SCALE[app_name]),
         monkeypatch, extra=("exits", "wb"),
     )
@@ -205,7 +211,7 @@ def test_synthetic_alias_pattern_bit_identical(monkeypatch):
     # PrivateWork's loop reads and rewrites the same element: the read
     # hits L1 first, then forwards from the buffered store
     assert_fused_matches_elementary(
-        "alias", _config("msi", "on"), PrivateWork, monkeypatch
+        "alias", _config("on"), PrivateWork, monkeypatch
     )
 
 
@@ -213,7 +219,7 @@ def test_synthetic_irregular_stream_bit_identical(monkeypatch):
     # seeded-random streams have no macro form: both runs take the
     # elementary-op decode path
     assert_fused_matches_elementary(
-        "random", _config("msi", "off"),
+        "random", _config("off"),
         lambda: UniformRandom(ops_per_proc=150), monkeypatch,
     )
 
@@ -243,7 +249,7 @@ def test_store_to_draining_block_takes_a_fresh_entry(monkeypatch):
     # a fresh entry and counts no merge, while the stores to B coalesce
     script = [("w", _A), ("loop", 3, [("w", _A, 0), ("w", _B, 0)])]
     extra = assert_fused_matches_elementary(
-        None, _config("msi", "off"),
+        None, _config("off"),
         lambda: MacroScript({0: script}, blocks=2, home=1), monkeypatch,
     )
     # (stores retired, stores merged, full-buffer stalls) on processor 0
@@ -259,7 +265,7 @@ def test_store_resumed_from_the_drain_waiters_kicks_the_drain(monkeypatch):
     script = [("wr", _A, 0, 2),
               ("loop", 1, [("w", _B, 0), ("w", _A, 0), ("w", _A, 0)])]
     extra = assert_fused_matches_elementary(
-        None, _config("msi", "off").replaced(write_buffer_entries=2),
+        None, _config("off").replaced(write_buffer_entries=2),
         lambda: MacroScript({0: script}, blocks=2, home=1), monkeypatch,
     )
     assert extra["wb"][0] == (5, 1, 1)
@@ -271,7 +277,7 @@ def test_elementary_swap_takes_effect(monkeypatch):
     def perturbed(app, proc_id, machine):
         return elementary_stream(app, proc_id, machine, work_extra=1)
 
-    config = _config("msi", "on")
+    config = _config("on")
     fused = fingerprint(config, make_app("GE", "quick", SMALL_SCALE["GE"]))
     monkeypatch.setattr(machine_module, "compile_stream", perturbed)
     moved = fingerprint(config, make_app("GE", "quick", SMALL_SCALE["GE"]))

@@ -161,33 +161,6 @@ def test_property_uniform_random_app_coherent(seed):
 
 @settings(**settings_kwargs)
 @given(
-    raw=st.dictionaries(
-        st.integers(0, 3),
-        st.lists(op_strategy, max_size=15),
-        max_size=4,
-    ),
-)
-def test_property_trace_roundtrip_is_exact(raw):
-    """record(run(app)) replayed on an identical machine reproduces the
-    run bit-exactly (exec time and every read counter)."""
-    from repro.apps.trace import TraceApplication, TraceRecorder
-
-    scripts = make_scripts(raw, 5)
-    machine = Machine(tiny_config())
-    recorder = TraceRecorder(ScriptedApp(scripts, blocks=6, home=0))
-    original = machine.run(recorder)
-
-    replay_machine = Machine(tiny_config())
-    replayed = replay_machine.run(
-        TraceApplication(recorder.dumps().splitlines())
-    )
-    assert replayed.exec_time == original.exec_time
-    assert replayed.read_counts == original.read_counts
-    assert_coherent(replay_machine)
-
-
-@settings(**settings_kwargs)
-@given(
     writers=st.lists(st.integers(0, 3), min_size=1, max_size=8),
 )
 def test_property_lock_serializes_critical_sections(writers):

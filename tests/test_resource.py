@@ -1,7 +1,7 @@
 """Unit tests for the Timeline resource."""
 
 from repro.sim.engine import Simulator
-from repro.sim.resource import Timeline
+from repro.sim.resource import Timeline, pooled_queueing_delay
 
 
 class TestTimeline:
@@ -81,3 +81,19 @@ class TestTimeline:
         sim = Simulator()
         tl = Timeline(sim)
         assert tl.mean_queueing_delay() == 0.0
+
+
+class TestPooledQueueingDelay:
+    def test_weighted_by_grants(self):
+        sim = Simulator()
+        busy, quiet, idle = Timeline(sim), Timeline(sim), Timeline(sim)
+        for _ in range(3):
+            busy.reserve(10)  # waits 0, 10, 20
+        quiet.reserve(10)  # waits 0
+        # 30 queued cycles over 4 grants; the idle timeline adds none
+        assert pooled_queueing_delay([busy, quiet, idle]) == 7.5
+
+    def test_no_grants(self):
+        sim = Simulator()
+        assert pooled_queueing_delay([Timeline(sim), Timeline(sim)]) == 0.0
+        assert pooled_queueing_delay([]) == 0.0

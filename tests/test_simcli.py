@@ -6,11 +6,6 @@ from repro.simcli import build_parser, main
 
 
 class TestParser:
-    def test_app_and_replay_mutually_exclusive(self):
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["--app", "GE", "--replay", "x.trace"])
-
     def test_requires_a_source(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--design", "sc"])
@@ -37,6 +32,11 @@ class TestUsageErrors:
         assert "Traceback" not in err
         return err.splitlines()[-1]
 
+    def test_app_is_required(self, capsys):
+        line = self._usage_error(["--design", "sc"], capsys)
+        assert line == ("repro-sim: error: the following arguments are "
+                        "required: --app")
+
     def test_nodes_not_a_power_of_two(self, capsys):
         line = self._usage_error(["--app", "GE", "--nodes", "3"], capsys)
         assert line == ("repro-sim: error: num_nodes must be a power of two "
@@ -51,19 +51,6 @@ class TestUsageErrors:
             ["--app", "GE", "--design", "sc", "--sc-size", "1000"], capsys)
         assert line.startswith("repro-sim: error: switch_cache size 1000 ")
 
-    def test_missing_replay_file(self, tmp_path, capsys):
-        missing = str(tmp_path / "none.trace")
-        line = self._usage_error(["--replay", missing], capsys)
-        assert line == f"repro-sim: error: --replay: no such file: {missing}"
-
-    def test_replay_on_too_few_nodes(self, tmp_path, capsys):
-        trace = str(tmp_path / "ge.trace")
-        assert main(["--app", "GE", "--param", "n=8", "--nodes", "4",
-                     "--record", trace]) == 0
-        capsys.readouterr()
-        line = self._usage_error(["--replay", trace, "--nodes", "2"], capsys)
-        assert line == ("repro-sim: error: trace references processor 3 but "
-                        "the machine has 2 nodes")
 
 
 class TestRuns:
@@ -87,23 +74,6 @@ class TestRuns:
                    "--design", "nc"])
         assert rc == 0
         assert "design: NC-" in capsys.readouterr().out
-
-    def test_mesi_run(self, capsys):
-        rc = main(["--app", "SOR", "--param", "n=12", "--param",
-                   "iterations=1", "--nodes", "4", "--protocol", "mesi"])
-        assert rc == 0
-        assert "protocol: mesi" in capsys.readouterr().out
-
-    def test_record_then_replay(self, tmp_path, capsys):
-        trace = str(tmp_path / "ge.trace")
-        rc = main(["--app", "GE", "--param", "n=8", "--nodes", "4",
-                   "--record", trace])
-        assert rc == 0
-        assert "recorded" in capsys.readouterr().out
-        rc = main(["--replay", trace, "--nodes", "4", "--design", "sc",
-                   "--sc-size", "512"])
-        assert rc == 0
-        assert "execution time:" in capsys.readouterr().out
 
     def test_trace_and_metrics_outputs(self, tmp_path, capsys):
         import json

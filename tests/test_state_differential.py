@@ -23,7 +23,6 @@ import pytest
 from reference_models import CacheArrayObj, DirectoryObj
 from repro.cache.array import CacheArray
 from repro.cache.states import (
-    CODE_EXCLUSIVE,
     CODE_INVALID,
     CODE_MODIFIED,
     CODE_SHARED,
@@ -44,14 +43,10 @@ STATE_MODELS = (CacheArray, CacheArrayObj)
 
 
 def test_line_state_codes_round_trip():
-    assert (CODE_INVALID, CODE_SHARED, CODE_EXCLUSIVE, CODE_MODIFIED) == (
-        0, 1, 2, 3,
-    )
+    assert (CODE_INVALID, CODE_SHARED, CODE_MODIFIED) == (0, 1, 2)
     for state in LineState:
         assert LINE_STATE_BY_CODE[state.code] is state
-        assert state.readable() == (state.code > CODE_INVALID)
-        assert state.writable() == (state.code >= CODE_EXCLUSIVE)
-        assert state.owned() == (state.code >= CODE_EXCLUSIVE)
+        assert state.owned() == (state.code == CODE_MODIFIED)
 
 
 # ----------------------------------------------------------------------
@@ -80,8 +75,7 @@ def _lockstep_arrays(seed, replacement, ops=600):
     rng = random.Random(seed)
     # a small address pool over few sets forces conflicts and evictions
     addrs = [b * 32 for b in range(64)]
-    states = (LineState.SHARED, LineState.EXCLUSIVE, LineState.MODIFIED,
-              LineState.INVALID)
+    states = (LineState.SHARED, LineState.MODIFIED, LineState.INVALID)
     coded, obj = _array_pair(replacement)
     for op_idx in range(ops):
         roll = rng.random()
@@ -266,8 +260,8 @@ def test_sorted_sharers_is_ascending():
 def test_kind_tables_match_properties():
     data_kinds = {k for k in MsgKind if CARRIES_DATA[k.code]}
     assert data_kinds == {
-        MsgKind.DATA_S, MsgKind.DATA_X, MsgKind.DATA_E,
-        MsgKind.RECALL_REPLY, MsgKind.WRITEBACK,
+        MsgKind.DATA_S, MsgKind.DATA_X, MsgKind.RECALL_REPLY,
+        MsgKind.WRITEBACK,
     }
     assert [k.code for k in MsgKind] == list(range(len(MsgKind)))
 

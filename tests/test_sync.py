@@ -140,7 +140,7 @@ class TestMachineSync:
             n.hierarchy.l2.probe(block).data
             for n in machine.nodes
             if n.hierarchy.l2.probe(block) is not None
-            and n.hierarchy.l2.probe(block).state.writable()
+            and n.hierarchy.l2.probe(block).state.owned()
         ]
         assert versions and versions[0] == 4
         assert machine.locks.acquires == 4

@@ -155,15 +155,19 @@ MUTATIONS = {
 }
 
 
+#: without/with switch caches; the "-msi" tag keeps these cells' test ids
+#: stable for tools that track tests by id
+SWITCH_IDS = ["False-msi", "True-msi"]
+
+
 # ----------------------------------------------------------------------
 # delay-bounded explorer: trunk is clean, seeded bugs are each caught
 # ----------------------------------------------------------------------
 class TestExplorer:
     @pytest.mark.parametrize("name", sorted(SCRIPTS))
-    @pytest.mark.parametrize("protocol", ["msi", "mesi"])
-    @pytest.mark.parametrize("switch", [False, True])
-    def test_trunk_is_clean(self, name, protocol, switch):
-        result = explore(SCRIPTS[name], protocol, switch)
+    @pytest.mark.parametrize("switch", [False, True], ids=SWITCH_IDS)
+    def test_trunk_is_clean(self, name, switch):
+        result = explore(SCRIPTS[name], switch)
         assert result.ok, str(result.failure)
         n = result.deliveries
         assert n >= 15  # a real protocol exchange, not a stub
@@ -179,7 +183,7 @@ class TestExplorer:
     ):
         patch, says, scenario = MUTATIONS[mutation]
         patch(monkeypatch)
-        failure = explore(SCRIPTS[name], "msi", True).failure
+        failure = explore(SCRIPTS[name], True).failure
         assert failure is not None, f"{mutation} escaped {name}"
         assert says in failure.error
         assert len(failure.ordinals) == len(failure.held) <= 2
@@ -202,14 +206,14 @@ class TestExplorer:
         # version shows the reader's copy is stale
         _no_served_version(monkeypatch)
         script = SCRIPTS["write_evict_vs_dir_update"]
-        result = explore(script, "msi", True)
+        result = explore(script, True)
         failure = result.failure
         assert failure.hold == 400
         assert [h.split()[1] for h in failure.held] == ["DIR_UPDATE"]
         assert "FAILED" in result.summary()
         # every one-delivery schedule with the short hold ran clean first
         assert result.schedules > 1 + result.deliveries
-        _m, _o, short = run_schedule(script, "msi", True, failure.ordinals, 40)
+        _m, _o, short = run_schedule(script, True, failure.ordinals, 40)
         assert short is None
         monkeypatch.undo()
         machine, _overlay, error = failure.replay()
@@ -221,7 +225,7 @@ class TestExplorer:
     def test_schedule_failure_reports_deadlock_diagnosis(self, monkeypatch):
         _drop_ack(monkeypatch)
         _machine, _overlay, error = run_schedule(
-            SCRIPTS["served_read_vs_write"], "msi", False
+            SCRIPTS["served_read_vs_write"], False
         )
         assert error.startswith(f"{DeadlockError.__name__}: ")
         assert "UPGRADE of block" in error and "acks outstanding" in error
@@ -246,7 +250,7 @@ def _programs(budgets):
         yield Script(f"program{number}", ops)
 
 
-def _check_all_programs(budgets, protocol, switch):
+def _check_all_programs(budgets, switch):
     """Explore every program with one delay; returns schedules and tallies.
 
     The built-in scripts carry the two-delay sweep; a one-delay sweep of
@@ -256,13 +260,13 @@ def _check_all_programs(budgets, protocol, switch):
     schedules = 0
     trunk = {"switch": 0, "owner": 0, "invs": 0, "corrective_invs": 0}
     for script in _programs(budgets):
-        result = explore(script, protocol, switch, k=1)
+        result = explore(script, switch, k=1)
         assert result.ok, str(result.failure)
         # complete: every schedule delaying at most one delivery was run
         assert result.schedules == 1 + len(HOLDS) * result.deliveries
         assert result.summary().endswith(f"{result.schedules} schedules, ok")
         schedules += result.schedules
-        machine, _overlay, _error = run_schedule(script, protocol, switch)
+        machine, _overlay, _error = run_schedule(script, switch)
         trunk["switch"] += machine.stats.read_counts["switch"]
         trunk["owner"] += machine.stats.read_counts["owner"]
         trunk["invs"] += sum(
@@ -276,24 +280,20 @@ def _check_all_programs(budgets, protocol, switch):
 # every small program on the real handlers, under every one-delay schedule
 # ----------------------------------------------------------------------
 class TestModelChecker:
-    @pytest.mark.parametrize("protocol", ["msi", "mesi"])
-    @pytest.mark.parametrize("switch", [False, True])
-    def test_two_node_exhaustive(self, protocol, switch):
-        schedules, trunk = _check_all_programs((2, 2), protocol, switch)
+    @pytest.mark.parametrize("switch", [False, True], ids=SWITCH_IDS)
+    def test_two_node_exhaustive(self, switch):
+        schedules, trunk = _check_all_programs((2, 2), switch)
         assert schedules > 350  # genuinely exhaustive, not a stub
         assert trunk["owner"] > 0 and trunk["invs"] > 0
-        # under MESI two caching nodes never share a clean copy through a
-        # switch: the second reader recalls the first one's E copy
-        if switch and protocol == "msi":
+        if switch:
             assert trunk["switch"] > 0
 
-    @pytest.mark.parametrize("protocol", ["msi", "mesi"])
-    @pytest.mark.parametrize("switch", [False, True])
-    def test_three_node_exhaustive(self, protocol, switch):
+    @pytest.mark.parametrize("switch", [False, True], ids=SWITCH_IDS)
+    def test_three_node_exhaustive(self, switch):
         # asymmetric budgets keep the program count small: two ops on
         # node 1 race each single-op peer, while nodes 2 and 3 still give
         # fan-out invalidations and third-party readers
-        schedules, trunk = _check_all_programs((2, 1, 1), protocol, switch)
+        schedules, trunk = _check_all_programs((2, 1, 1), switch)
         assert schedules > 400
         assert trunk["owner"] > 0 and trunk["invs"] > 0
         if switch:
@@ -350,7 +350,7 @@ class TestDelayOverlay:
                 super()._arrive(dispatch, msg)
 
         script = SCRIPTS["mixed_two_blocks"]
-        machine = Machine(config_for(script, "msi", True), sanitize=True)
+        machine = Machine(config_for(script, True), sanitize=True)
         for node in machine.nodes:
             def recording(msg, inner=node.ni._dispatch):
                 dispatched.append(msg)
