@@ -56,16 +56,13 @@ def show_hotspot() -> None:
     for src in range(1, 16):
         fabric.inject(Message(MsgKind.DATA_S, src, 0, 0x40, 9, data=0))
     sim.run()
-    hot = []
-    for sid, switch in fabric.switches.items():
-        for neighbor, link in switch.outputs().items():
-            if link.reservations:
-                hot.append((str(sid), str(neighbor), link.reservations,
-                            f"{link.mean_queueing_delay():.1f}"))
-    hot.sort(key=lambda r: -float(r[3]))
+    hot = [
+        (str(sid), str(toward), worms, f"{queue:.1f}")
+        for sid, toward, worms, queue in fabric.hottest_links(top=8)
+    ]
     print(format_table(
         ("switch", "toward", "worms", "mean queue (cycles)"),
-        hot[:8], title="Hottest links under a 15-to-1 hotspot",
+        hot, title="Hottest links under a 15-to-1 hotspot",
     ))
 
 

@@ -88,7 +88,8 @@ class CaesarEngine:
         # needs no grant state: a snoop never delays a request or a worm
         self.tag_port = Timeline(sim)
         self.data_ports = [Timeline(sim) for _ in range(banks)]
-        # whether this stage caches: a disabled engine still snoops
+        # whether this stage caches: Switch.embed binds try_deposit and
+        # try_intercept only when it does; a disabled engine still snoops
         stages = config.switch_cache_stages
         self.enabled = stages is None or self.stage in stages
         # same tracer track as the owning switch (see Switch.trace_track)
@@ -130,8 +131,6 @@ class CaesarEngine:
 
     def try_deposit(self, msg: Message) -> bool:
         """DATA_S passing through: capture the block unless the bank is busy."""
-        if not self.enabled:
-            return False
         addr = msg.addr
         now = self.sim.now
         port = self.data_ports[(addr // self._block_size) & self._bank_mask]
@@ -159,8 +158,6 @@ class CaesarEngine:
 
     def try_intercept(self, msg: Message) -> Optional[Tuple[int, int]]:
         """READ arriving: probe; return (data, reply_ready_time) on a hit."""
-        if not self.enabled:
-            return None
         now = self.sim.now
         tag_port = self.tag_port
         addr = msg.addr

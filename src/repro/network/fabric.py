@@ -69,10 +69,16 @@ _FLOW_REPLIES = frozenset(
     {MsgKind.DATA_S, MsgKind.DATA_X, MsgKind.UPGR_ACK}
 )
 
-#: the kinds that run a CAESAR hook at each switch they cross
-_INV = MsgKind.INV            # snoops_switch_caches
-_DATA_S = MsgKind.DATA_S      # switch_cacheable
-_READ = MsgKind.READ          # interceptable
+#: the kinds that run a CAESAR hook at each switch they cross, on both
+#: network models.  Only clean shared data is deposited, and only a READ
+#: may be served by a switch.  Invalidations purge matching blocks: they
+#: cover all sharer paths.  Ownership transfers (RECALL_X en route to an
+#: owner) and writebacks create no new stale copies, and RECALL (M->S
+#: downgrade) does not purge: as in the paper, invalidation traffic
+#: snoops and everything else passes untouched.
+_INV = MsgKind.INV            # snoops
+_DATA_S = MsgKind.DATA_S      # deposits
+_READ = MsgKind.READ          # may be intercepted
 
 class FabricStats:
     """Aggregate network statistics.
@@ -406,6 +412,27 @@ class Fabric:
         ready_at: int,
     ) -> None:
         """A READ hit in ``switch``'s cache: reply + directory update."""
+        reply = self._switch_reply(msg, switch, data)
+        reply.injected_at = ready_at
+        # the reply retraces the request's traversed prefix: by reversal
+        # symmetry that is the tail of the home-to-requester route, from
+        # the serving switch on
+        hops = reply.hops = self.route(msg.dst, msg.src)
+        self._forward(reply, len(hops) - 1 - hop, header_at=ready_at)
+        # the request continues to the home as a 1-flit directory update;
+        # it carries the version the switch served so the home can detect
+        # staleness even after an intervening writer has written back
+        msg.kind = MsgKind.DIR_UPDATE
+        msg.flits = 1
+        msg.payload["sc_version"] = data
+        self._forward(msg, hop, header_at=self.sim.now)
+
+    def _switch_reply(self, msg: Message, switch: Switch, data: int) -> Message:
+        """Record a hit on READ ``msg`` at ``switch``; return its DATA_S.
+
+        Shared by both network models.  The reply is created now; the
+        caller routes it and sends the directory update on to the home.
+        """
         now = self.sim.now
         tracer = self._tracer
         if tracer is not None:
@@ -445,19 +472,7 @@ class Fabric:
             transaction=msg.transaction,
         )
         reply.created_at = now
-        reply.injected_at = ready_at
-        # the reply retraces the request's traversed prefix: by reversal
-        # symmetry that is the tail of the home-to-requester route, from
-        # the serving switch on
-        hops = reply.hops = self.route(msg.dst, msg.src)
-        self._forward(reply, len(hops) - 1 - hop, header_at=ready_at)
-        # the request continues to the home as a 1-flit directory update;
-        # it carries the version the switch served so the home can detect
-        # staleness even after an intervening writer has written back
-        msg.kind = MsgKind.DIR_UPDATE
-        msg.flits = 1
-        msg.payload["sc_version"] = data
-        self._forward(msg, hop, header_at=now)
+        return reply
 
     # ------------------------------------------------------------------
     # introspection
@@ -500,7 +515,8 @@ class Fabric:
     def injection_queue_delay(self) -> float:
         """Mean NI injection queueing delay per injected worm (cycles).
 
-        Weighted by worms, as :class:`FlitNetwork` counts it, so a node
-        that injects nothing does not dilute the mean.
+        The injection links' pooled grant wait: weighted by worms, so a
+        node that injects nothing does not dilute the mean.  An
+        uncontended worm waits 0 cycles.
         """
         return pooled_queueing_delay(self._inject_links.values())

@@ -14,11 +14,10 @@ flit-level *timing*: per-hop serialization is ``flits * cycles_per_flit``.
 Integer-coded kinds and the message pool (DESIGN.md §10)
 --------------------------------------------------------
 Every :class:`MsgKind` member carries a small-int ``code`` (its header
-type field), and the kind predicates are index-by-code tuples —
-:data:`CARRIES_DATA`, :data:`SWITCH_CACHEABLE`, :data:`INTERCEPTABLE`,
-:data:`SNOOPS_SWITCH_CACHES` — so hot sites pay one tuple subscript.  Each kind's deadlock-freedom lane
-is declared here too, in :data:`REQUEST_LANE`, :data:`FORWARD_LANE` and
-:data:`REPLY_LANE`.
+type field), and the data-carrying predicate is an index-by-code tuple,
+:data:`CARRIES_DATA`, so hot sites pay one tuple subscript.  Each kind's
+deadlock-freedom lane is declared here too, in :data:`REQUEST_LANE`,
+:data:`FORWARD_LANE` and :data:`REPLY_LANE`.
 
 :class:`MessagePool` owns message identity for one machine: ids come
 from a per-pool counter, so two machines in one process (differential
@@ -92,19 +91,8 @@ _DATA_KINDS = frozenset(
     }
 )
 
-#: index-by-code kind predicates
+#: index-by-code kind predicate
 CARRIES_DATA: Tuple[bool, ...] = tuple(k in _DATA_KINDS for k in MsgKind)
-#: only clean shared data is deposited into switch caches
-SWITCH_CACHEABLE: Tuple[bool, ...] = tuple(k is MsgKind.DATA_S for k in MsgKind)
-#: the requests a switch cache may serve directly
-INTERCEPTABLE: Tuple[bool, ...] = tuple(k is MsgKind.READ for k in MsgKind)
-#: the messages that purge matching switch-cache blocks as they pass.
-#: Invalidations cover all sharer paths.  Ownership transfers (RECALL_X
-#: en route to an owner) and writebacks do not create new stale copies,
-#: and RECALL (M->S downgrade) does not purge.  The conservative set
-#: matches the paper: invalidation traffic snoops; everything else
-#: passes untouched.
-SNOOPS_SWITCH_CACHES: Tuple[bool, ...] = tuple(k is MsgKind.INV for k in MsgKind)
 
 #: fallback id stream for messages built outside any pool
 _msg_ids = itertools.count()

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..apps.opstream import compile_stream
 from ..cache.states import DirState
@@ -63,7 +61,7 @@ class Machine:
         self.pool = MessagePool(config.block_size)
         self.topology = BminTopology(config.num_nodes)
         self.sanitizer: Optional[Sanitizer] = None
-        fabric_cls: Callable[..., Union[Fabric, FlitNetwork]] = Fabric
+        fabric_cls: Callable[..., Fabric] = Fabric
         if sanitize:
             from ..verify.sanitize import SanitizedFabric, Sanitizer
 
@@ -71,7 +69,7 @@ class Machine:
             fabric_cls = partial(SanitizedFabric, self.sanitizer)
         if config.network_model == "flit":
             # the flit-granularity reference model has no ledger; SCSan
-            # still covers coherence and sync
+            # still covers coherence, sync and worm conservation
             fabric_cls = FlitNetwork
         self.fabric = fabric_cls(
             self.sim,

@@ -19,7 +19,8 @@ scripted races), plus the kernel-level properties beneath them:
   (:meth:`~repro.system.machine.Machine.check_coherence`) is clean, and
   every switch-cache hit reconciles: the engines' total ``hits``, the
   reads the statistics classed ``switch`` and the DIR_UPDATEs the homes
-  applied are one number.
+  applied are one number, and the fabric delivered one worm per NI
+  injection plus one per hit.
 
 Enable with ``Machine(config, sanitize=True)``, ``--sanitize`` on the
 ``repro-sim``/``repro-experiments`` CLIs, or ``REPRO_SANITIZE=1`` in the
@@ -38,7 +39,8 @@ onto the event heap (``Simulator.call_at`` and its inlined copy in
 
 The fabric ledger covers the message-granularity :class:`Fabric`; the
 flit-granularity reference model (``network_model="flit"``) runs with
-the coherence and sync checks only.
+the coherence and sync checks and the final audit, whose worm count
+stands in for the ledger.
 """
 
 from __future__ import annotations
@@ -188,6 +190,15 @@ class Sanitizer:
         if len(set(identity.values())) != 1:
             problems.append(
                 f"[stats] switch-hit reconciliation broken: {identity}"
+            )
+        # worm conservation by count, the one fabric check the flit
+        # reference (no ledger) gets too: each hit adds one worm
+        stats = fabric.stats
+        if stats.msgs_delivered != stats.msgs_injected + stats.switch_hits:
+            problems.append(
+                f"[stats] worm count broken: {stats.msgs_delivered} "
+                f"delivered, {stats.msgs_injected} injected, "
+                f"{stats.switch_hits} switch hits"
             )
         for stack in machine.stacks():
             if not stack.write_buffer.is_empty():

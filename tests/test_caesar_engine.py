@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from repro.apps import GaussianElimination
 from repro.core.caesar import TAG_CYCLES, CaesarEngine, data_cycles
 from repro.network.message import Message, MsgKind
+from repro.network.switch import Switch
 from repro.sim.engine import Simulator
 from repro.sim.resource import Timeline
+from repro.system.machine import Machine
 from repro.system.presets import switch_cache_config
 
 
@@ -15,6 +18,15 @@ def make_engine(sim=None, **config_kw):
     """A stage-1 engine of a 16-node machine with 2 KB switch caches."""
     sim = sim if sim is not None else Simulator()
     return CaesarEngine(sim, (1, 0), switch_cache_config(16, **config_kw))
+
+
+def run_with_caching_stage(stage, network_model):
+    """The engines of a 4-node GE run that caches at ``stage`` only."""
+    machine = Machine(switch_cache_config(
+        4, size=1024, stages={stage}, network_model=network_model,
+    ))
+    machine.run(GaussianElimination(n=12))
+    return machine.fabric.cache_engines
 
 
 def reply(addr, data=1):
@@ -45,10 +57,15 @@ class TestDeposit:
         assert engine.deposit_skips == 1
 
     def test_deposit_disabled_stage(self):
-        engine = make_engine(stages={0, 2, 3})
-        # engine is at stage 1 which is excluded
-        assert not engine.try_deposit(reply(0x40))
-        assert engine.array.occupancy() == 0
+        # engine is at stage 1 which is excluded: its switch binds no
+        # deposit hook, so no DATA_S reaches the engine
+        switch = Switch(Simulator(), (1, 0))
+        switch.embed(make_engine(stages={0, 2, 3}))
+        assert switch.deposit is None
+        for network_model in ("message", "flit"):
+            engines = run_with_caching_stage(0, network_model)
+            assert [e.deposits for e in engines if e.stage == 1] == [0, 0]
+            assert all(e.deposits for e in engines if e.stage == 0)
 
 
 class TestIntercept:
@@ -80,10 +97,15 @@ class TestIntercept:
         assert engine.lookups == 0
 
     def test_disabled_stage_never_intercepts(self):
-        # the engine's stage 1 lies outside the caching stages
-        engine = make_engine(stages={0})
-        engine.try_deposit(reply(0x40))
-        assert engine.try_intercept(read(0x40)) is None
+        # the engine's stage 1 lies outside the caching stages: its
+        # switch binds no intercept hook, but keeps the snoop
+        switch = Switch(Simulator(), (1, 0))
+        switch.embed(make_engine(stages={0}))
+        assert switch.intercept is None and switch.snoop is not None
+        for network_model in ("message", "flit"):
+            engines = run_with_caching_stage(0, network_model)
+            assert [e.lookups for e in engines if e.stage == 1] == [0, 0]
+            assert all(e.hits for e in engines if e.stage == 0)
 
 
 class TestSnoop:

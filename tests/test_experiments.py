@@ -1,6 +1,7 @@
 """Tests for the experiment harness (registry, static tables, CLI)."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ from repro.experiments.runners import no_runs
 from repro.system.config import KB
 from repro.system.machine import Machine
 from repro.system.presets import base_config, switch_cache_config
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 class TestRegistry:
@@ -129,6 +132,14 @@ class TestNetworkModelAgreement:
         for label, entry in result.data.items():
             ratio = entry["fabric"] / entry["flit_ref"]
             assert 0.9 <= ratio <= 1.1, (label, entry)
+
+    def test_a8_report_matches_the_committed_results(self):
+        # A8 fixes its own sizes, so its quick and full reports are one
+        # report: any change to either network model's timing shows here
+        # and must regenerate results/A8.txt on purpose
+        (result,), _counters = run_experiments(["A8"])
+        committed = RESULTS / "A8.txt"
+        assert f"{result}\n" == committed.read_text()
 
 
 class TestCli:

@@ -9,6 +9,8 @@ same microbenchmark workloads on both models and check the claim:
 * hot-spot completion times agree within a modest factor.
 """
 
+import random
+
 import pytest
 
 from repro.core.caesar import CaesarEngine
@@ -219,8 +221,92 @@ class TestInjectionAccounting:
             network.inject(msg)
         sim.run()
         waits = [m.injected_at - m.created_at for m in worms]
+        # the pump moves a header one cycle after inject at the earliest
+        assert waits == ([1, 37] if model_cls is FlitNetwork else [0, 36])
         assert waits[1] - waits[0] == flits * network.cycles_per_flit
         assert network.injection_queue_delay() == sum(waits) / 2
+
+
+def link_busy_cycles(network):
+    """Busy cycles per link, keyed by (switch or node, toward)."""
+    busy = {
+        (sid, toward): link.busy_cycles
+        for sid, switch in network.switches.items()
+        for toward, link in switch.outputs().items()
+    }
+    for node, link in network._inject_links.items():
+        busy[(node, network.topo.node_switch(node))] = link.busy_cycles
+    return busy
+
+
+class TestSharedLinks:
+    """Both models carry their worms on the same Switch links."""
+
+    def test_random_traffic_busies_every_link_alike(self):
+        rng = random.Random(7)
+        traffic = []
+        for _ in range(400):
+            src, dst = rng.sample(range(16), 2)
+            kind = rng.choice((MsgKind.READ, MsgKind.DATA_S, MsgKind.INV))
+            traffic.append((rng.randrange(2000), src, dst, kind))
+        busy = []
+        for model_cls in (Fabric, FlitNetwork):
+            sim = Simulator()
+            network = model_cls(sim, BminTopology(16))
+            for node in range(16):
+                network.attach_node(node, lambda msg: None)
+            for at, src, dst, kind in traffic:
+                msg = Message(kind, src, dst, 0x40, flits_for(kind, 64),
+                              data=0)
+                sim.call_at(at, network.inject, msg)
+            sim.run()
+            assert network.stats.msgs_delivered == len(traffic)
+            busy.append(link_busy_cycles(network))
+        assert len(busy[0]) == 128
+        assert busy[0] == busy[1]
+        assert sum(busy[0].values()) > 0
+
+    def test_switch_hit_worms_busy_the_same_links(self):
+        # a fill, then a READ that hits: the reply and the DIR_UPDATE
+        # cross the same links for the same cycles on both models
+        busy = []
+        for model_cls in (Fabric, FlitNetwork):
+            sim = Simulator()
+            network = model_cls(sim, BminTopology(16))
+            for node in range(16):
+                network.attach_node(node, lambda msg: None)
+            network.install_cache_engines(
+                lambda sid: CaesarEngine(sim, sid, switch_cache_config(16))
+            )
+            network.inject(Message(MsgKind.DATA_S, 15, 0, 0x40, 9, data=7))
+            sim.run()
+            network.inject(Message(MsgKind.READ, 1, 15, 0x40, 1))
+            sim.run()
+            assert network.stats.switch_hits == 1
+            assert network.stats.msgs_delivered == 3
+            busy.append(link_busy_cycles(network))
+        assert busy[0] == busy[1]
+
+    def test_link_reports_run_on_a_flit_machine(self):
+        from repro.apps import GaussianElimination
+        from repro.system.config import SystemConfig
+        from repro.system.machine import Machine
+
+        machine = Machine(SystemConfig(num_nodes=4, l1_size=1024,
+                                       l2_size=4096, network_model="flit"))
+        machine.run(GaussianElimination(n=12))
+        fabric = machine.fabric
+        by_stage = fabric.utilization_by_stage()
+        assert set(by_stage) == {0, 1}
+        assert all(0 < u <= 1 for u in by_stage.values())
+        hot = fabric.hottest_links(top=3)
+        assert len(hot) == 3
+        # a grant is one flit: the wait sits in the VC buffers, not on
+        # the links
+        assert [queue for *_rest, queue in hot] == [0.0, 0.0, 0.0]
+        assert [flits for _s, _t, flits, _q in hot] == sorted(
+            (flits for _s, _t, flits, _q in hot), reverse=True
+        )
 
 
 class TestFlitPacing:
@@ -248,9 +334,12 @@ class TestFlitPacing:
                       flits_for(MsgKind.DATA_S, 64), data=0)
         network.inject(msg)
         sim.run()
-        hops = len(BminTopology(4).path(0, 3)) + 1  # switches + ejection
-        total_flit_moves = sum(c.arrivals for c in network.channels.values())
-        assert total_flit_moves == msg.flits * hops
+        # injection + one link per switch; each flit is one link grant
+        links = len(BminTopology(4).path(0, 3)) + 1
+        total_flit_moves = sum(
+            link.reservations for link in network.channels
+        )
+        assert total_flit_moves == msg.flits * links
 
     def test_two_vcs_interleave_independent_worms(self):
         sim = Simulator()

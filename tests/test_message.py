@@ -1,18 +1,33 @@
 """Unit tests for the wire-level message model."""
 
+from repro.core.caesar import CaesarEngine
+from repro.network.fabric import Fabric
 from repro.network.message import (
     CARRIES_DATA,
     FLIT_BYTES,
     FORWARD_LANE,
-    INTERCEPTABLE,
     REPLY_LANE,
     REQUEST_LANE,
-    SNOOPS_SWITCH_CACHES,
-    SWITCH_CACHEABLE,
     Message,
     MsgKind,
     flits_for,
 )
+from repro.network.topology import BminTopology
+from repro.sim.engine import Simulator
+from repro.system.presets import switch_cache_config
+
+
+def kinds_hooked_by(hop_name):
+    """The kinds a switch-cache fabric sends through hop callback
+    ``hop_name``: the fabric's per-kind dispatch declares which kinds
+    deposit, are intercepted or snoop."""
+    sim = Simulator()
+    fabric = Fabric(sim, BminTopology(4))
+    fabric.install_cache_engines(
+        lambda sid: CaesarEngine(sim, sid, switch_cache_config(4))
+    )
+    hop = getattr(fabric, hop_name)
+    return {kind for kind in MsgKind if fabric._hop_fns[kind.code] == hop}
 
 
 class TestKinds:
@@ -29,21 +44,13 @@ class TestKinds:
             assert not CARRIES_DATA[kind.code]
 
     def test_only_clean_shared_data_is_switch_cacheable(self):
-        assert SWITCH_CACHEABLE[MsgKind.DATA_S.code]
-        for kind in MsgKind:
-            if kind is not MsgKind.DATA_S:
-                assert not SWITCH_CACHEABLE[kind.code]
+        assert kinds_hooked_by("_hop_deposit") == {MsgKind.DATA_S}
 
     def test_only_reads_interceptable(self):
-        assert INTERCEPTABLE[MsgKind.READ.code]
-        assert not INTERCEPTABLE[MsgKind.READX.code]
-        assert not INTERCEPTABLE[MsgKind.UPGRADE.code]
+        assert kinds_hooked_by("_hop_intercept") == {MsgKind.READ}
 
     def test_only_invalidations_snoop(self):
-        assert SNOOPS_SWITCH_CACHES[MsgKind.INV.code]
-        for kind in MsgKind:
-            if kind is not MsgKind.INV:
-                assert not SNOOPS_SWITCH_CACHES[kind.code]
+        assert kinds_hooked_by("_hop_snoop") == {MsgKind.INV}
 
     def test_lanes_partition_the_kinds(self):
         lanes = (REQUEST_LANE, FORWARD_LANE, REPLY_LANE)

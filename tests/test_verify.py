@@ -517,6 +517,26 @@ class TestSanitizerMutations:
             "mutation test vacuous: no read was served by a switch"
         )
 
+    def test_flit_worm_miscount_detected(self):
+        """The flit reference has no ledger: its final audit checks
+        delivered == injected + switch hits instead."""
+        scripts = {
+            1: [("r", ("blk", 0)), ("barrier", 1)],
+            3: [("barrier", 1), ("r", ("blk", 0))],
+            0: [("barrier", 1)],
+            2: [("barrier", 1)],
+        }
+        machine = Machine(_sc_config(network_model="flit"), sanitize=True)
+        machine.run(ScriptedApp(scripts, blocks=1, home=0))
+        stats = machine.fabric.stats
+        assert stats.switch_hits >= 1, (
+            "mutation test vacuous: no read was served by a switch"
+        )
+        assert stats.msgs_delivered == stats.msgs_injected + stats.switch_hits
+        stats.msgs_delivered += 1
+        with pytest.raises(SanitizerError, match="worm count"):
+            machine.sanitizer.final_check(machine)
+
     def test_double_injection_detected(self):
         machine = Machine(tiny_config(), sanitize=True)
         msg = MessagePool(machine.config.block_size).make(
