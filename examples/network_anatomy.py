@@ -56,12 +56,13 @@ def show_hotspot() -> None:
     for src in range(1, 16):
         fabric.inject(Message(MsgKind.DATA_S, src, 0, 0x40, 9, data=0))
     sim.run()
+    # a grant is one worm on the fabric (one flit on the flit reference)
     hot = [
-        (str(sid), str(toward), worms, f"{queue:.1f}")
-        for sid, toward, worms, queue in fabric.hottest_links(top=8)
+        (str(sid), str(toward), grants, f"{queue:.1f}")
+        for sid, toward, grants, queue in fabric.hottest_links(top=8)
     ]
     print(format_table(
-        ("switch", "toward", "worms", "mean queue (cycles)"),
+        ("switch", "toward", "grants", "mean queue (cycles)"),
         hot, title="Hottest links under a 15-to-1 hotspot",
     ))
 

@@ -29,12 +29,15 @@ the topology's reversal symmetry, ``path(a, b) == reversed(path(b, a))``:
 a switch-served reply rides the home-to-requester route from the serving
 switch on, which is exactly the request's traversed prefix, reversed.
 
-Each worm's per-hop callback is chosen once, when it enters the fabric
-(DESIGN.md §10.4): :meth:`Fabric._hop` (grant only), ``_hop_snoop``,
-``_hop_deposit`` or ``_hop_intercept`` by kind, or :meth:`Fabric._arrive`
-when a tracer is attached.  Every one of them ends in ``_hop``, the one
-inlined copy of :meth:`~repro.sim.resource.Timeline.reserve`: every link
-is a ``Timeline``.
+Every worm takes one per-hop callback, :meth:`Fabric._hop` (DESIGN.md
+§10.4).  It emits the tracer's ``hop`` instant when a tracer is
+attached, runs the switch hook that the fabric's by-kind table
+``_hooks`` holds for the worm's kind (``_snoop``, ``_deposit`` or
+``_intercept`` once :meth:`Fabric.install_cache_engines` embeds engines,
+else none), and grants the output link with the one inlined copy of
+:meth:`~repro.sim.resource.Timeline.reserve`: every link is a
+``Timeline``.  :class:`~repro.network.flitref.FlitNetwork` runs its
+header flits through the same table.
 """
 
 from __future__ import annotations
@@ -54,8 +57,9 @@ if TYPE_CHECKING:
     from ..trace.tracer import Tracer
 
 DeliverFn = Callable[[Message], None]
-#: a per-hop callback: ``fn(msg, hop)`` as the header reaches hop ``hop``
-HopFn = Callable[[Message, int], None]
+#: a switch hook: ``fn(msg, hop)`` as the header reaches hop ``hop``;
+#: True when the switch consumed the worm
+HookFn = Callable[[Message, int], bool]
 
 #: one resolved route hop: (switch, out-link toward the next hop / the node)
 Hop = Tuple[Switch, Timeline]
@@ -112,7 +116,7 @@ class Fabric:
     __slots__ = (
         "sim", "topo", "switch_delay", "cycles_per_flit", "stats",
         "switches", "_inject_links", "_handlers", "_tracer", "_routes",
-        "pool", "_hop_fns", "cache_engines",
+        "pool", "_hooks", "cache_engines",
     )
 
     def __init__(
@@ -152,9 +156,9 @@ class Fabric:
         )
         # (src, dst) -> resolved hops, filled by route() on first use
         self._routes: Dict[Tuple[int, int], Tuple[Hop, ...]] = {}
-        # the untraced hop callback per kind, indexed by MsgKind.code:
-        # grant only, until install_cache_engines embeds CAESAR engines
-        self._hop_fns: List[HopFn] = [self._hop] * len(MsgKind)
+        # the switch hook per kind, indexed by MsgKind.code: none until
+        # install_cache_engines embeds CAESAR engines
+        self._hooks: List[Optional[HookFn]] = [None] * len(MsgKind)
         self._build()
 
     # ------------------------------------------------------------------
@@ -162,7 +166,7 @@ class Fabric:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         for sid in self.topo.switches():
-            self.switches[sid] = Switch(self.sim, sid, self.cycles_per_flit)
+            self.switches[sid] = Switch(self.sim, sid)
         # inter-switch links (both directions)
         for sid, switch in self.switches.items():
             for up in self.topo.up_neighbors(sid):
@@ -209,7 +213,8 @@ class Fabric:
         self, factory: Callable[[SwitchId], Optional[CaesarEngine]]
     ) -> None:
         """Embed a cache engine in every switch (``factory`` may return
-        None) and list the engines in ``cache_engines``."""
+        None), list the engines in ``cache_engines``, and fill the hook
+        table with the three switch hooks if any engine was embedded."""
         engines = self.cache_engines
         engines.clear()
         for sid, switch in self.switches.items():
@@ -217,25 +222,12 @@ class Fabric:
             switch.embed(engine)
             if engine is not None:
                 engines.append(engine)
-        fns = self._hop_fns = [self._hop] * len(MsgKind)
+        hooks: List[Optional[HookFn]] = [None] * len(MsgKind)
         if engines:
-            fns[_INV.code] = self._hop_snoop
-            fns[_DATA_S.code] = self._hop_deposit
-            fns[_READ.code] = self._hop_intercept
-
-    def _pick_hop(self, msg: Message) -> HopFn:
-        """Choose, and store on the worm, the callback for all its hops.
-
-        A worm keeps its kind from switch to switch, so the choice holds
-        until :meth:`_serve_from_switch` rewrites a READ in flight (both
-        worms it leaves pick again through :meth:`_forward`).
-        """
-        if self._tracer is not None:
-            fn = self._arrive
-        else:
-            fn = self._hop_fns[msg.kind.code]
-        msg.on_hop = fn
-        return fn
+            hooks[_INV.code] = self._snoop
+            hooks[_DATA_S.code] = self._deposit
+            hooks[_READ.code] = self._intercept
+        self._hooks = hooks
 
     # ------------------------------------------------------------------
     # injection
@@ -256,18 +248,21 @@ class Fabric:
         self.stats.msgs_injected += 1
         self.stats.flits_injected += msg.flits
         header_at_switch = grant + self.cycles_per_flit
-        sim.call_at(header_at_switch, self._pick_hop(msg), msg, 0)
+        sim.call_at(header_at_switch, self._hop, msg, 0)
 
     # ------------------------------------------------------------------
     # per-hop processing
     # ------------------------------------------------------------------
     def _hop(self, msg: Message, hop: int) -> None:
-        """A header at hop ``hop``: grant the output link, move on.
+        """A header at hop ``hop``: trace, run the switch hook, grant the
+        output link, move on.
 
-        The plain hop, and the tail of every other hop callback: the one
-        inlined copy of :meth:`Timeline.reserve`'s grant arithmetic (held
-        equal to it by ``TestGrantLockstep``), followed by
-        :meth:`Simulator.call_at`'s push — same sequence number, same
+        The one per-hop callback.  The hook for the worm's kind may
+        consume the worm (True), or rewrite it before the grant, as a
+        fabric switch-cache hit turns its READ into a DIR_UPDATE.  The
+        grant is the one inlined copy of :meth:`Timeline.reserve`'s
+        arithmetic (held equal to it by ``TestGrantLockstep``), followed
+        by :meth:`Simulator.call_at`'s push — same sequence number, same
         peak bookkeeping, same past-time check — straight onto the heap.
         Every switch and link shares the fabric-wide ``switch_delay`` and
         ``cycles_per_flit`` (see _build), so those load from self.
@@ -275,6 +270,15 @@ class Fabric:
         sim = self.sim
         now = sim.now
         hops = msg.hops
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.instant(
+                hops[hop][0].trace_track, "hop", now,
+                {"msg": msg.id, "kind": msg.kind.value, "addr": msg.addr},
+            )
+        hook = self._hooks[msg.kind.code]
+        if hook is not None and hook(msg, hop):
+            return
         link = hops[hop][1]
         cycles_per_flit = self.cycles_per_flit
         duration = msg.flits * cycles_per_flit
@@ -293,7 +297,7 @@ class Fabric:
             args = (msg,)
         else:
             time = grant + cycles_per_flit
-            fn = msg.on_hop
+            fn = self._hop
             args = (msg, hop)
         if time < now:
             raise SimulationError(
@@ -305,53 +309,35 @@ class Fabric:
         if len(heap) > sim._peak:
             sim._peak = len(heap)
 
-    def _hop_snoop(self, msg: Message, hop: int) -> None:
-        """An INV header: purge the block from the switch cache, move on."""
+    def _snoop(self, msg: Message, hop: int) -> bool:
+        """An INV header: purge the block from the switch cache."""
         snoop = msg.hops[hop][0].snoop
         if snoop is not None:
             snoop(msg)
-        self._hop(msg, hop)
+        return False
 
-    def _hop_deposit(self, msg: Message, hop: int) -> None:
-        """A DATA_S header: deposit the block in the switch cache, move on."""
+    def _deposit(self, msg: Message, hop: int) -> bool:
+        """A DATA_S header: deposit the block in the switch cache."""
         deposit = msg.hops[hop][0].deposit
         if deposit is not None:
             deposit(msg)
-        self._hop(msg, hop)
+        return False
 
-    def _hop_intercept(self, msg: Message, hop: int) -> None:
-        """A READ header: a switch-cache hit serves it here, else move on."""
+    def _intercept(self, msg: Message, hop: int) -> bool:
+        """A READ header: a switch-cache hit serves it here."""
         switch = msg.hops[hop][0]
         intercept = switch.intercept
         if intercept is not None:
             served = intercept(msg)
             if served is not None:
-                data, ready_at = served
-                self._serve_from_switch(msg, switch, hop, data, ready_at)
-                return
-        self._hop(msg, hop)
-
-    def _arrive(self, msg: Message, hop: int) -> None:
-        """The traced hop: emit the tracer's ``hop`` instant, then hook
-        and grant.
-
-        Runs the same per-kind callback an untraced worm takes, so a
-        traced run grants, deposits and serves exactly as an untraced one.
-        """
-        # _pick_hop picks this hop only with a tracer attached
-        self._tracer.instant(
-            msg.hops[hop][0].trace_track, "hop", self.sim.now,
-            {"msg": msg.id, "kind": msg.kind.value, "addr": msg.addr},
-        )
-        self._hop_fns[msg.kind.code](msg, hop)
+                return self._serve_from_switch(msg, switch, hop, *served)
+        return False
 
     def _forward(self, msg: Message, hop: int, header_at: int) -> None:
-        """Grant the hop's output link for a worm entering mid-fabric.
+        """Grant the hop's output link for a switch-served reply, whose
+        header is ready at ``header_at`` mid-fabric.
 
-        Only the switch-served reply and the DIR_UPDATE continuation
-        enter here, with their header ready at ``header_at``; both pick
-        their hop callback afresh.  SanitizedFabric wraps this method to
-        register the fabricated reply.
+        SanitizedFabric wraps this method to register the reply.
         """
         hops = msg.hops
         duration = msg.flits * self.cycles_per_flit
@@ -361,10 +347,7 @@ class Fabric:
         if next_hop == len(hops):
             call_at(grant + duration, self._deliver, msg)
         else:
-            call_at(
-                grant + self.cycles_per_flit, self._pick_hop(msg), msg,
-                next_hop,
-            )
+            call_at(grant + self.cycles_per_flit, self._hop, msg, next_hop)
 
     def _deliver(self, msg: Message) -> None:
         msg.delivered_at = self.sim.now
@@ -410,8 +393,13 @@ class Fabric:
         hop: int,
         data: int,
         ready_at: int,
-    ) -> None:
-        """A READ hit in ``switch``'s cache: reply + directory update."""
+    ) -> bool:
+        """A READ hit in ``switch``'s cache: send the reply, and turn the
+        READ into its directory update.
+
+        Returns False: the update is the same worm, so it continues
+        through :meth:`_hop`'s own grant, requested now.
+        """
         reply = self._switch_reply(msg, switch, data)
         reply.injected_at = ready_at
         # the reply retraces the request's traversed prefix: by reversal
@@ -425,7 +413,7 @@ class Fabric:
         msg.kind = MsgKind.DIR_UPDATE
         msg.flits = 1
         msg.payload["sc_version"] = data
-        self._forward(msg, hop, header_at=self.sim.now)
+        return False
 
     def _switch_reply(self, msg: Message, switch: Switch, data: int) -> Message:
         """Record a hit on READ ``msg`` at ``switch``; return its DATA_S.
@@ -500,7 +488,11 @@ class Fabric:
         }
 
     def hottest_links(self, top: int = 5):
-        """The ``top`` busiest links as (switch, toward, msgs, mean queue)."""
+        """The ``top`` busiest links as (switch, toward, grants, mean queue).
+
+        A grant is one ``reserve`` of the link: one per worm on the
+        fabric, one per flit on the flit reference.
+        """
         rows = []
         for sid, switch in self.switches.items():
             for neighbor, link in switch.outputs().items():

@@ -12,10 +12,11 @@ replaces only the transport.  Shared with the fabric:
   :class:`~repro.sim.resource.Timeline`\\ s and the NI injection links;
 * routes (:meth:`Fabric.route`), so a switch-served reply rides the
   mirrored route suffix from the serving switch, as on the fabric;
-* node attachment and delivery, and the CAESAR hooks that
-  :meth:`Switch.embed` binds (a header runs them as it reaches a
-  switch; a READ hit is served there, its reply built by
-  :meth:`Fabric._switch_reply`);
+* node attachment and delivery, and the switch hooks: a header flit
+  dispatches through the fabric's by-kind table ``_hooks`` (the same
+  ``_snoop``, ``_deposit`` and ``_intercept`` a fabric worm runs) as it
+  reaches a switch, and a READ hit's reply is built by
+  :meth:`Fabric._switch_reply`;
 * the statistics and reports: ``stats``, the resident switch-cache
   blocks, ``utilization_by_stage`` and ``hottest_links``.
 
@@ -37,9 +38,12 @@ The reference's own:
   arbitration — and then the NI queues (nodes in order) and the queues
   of switch-fabricated worms (switches in order).
 
-A switch-cache hit continues its READ as a freshly drawn DIR_UPDATE, not
-the READ rewritten in place as on the fabric: VCs are chosen by message
-id, so drawing one id fewer would move every later worm's VC.
+A switch-cache hit consumes its READ at the serving switch
+(:meth:`FlitNetwork._serve_from_switch` overrides the fabric's and
+returns True) and continues it as a freshly drawn DIR_UPDATE, not the
+READ rewritten in place as on the fabric: VCs are chosen by message id,
+so drawing one id fewer would move every later worm's VC.  The fresh
+draw stays until VCs are mapped by lane.
 
 It drives full machine runs, with or without switch caches
 (``SystemConfig(network_model="flit")``).  ``tests/test_flit_reference.py``
@@ -62,7 +66,7 @@ from typing import Deque, Dict, Hashable, List, Optional, Tuple
 from ..errors import NetworkError
 from ..sim.engine import Simulator
 from ..sim.resource import Timeline
-from .fabric import _DATA_S, _INV, _READ, Fabric
+from .fabric import Fabric
 from .message import Message, MessagePool, MsgKind
 from .switch import Switch
 from .topology import BminTopology
@@ -280,33 +284,24 @@ class FlitNetwork(Fabric):
         return moved
 
     def _run_hooks(self, msg: Message, hop: int, vc: Deque[Flit]) -> bool:
-        """Run the cache hooks of hop ``hop``'s switch for a header flit.
+        """Run hop ``hop``'s switch hook for a header flit.
 
         Returns True when a switch-cache hit consumed the worm.  The
         pump drives the clock one cycle at a time, so the header's
         arrival is exactly the simulator clock the hooks read.
         """
-        switch = msg.hops[hop][0]
-        kind = msg.kind
-        if kind is _INV:
-            if switch.snoop is not None:
-                switch.snoop(msg)
-        elif kind is _DATA_S:
-            if switch.deposit is not None:
-                switch.deposit(msg)
-        elif kind is _READ and switch.intercept is not None:
-            served = switch.intercept(msg)
-            if served is not None:
-                vc.popleft()  # the 1-flit request ends at this switch
-                self._serve(msg, switch, hop, *served)
-                return True
+        hook = self._hooks[msg.kind.code]
+        if hook is not None and hook(msg, hop):
+            vc.popleft()  # the 1-flit request ends at this switch
+            return True
         return False
 
-    def _serve(
+    def _serve_from_switch(
         self, msg: Message, switch: Switch, hop: int, data: int,
         ready_at: int,
-    ) -> None:
-        """Queue the reply and the directory update a hit fabricates."""
+    ) -> bool:
+        """Queue the reply and the directory update a hit fabricates;
+        the request ends here (True)."""
         reply = self._switch_reply(msg, switch, data)
         hops = reply.hops = self.route(msg.dst, msg.src)
         back = len(hops) - 1 - hop  # the serving switch on the way back
@@ -328,6 +323,7 @@ class FlitNetwork(Fabric):
         self._queue(switch.id, _Worm(
             update, self.channels[msg.hops[hop][1]], hop + 1,
         ))
+        return True
 
     def _transmit(
         self, worm: _Worm, hop: int, channel: _Channel, vc: Deque[Flit],

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 
 class MsgKind(enum.Enum):
@@ -128,7 +128,6 @@ class Message:
         "injected_at",
         "delivered_at",
         "hops",
-        "on_hop",
         "transaction",
     )
 
@@ -158,8 +157,6 @@ class Message:
         # the route resolved to ((switch, out-link), ...) hop objects by
         # the fabric at injection, so per-hop forwarding is pure indexing
         self.hops: Optional[Tuple[Any, ...]] = None
-        # the fabric's callback for each hop, chosen when the worm enters
-        self.on_hop: Optional[Callable[[Message, int], None]] = None
         self.transaction = transaction
 
     def header_fields(self) -> Dict[str, int]:

@@ -41,20 +41,14 @@ class Switch:
     """One BMIN switching element with per-output-link grant state."""
 
     __slots__ = (
-        "sim", "id", "stage", "cycles_per_flit", "_out",
+        "sim", "id", "stage", "_out",
         "cache_engine", "trace_track", "snoop", "deposit", "intercept",
     )
 
-    def __init__(
-        self,
-        sim: Simulator,
-        switch_id,
-        cycles_per_flit: int = 4,
-    ) -> None:
+    def __init__(self, sim: Simulator, switch_id) -> None:
         self.sim = sim
         self.id = switch_id
         self.stage = switch_id[0]
-        self.cycles_per_flit = cycles_per_flit
         # outgoing links keyed by neighbor: a SwitchId tuple or an int node id
         self._out: Dict[Hashable, Timeline] = {}
         self.cache_engine: Optional["CaesarEngine"] = None
@@ -96,18 +90,6 @@ class Switch:
 
     def outputs(self) -> Dict[Hashable, Timeline]:
         return dict(self._out)
-
-    # every worm this switch routes is carried by exactly one of its
-    # output links, so the routing statistics are the links' own counts:
-    # one grant per worm, held cycles_per_flit cycles per flit
-    @property
-    def msgs_routed(self) -> int:
-        return sum(link.reservations for link in self._out.values())
-
-    @property
-    def flits_routed(self) -> int:
-        busy = sum(link.busy_cycles for link in self._out.values())
-        return busy // self.cycles_per_flit
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Switch {self.id} outs={list(self._out)}>"

@@ -127,10 +127,10 @@ class DelayOverlay:
             dispatch = node.ni._dispatch
             if dispatch is not None:
                 machine.fabric.attach_node(
-                    node.node_id, partial(self._arrive, dispatch)
+                    node.node_id, partial(self._on_delivery, dispatch)
                 )
 
-    def _arrive(
+    def _on_delivery(
         self, dispatch: Callable[[Message], None], msg: Message
     ) -> None:
         ordinal = self.delivered

@@ -26,7 +26,7 @@ three kinds of evidence, all read straight from the AST:
   DFS re-selects the arm for the kind being traced, so ``receive ->
   _enqueue -> _start`` does not smear one request's sends onto another.
 * **in-flight handlers** — a bound method stored in an index-by-code
-  table (the fabric's ``fns[_READ.code] = self._hop_intercept``)
+  table (the fabric's ``hooks[_READ.code] = self._intercept``)
   handles that kind, like a ``receive`` arm does.
 * **lanes** — read from the enum module's tables named in LANE_TABLES.
 

@@ -13,9 +13,8 @@ regions listed in :data:`HOT_REGIONS`.
   region.  Tuples are exempt (constant-folded or stack-built), as is
   everything inside a ``raise`` statement (error paths are cold by
   definition) and inside a tracer guard (``if tracer is not None:`` —
-  tracing is off in measured runs).  A callback that runs only with a
-  tracer attached, such as ``Fabric._arrive``, is left out of
-  :data:`HOT_REGIONS` rather than guarded.
+  tracing is off in measured runs), such as the ``hop`` instant in
+  ``Fabric._hop``.
 * **P-CLOSURE** — ``lambda`` or nested ``def`` inside a hot region:
   each one allocates a function object (plus closure cells) per call,
   where the engine takes a bound method and an argument tuple as-is.
@@ -53,13 +52,11 @@ HOT_REGIONS: Dict[str, FrozenSet[str]] = {
         "Simulator.call_at", "Simulator.step", "Simulator.run",
         "Simulator.run_until_stop",
     }),
-    # the per-worm hop path: injection, the per-kind hop callbacks and
-    # their shared grant (_hop), delivery.  The traced hop (_arrive) is
-    # not listed: _pick_hop picks it only with a tracer attached
+    # the per-worm hop path: injection, the one hop callback (_hop) and
+    # the switch hooks it dispatches by kind, the reply's entry, delivery
     "network/fabric.py": frozenset({
-        "Fabric.inject", "Fabric._pick_hop", "Fabric._hop",
-        "Fabric._hop_snoop", "Fabric._hop_deposit", "Fabric._hop_intercept",
-        "Fabric._forward", "Fabric._deliver",
+        "Fabric.inject", "Fabric._hop", "Fabric._snoop", "Fabric._deposit",
+        "Fabric._intercept", "Fabric._forward", "Fabric._deliver",
     }),
     "network/message.py": frozenset({"MessagePool.make"}),
     "cache/array.py": frozenset({

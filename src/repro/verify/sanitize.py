@@ -114,10 +114,10 @@ class Sanitizer:
                     f"({blocks})",
                 )
 
-        barrier_arrive = machine.barriers.arrive
+        arrive_at_barrier = machine.barriers.arrive
 
         def arrive(barrier_id: int, node_id: int, resume,
-                   _orig=barrier_arrive) -> None:
+                   _orig=arrive_at_barrier) -> None:
             require_drained(node_id, f"arrived at barrier {barrier_id}")
             _orig(barrier_id, node_id, resume)
 
@@ -220,7 +220,7 @@ class SanitizedFabric(Fabric):
     """Fabric overlay: a conservation ledger over every worm.
 
     A worm is registered when it enters the fabric — through
-    :meth:`inject`, or at first :meth:`_forward` for replies the
+    :meth:`inject`, or at :meth:`_forward` for replies the
     switch-cache service fabricates mid-network — and must be delivered
     exactly once.  The ledger holds strong references, so ``id(msg)``
     cannot be reused while an entry is outstanding.
@@ -245,8 +245,9 @@ class SanitizedFabric(Fabric):
         super().inject(msg)
 
     def _forward(self, msg: Message, hop: int, header_at: int) -> None:
-        # fabricated switch replies enter the network here, not via inject
-        self._ledger.setdefault(id(msg), msg)
+        """Register a switch-fabricated reply: ``_forward`` serves only
+        that reply, which enters the network here, not via inject."""
+        self._ledger[id(msg)] = msg
         super()._forward(msg, hop, header_at)
 
     def _deliver(self, msg: Message) -> None:

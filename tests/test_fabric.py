@@ -5,6 +5,7 @@ import pytest
 from repro.core.caesar import CaesarEngine
 from repro.errors import NetworkError
 from repro.network.fabric import Fabric
+from repro.network.flitref import FlitNetwork
 from repro.network.message import Message, MsgKind, flits_for
 from repro.network.topology import BminTopology
 from repro.sim.engine import Simulator
@@ -297,58 +298,81 @@ class TestInjectionQueueing:
 
 
 class TestHopHandlers:
-    """Each worm's per-hop callback is chosen once, when it enters."""
+    """Every worm takes the one hop callback, ``Fabric._hop``; the switch
+    hook it runs comes from the fabric's by-kind table."""
 
     #: the hooked kinds when switch caches are embedded
     HOOKED = {
-        MsgKind.INV: "_hop_snoop",
-        MsgKind.DATA_S: "_hop_deposit",
-        MsgKind.READ: "_hop_intercept",
+        MsgKind.INV: "_snoop",
+        MsgKind.DATA_S: "_deposit",
+        MsgKind.READ: "_intercept",
     }
 
-    @staticmethod
-    def _expected(mode, kind):
-        if mode == "traced":
-            return "_arrive"
-        if mode in ("caches", "sanitized"):
-            return TestHopHandlers.HOOKED.get(kind, "_hop")
-        return "_hop"
+    @pytest.mark.parametrize("caches", (False, True), ids=("plain", "caches"))
+    @pytest.mark.parametrize("network", ("fabric", "sanitized", "flit"))
+    def test_hook_table_holds_the_hooked_kinds(self, network, caches):
+        sim = Simulator()
+        topo = BminTopology(16)
+        if network == "sanitized":
+            fabric = SanitizedFabric(Sanitizer(), sim, topo)
+        elif network == "flit":
+            fabric = FlitNetwork(sim, topo)
+        else:
+            fabric = Fabric(sim, topo)
+        if caches:
+            fabric.install_cache_engines(
+                lambda sid: CaesarEngine(sim, sid, switch_cache_config(16))
+            )
+        want = {
+            kind.code: getattr(fabric, name)
+            for kind, name in self.HOOKED.items()
+        } if caches else {}
+        assert fabric._hooks == [want.get(kind.code) for kind in MsgKind]
 
     @pytest.mark.parametrize(
         "mode", ("plain", "caches", "traced", "sanitized")
     )
     @pytest.mark.parametrize("kind", list(MsgKind), ids=lambda k: k.name)
     def test_inject_schedules_the_kind_handler(self, mode, kind):
-        # SCSan takes the same per-kind callbacks as an unsanitized
-        # fabric; only an attached tracer routes every hop via _arrive
+        # the one hop callback for every kind: with or without switch
+        # caches, a tracer or SCSan
         sim, fabric, _inbox = make_fabric(
             with_caches=mode != "plain", traced=mode == "traced",
             sanitized=mode == "sanitized",
         )
         msg = send(fabric, kind, 2, 13)
         (_time, _seq, fn, args), = sim._heap
-        want = getattr(fabric, self._expected(mode, kind))
-        assert fn == want and args == (msg, 0)
-        assert msg.on_hop == want
+        assert fn == fabric._hop and args == (msg, 0)
 
-    def test_switch_hit_rechooses_for_both_worms(self):
-        # caches from stage 2 up: the READ hits mid-route, so both the
-        # fabricated reply and the DIR_UPDATE still have hops to make
+    def test_switch_hit_continues_the_read_as_its_dir_update(self):
+        # a DATA_S from 8 to 15 leaves the block at (2, 4) and no switch
+        # on node 0's side; node 0's READ to 15 misses at (1, 0), (2, 0)
+        # and (3, 0) and hits at (2, 4), mid-route
         sim, fabric, inbox = make_fabric()
         fabric.install_cache_engines(
             lambda sid: CaesarEngine(
-                sim, sid, switch_cache_config(16, stages={2, 3}),
+                sim, sid, switch_cache_config(16, stages={1, 2, 3}),
             )
         )
-        send(fabric, MsgKind.DATA_S, 15, 0, addr=0x80, data=3)
+        send(fabric, MsgKind.DATA_S, 8, 15, addr=0x80, data=3)
         sim.run()
+        before = {
+            sid: sw.cache_engine.deposits
+            for sid, sw in fabric.switches.items() if sw.cache_engine
+        }
         read = send(fabric, MsgKind.READ, 0, 15, addr=0x80)
         sim.run()
+        # the READ itself reaches the home, as its DIR_UPDATE
         assert read.kind is MsgKind.DIR_UPDATE and read in inbox[15]
-        reply, = [m for m in inbox[0] if m.payload.get("served_by")]
-        assert reply.payload["served_switch"][0] == 2
-        assert read.on_hop == fabric._hop
-        assert reply.on_hop == fabric._hop_deposit
+        assert read.payload["sc_version"] == 3
+        reply, = inbox[0]
+        assert reply.payload["served_switch"] == (2, 4)
+        # the reply deposits at each caching stage left on its way down
+        deposited = {
+            sid for sid, count in before.items()
+            if fabric.switches[sid].cache_engine.deposits > count
+        }
+        assert deposited == {(3, 0), (2, 0), (1, 0)}
 
     def test_caching_stages_only_get_deposit_and_intercept(self):
         sim = Simulator()
@@ -368,8 +392,8 @@ class TestHopHandlers:
 
     @pytest.mark.parametrize("first", (MsgKind.DATA_S, MsgKind.DATA_X))
     def test_same_cycle_contention_grants_in_scheduling_order(self, first):
-        # a DATA_S worm (deposit handler) and a DATA_X worm (plain
-        # handler) from nodes 0 and 1 request the stage-0 switch's up
+        # a DATA_S worm (deposit hook) and a DATA_X worm (no hook)
+        # from nodes 0 and 1 request the stage-0 switch's up
         # link in the same cycle: the one scheduled first is granted
         # first, the other queues for its 9-flit serialization
         sim, fabric, _inbox = make_fabric(with_caches=True)

@@ -103,9 +103,10 @@ class TestIntermediateStages:
         fabric.inject(data_msg(7, 8))
         sim.run()
         top_traffic = sum(
-            sw.msgs_routed
+            link.reservations
             for sid, sw in fabric.switches.items()
             if sid[0] == 3
+            for link in sw.outputs().values()
         )
         assert top_traffic == 2
 
@@ -115,7 +116,9 @@ class TestIntermediateStages:
         sim.run()
         for sid, sw in fabric.switches.items():
             if sid[0] > 0:
-                assert sw.msgs_routed == 0
+                assert all(
+                    link.reservations == 0 for link in sw.outputs().values()
+                )
 
 
 class TestUtilizationReports:

@@ -176,6 +176,41 @@ class TestSwitchReplyLength:
         assert reply.flits == data_flits
 
 
+class TestSwitchHitContinuation:
+    def test_flit_hit_consumes_the_read_where_the_fabric_rewrites_it(self):
+        # the same hit on both models: the fabric's _serve_from_switch
+        # turns the READ into its DIR_UPDATE, which continues through
+        # _hop; the flit override consumes the READ at the serving
+        # switch and sends a freshly drawn DIR_UPDATE on to the home
+        homes = {}
+        for model_cls in (Fabric, FlitNetwork):
+            sim = Simulator()
+            network = model_cls(sim, BminTopology(16))
+            inbox = {node: [] for node in range(16)}
+            for node in range(16):
+                network.attach_node(node, inbox[node].append)
+            network.install_cache_engines(
+                lambda sid, sim=sim: CaesarEngine(
+                    sim, sid, switch_cache_config(16)
+                )
+            )
+            network.inject(Message(MsgKind.DATA_S, 15, 0, 0x40, 9, data=7))
+            sim.run()
+            read = Message(MsgKind.READ, 1, 15, 0x40, 1)
+            network.inject(read)
+            sim.run()
+            assert network.stats.switch_hits == 1
+            update, = inbox[15]
+            assert update.kind is MsgKind.DIR_UPDATE
+            assert update.payload["sc_version"] == 7
+            homes[model_cls] = (read, update)
+        read, update = homes[Fabric]
+        assert update is read
+        read, update = homes[FlitNetwork]
+        assert update is not read
+        assert read.kind is MsgKind.READ and read.delivered_at == -1
+
+
 class TestInjectionAccounting:
     @pytest.mark.parametrize("model_cls", (Fabric, FlitNetwork),
                              ids=("fabric", "flit"))

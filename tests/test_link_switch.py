@@ -20,6 +20,16 @@ from repro.sim.engine import Simulator
 from repro.sim.resource import Timeline
 
 
+def routed(switch):
+    """(grants, flits) over ``switch``'s output links: the links' own
+    ``reservations``, and ``busy_cycles`` at 4 cycles per flit."""
+    links = switch.outputs().values()
+    return (
+        sum(link.reservations for link in links),
+        sum(link.busy_cycles for link in links) // 4,
+    )
+
+
 class TestLink:
     """The switch's output links, driven as the fabric drives them."""
 
@@ -56,7 +66,7 @@ class TestLink:
         self._send(link, 3, earliest=0)
         self._send(link, 2, earliest=0)
         assert (link.reservations, link.busy_cycles) == (2, 20)
-        assert (switch.msgs_routed, switch.flits_routed) == (2, 5)
+        assert routed(switch) == (2, 5)
         link.sim.now = 40
         assert link.utilization() == 0.5
 
@@ -81,7 +91,6 @@ class TestSwitch:
         sim.now = header_at
         msg = Message(MsgKind.DATA_X, src, dst, 0x40, flits)
         msg.hops = fabric.route(src, dst)
-        msg.on_hop = fabric._hop
         fabric._hop(msg, 0)
         (time, _seq, fn, _args), = sim._heap
         sim._heap.clear()
@@ -133,9 +142,7 @@ class TestSwitch:
         fabric = self._fabric()
         self._cross(fabric, 0, 1, 9, header_at=0)
         self._cross(fabric, 0, 1, 1, header_at=0)
-        sw = fabric.switches[(0, 0)]
-        assert sw.msgs_routed == 2
-        assert sw.flits_routed == 10
+        assert routed(fabric.switches[(0, 0)]) == (2, 10)
 
     def test_node_port_output(self):
         fabric = self._fabric()
@@ -148,8 +155,8 @@ class TestSwitch:
 class TestGrantLockstep:
     """Grant arithmetic lives in a hand-inlined copy besides Timeline.reserve.
 
-    ``Fabric._hop`` inlines the reservation for the per-hop path; every
-    per-kind hop callback (and the traced ``_arrive``) ends there.
+    ``Fabric._hop`` inlines the reservation for the per-hop path, the one
+    callback every worm takes at every hop.
     These property tests drive fuzzed (flits, earliest, free_at) streams
     through a real fabric route and through reference ``Timeline.reserve``
     calls with the same tuples, asserting identical (grant, tail_done)
@@ -200,7 +207,7 @@ class TestGrantLockstep:
 
         With ``caches`` the switches embed CAESAR engines and the worms
         cycle through the hooked kinds (deposit, snoop, a missing READ)
-        and a plain one, so each per-kind hop callback takes its turn.
+        and a plain one, so each switch hook takes its turn.
         """
         from repro.core.caesar import CaesarEngine
         from repro.system.presets import switch_cache_config
@@ -286,7 +293,6 @@ class TestGrantLockstep:
                             cycles_per_flit=cycles_per_flit)
             msg = Message(MsgKind.DATA_X, 0, 15, 0x40, rng.randrange(1, 12))
             msg.hops = fabric.route(0, 15)
-            msg.on_hop = fabric._hop
             hop = rng.randrange(len(msg.hops))
             link = msg.hops[hop][1]
             link._free_at = rng.randrange(0, 80)

@@ -209,7 +209,7 @@ class TestNetworkReports:
     """The fabric's link reports on one fixed small switch-cache run.
 
     The values are pinned, so a change to how links keep their grant
-    state or how switches count routed worms cannot move them silently.
+    state or how their grants are counted cannot move them silently.
     The run includes switch-cache hits, so fabricated replies and
     DIR_UPDATE continuations are counted too.
     """
@@ -241,8 +241,14 @@ class TestNetworkReports:
         assert fabric.injection_queue_delay() == 3.8676470588235294
 
     def test_switch_routing_counts(self, fabric):
+        # per switch: its output links' grants, and their busy cycles
+        # in flits
         routed = {
-            sid: (switch.msgs_routed, switch.flits_routed)
+            sid: (
+                sum(link.reservations for link in switch.outputs().values()),
+                sum(link.busy_cycles for link in switch.outputs().values())
+                // fabric.cycles_per_flit,
+            )
             for sid, switch in fabric.switches.items()
         }
         assert routed == {

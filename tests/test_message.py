@@ -17,17 +17,17 @@ from repro.sim.engine import Simulator
 from repro.system.presets import switch_cache_config
 
 
-def kinds_hooked_by(hop_name):
-    """The kinds a switch-cache fabric sends through hop callback
-    ``hop_name``: the fabric's per-kind dispatch declares which kinds
-    deposit, are intercepted or snoop."""
+def kinds_hooked_by(hook_name):
+    """The kinds a switch-cache fabric runs switch hook ``hook_name``
+    for: the fabric's by-kind hook table declares which kinds deposit,
+    are intercepted or snoop."""
     sim = Simulator()
     fabric = Fabric(sim, BminTopology(4))
     fabric.install_cache_engines(
         lambda sid: CaesarEngine(sim, sid, switch_cache_config(4))
     )
-    hop = getattr(fabric, hop_name)
-    return {kind for kind in MsgKind if fabric._hop_fns[kind.code] == hop}
+    hook = getattr(fabric, hook_name)
+    return {kind for kind in MsgKind if fabric._hooks[kind.code] == hook}
 
 
 class TestKinds:
@@ -44,13 +44,13 @@ class TestKinds:
             assert not CARRIES_DATA[kind.code]
 
     def test_only_clean_shared_data_is_switch_cacheable(self):
-        assert kinds_hooked_by("_hop_deposit") == {MsgKind.DATA_S}
+        assert kinds_hooked_by("_deposit") == {MsgKind.DATA_S}
 
     def test_only_reads_interceptable(self):
-        assert kinds_hooked_by("_hop_intercept") == {MsgKind.READ}
+        assert kinds_hooked_by("_intercept") == {MsgKind.READ}
 
     def test_only_invalidations_snoop(self):
-        assert kinds_hooked_by("_hop_snoop") == {MsgKind.INV}
+        assert kinds_hooked_by("_snoop") == {MsgKind.INV}
 
     def test_lanes_partition_the_kinds(self):
         lanes = (REQUEST_LANE, FORWARD_LANE, REPLY_LANE)
@@ -95,4 +95,4 @@ class TestMessage:
         assert msg.created_at == -1
         assert msg.injected_at == -1
         assert msg.delivered_at == -1
-        assert msg.hops is None and msg.on_hop is None
+        assert msg.hops is None

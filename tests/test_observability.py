@@ -248,9 +248,8 @@ class TestMachineIntegration:
         assert plain_stats.exec_time == traced_stats.exec_time
         assert plain_stats.to_dict() == traced_stats.to_dict()
 
-    #: the fabric's hop callbacks (the traced one first)
-    HOP_FNS = ("_arrive", "_hop", "_hop_snoop", "_hop_deposit",
-               "_hop_intercept")
+    #: the fabric's hop callback and the switch hooks it dispatches
+    HOP_FNS = ("_hop", "_snoop", "_deposit", "_intercept")
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -259,29 +258,31 @@ class TestMachineIntegration:
     ], ids=["all-stages", "partial-stage", "caesar-plus"])
     def test_tracing_is_timing_transparent_per_config(self, overrides,
                                                       monkeypatch):
-        # a traced run takes the traced hop (_arrive), which runs the
-        # same per-kind callback an untraced run takes directly: the
-        # per-kind call counts and every statistic must agree
+        # a traced run takes the same hop callback and switch hooks as
+        # an untraced one, and only adds one hop instant per hop: the
+        # call counts and every statistic must agree
         calls = Counter()
         for name in self.HOP_FNS:
             def spy(fabric, msg, hop, _fn=getattr(Fabric, name), _name=name):
                 calls[_name] += 1
-                _fn(fabric, msg, hop)
+                return _fn(fabric, msg, hop)
             monkeypatch.setattr(Fabric, name, spy)
         config = sc_config().replaced(**overrides)
         runs = {}
         for traced in (False, True):
             calls.clear()
-            machine = Machine(config, sanitize=False,
-                              tracer=Tracer() if traced else None)
+            tracer = Tracer() if traced else None
+            machine = Machine(config, sanitize=False, tracer=tracer)
             stats = machine.run(GaussianElimination(n=12))
-            runs[traced] = (stats.to_dict(), dict(calls))
-        (plain, plain_calls), (traced, traced_calls) = runs[False], runs[True]
+            runs[traced] = (stats.to_dict(), dict(calls), tracer)
+        (plain, plain_calls, _), (traced, traced_calls, tracer) = (
+            runs[False], runs[True]
+        )
         assert plain == traced
-        assert "_arrive" not in plain_calls
-        assert traced_calls.pop("_arrive") > 0
         assert traced_calls == plain_calls
-        assert plain_calls["_hop_deposit"] and plain_calls["_hop_intercept"]
+        assert plain_calls["_deposit"] and plain_calls["_intercept"]
+        assert tracer.dropped == 0
+        assert len(tracer.events_named("hop")) == traced_calls["_hop"]
 
     def test_untraced_machine_has_no_tracer_installed(self):
         machine = Machine(sc_config())

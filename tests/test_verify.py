@@ -345,9 +345,9 @@ class TestDelayOverlay:
         arrived, dispatched = [], []
 
         class Recording(DelayOverlay):
-            def _arrive(self, dispatch, msg):
+            def _on_delivery(self, dispatch, msg):
                 arrived.append(msg)
-                super()._arrive(dispatch, msg)
+                super()._on_delivery(dispatch, msg)
 
         script = SCRIPTS["mixed_two_blocks"]
         machine = Machine(config_for(script, True), sanitize=True)
