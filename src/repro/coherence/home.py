@@ -260,13 +260,8 @@ class HomeController:
         targets = entry.sorted_sharers()
         txn.acks_needed = len(targets)
         for sharer in targets:
-            inv = self._pool.make(
-                MsgKind.INV,
-                src=self.node_id,
-                dst=sharer,
-                addr=txn.block,
-                payload={"purge_only": sharer == requester},
-            )
+            inv = self._pool.make(MsgKind.INV, self.node_id, sharer, txn.block)
+            inv.purge_only = sharer == requester
             self._send(inv, None)
         if txn.reply_kind is MsgKind.DATA_X:
             start, done = self.memory.read()
@@ -295,9 +290,9 @@ class HomeController:
                 src=self.node_id,
                 dst=txn.requester,
                 addr=txn.block,
-                payload={"proc": txn.msg.payload.get("proc")},
                 transaction=txn.msg.transaction,
             )
+            reply.proc = txn.msg.proc
             self._send(reply, None)
         else:
             self.writes_served += 1
@@ -312,7 +307,7 @@ class HomeController:
     def _start_dir_update(self, txn: HomeTxn) -> None:
         self.dir_updates += 1
         requester = txn.requester
-        served = txn.msg.payload.get("sc_version")
+        served = txn.msg.data
         entry = self.directory.entry(txn.block)
         stale = entry.state is DirState.MODIFIED or (
             served is not None and served != entry.version
@@ -338,13 +333,8 @@ class HomeController:
             # the time this update arrives, and the requester's copy is
             # stale all the same.
             self.corrective_invs += 1
-            inv = self._pool.make(
-                MsgKind.INV,
-                src=self.node_id,
-                dst=requester,
-                addr=txn.block,
-                payload={"no_ack": True},
-            )
+            inv = self._pool.make(MsgKind.INV, self.node_id, requester, txn.block)
+            inv.no_ack = True
             self._send(inv, None)
         else:
             self.directory.add_sharer(txn.block, requester)
@@ -374,7 +364,7 @@ class HomeController:
     def _on_recall_reply(self, msg: Message) -> None:
         txn = self._active.get(self._block(msg.addr))
         if txn is None or not txn.awaiting_owner_data:
-            if msg.payload.get("no_data"):
+            if msg.data is None:
                 return  # benign late reply; the writeback already served us
             entry = self.directory.peek(msg.addr)
             raise ProtocolError(
@@ -382,7 +372,7 @@ class HomeController:
                 node=self.node_id, addr=msg.addr,
                 state=entry.state if entry is not None else None,
             )
-        if msg.payload.get("no_data"):
+        if msg.data is None:
             # the owner evicted before the recall arrived; its writeback
             # is already in flight on the same path and will supply data
             txn.awaiting_owner_data = False
@@ -461,13 +451,11 @@ class HomeController:
             dst=txn.requester,
             addr=txn.block,
             data=version,
-            payload={
-                "served_by": served_by,
-                "mem_wait": txn.mem_wait,
-                "proc": txn.msg.payload.get("proc"),
-            },
             transaction=txn.msg.transaction,
         )
+        reply.proc = txn.msg.proc
+        reply.served_by = served_by
+        reply.mem_wait = txn.mem_wait
         self._send(reply, None)
 
     def _send_ctl(self, kind: MsgKind, dst: int, txn: HomeTxn) -> None:

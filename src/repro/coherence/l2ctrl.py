@@ -78,9 +78,6 @@ class NodeController:
     def _block(self, addr: int) -> int:
         return (addr // self.block_size) * self.block_size
 
-    def _req_payload(self):
-        return {"proc": self.proc_id} if self.proc_id is not None else None
-
     def mark_pending_inval(self, block: int) -> None:
         """Node-level INV handling: flag an in-flight read as use-once."""
         pending = self._mshr.get(block)
@@ -109,9 +106,9 @@ class NodeController:
             )
         self._mshr[block] = txn
         msg = self._pool.make(
-            MsgKind.READ, self.node_id, home, block,
-            payload=self._req_payload(), transaction=txn,
+            MsgKind.READ, self.node_id, home, block, transaction=txn,
         )
+        msg.proc = self.proc_id
         txn.req_msg = msg
         self.ni.send(msg)
         return txn
@@ -140,9 +137,9 @@ class NodeController:
             )
         self._mshr[block] = txn
         msg = self._pool.make(
-            kind, self.node_id, home, block,
-            payload=self._req_payload(), transaction=txn,
+            kind, self.node_id, home, block, transaction=txn,
         )
+        msg.proc = self.proc_id
         txn.req_msg = msg
         self.ni.send(msg)
         return txn
@@ -180,7 +177,7 @@ class NodeController:
         txn = self._pop_mshr(msg)
         txn.reply_msg = msg
         txn.data = msg.data
-        served_by = msg.payload.get("served_by", "home_mem")
+        served_by = msg.served_by
         if served_by == "switch" or served_by == "owner":
             txn.served_by = served_by
         else:

@@ -412,7 +412,7 @@ class Fabric:
         # staleness even after an intervening writer has written back
         msg.kind = MsgKind.DIR_UPDATE
         msg.flits = 1
-        msg.payload["sc_version"] = data
+        msg.data = data
         return False
 
     def _switch_reply(self, msg: Message, switch: Switch, data: int) -> Message:
@@ -452,13 +452,11 @@ class Fabric:
             dst=msg.src,
             addr=msg.addr,
             data=data,  # flits default to the pool's block, as for every DATA_S
-            payload={
-                "served_by": "switch",
-                "served_switch": switch.id,
-                "proc": msg.payload.get("proc"),
-            },
             transaction=msg.transaction,
         )
+        reply.proc = msg.proc
+        reply.served_by = "switch"
+        reply.served_switch = switch.id
         reply.created_at = now
         return reply
 

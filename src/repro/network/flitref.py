@@ -13,10 +13,10 @@ replaces only the transport.  Shared with the fabric:
 * routes (:meth:`Fabric.route`), so a switch-served reply rides the
   mirrored route suffix from the serving switch, as on the fabric;
 * node attachment and delivery, and the switch hooks: a header flit
-  dispatches through the fabric's by-kind table ``_hooks`` (the same
-  ``_snoop``, ``_deposit`` and ``_intercept`` a fabric worm runs) as it
-  reaches a switch, and a READ hit's reply is built by
-  :meth:`Fabric._switch_reply`;
+  emits the tracer's ``hop`` instant and dispatches through the fabric's
+  by-kind table ``_hooks`` (the same ``_snoop``, ``_deposit`` and
+  ``_intercept`` a fabric worm runs) as it reaches a switch, and a READ
+  hit's reply is built by :meth:`Fabric._switch_reply`;
 * the statistics and reports: ``stats``, the resident switch-cache
   blocks, ``utilization_by_stage`` and ``hottest_links``.
 
@@ -284,12 +284,18 @@ class FlitNetwork(Fabric):
         return moved
 
     def _run_hooks(self, msg: Message, hop: int, vc: Deque[Flit]) -> bool:
-        """Run hop ``hop``'s switch hook for a header flit.
+        """Trace a header flit at hop ``hop`` and run the switch hook.
 
         Returns True when a switch-cache hit consumed the worm.  The
         pump drives the clock one cycle at a time, so the header's
         arrival is exactly the simulator clock the hooks read.
         """
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.instant(
+                msg.hops[hop][0].trace_track, "hop", self.sim.now,
+                {"msg": msg.id, "kind": msg.kind.value, "addr": msg.addr},
+            )
         hook = self._hooks[msg.kind.code]
         if hook is not None and hook(msg, hop):
             vc.popleft()  # the 1-flit request ends at this switch
@@ -314,10 +320,11 @@ class FlitNetwork(Fabric):
             src=msg.src,
             dst=msg.dst,
             addr=msg.addr,
-            flits=1,
-            payload={"sc_version": data, "proc": msg.payload.get("proc")},
+            data=data,
             transaction=msg.transaction,
+            flits=1,
         )
+        update.proc = msg.proc
         update.created_at = self.sim.now
         update.hops = msg.hops
         self._queue(switch.id, _Worm(

@@ -109,26 +109,20 @@ def flits_for(kind: MsgKind, block_size: int) -> int:
 
 
 class Message:
-    """One worm in flight.
+    """One worm in flight: the declared message record (DESIGN.md §10.3).
 
     ``hops`` is the worm's resolved route, ``((switch, out_link), ...)``,
-    set by the fabric when the worm enters it.
+    set by the fabric when the worm enters it.  ``data`` is the block
+    version of a data kind; a RECALL_REPLY without one is an evicted
+    owner's no-data reply, and a DIR_UPDATE's is the version the serving
+    switch cache handed out.
     """
 
     __slots__ = (
-        "id",
-        "kind",
-        "src",
-        "dst",
-        "addr",
-        "flits",
-        "data",
-        "payload",
-        "created_at",
-        "injected_at",
-        "delivered_at",
-        "hops",
-        "transaction",
+        "id", "kind", "src", "dst", "addr", "flits", "data",
+        "proc", "served_by", "served_switch", "mem_wait", "purge_only",
+        "no_ack",
+        "created_at", "injected_at", "delivered_at", "hops", "transaction",
     )
 
     def __init__(
@@ -139,7 +133,6 @@ class Message:
         addr: int,
         flits: int,
         data: Optional[int] = None,
-        payload: Optional[Dict[str, Any]] = None,
         transaction: Optional[object] = None,
         msg_id: int = -1,
     ) -> None:
@@ -150,7 +143,15 @@ class Message:
         self.addr = addr
         self.flits = flits
         self.data = data
-        self.payload = payload if payload is not None else {}
+        # transaction fields, set only on the kinds that carry them; proc
+        # (a clustered node's requesting processor) rides READ, READX,
+        # UPGRADE and the DATA_S/X, UPGR_ACK and DIR_UPDATE they cause
+        self.proc: Optional[int] = None
+        self.served_by: Optional[str] = None  # DATA_S/X: switch|owner|home_mem
+        self.served_switch: Optional[Tuple[int, int]] = None  # switch DATA_S
+        self.mem_wait = 0  # home DATA_S/X: memory queueing cycles
+        self.purge_only = False  # INV to the writer: keep its L2 copy
+        self.no_ack = False  # the corrective INV: no INV_ACK expected
         self.created_at: int = -1
         self.injected_at: int = -1
         self.delivered_at: int = -1
@@ -206,7 +207,6 @@ class MessagePool:
         dst: int,
         addr: int,
         data: Optional[int] = None,
-        payload: Optional[Dict[str, Any]] = None,
         transaction: Optional[object] = None,
         flits: int = -1,
     ) -> Message:
@@ -216,6 +216,5 @@ class MessagePool:
         msg_id = self._next_id
         self._next_id = msg_id + 1
         return Message(
-            kind, src, dst, addr, flits, data, payload, transaction,
-            msg_id=msg_id,
+            kind, src, dst, addr, flits, data, transaction, msg_id=msg_id,
         )

@@ -160,7 +160,7 @@ class Node:
             self._on_recall(msg)
         else:
             # data replies and upgrade acks go to the requesting stack
-            proc = msg.payload.get("proc")
+            proc = msg.proc
             if proc is None:
                 ctrl = self._netctrls[0]
             else:
@@ -175,12 +175,12 @@ class Node:
         block = (msg.addr // self.config.block_size) * self.config.block_size
         if self.netcache is not None:
             self.netcache.invalidate(block)
-        if not msg.payload.get("purge_only"):
+        if not msg.purge_only:
             for stack, ctrl in zip(self.stacks, self._netctrls):
                 stack.hierarchy.invalidate(block)
                 ctrl.mark_pending_inval(block)
                 ctrl.invs_received += 1
-        if not msg.payload.get("no_ack"):
+        if not msg.no_ack:
             ack = self._pool.make(MsgKind.INV_ACK, self.node_id, msg.src, block)
             self.ni.send(ack)
 
@@ -205,9 +205,9 @@ class Node:
             for stack in self.stacks:
                 stack.hierarchy.invalidate(block)
         if reply is None:
+            # no data: the owner evicted first, its writeback is on the way
             reply = self._pool.make(
-                MsgKind.RECALL_REPLY, self.node_id, msg.src, block,
-                payload={"no_data": True},
+                MsgKind.RECALL_REPLY, self.node_id, msg.src, block
             )
         self.ni.send(reply)
 

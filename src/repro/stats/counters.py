@@ -130,7 +130,7 @@ class MachineStats:
             return
         if req.injected_at < 0 or reply.delivered_at < 0:
             return
-        mem_wait = reply.payload.get("mem_wait", 0)
+        mem_wait = reply.mem_wait
         home_service = max(0, reply.created_at - req.delivered_at)
         self.breakdown_sums["req_ni_q"] += max(0, req.injected_at - req.created_at)
         self.breakdown_sums["req_transit"] += max(

@@ -15,14 +15,16 @@ from repro.trace import Tracer
 from repro.verify.sanitize import SanitizedFabric, Sanitizer
 
 
-def make_fabric(n=16, with_caches=False, traced=False, sanitized=False):
+def make_fabric(
+    n=16, with_caches=False, traced=False, sanitized=False, model=Fabric,
+):
     sim = Simulator()
     # the fabric reads the tracer once, at construction, as in a Machine
     sim.tracer = Tracer() if traced else None
     if sanitized:
         fabric = SanitizedFabric(Sanitizer(), sim, BminTopology(n))
     else:
-        fabric = Fabric(sim, BminTopology(n))
+        fabric = model(sim, BminTopology(n))
     inbox = {node: [] for node in range(n)}
     for node in range(n):
         fabric.attach_node(node, lambda m, nid=node: inbox[nid].append(m))
@@ -68,6 +70,17 @@ class TestBasicDelivery:
         sim.run()
         assert traced_route(fabric, msg) == fabric.topo.path(2, 13)
         assert [sw.id for sw, _ in msg.hops] == fabric.topo.path(2, 13)
+
+    def test_flit_trace_records_the_fabric_route(self):
+        routes = {}
+        for model in (Fabric, FlitNetwork):
+            sim, fabric, _inbox = make_fabric(traced=True, model=model)
+            msg = send(fabric, MsgKind.READ, 0, 15)
+            sim.run()
+            routes[model] = traced_route(fabric, msg)
+        assert routes[Fabric] == fabric.topo.path(0, 15)
+        assert len(routes[Fabric]) == 7
+        assert routes[FlitNetwork] == routes[Fabric]
 
     def test_uncontended_latency_formula(self):
         sim, fabric, _inbox = make_fabric()
@@ -125,7 +138,7 @@ class TestSwitchCacheIntegration:
         replies = [m for m in inbox[1] if m.kind is MsgKind.DATA_S]
         assert len(replies) == 1
         assert replies[0].data == 7
-        assert replies[0].payload["served_by"] == "switch"
+        assert replies[0].served_by == "switch"
         # the original request arrived at the home as a DIR_UPDATE
         updates = [m for m in inbox[15] if m.kind is MsgKind.DIR_UPDATE]
         assert updates == [request]
@@ -188,12 +201,12 @@ class TestSwitchCacheIntegration:
         send(fabric, MsgKind.READ, 1, 15, addr=0x40)
         sim.run()
         assert fabric.stats.switch_hits == 1
-        reply, = [m for m in inbox[1] if m.payload.get("served_by")]
-        stage = reply.payload["served_switch"][0]
+        reply, = [m for m in inbox[1] if m.served_by]
+        stage = reply.served_switch[0]
         assert 0 <= stage < fabric.topo.stages
         # the one hit is counted once, by the serving switch's engine
         hits = {e.switch_id: e.hits for e in fabric.cache_engines if e.hits}
-        assert hits == {reply.payload["served_switch"]: 1}
+        assert hits == {reply.served_switch: 1}
 
     def test_intercept_only_for_reads(self):
         sim, fabric, inbox = make_fabric(with_caches=True)
@@ -240,9 +253,9 @@ class TestRouteResolution:
         sim.run()
         read = send(fabric, MsgKind.READ, 5, 15, addr=0x40)
         sim.run()
-        reply, = [m for m in inbox[5] if m.payload.get("served_by")]
+        reply, = [m for m in inbox[5] if m.served_by]
         path = fabric.topo.path(5, 15)
-        hop = path.index(reply.payload["served_switch"])
+        hop = path.index(reply.served_switch)
         assert hop > 0  # the reply has switches to walk back through
         # the READ is served at path[hop] and continues to the home as a
         # DIR_UPDATE under the same id; the fabricated reply enters at
@@ -364,9 +377,9 @@ class TestHopHandlers:
         sim.run()
         # the READ itself reaches the home, as its DIR_UPDATE
         assert read.kind is MsgKind.DIR_UPDATE and read in inbox[15]
-        assert read.payload["sc_version"] == 3
+        assert read.data == 3
         reply, = inbox[0]
-        assert reply.payload["served_switch"] == (2, 4)
+        assert reply.served_switch == (2, 4)
         # the reply deposits at each caching stage left on its way down
         deposited = {
             sid for sid, count in before.items()

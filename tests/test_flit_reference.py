@@ -172,7 +172,7 @@ class TestSwitchReplyLength:
         sim.run()
         assert network.stats.switch_hits == 1
         reply, = [m for m in inbox[1] if m.kind is MsgKind.DATA_S]
-        assert reply.payload["served_by"] == "switch"
+        assert reply.served_by == "switch"
         assert reply.flits == data_flits
 
 
@@ -202,7 +202,7 @@ class TestSwitchHitContinuation:
             assert network.stats.switch_hits == 1
             update, = inbox[15]
             assert update.kind is MsgKind.DIR_UPDATE
-            assert update.payload["sc_version"] == 7
+            assert update.data == 7
             homes[model_cls] = (read, update)
         read, update = homes[Fabric]
         assert update is read

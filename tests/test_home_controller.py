@@ -81,7 +81,7 @@ class TestReads:
         h.run()
         reply = h.last(MsgKind.DATA_S)
         assert reply.data == 7
-        assert reply.payload["served_by"] == "owner"
+        assert reply.served_by == "owner"
         entry = h.directory.entry(BLOCK)
         assert entry.state is DirState.SHARED
         assert entry.sharers == {2, 3}
@@ -96,7 +96,7 @@ class TestReads:
         h.deliver(MsgKind.WRITEBACK, src=3, data=9)
         h.run()
         # the recall then finds nothing at the ex-owner
-        h.deliver(MsgKind.RECALL_REPLY, src=3, payload={"no_data": True})
+        h.deliver(MsgKind.RECALL_REPLY, src=3)  # no data
         h.run()
         reply = h.last(MsgKind.DATA_S)
         assert reply.data == 9
@@ -109,7 +109,7 @@ class TestReads:
         h.directory.set_owner(BLOCK, 3)
         h.deliver(MsgKind.READ, src=2)
         h.run()
-        h.deliver(MsgKind.RECALL_REPLY, src=3, payload={"no_data": True})
+        h.deliver(MsgKind.RECALL_REPLY, src=3)  # no data
         h.run()
         # nothing served yet: data still in flight
         assert MsgKind.DATA_S not in h.sent_kinds()
@@ -147,7 +147,7 @@ class TestWrites:
         h.run()
         invs = [m for m in h.sent if m.kind is MsgKind.INV]
         assert {m.dst for m in invs} == {1, 3}
-        assert all(not m.payload.get("purge_only") for m in invs)
+        assert all(not m.purge_only for m in invs)
         # data held until both acks arrive
         assert MsgKind.DATA_X not in h.sent_kinds()
         h.deliver(MsgKind.INV_ACK, src=1)
@@ -164,7 +164,7 @@ class TestWrites:
         h.run()
         inv = h.last(MsgKind.INV)
         assert inv.dst == 2
-        assert inv.payload["purge_only"]
+        assert inv.purge_only
 
     def test_readx_modified_recalls_exclusively(self):
         h = Harness()
@@ -186,7 +186,7 @@ class TestWrites:
         h.deliver(MsgKind.UPGRADE, src=2)
         h.run()
         invs = [m for m in h.sent if m.kind is MsgKind.INV]
-        by_dst = {m.dst: m.payload.get("purge_only", False) for m in invs}
+        by_dst = {m.dst: m.purge_only for m in invs}
         assert by_dst == {2: True, 3: False}
         h.deliver(MsgKind.INV_ACK, src=2)
         h.deliver(MsgKind.INV_ACK, src=3)
@@ -228,7 +228,7 @@ class TestDirUpdate:
     def test_registers_sharer_when_shared(self):
         h = Harness()
         h.directory.add_sharer(BLOCK, 1)
-        h.deliver(MsgKind.DIR_UPDATE, src=2, payload={"requester": 2})
+        h.deliver(MsgKind.DIR_UPDATE, src=2)
         h.run()
         assert h.directory.entry(BLOCK).sharers == {1, 2}
         assert h.home.dir_updates == 1
@@ -237,11 +237,11 @@ class TestDirUpdate:
     def test_corrective_inv_when_modified(self):
         h = Harness()
         h.directory.set_owner(BLOCK, 3)
-        h.deliver(MsgKind.DIR_UPDATE, src=2, payload={"requester": 2})
+        h.deliver(MsgKind.DIR_UPDATE, src=2)
         h.run()
         inv = h.last(MsgKind.INV)
         assert inv.dst == 2
-        assert inv.payload["no_ack"]
+        assert inv.no_ack
         assert h.home.corrective_invs == 1
         # the requester is NOT registered (its copy is being chased)
         assert 2 not in h.directory.entry(BLOCK).sharers
@@ -250,7 +250,7 @@ class TestDirUpdate:
         h = Harness()
         h.directory.add_sharer(BLOCK, 1)
         h.deliver(MsgKind.READX, src=3)   # pending: waits for ack from 1
-        h.deliver(MsgKind.DIR_UPDATE, src=2, payload={"requester": 2})
+        h.deliver(MsgKind.DIR_UPDATE, src=2)
         h.run()
         # dir update not yet processed
         assert h.home.corrective_invs == 0
@@ -273,7 +273,7 @@ class TestErrors:
 
     def test_late_no_data_recall_reply_tolerated(self):
         h = Harness()
-        h.deliver(MsgKind.RECALL_REPLY, src=1, payload={"no_data": True})
+        h.deliver(MsgKind.RECALL_REPLY, src=1)  # no data
 
     def test_unexpected_kind_raises(self):
         h = Harness()

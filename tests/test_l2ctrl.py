@@ -49,8 +49,10 @@ class Harness:
         self.pool = MessagePool(64)
         self.completed = []
 
-    def deliver(self, kind, addr=BLOCK, **kw):
-        msg = self.pool.make(kind, HOME, NODE, addr, **kw)
+    def deliver(self, kind, addr=BLOCK, data=None, **fields):
+        msg = self.pool.make(kind, HOME, NODE, addr, data=data)
+        for name, value in fields.items():
+            setattr(msg, name, value)
         self.node._dispatch(msg)
         return msg
 
@@ -95,7 +97,7 @@ class TestReads:
         h = Harness()
         txn = h.issue_read()
         h.deliver(MsgKind.DATA_S, data=0,
-                  payload={"served_by": "switch", "served_switch": (2, 0)})
+                  served_by="switch", served_switch=(2, 0))
         assert txn.served_by == "switch"
 
 
@@ -115,14 +117,14 @@ class TestLateInvalidation:
     def test_no_ack_inv_sends_nothing(self):
         h = Harness()
         h.hierarchy.fill(BLOCK, LineState.SHARED, 0)
-        h.deliver(MsgKind.INV, payload={"no_ack": True})
+        h.deliver(MsgKind.INV, no_ack=True)
         assert h.sent == []
         assert h.hierarchy.l2.probe(BLOCK) is None
 
     def test_purge_only_inv_keeps_l2_copy(self):
         h = Harness()
         h.hierarchy.fill(BLOCK, LineState.SHARED, 0)
-        h.deliver(MsgKind.INV, payload={"purge_only": True})
+        h.deliver(MsgKind.INV, purge_only=True)
         assert h.hierarchy.l2.probe(BLOCK) is not None
         assert h.sent[-1].kind is MsgKind.INV_ACK
 
@@ -130,7 +132,7 @@ class TestLateInvalidation:
         h = Harness(netcache=True)
         h.netcache.fill(BLOCK, 0)
         h.hierarchy.fill(BLOCK, LineState.SHARED, 0)
-        h.deliver(MsgKind.INV, payload={"purge_only": True})
+        h.deliver(MsgKind.INV, purge_only=True)
         assert h.netcache.array.probe(BLOCK) is None
 
     def test_inv_purges_every_stack_and_counts_per_stack(self):
@@ -202,7 +204,7 @@ class TestRecalls:
         h.deliver(MsgKind.RECALL)
         reply = h.sent[-1]
         assert reply.kind is MsgKind.RECALL_REPLY
-        assert reply.payload["no_data"]
+        assert reply.data is None
 
     def test_recall_x_purges_netcache_and_every_stack(self):
         # write ownership leaves the node: the owned copy answers, and
@@ -223,7 +225,7 @@ class TestRecalls:
         h = Harness(netcache=True)
         h.netcache.fill(BLOCK, 8)
         h.deliver(MsgKind.RECALL_X)
-        assert h.sent[-1].payload["no_data"]
+        assert h.sent[-1].data is None
         assert h.netcache.array.probe(BLOCK) is None
 
 

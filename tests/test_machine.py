@@ -76,7 +76,7 @@ class TestRunLoop:
         on_inv = Node._on_inv
 
         def on_inv_without_ack(self, msg):
-            msg.payload["no_ack"] = True
+            msg.no_ack = True
             on_inv(self, msg)
 
         monkeypatch.setattr(Node, "_on_inv", on_inv_without_ack)

@@ -1,5 +1,7 @@
 """Unit tests for the wire-level message model."""
 
+import pytest
+
 from repro.core.caesar import CaesarEngine
 from repro.network.fabric import Fabric
 from repro.network.message import (
@@ -85,10 +87,15 @@ class TestMessage:
         assert header["type"] == list(MsgKind).index(MsgKind.READ)
 
     def test_default_payload_is_independent(self):
+        # the declared fields default per worm; an undeclared one fails
         a = Message(MsgKind.READ, 0, 1, 0, 1)
         b = Message(MsgKind.READ, 0, 1, 0, 1)
-        a.payload["x"] = 1
-        assert "x" not in b.payload
+        a.proc = 1
+        assert b.proc is None
+        assert (b.served_by, b.served_switch, b.mem_wait) == (None, None, 0)
+        assert not b.purge_only and not b.no_ack
+        with pytest.raises(AttributeError):
+            a.sc_version = 1
 
     def test_timestamps_unset_initially(self):
         msg = Message(MsgKind.READ, 0, 1, 0, 1)

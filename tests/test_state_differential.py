@@ -278,10 +278,8 @@ def test_pool_default_flits_by_kind():
     pool = MessagePool(block_size=64)
     assert pool.make(MsgKind.READ, 0, 1, 0x40).flits == 1
     assert pool.make(MsgKind.DATA_S, 1, 0, 0x40, data=7).flits == 1 + 64 // 8
-    # RECALL_REPLY is a data kind even when it carries no payload
-    no_data = pool.make(
-        MsgKind.RECALL_REPLY, 1, 0, 0x40, payload={"no_data": True}
-    )
+    # RECALL_REPLY is a data kind even when it carries no data
+    no_data = pool.make(MsgKind.RECALL_REPLY, 1, 0, 0x40)
     assert no_data.flits == 1 + 64 // 8
     assert pool.make(MsgKind.DATA_S, 1, 0, 0x40, flits=3).flits == 3
 

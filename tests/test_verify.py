@@ -47,7 +47,7 @@ def _skip_inv(monkeypatch):
 
         def send_all_but_one(msg, at):
             if (msg.kind is MsgKind.INV and not skipped
-                    and not msg.payload.get("purge_only")):
+                    and not msg.purge_only):
                 skipped.append(msg)
             else:
                 send(msg, at)
@@ -85,8 +85,8 @@ def _drop_ack(monkeypatch):
     on_inv = Node._on_inv
 
     def on_inv_without_ack(self, msg):
-        if not msg.payload.get("purge_only"):
-            msg.payload["no_ack"] = True
+        if not msg.purge_only:
+            msg.no_ack = True
         on_inv(self, msg)
 
     monkeypatch.setattr(Node, "_on_inv", on_inv_without_ack)
@@ -97,7 +97,7 @@ def _no_served_version(monkeypatch):
     start_dir_update = HomeController._start_dir_update
 
     def state_check_only(self, txn):
-        txn.msg.payload["sc_version"] = None
+        txn.msg.data = None
         start_dir_update(self, txn)
 
     monkeypatch.setattr(HomeController, "_start_dir_update", state_check_only)
@@ -111,7 +111,7 @@ def _record_dir_updates(monkeypatch):
     def recording(self, txn):
         entry = self.directory.entry(txn.block)
         seen.append(
-            (entry.state, txn.msg.payload.get("sc_version"), entry.version)
+            (entry.state, txn.msg.data, entry.version)
         )
         start_dir_update(self, txn)
 
@@ -435,7 +435,7 @@ class TestSanitizerMutations:
         def lazy_on_inv(self, msg):
             self.invs_received += 1
             block = (msg.addr // self.config.block_size) * self.config.block_size
-            if not msg.payload.get("no_ack"):
+            if not msg.no_ack:
                 ack = self._pool.make(
                     MsgKind.INV_ACK, self.node_id, msg.src, block
                 )
